@@ -39,6 +39,7 @@ from .groups import (
     group_isomorphisms,
     identity_map,
     invert_permutation,
+    is_multiplicative,
     permutation_order,
     structure_subgroups,
     subgroup_closure_in,
@@ -48,18 +49,75 @@ from .groups import (
 
 @dataclass(frozen=True)
 class LambdaMap:
-    """The assignment a -> lambda_a, lambda_a(b) = a^-1 . (a o b), with cached facts."""
+    """Facts about an assignment a -> lambda_a of automorphisms of (G, .), computed once.
 
-    maps: tuple                 # GroupMap per element, automorphisms of the additive group
+    For a brace, lambda_a(b) = a^-1 . (a o b).
+    """
+
+    group: FiniteGroup
+    maps: tuple                 # GroupMap per element, automorphisms of the group
     kernel: tuple               # sorted elements with lambda_a = id
     image_order: int
     image_exponent: int
-    homomorphic_on_add: bool
-    anti_homomorphic_on_add: bool
+    hom_witness: tuple | None   # first (a, b) with lambda_{a.b} != lambda_a lambda_b
+    anti_witness: tuple | None  # first (a, b) with lambda_{a.b} != lambda_b lambda_a
     image_abelian: bool
 
-    def images_of(self, a: int) -> tuple:
-        return self.maps[a].images
+    @property
+    def homomorphic_on_add(self) -> bool:
+        return self.hom_witness is None
+
+    @property
+    def anti_homomorphic_on_add(self) -> bool:
+        return self.anti_witness is None
+
+    @staticmethod
+    def of(group: FiniteGroup, lam) -> "LambdaMap":
+        """The facts of an assignment given per element as a GroupMap or an image array.
+
+        Raises NotAutomorphism for the first element whose value is not an
+        automorphism of the group.
+        """
+        n = group.order
+        arrays = [tuple(lam[a].images if isinstance(lam[a], GroupMap) else lam[a])
+                  for a in range(n)]
+        for a, img in enumerate(arrays):
+            if len(set(img)) != n or not is_multiplicative(group, group.table, img):
+                raise NotAutomorphism(a)
+        distinct = sorted(set(arrays))
+        index = {img: i for i, img in enumerate(distinct)}
+        which = [index[img] for img in arrays]
+        products = [[compose(f, g) for g in distinct] for f in distinct]
+        prod = [[index.get(fg, -1) for fg in row] for row in products]
+        t = group.table
+        hom = next(((a, b) for a in range(n) for b in range(n)
+                    if which[t[a][b]] != prod[which[a]][which[b]]), None)
+        anti = next(((a, b) for a in range(n) for b in range(n)
+                     if which[t[a][b]] != prod[which[b]][which[a]]), None)
+        exponent = 1
+        for img in distinct:
+            o = permutation_order(img)
+            exponent = exponent * o // gcd(exponent, o)
+        ident = identity_map(n)
+        return LambdaMap(
+            group=group,
+            maps=tuple(GroupMap(img, True, True, group.is_abelian) for img in arrays),
+            kernel=tuple(a for a in range(n) if arrays[a] == ident),
+            image_order=len(distinct),
+            image_exponent=exponent,
+            hom_witness=hom,
+            anti_witness=anti,
+            image_abelian=all(products[i][j] == products[j][i]
+                              for i in range(len(distinct)) for j in range(i)),
+        )
+
+    def kernel_witness(self, kernel) -> tuple | None:
+        """First (a, b) with b^-1 . lambda_a(b) outside ``kernel``, or None."""
+        kernel = set(kernel)
+        n, t, inv = self.group.order, self.group.table, self.group.inverse
+        images = [m.images for m in self.maps]
+        return next(((a, b) for a in range(n) for b in range(n)
+                     if t[inv[b]][images[a][b]] not in kernel), None)
 
 
 class SkewBrace:
@@ -85,7 +143,13 @@ class SkewBrace:
     @property
     def lam(self) -> LambdaMap:
         if self._lam is None:
-            self._lam = _compute_lambda(self.add, self.circ)
+            add, circ = self.add, self.circ
+            arrays = [[add.table[add.inverse[a]][c] for c in circ.table[a]]
+                      for a in range(add.order)]
+            try:
+                self._lam = LambdaMap.of(add, arrays)
+            except NotAutomorphism as exc:
+                raise LambdaNotAutomorphism(exc.element) from None
         return self._lam
 
     @property
@@ -112,20 +176,24 @@ class SkewBrace:
         check = verify_group(add_table, name=name)
         if not check.ok:
             raise InvalidGroup(check.violations)
-        relabel = check.relabeling
-        n = check.group.order
-        if len(circ_table) != n:
+        if len(circ_table) != check.group.order:
             raise InvalidGroup(("carrier orders differ",))
-        circ_relabeled = [[0] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                circ_relabeled[relabel[a]][relabel[b]] = relabel[circ_table[a][b]]
-        circ_check = verify_group(circ_relabeled)
+        circ_check = verify_group(_relabeled(circ_table, check.relabeling))
         if not circ_check.ok:
             raise InvalidGroup(circ_check.violations)
-        if circ_check.relabeling != tuple(range(n)):
+        if circ_check.relabeling != tuple(range(len(circ_table))):
             raise InvalidGroup(("identities of the two operations differ",))
         return SkewBrace(check.group, circ_check.group)
+
+
+def _relabeled(table, relabel) -> list:
+    """The table with every label x renamed relabel[x]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[relabel[a]][relabel[b]] = relabel[table[a][b]]
+    return out
 
 
 def trivial_brace(group: FiniteGroup) -> SkewBrace:
@@ -177,6 +245,7 @@ class BraceReport:
     two_sided: bool
     left_witness: tuple | None
     right_witness: tuple | None
+    brace: SkewBrace | None     # the brace on the normalized labels, when the left law holds
 
     def as_report(self) -> dict:
         return {
@@ -202,7 +271,12 @@ def verify_brace(add_table, circ_table) -> BraceReport:
     circ = _group_any_identity(circ_table)
     lw = left_law_witness(add, circ)
     rw = right_law_witness(add, circ)
-    return BraceReport(lw is None, rw is None, lw is None and rw is None, lw, rw)
+    brace = None
+    if lw is None:
+        # the left law forces one identity, which the additive relabeling sends to 0
+        circ_group = FiniteGroup(_relabeled(circ_table, add_check.relabeling))
+        brace = SkewBrace(add_check.group, circ_group)
+    return BraceReport(lw is None, rw is None, lw is None and rw is None, lw, rw, brace)
 
 
 def _group_any_identity(table) -> FiniteGroup:
@@ -221,39 +295,6 @@ def _group_any_identity(table) -> FiniteGroup:
 
 # ---------------------------------------------------------------------------
 # Lambda maps and classification
-
-
-def _compute_lambda(add: FiniteGroup, circ: FiniteGroup) -> LambdaMap:
-    n = add.order
-    maps = []
-    for a in range(n):
-        images = tuple(add.table[add.inverse[a]][circ.table[a][b]] for b in range(n))
-        gm = GroupMap.on(add, images)
-        if not gm.is_automorphism:
-            raise LambdaNotAutomorphism(a)
-        maps.append(gm)
-    kernel = tuple(a for a in range(n) if maps[a].images == tuple(range(n)))
-    distinct = {m.images for m in maps}
-    exponent = 1
-    for img in distinct:
-        o = permutation_order(img)
-        exponent = exponent * o // gcd(exponent, o)
-    hom = all(
-        maps[add.table[a][b]].images == compose(maps[a].images, maps[b].images)
-        for a in range(n) for b in range(n)
-    )
-    anti = all(
-        maps[add.table[a][b]].images == compose(maps[b].images, maps[a].images)
-        for a in range(n) for b in range(n)
-    )
-    abelian = all(
-        compose(f, g) == compose(g, f) for f in distinct for g in distinct
-    )
-    return LambdaMap(tuple(maps), kernel, len(distinct), exponent, hom, anti, abelian)
-
-
-def lambda_of(brace: SkewBrace) -> LambdaMap:
-    return brace.lam
 
 
 @dataclass(frozen=True)
@@ -291,9 +332,8 @@ def classify(brace: SkewBrace) -> Classification:
     if criterion != direct:
         raise CriterionMismatch(
             f"symmetry criterion ({criterion}) disagrees with direct check ({direct})")
-    distinct = {m.images for m in lam.maps}
     cyclic = lam.homomorphic_on_add and any(
-        permutation_order(img) == len(distinct) for img in distinct
+        permutation_order(m.images) == lam.image_order for m in lam.maps
     )
     natural = brace.circ.table == brace.add.opposite().table
     return Classification(lam.homomorphic_on_add, lam.anti_homomorphic_on_add,
@@ -302,14 +342,6 @@ def classify(brace: SkewBrace) -> Classification:
 
 # ---------------------------------------------------------------------------
 # Constructions
-
-
-def _as_image_arrays(group: FiniteGroup, lam) -> list:
-    arrays = []
-    for a in range(group.order):
-        entry = lam[a]
-        arrays.append(tuple(entry.images if isinstance(entry, GroupMap) else entry))
-    return arrays
 
 
 def construct_from_lambda(group: FiniteGroup, lam, mode: str) -> SkewBrace:
@@ -321,29 +353,24 @@ def construct_from_lambda(group: FiniteGroup, lam, mode: str) -> SkewBrace:
     if mode not in ("homomorphic", "anti_homomorphic"):
         raise ValueError(f"unknown mode {mode!r}")
     n = group.order
-    arrays = _as_image_arrays(group, lam)
-    for a in range(n):
-        if not GroupMap.on(group, arrays[a]).is_automorphism:
-            raise NotAutomorphism(a)
-    ident = identity_map(n)
-    kernel = {a for a in range(n) if arrays[a] == ident}
-    for a in range(n):
-        for b in range(n):
-            expected = compose(arrays[a], arrays[b]) if mode == "homomorphic" \
-                else compose(arrays[b], arrays[a])
-            if arrays[group.table[a][b]] != expected:
-                if mode == "homomorphic":
-                    raise NotHomomorphism(a, b)
-                raise NotAntiHomomorphism(a, b)
+    facts = LambdaMap.of(group, lam)
+    arrays = [m.images for m in facts.maps]
     t, inv = group.table, group.inverse
-    for a in range(n):
-        for b in range(n):
-            if mode == "homomorphic":
-                probe = t[inv[b]][arrays[a][b]]              # b^-1 lambda_a(b)
-            else:
+    if mode == "homomorphic":
+        if facts.hom_witness is not None:
+            raise NotHomomorphism(*facts.hom_witness)
+        witness = facts.kernel_witness(facts.kernel)   # b^-1 lambda_a(b) in the kernel
+        if witness is not None:
+            raise KernelConditionFails(*witness)
+    else:
+        if facts.anti_witness is not None:
+            raise NotAntiHomomorphism(*facts.anti_witness)
+        kernel = set(facts.kernel)
+        for a in range(n):
+            for b in range(n):
                 probe = t[t[t[a][arrays[a][b]]][inv[a]]][inv[b]]  # a lambda_a(b) a^-1 b^-1
-            if probe not in kernel:
-                raise KernelConditionFails(a, b)
+                if probe not in kernel:
+                    raise KernelConditionFails(a, b)
     circ = [[t[a][arrays[a][b]] for b in range(n)] for a in range(n)]
     return SkewBrace(group, group_from_table(circ))
 
@@ -497,6 +524,19 @@ class LinkReport:
         }
 
 
+def link_conditions(lam1: LambdaMap, lam2: LambdaMap) -> tuple:
+    """(images_commute, cond_i, cond_ii) for two assignments on one group.
+
+    cond_i is [[G, lambda2(G)]] contained in Ker lambda1, cond_ii the same
+    with the roles swapped.
+    """
+    d1 = {m.images for m in lam1.maps}
+    d2 = {m.images for m in lam2.maps}
+    images_commute = all(compose(f, g) == compose(g, f) for f in d1 for g in d2)
+    return (images_commute, lam2.kernel_witness(lam1.kernel) is None,
+            lam1.kernel_witness(lam2.kernel) is None)
+
+
 def link_check(brace1: SkewBrace, brace2: SkewBrace) -> LinkReport:
     """Decide whether (G, o, *) is a (symmetric) brace for two braces over one addition.
 
@@ -507,20 +547,8 @@ def link_check(brace1: SkewBrace, brace2: SkewBrace) -> LinkReport:
     """
     if brace1.add.table != brace2.add.table:
         raise AdditiveTablesDiffer("link check needs one shared additive table")
-    add = brace1.add
-    n = add.order
     lam1, lam2 = brace1.lam, brace2.lam
-    d1 = {m.images for m in lam1.maps}
-    d2 = {m.images for m in lam2.maps}
-    images_commute = all(compose(f, g) == compose(g, f) for f in d1 for g in d2)
-    k1, k2 = set(lam1.kernel), set(lam2.kernel)
-    t, inv = add.table, add.inverse
-    cond_i = all(
-        t[inv[b]][lam2.maps[a].images[b]] in k1 for a in range(n) for b in range(n)
-    )
-    cond_ii = all(
-        t[inv[b]][lam1.maps[a].images[b]] in k2 for a in range(n) for b in range(n)
-    )
+    images_commute, cond_i, cond_ii = link_conditions(lam1, lam2)
     is_brace = left_law_witness(brace1.circ, brace2.circ) is None
     is_symmetric = is_brace and left_law_witness(brace2.circ, brace1.circ) is None
     hypothesis_met = (images_commute
@@ -734,12 +762,25 @@ def pushforward(brace: SkewBrace, perm) -> SkewBrace:
 # File format
 
 
+def brace_tables(data) -> tuple:
+    """The "add" and "circ" tables of a brace file; a missing one is named."""
+    for key in ("add", "circ"):
+        if key not in data:
+            raise ValueError(f'brace file has no "{key}" table')
+    return data["add"], data["circ"]
+
+
+def check_declared_order(data) -> None:
+    if "order" in data and data["order"] != len(data["add"]):
+        raise InvalidGroup(("declared order does not match the tables",))
+
+
 def brace_from_json(data) -> SkewBrace:
     if isinstance(data, str):
         data = json.loads(data)
-    if "order" in data and data["order"] != len(data["add"]):
-        raise InvalidGroup(("declared order does not match the tables",))
-    return SkewBrace.from_tables(data["add"], data["circ"])
+    add, circ = brace_tables(data)
+    check_declared_order(data)
+    return SkewBrace.from_tables(add, circ)
 
 
 def brace_to_json(brace: SkewBrace) -> dict:

@@ -77,19 +77,19 @@ def _cmd_verify_group(args):
 
 def _cmd_verify_brace(args):
     data = _load_json(args.infile)
-    rep = braces.verify_brace(data["add"], data["circ"])
+    rep = braces.verify_brace(*braces.brace_tables(data))
     report = rep.as_report()
     if rep.left_ok:
-        brace = braces.brace_from_json(data)
-        report["classify"] = braces.classify(brace).as_dict()
+        braces.check_declared_order(data)
+        report["classify"] = braces.classify(rep.brace).as_dict()
     return report, rep.left_ok
 
 
 def _cmd_classify(args):
     brace = braces.brace_from_json(_load_json(args.infile))
-    rep = braces.verify_brace([list(r) for r in brace.add.table],
-                              [list(r) for r in brace.circ.table])
-    report = rep.as_report()
+    rw = braces.right_law_witness(brace.add, brace.circ)
+    report = braces.BraceReport(left_ok=True, right_ok=rw is None, two_sided=rw is None,
+                                left_witness=None, right_witness=rw, brace=brace).as_report()
     report["classify"] = braces.classify(brace).as_dict()
     return report, True
 
@@ -166,7 +166,7 @@ def _cmd_system(args):
 def _cmd_structure(args):
     brace = braces.brace_from_json(_load_json(args.infile))
     ideals = structure.all_ideals(brace, Limits())
-    chain = structure.triviality_step(brace)
+    chain = structure.triviality_step(brace, ideals)
     report = {
         "ideals": [list(i) for i in ideals],
         "kernel": list(brace.lam.kernel),
@@ -233,7 +233,7 @@ def _cmd_rb(args):
         op = rota.rb_from_json(_load_json(args.rb))
         brace = rota.rb_brace(group, op)
         report = {"brace": _brace_payload(brace)}
-        report.update(rota.rb_symmetry_check(group, op))
+        report.update(rota.rb_symmetry_check(brace, op))
         return report, True
     if args.action == "search":
         if group.order <= 6:
@@ -244,8 +244,9 @@ def _cmd_rb(args):
             scope = "endomorphisms"
         rows = []
         for op in found:
-            sym = rota.rb_symmetry_check(group, op)
-            hom = rota.rb_lambda_hom_check(group, op)
+            brace = rota.rb_brace(group, op)
+            sym = rota.rb_symmetry_check(brace, op)
+            hom = rota.rb_lambda_hom_check(brace, op)
             rows.append({"map": list(op), "symmetric": sym["symmetric"],
                          "lambda_homomorphic": hom["lambda_homomorphic"]})
         return {"order": group.order, "scope": scope,

@@ -17,10 +17,6 @@ class Limits:
     max_system_vertices: int = 64
     max_lattice_depth: int = 8
 
-    def with_group_order(self, n: int) -> "Limits":
-        return Limits(n, self.max_holomorph_order, self.max_ideal_search_order,
-                      self.max_system_vertices, self.max_lattice_depth)
-
 
 @dataclass(frozen=True)
 class SampleConfig:

@@ -115,13 +115,5 @@ class WindowTooSmall(AlgebraError):
     pass
 
 
-class FormulaMismatch(AlgebraError):
-    def __init__(self, formula_id, lhs, rhs):
-        self.formula_id = formula_id
-        self.lhs = lhs
-        self.rhs = rhs
-        super().__init__(f"formula {formula_id}: {lhs} != {rhs}")
-
-
 class UnsupportedFormat(AlgebraError):
     pass

@@ -10,6 +10,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import gcd
 
 from .config import DEFAULT_LIMITS, Limits
@@ -100,20 +101,23 @@ class GroupMap:
     @staticmethod
     def on(group: FiniteGroup, images) -> "GroupMap":
         images = tuple(images)
-        n = group.order
-        endo = all(
-            images[group.table[a][b]] == group.table[images[a]][images[b]]
-            for a in range(n) for b in range(n)
-        )
-        anti = all(
-            images[group.table[a][b]] == group.table[images[b]][images[a]]
-            for a in range(n) for b in range(n)
-        )
-        bij = len(set(images)) == n
+        endo = is_multiplicative(group, group.table, images)
+        anti = is_multiplicative(group, tuple(zip(*group.table)), images)
+        bij = len(set(images)) == group.order
         return GroupMap(images, endo, endo and bij, anti)
 
     def __call__(self, a: int) -> int:
         return self.images[a]
+
+
+def is_multiplicative(src: FiniteGroup, dst_table, images) -> bool:
+    """True iff images[a b] = images[a] images[b] for all a, b, with the right side in dst_table."""
+    head = images[:src.order]
+    for a, row in enumerate(src.table):
+        target = dst_table[images[a]]
+        if list(map(images.__getitem__, row)) != list(map(target.__getitem__, head)):
+            return False
+    return True
 
 
 def identity_map(n: int) -> tuple:
@@ -188,7 +192,7 @@ def verify_group(table, name: str = "") -> GroupCheck:
     for a in range(n):
         for b in range(n):
             v = rows[a][b]
-            if not isinstance(v, int) or not (0 <= v < n):
+            if isinstance(v, bool) or not isinstance(v, int) or not (0 <= v < n):
                 return GroupCheck(False, None, None, (Violation("entry_out_of_range", (a, b)),))
 
     for a in range(n):
@@ -478,42 +482,37 @@ def _extend_homomorphism(src: FiniteGroup, dst: FiniteGroup, gens, images) -> tu
     return tuple(m[a] for a in range(src.order))
 
 
-def _is_multiplicative(src: FiniteGroup, dst: FiniteGroup, images) -> bool:
-    return all(
-        images[src.table[a][b]] == dst.table[images[a]][images[b]]
-        for a in range(src.order) for b in range(src.order)
-    )
+def _homomorphisms(src: FiniteGroup, dst: FiniteGroup, bijective: bool) -> list:
+    """Homomorphisms src -> dst (only the bijective ones if asked), as sorted image tuples.
+
+    Tries every choice of images for the greedy generators of src. An image
+    must have the generator's order (for bijections) or an order dividing it.
+    """
+    gens = _greedy_generators(src)
+    dst_orders = [dst.element_order(x) for x in range(dst.order)]
+    choices = []
+    for g in gens:
+        k = src.element_order(g)
+        choices.append([h for h, o in enumerate(dst_orders)
+                        if (o == k if bijective else k % o == 0)])
+    found = set()
+    for chosen in product(*choices):
+        images = _extend_homomorphism(src, dst, gens, chosen)
+        if images is None or (bijective and len(set(images)) != src.order):
+            continue
+        if is_multiplicative(src, dst.table, images):
+            found.add(images)
+    return sorted(found)
 
 
 def group_isomorphisms(src: FiniteGroup, dst: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list:
-    """All isomorphisms src -> dst as image tuples, sorted lexicographically.
-
-    Backtracks over generator images, pruning by element-order mismatch.
-    """
+    """All isomorphisms src -> dst as image tuples, sorted lexicographically."""
     if src.order != dst.order:
         return []
     if src.order > limits.max_group_order:
         raise OrderCapExceeded(
             f"order {src.order} exceeds automorphism cap {limits.max_group_order}")
-    gens = _greedy_generators(src)
-    by_order: dict = {}
-    for x in range(dst.order):
-        by_order.setdefault(dst.element_order(x), []).append(x)
-    found = []
-
-    def backtrack(idx, chosen):
-        if idx == len(gens):
-            images = _extend_homomorphism(src, dst, gens, chosen)
-            if images is not None and len(set(images)) == src.order \
-                    and _is_multiplicative(src, dst, images):
-                found.append(images)
-            return
-        order = src.element_order(gens[idx])
-        for h in by_order.get(order, ()):
-            backtrack(idx + 1, chosen + [h])
-
-    backtrack(0, [])
-    return sorted(set(found))
+    return _homomorphisms(src, dst, True)
 
 
 @lru_cache(maxsize=256)
@@ -523,34 +522,19 @@ def _automorphism_images(table: tuple, cap: int) -> tuple:
 
 
 def automorphism_group(group: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list:
-    """All automorphisms as GroupMaps, identity first, lexicographic on image arrays."""
+    """All automorphisms as GroupMaps, identity first, lexicographic on image arrays.
+
+    An automorphism is an anti-homomorphism exactly when the group is abelian.
+    """
     images = _automorphism_images(group.table, limits.max_group_order)
-    return [GroupMap(img, True, True,
-                     all(img[group.table[a][b]] == group.table[img[b]][img[a]]
-                         for a in range(group.order) for b in range(group.order)))
-            for img in images]
+    return [GroupMap(img, True, True, group.is_abelian) for img in images]
 
 
 def endomorphisms(group: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list:
     """All endomorphism image tuples of the group, sorted."""
     if group.order > limits.max_group_order:
         raise OrderCapExceeded(f"order {group.order} exceeds cap {limits.max_group_order}")
-    gens = _greedy_generators(group)
-    found = []
-
-    def backtrack(idx, chosen):
-        if idx == len(gens):
-            images = _extend_homomorphism(group, group, gens, chosen)
-            if images is not None and _is_multiplicative(group, group, images):
-                found.append(images)
-            return
-        order = group.element_order(gens[idx])
-        for h in range(group.order):
-            if order % group.element_order(h) == 0:
-                backtrack(idx + 1, chosen + [h])
-
-    backtrack(0, [])
-    return sorted(set(found))
+    return _homomorphisms(group, group, False)
 
 
 # ---------------------------------------------------------------------------
@@ -571,14 +555,8 @@ class Holomorph:
     def pair_of(self, idx: int) -> tuple:
         return divmod(idx, self.base.order)
 
-    def index_of(self, aut_idx: int, element: int) -> int:
-        return aut_idx * self.base.order + element
-
     def second(self, idx: int) -> int:
         return idx % self.base.order
-
-    def translation_subgroup(self) -> tuple:
-        return tuple(range(self.base.order))
 
 
 def build_holomorph(base: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> Holomorph:
@@ -604,11 +582,6 @@ def build_holomorph(base: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> Holom
     return Holomorph(base, auts, hol)
 
 
-def subgroup_closure(hol: Holomorph, seeds) -> tuple:
-    """Subgroup of Hol G generated by the given pair indices, sorted."""
-    return subgroup_closure_in(hol.group, seeds)
-
-
 def is_regular_subgroup(hol: Holomorph, members) -> bool:
     """True iff the subgroup acts freely and transitively on the base.
 
@@ -617,7 +590,7 @@ def is_regular_subgroup(hol: Holomorph, members) -> bool:
     coordinates being pairwise distinct and covering the base.
     """
     members = tuple(sorted(members))
-    if subgroup_closure(hol, members) != members:
+    if subgroup_closure_in(hol.group, members) != members:
         raise NotASubgroup(f"{len(members)} elements do not form a subgroup")
     if len(members) != hol.base.order:
         return False

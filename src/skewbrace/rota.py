@@ -92,9 +92,9 @@ def rb_brace(group: FiniteGroup, b_map) -> SkewBrace:
     return brace
 
 
-def rb_symmetry_check(group: FiniteGroup, b_map) -> dict:
-    """Symmetry of the Rota-Baxter brace versus centrality of the anti-homomorphism defect."""
-    brace = rb_brace(group, b_map)
+def rb_symmetry_check(brace: SkewBrace, b_map) -> dict:
+    """Symmetry of the brace rb_brace(G, B) versus centrality of the anti-homomorphism defect."""
+    group = brace.add
     symmetric = classify(brace).symmetric
     b = tuple(b_map)
     center = set(structure_subgroups(group).center)
@@ -108,9 +108,9 @@ def rb_symmetry_check(group: FiniteGroup, b_map) -> dict:
     return {"symmetric": symmetric, "center_condition": center_condition}
 
 
-def rb_lambda_hom_check(group: FiniteGroup, b_map) -> dict:
-    """Lambda-homomorphy of the Rota-Baxter brace versus the homomorphism defect of B."""
-    brace = rb_brace(group, b_map)
+def rb_lambda_hom_check(brace: SkewBrace, b_map) -> dict:
+    """Lambda-homomorphy of the brace rb_brace(G, B) versus the homomorphism defect of B."""
+    group = brace.add
     lam_hom = brace.lam.homomorphic_on_add
     b = tuple(b_map)
     center = set(structure_subgroups(group).center)

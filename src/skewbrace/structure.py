@@ -61,11 +61,17 @@ def is_ideal(brace: SkewBrace, elements) -> IdealReport:
 
 
 def kernel_ideal(brace: SkewBrace) -> IdealReport:
-    """Ker lambda as an ideal; the sub-brace on it is trivial by construction."""
+    """Ker lambda as an ideal; the sub-brace on it is trivial by construction.
+
+    Ker lambda is always a subgroup of (G, .), but an ideal only in some
+    braces; it is one in every lambda-anti-homomorphic brace.
+    """
     kernel = brace.lam.kernel
     report = is_ideal(brace, kernel)
     if not report.is_ideal:
-        raise CriterionMismatch("the kernel of lambda must be an ideal")
+        if brace.lam.anti_homomorphic_on_add:
+            raise CriterionMismatch("the kernel of lambda must be an ideal")
+        raise NotAnIdeal(f"Ker lambda {list(kernel)} fails {report.witness}")
     pointwise = tuple(
         a for a in range(brace.order)
         if all(brace.circ.table[a][b] == brace.add.table[a][b] for b in range(brace.order))
@@ -161,13 +167,13 @@ class TrivialityChain:
         return {"step": self.step, "chain": [list(part) for part in self.chain]}
 
 
-def triviality_step(brace: SkewBrace, limits: Limits = DEFAULT_LIMITS) -> TrivialityChain | None:
+def triviality_step(brace: SkewBrace, ideals) -> TrivialityChain | None:
     """Shortest chain of ideals with trivial successive quotients, or None.
 
-    Breadth-first over ideals: a step from I to J > I is allowed when every
-    pair from J multiplies the same way under both operations modulo I.
+    ``ideals`` is the list from all_ideals(brace). Breadth-first over ideals:
+    a step from I to J > I is allowed when every pair from J multiplies the
+    same way under both operations modulo I.
     """
-    ideals = all_ideals(brace, limits)
     everything = tuple(range(brace.order))
     t_add, t_circ = brace.add.table, brace.circ.table
     inv_add = brace.add.inverse

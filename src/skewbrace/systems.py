@@ -8,14 +8,14 @@ deduplicated by exact table equality, keeping the label closest to the base.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 
-from .braces import left_law_witness
+from .braces import LambdaMap, left_law_witness, link_conditions
 from .config import DEFAULT_LIMITS, Limits
 from .errors import (
     BaseMismatch,
     CarrierMismatch,
     CriterionMismatch,
+    NotAutomorphism,
     NotRotaBaxter,
     OrderCapExceeded,
     PreconditionFails,
@@ -23,12 +23,10 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
-    GroupMap,
     compose,
     group_from_table,
     identity_map,
     invert_permutation,
-    permutation_order,
 )
 from .rota import derived_table, is_rb
 
@@ -41,9 +39,12 @@ class BraceSystemGraph:
     edges: dict                  # (u, v) -> "verified" | "failed"
     kind: str                    # general | symmetric | full_symmetric | linear | rooted
     label_map: dict = field(default_factory=dict)   # built level -> vertex index
-    lambda_images: tuple | None = None              # level-0 assignment, when built from one
-    image_exponent: int | None = None
+    lam: LambdaMap | None = None                    # level-0 assignment, when built from one
     hypotheses_met: bool | None = None              # union linking hypotheses, when evaluated
+
+    @property
+    def image_exponent(self) -> int | None:
+        return self.lam.image_exponent if self.lam else None
 
     def vertex_count(self) -> int:
         return len(self.vertices)
@@ -91,36 +92,21 @@ def _dedupe(tables_by_label, limits: Limits):
 # Linear systems from an abelian-image lambda assignment
 
 
-def check_linear_preconditions(group: FiniteGroup, arrays) -> None:
+def check_linear_preconditions(group: FiniteGroup, lam) -> LambdaMap:
     """The assignment must be a homomorphism with abelian image whose
     commutator values land in its kernel; each value an automorphism."""
-    n = group.order
-    for a in range(n):
-        if not GroupMap.on(group, arrays[a]).is_automorphism:
-            raise PreconditionFails("lambda value is not an automorphism", a)
-    for a in range(n):
-        for b in range(n):
-            if arrays[group.table[a][b]] != compose(arrays[a], arrays[b]):
-                raise PreconditionFails("lambda is not a homomorphism", (a, b))
-    distinct = sorted(set(arrays))
-    for f in distinct:
-        for g in distinct:
-            if compose(f, g) != compose(g, f):
-                raise PreconditionFails("lambda image is not abelian", None)
-    ident = identity_map(n)
-    kernel = {a for a in range(n) if arrays[a] == ident}
-    for a in range(n):
-        for b in range(n):
-            if group.table[group.inverse[b]][arrays[a][b]] not in kernel:
-                raise PreconditionFails("kernel condition fails", (a, b))
-
-
-def image_exponent_of(arrays) -> int:
-    exponent = 1
-    for img in set(arrays):
-        o = permutation_order(img)
-        exponent = exponent * o // gcd(exponent, o)
-    return exponent
+    try:
+        facts = LambdaMap.of(group, lam)
+    except NotAutomorphism as exc:
+        raise PreconditionFails("lambda value is not an automorphism", exc.element) from None
+    if facts.hom_witness is not None:
+        raise PreconditionFails("lambda is not a homomorphism", facts.hom_witness)
+    if not facts.image_abelian:
+        raise PreconditionFails("lambda image is not abelian", None)
+    witness = facts.kernel_witness(facts.kernel)
+    if witness is not None:
+        raise PreconditionFails("kernel condition fails", witness)
+    return facts
 
 
 def build_linear_system(group: FiniteGroup, lam, depth: int | None = None,
@@ -132,11 +118,10 @@ def build_linear_system(group: FiniteGroup, lam, depth: int | None = None,
     built; negative levels use the inverse automorphisms.  Every ordered pair
     of distinct vertices is verified and must pass.
     """
-    arrays = [tuple(m.images if isinstance(m, GroupMap) else m) for m in lam]
-    check_linear_preconditions(group, arrays)
-    exponent = image_exponent_of(arrays)
+    facts = check_linear_preconditions(group, lam)
+    arrays = [m.images for m in facts.maps]
     if depth is None:
-        depth = exponent
+        depth = facts.image_exponent
     if depth < 0:
         raise ValueError("depth must be non-negative")
     n = group.order
@@ -167,8 +152,7 @@ def build_linear_system(group: FiniteGroup, lam, depth: int | None = None,
         edges=edges,
         kind="linear",
         label_map=label_map,
-        lambda_images=tuple(arrays),
-        image_exponent=exponent,
+        lam=facts,
     )
 
 
@@ -203,21 +187,9 @@ def union_systems(sys1: BraceSystemGraph, sys2: BraceSystemGraph,
         raise CarrierMismatch("carrier orders differ")
     if sys1.vertices[sys1.label_map.get(0, 0)].table != sys2.vertices[sys2.label_map.get(0, 0)].table:
         raise BaseMismatch("base operations differ")
-    base = sys1.vertices[sys1.label_map.get(0, 0)]
     hypotheses_met = None
-    if sys1.lambda_images is not None and sys2.lambda_images is not None:
-        n = sys1.carrier_order
-        t, inv = base.table, base.inverse
-        d1, d2 = set(sys1.lambda_images), set(sys2.lambda_images)
-        ident = identity_map(n)
-        k1 = {a for a in range(n) if sys1.lambda_images[a] == ident}
-        k2 = {a for a in range(n) if sys2.lambda_images[a] == ident}
-        commute = all(compose(f, g) == compose(g, f) for f in d1 for g in d2)
-        cond_i = all(t[inv[b]][sys2.lambda_images[a][b]] in k1
-                     for a in range(n) for b in range(n))
-        cond_ii = all(t[inv[b]][sys1.lambda_images[a][b]] in k2
-                      for a in range(n) for b in range(n))
-        hypotheses_met = commute and cond_i and cond_ii
+    if sys1.lam is not None and sys2.lam is not None:
+        hypotheses_met = all(link_conditions(sys1.lam, sys2.lam))
 
     tables = [(("a", lbl), g.table) for lbl, g in zip(sys1.labels, sys1.vertices)]
     tables += [(("b", lbl), g.table) for lbl, g in zip(sys2.labels, sys2.vertices)]

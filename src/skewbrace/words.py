@@ -97,22 +97,6 @@ class FreeWord:
         return f"FreeWord({self.rank}, {word_to_text(self)!r})"
 
 
-def mul(u: FreeWord, v: FreeWord) -> FreeWord:
-    return u.mul(v)
-
-
-def inv(w: FreeWord) -> FreeWord:
-    return w.inv()
-
-
-def power(w: FreeWord, k: int) -> FreeWord:
-    return w.pow(k)
-
-
-def exp_sum(w: FreeWord) -> int:
-    return w.exp_sum()
-
-
 def word_from_text(rank: int, text: str) -> FreeWord:
     """Parse the CLI word syntax, e.g. "x1 x2^-1 x1^3"; "1" or "" is the empty word."""
     text = text.strip()
@@ -233,21 +217,13 @@ class Compose(FreeAutomorphism):
         return Compose(tuple(p.inverse() for p in reversed(self.parts)))
 
 
-def apply_auto(theta: FreeAutomorphism, w: FreeWord) -> FreeWord:
-    return theta.apply(w)
-
-
-def auto_power(theta: FreeAutomorphism, k: int) -> FreeAutomorphism:
-    return theta.pow(k)
-
-
 def circ_eval(a: FreeWord, b: FreeWord, theta: FreeAutomorphism) -> FreeWord:
     """a o b = a . theta^{l(a)}(b): the multiplication graded by exponent sum."""
-    return a.mul(auto_power(theta, a.exp_sum()).apply(b))
+    return a.mul(theta.pow(a.exp_sum()).apply(b))
 
 
 def circ_inverse(a: FreeWord, theta: FreeAutomorphism) -> FreeWord:
-    return auto_power(theta, -a.exp_sum()).apply(a.inv())
+    return theta.pow(-a.exp_sum()).apply(a.inv())
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +265,7 @@ def sampled_brace_check(theta: FreeAutomorphism,
                              "a": word_to_text(a), "b": word_to_text(b), "c": word_to_text(c)})
         left_pow = circ_eval(a, b, theta).exp_sum()
         right_pow = b.mul(a).exp_sum()
-        if auto_power(theta, left_pow).apply(probe) != auto_power(theta, right_pow).apply(probe):
+        if theta.pow(left_pow).apply(probe) != theta.pow(right_pow).apply(probe):
             failures.append({"trial": trial, "kind": "symmetry_criterion",
                              "a": word_to_text(a), "b": word_to_text(b)})
     return {
@@ -381,10 +357,6 @@ class SchreierRewriter:
         if expansion != w:
             raise CriterionMismatch("schreier rewriting did not round-trip")
         return out
-
-
-def schreier_rewrite(w: FreeWord, rewriter: SchreierRewriter) -> list:
-    return rewriter.rewrite(w)
 
 
 # ---------------------------------------------------------------------------

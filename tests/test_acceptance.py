@@ -31,7 +31,12 @@ from skewbrace.rota import (
     rb_symmetry_check,
 )
 from skewbrace.rng import Lcg
-from skewbrace.structure import brace_automorphisms, naturality_report, triviality_step
+from skewbrace.structure import (
+    all_ideals,
+    brace_automorphisms,
+    naturality_report,
+    triviality_step,
+)
 from skewbrace.systems import build_linear_system, detect_period
 from skewbrace.words import (
     FreeWord,
@@ -222,15 +227,17 @@ def test_criterion_7_rota_baxter_suite():
     for g in groups.small_group_catalog(6):
         for b in rb_self_maps(g):
             derived_group(g, b)        # raises if the derived-group facts fail
-            rb_symmetry_check(g, b)    # raises if the booleans disagree
-            rb_lambda_hom_check(g, b)
+            brace = rb_brace(g, b)
+            rb_symmetry_check(brace, b)    # raises if the booleans disagree
+            rb_lambda_hom_check(brace, b)
     for g in groups.small_group_catalog(12):
         if g.order < 7:
             continue
         for b in rb_endomorphisms(g):
             derived_group(g, b)
-            rb_symmetry_check(g, b)
-            rb_lambda_hom_check(g, b)
+            brace = rb_brace(g, b)
+            rb_symmetry_check(brace, b)
+            rb_lambda_hom_check(brace, b)
 
     # word expansion: fold vs closed form, 500 seeded words per group
     for g in groups.small_group_catalog(12):
@@ -252,11 +259,13 @@ def test_criterion_8_structure_suite():
     problems = []
 
     s3 = groups.symmetric_group(3)
-    found = triviality_step(op_brace(s3))
+    brace = op_brace(s3)
+    found = triviality_step(brace, all_ideals(brace))
     a3 = groups.structure_subgroups(s3).derived_subgroup
     if found.step != 2 or found.chain != ((0,), a3, tuple(range(6))):
         problems.append(f"s3 chain: {found}")
-    if triviality_step(trivial_brace(groups.cyclic_group(4))).step != 1:
+    brace = trivial_brace(groups.cyclic_group(4))
+    if triviality_step(brace, all_ideals(brace)).step != 1:
         problems.append("trivial brace should have step 1")
 
     for g, brace, flags in census():

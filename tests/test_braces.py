@@ -17,7 +17,6 @@ from skewbrace.braces import (
     construct_unification,
     cross_compatibility_check,
     enumerate_circ_ops,
-    lambda_of,
     link_check,
     op_brace,
     opposite,
@@ -54,11 +53,11 @@ def z4_inversion():
     return inversion_brace(groups.cyclic_group(4))
 
 
-# --- lambda_of -------------------------------------------------------------
+# --- lambda ----------------------------------------------------------------
 
 
 def test_lambda_trivial(z4):
-    lam = lambda_of(trivial_brace(z4))
+    lam = trivial_brace(z4).lam
     assert lam.kernel == (0, 1, 2, 3)
     assert lam.image_order == 1 and lam.image_exponent == 1
     assert lam.homomorphic_on_add and lam.anti_homomorphic_on_add

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from skewbrace import groups
+from skewbrace import braces, cli, groups, rota, structure
 from skewbrace.braces import brace_to_json, op_brace, trivial_brace
 from skewbrace.cli import main
 
@@ -38,6 +38,15 @@ def test_verify_group_failure_exit_1(tmp_path, capsys):
     code, out, _ = run(capsys, ["verify-group", "--in", path])
     assert code == 1
     assert json.loads(out)["group_ok"] is False
+
+
+def test_verify_group_rejects_booleans(tmp_path, capsys):
+    path = write(tmp_path, "bools.json", {"table": [[False, True], [True, False]]})
+    code, out, _ = run(capsys, ["verify-group", "--in", path])
+    assert code == 1
+    report = json.loads(out)
+    assert report["group_ok"] is False
+    assert report["violations"] == [{"code": "entry_out_of_range", "witness": [0, 0]}]
 
 
 def test_verify_group_generators(tmp_path, capsys):
@@ -78,6 +87,17 @@ def test_verify_brace_failure(tmp_path, capsys):
     assert code == 1
     report = json.loads(out)
     assert report["left_ok"] is False and report["witness"] is not None
+
+
+@pytest.mark.parametrize("missing", ["add", "circ"])
+def test_brace_file_missing_field_is_named(tmp_path, capsys, missing):
+    payload = brace_to_json(trivial_brace(groups.cyclic_group(4)))
+    del payload[missing]
+    path = write(tmp_path, "partial.json", payload)
+    for command in ("verify-brace", "classify", "structure"):
+        code, out, err = run(capsys, [command, "--in", path])
+        assert code == 2 and out == ""
+        assert err == f'error: brace file has no "{missing}" table\n'
 
 
 def test_classify(tmp_path, capsys):
@@ -328,3 +348,48 @@ def test_out_flag_writes_file(tmp_path, capsys):
                                "--in", z4_file(tmp_path)])
     assert code == 0
     assert target.read_text() == out
+
+
+# --- each fact computed once per job ------------------------------------------------
+
+
+def count_calls(monkeypatch, fn):
+    """Record the calls of fn under every name the library binds it to."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in (groups, braces, structure, rota, cli):
+        for key, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_structure_enumerates_subgroups_once(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "brace.json", brace_to_json(op_brace(groups.dihedral_group(4))))
+    calls = count_calls(monkeypatch, structure.all_subgroups)
+    code, _, _ = run(capsys, ["structure", "--in", path])
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["classify", "verify-brace"])
+def test_brace_tables_verified_once(tmp_path, capsys, monkeypatch, command):
+    path = write(tmp_path, "brace.json", brace_to_json(op_brace(groups.symmetric_group(3))))
+    calls = count_calls(monkeypatch, groups.verify_group)
+    code, _, _ = run(capsys, [command, "--in", path])
+    assert code == 0
+    assert len(calls) == 2  # the additive and the multiplicative table
+
+
+def test_rb_search_builds_each_brace_once(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "d4.json", groups.group_to_json(groups.dihedral_group(4)))
+    calls = count_calls(monkeypatch, rota.rb_brace)
+    code, out, _ = run(capsys, ["rb", "search", "--group", path])
+    assert code == 0
+    operators = [tuple(op["map"]) for op in json.loads(out)["operators"]]
+    assert len(operators) > 1
+    assert [args[1] for args in calls] == operators

@@ -17,7 +17,6 @@ from skewbrace.groups import (
     nilpotency_class,
     small_group_catalog,
     structure_subgroups,
-    subgroup_closure,
     subgroup_closure_in,
     verify_group,
 )
@@ -256,10 +255,10 @@ def test_holomorph_product_law(s3):
         for a in (1, 4):
             for gi in (1, 3):
                 for b in (2, 5):
-                    lhs = hol.group.table[hol.index_of(fi, a)][hol.index_of(gi, b)]
+                    lhs = hol.group.table[fi * n + a][gi * n + b]
                     fg = compose(auts[fi].images, auts[gi].images)
                     fgi = next(i for i, m in enumerate(auts) if m.images == fg)
-                    assert lhs == hol.index_of(fgi, s3.table[a][auts[fi].images[b]])
+                    assert lhs == fgi * n + s3.table[a][auts[fi].images[b]]
 
 
 def test_holomorph_s3_passes_verification(s3):
@@ -275,32 +274,33 @@ def test_holomorph_cap(z4):
 
 def test_subgroup_closure_cases(z4):
     hol = build_holomorph(z4)
-    assert subgroup_closure(hol, ()) == (0,)
+    assert subgroup_closure_in(hol.group, ()) == (0,)
     # seeds = one translation generator -> the four translations
-    assert subgroup_closure(hol, (1,)) == (0, 1, 2, 3)
-    everything = subgroup_closure(hol, tuple(range(hol.group.order)))
+    assert subgroup_closure_in(hol.group, (1,)) == (0, 1, 2, 3)
+    everything = subgroup_closure_in(hol.group, tuple(range(hol.group.order)))
     assert everything == tuple(range(hol.group.order))
-    assert subgroup_closure(hol, (1,)) == subgroup_closure(hol, subgroup_closure(hol, (1,)))
+    translations = subgroup_closure_in(hol.group, (1,))
+    assert subgroup_closure_in(hol.group, translations) == translations
 
 
 def test_translation_subgroup_regular():
     for g in (groups.cyclic_group(4), groups.symmetric_group(3)):
         hol = build_holomorph(g)
-        trans = subgroup_closure(hol, hol.translation_subgroup())
+        trans = subgroup_closure_in(hol.group, tuple(range(g.order)))  # the pairs (id, a)
         assert trans == tuple(range(g.order))
         assert is_regular_subgroup(hol, trans)
 
 
 def test_regularity_affine_examples(z4):
-    # inside Hol(Z4): automorphisms are id and inversion (index 1)
+    # inside Hol(Z4): automorphisms are id and inversion (index 1); (f, a) is f * 4 + a
     hol = build_holomorph(z4)
     inv_idx = next(i for i, m in enumerate(hol.automorphisms) if m.images == (0, 3, 2, 1))
     # {x, x+2, 3x, 3x+2}: second coordinates repeat
-    s1 = subgroup_closure(hol, (hol.index_of(0, 2), hol.index_of(inv_idx, 0)))
+    s1 = subgroup_closure_in(hol.group, (2, inv_idx * 4))
     assert sorted(hol.second(i) for i in s1) == [0, 0, 2, 2]
     assert not is_regular_subgroup(hol, s1)
     # {x, x+2, 3x+1, 3x+3}: distinct second coordinates
-    s2 = subgroup_closure(hol, (hol.index_of(0, 2), hol.index_of(inv_idx, 1)))
+    s2 = subgroup_closure_in(hol.group, (2, inv_idx * 4 + 1))
     assert sorted(hol.second(i) for i in s2) == [0, 1, 2, 3]
     assert is_regular_subgroup(hol, s2)
 

@@ -87,22 +87,26 @@ def test_rb_brace_endomorphism_example(d4):
 
 
 def test_symmetry_check_abelian(z4):
-    rep = rb_symmetry_check(z4, tuple(range(4)))
+    b = tuple(range(4))
+    rep = rb_symmetry_check(rb_brace(z4, b), b)
     assert rep["symmetric"] and rep["center_condition"]
 
 
 def test_symmetry_check_inversion(s3):
-    rep = rb_symmetry_check(s3, inversion_operator(s3))
+    b = inversion_operator(s3)
+    rep = rb_symmetry_check(rb_brace(s3, b), b)
     assert rep["symmetric"] and rep["center_condition"]
 
 
 def test_lambda_hom_check_constant(s3):
-    rep = rb_lambda_hom_check(s3, constant_operator(s3))
+    b = constant_operator(s3)
+    rep = rb_lambda_hom_check(rb_brace(s3, b), b)
     assert rep["lambda_homomorphic"] and rep["center_condition"]
 
 
 def test_lambda_hom_check_inversion_fails_on_s3(s3):
-    rep = rb_lambda_hom_check(s3, inversion_operator(s3))
+    b = inversion_operator(s3)
+    rep = rb_lambda_hom_check(rb_brace(s3, b), b)
     assert not rep["lambda_homomorphic"] and not rep["center_condition"]
 
 
@@ -140,8 +144,9 @@ def test_self_map_search_finds_known_operators(s3):
 def test_self_map_search_criteria_agree():
     for g in groups.small_group_catalog(6):
         for b in rb_self_maps(g):
-            rb_symmetry_check(g, b)    # raises CriterionMismatch on disagreement
-            rb_lambda_hom_check(g, b)
+            brace = rb_brace(g, b)
+            rb_symmetry_check(brace, b)    # raises CriterionMismatch on disagreement
+            rb_lambda_hom_check(brace, b)
             derived_group(g, b)        # asserts the derived-group facts
 
 
@@ -150,8 +155,9 @@ def test_endomorphism_search_order_8(d4, q8):
         found = rb_endomorphisms(g)
         assert constant_operator(g) in found
         for b in found:
-            rb_symmetry_check(g, b)
-            rb_lambda_hom_check(g, b)
+            brace = rb_brace(g, b)
+            rb_symmetry_check(brace, b)
+            rb_lambda_hom_check(brace, b)
 
 
 def test_self_map_cap(d4):

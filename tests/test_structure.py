@@ -99,6 +99,20 @@ def test_kernel_ideal_always_passes(s3, d4):
         assert is_ideal(brace, report.elements).is_ideal
 
 
+def test_kernel_not_an_ideal_over_dic12():
+    # Ker lambda is an ideal of every anti-homomorphic brace, not of every brace
+    found = enumerate_circ_ops(groups.dicyclic_group(3))
+    anti = [b for b in found if b.lam.anti_homomorphic_on_add]
+    for brace in anti:
+        assert is_ideal(brace, kernel_ideal(brace).elements).is_ideal
+    failing = [b for b in found if not is_ideal(b, b.lam.kernel).is_ideal]
+    assert failing
+    for brace in failing:
+        assert not brace.lam.anti_homomorphic_on_add
+        with pytest.raises(NotAnIdeal):
+            kernel_ideal(brace)
+
+
 # --- quotients ----------------------------------------------------------------
 
 
@@ -140,39 +154,43 @@ def test_sub_brace_restriction(s3):
 
 
 def test_step_of_trivial_brace(z4):
-    found = triviality_step(trivial_brace(z4))
+    brace = trivial_brace(z4)
+    found = triviality_step(brace, all_ideals(brace))
     assert found.step == 1
     assert found.chain == ((0,), (0, 1, 2, 3))
 
 
 def test_step_of_trivial_group_brace():
-    found = triviality_step(trivial_brace(groups.trivial_group()))
+    brace = trivial_brace(groups.trivial_group())
+    found = triviality_step(brace, all_ideals(brace))
     assert found.step == 0
 
 
 def test_step_of_s3_op_brace(s3):
-    found = triviality_step(op_brace(s3))
+    brace = op_brace(s3)
+    found = triviality_step(brace, all_ideals(brace))
     a3 = groups.structure_subgroups(s3).derived_subgroup
     assert found.step == 2
     assert found.chain == ((0,), a3, tuple(range(6)))
 
 
 def test_step_of_d4_op_brace(d4):
-    found = triviality_step(op_brace(d4))
+    brace = op_brace(d4)
+    found = triviality_step(brace, all_ideals(brace))
     assert found is not None and found.step <= 2
 
 
 def test_step_bounded_by_nilpotency_class(d4, q8, d16):
     for g in (d4, q8, d16):
         brace = op_brace(g)
-        found = triviality_step(brace)
+        found = triviality_step(brace, all_ideals(brace))
         assert found is not None
         assert found.step <= groups.nilpotency_class(g)
 
 
 def test_chains_recheck(s3, d4):
     for brace in (op_brace(s3), op_brace(d4), inversion_brace()):
-        found = triviality_step(brace)
+        found = triviality_step(brace, all_ideals(brace))
         for lower, upper in zip(found.chain, found.chain[1:]):
             assert set(lower) < set(upper)
             assert is_ideal(brace, lower).is_ideal
