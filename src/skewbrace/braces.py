@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 
 from .config import DEFAULT_LIMITS, Limits
@@ -32,11 +33,10 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     GroupMap,
-    Holomorph,
-    build_holomorph,
     compose,
     group_from_table,
     group_isomorphisms,
+    holomorph_automorphisms,
     identity_map,
     invert_permutation,
     is_multiplicative,
@@ -75,15 +75,25 @@ class LambdaMap:
     def of(group: FiniteGroup, lam) -> "LambdaMap":
         """The facts of an assignment given per element as a GroupMap or an image array.
 
-        Raises NotAutomorphism for the first element whose value is not an
-        automorphism of the group.
+        Raises ValueError when ``lam`` is not a list of at least n maps or a
+        map is not a list of n images in 0..n-1, and NotAutomorphism for the first
+        element whose value is not an automorphism of the group.
         """
         n = group.order
-        arrays = [tuple(lam[a].images if isinstance(lam[a], GroupMap) else lam[a])
-                  for a in range(n)]
-        for a, img in enumerate(arrays):
+        if not isinstance(lam, (list, tuple)):
+            raise ValueError("lambda must be a list of maps")
+        if len(lam) < n:
+            raise ValueError(f"lambda has {len(lam)} maps, the group has {n} elements")
+        arrays = []
+        for a, m in enumerate(lam[:n]):
+            img = m.images if isinstance(m, GroupMap) else m
+            if (not isinstance(img, (list, tuple)) or len(img) != n
+                    or not all(type(x) is int and 0 <= x < n for x in img)):
+                raise ValueError(f"lambda map of element {a} must list {n} images in 0..{n - 1}")
+            img = tuple(img)
             if len(set(img)) != n or not is_multiplicative(group, group.table, img):
                 raise NotAutomorphism(a)
+            arrays.append(img)
         distinct = sorted(set(arrays))
         index = {img: i for i, img in enumerate(distinct)}
         which = [index[img] for img in arrays]
@@ -123,7 +133,7 @@ class LambdaMap:
 class SkewBrace:
     """One carrier, an additive and a multiplicative group table, both with identity 0."""
 
-    __slots__ = ("add", "circ", "_lam")
+    __slots__ = ("add", "circ", "_lam", "_classification")
 
     def __init__(self, add: FiniteGroup, circ: FiniteGroup):
         if add.order != circ.order:
@@ -135,6 +145,7 @@ class SkewBrace:
         self.add = add
         self.circ = circ
         self._lam = None
+        self._classification = None
 
     @property
     def order(self) -> int:
@@ -151,6 +162,12 @@ class SkewBrace:
             except NotAutomorphism as exc:
                 raise LambdaNotAutomorphism(exc.element) from None
         return self._lam
+
+    @property
+    def classification(self) -> "Classification":
+        if self._classification is None:
+            self._classification = classify(self)
+        return self._classification
 
     @property
     def is_trivial(self) -> bool:
@@ -462,7 +479,7 @@ def construct_unification(group: FiniteGroup, f_images, alpha, epsilon: int = 1)
         fa_inv = inv[fa]
         arrays.append(tuple(t[t[t[fa_inv][b]][fa]][alpha[a][b]] for b in range(n)))
     brace = construct_from_lambda(group, arrays, "homomorphic")
-    flags = classify(brace)
+    flags = brace.classification
     if not (flags.lambda_homomorphic and flags.symmetric):
         raise CriterionMismatch("unification brace must be homomorphic and symmetric")
     return brace
@@ -606,104 +623,80 @@ def cross_compatibility_check(add: FiniteGroup, circ_i_table, circ_j_table) -> d
 # Enumeration via regular subgroups of the holomorph
 
 
-def _cyclic_candidates(hol: Holomorph) -> list:
-    """Holomorph elements whose cyclic subgroup could sit inside a regular subgroup."""
-    H, n = hol.group, hol.base.order
-    out = []
-    for g in range(1, H.order):
-        coords = {0}
-        x = g
-        ok = True
-        steps = 0
-        while x != 0:
-            c = x % n
-            if c in coords:
-                ok = False
-                break
-            coords.add(c)
-            x = H.table[x][g]
-            steps += 1
-        if ok and n % (steps + 1) == 0:
-            out.append(g)
-    return out
+def regular_subgroups(base: FiniteGroup, automorphisms) -> list:
+    """All regular subgroups of Hol G = Aut G x| G, as sorted tuples of f_index * |G| + a.
 
-
-def _closure_within(table, base_members, new_elem, n, coords):
-    """Closure of a subgroup plus one element, aborting on any repeated coordinate."""
-    members = set(base_members)
-    coord_set = set(coords)
-    c = new_elem % n
-    if c in coord_set:
-        return None
-    members.add(new_elem)
-    coord_set.add(c)
-    queue = [new_elem]
-    while queue:
-        a = queue.pop()
-        for b in tuple(members):
-            for p in (table[a][b], table[b][a]):
-                if p not in members:
-                    cp = p % n
-                    if cp in coord_set:
-                        return None
-                    members.add(p)
-                    coord_set.add(cp)
-                    queue.append(p)
-    return tuple(sorted(members))
-
-
-def regular_subgroups(hol: Holomorph) -> list:
-    """All regular subgroups of Hol G, as sorted element tuples.
-
-    Grows subgroups by closing seed extensions, discarding any closure whose
-    sorted element tuple was already seen and pruning every partial subgroup
-    with a repeated second coordinate (subgroups of regular subgroups meet
-    one coordinate at most once, so the prune is lossless).
+    ``automorphisms`` are indexed as automorphism_group gives them, identity
+    first.  A regular subgroup holds one pair (f_a, a) over each a in G, so
+    it is an assignment a -> f_a.  The walk takes the least unassigned a and
+    tries each f_a whose pair generates a cyclic subgroup meeting each
+    coordinate at most once, of order dividing |G|.  It closes the grown
+    subgroup by right multiplication with its generators and backtracks on a
+    repeated coordinate or an order not dividing |G|.  Each regular subgroup
+    is reached along exactly one path.  Automorphisms are composed on demand.
     """
-    n = hol.base.order
-    if n == 1:
-        return [(0,)]
-    table = hol.group.table
-    cands = _cyclic_candidates(hol)
-    seen = {(0,)}
-    complete = []
-    frontier = [(0,)]
-    while frontier:
-        nxt = []
-        for members in frontier:
-            mset = set(members)
-            coords = {x % n for x in members}
-            for g in cands:
-                if g in mset:
-                    continue
-                closure = _closure_within(table, mset, g, n, coords)
-                if closure is None or closure in seen:
-                    continue
-                seen.add(closure)
-                if len(closure) == n:
-                    complete.append(closure)
-                elif n % len(closure) == 0:
-                    nxt.append(closure)
-        frontier = nxt
-    return sorted(complete)
+    n, t = base.order, base.table
+    auts = [m.images for m in automorphisms]
+    index = {img: i for i, img in enumerate(auts)}
+
+    @cache
+    def comp(f, g):
+        return index[compose(auts[f], auts[g])]
+
+    def cyclic_ok(f, a):
+        coords, h, c = set(), f, a
+        while c != 0 and c not in coords:    # (h, c) = (f, a)^k, k = |coords| + 1
+            coords.add(c)
+            h, c = comp(h, f), t[c][auts[h][a]]
+        return c == 0 and h == 0 and n % (len(coords) + 1) == 0
+
+    @cache
+    def candidates(a):
+        return [f for f in range(len(auts)) if cyclic_ok(f, a)]
+
+    def walk(f_of, members, gens):
+        if len(members) == n:
+            yield tuple(sorted(f * n + a for a, f in enumerate(f_of)))
+            return
+        a = f_of.index(-1)
+        for fa in candidates(a):
+            grown, new, gens_now = f_of[:], [a], gens + [(fa, a)]
+            grown[a] = fa
+            queue = [(s, fa, a) for s in members] + [(a, g, b) for g, b in gens_now]
+            while queue:
+                x, g, b = queue.pop()        # the product (f_x, x)(g, b)
+                fx = grown[x]
+                fy, y = comp(fx, g), t[x][auts[fx][b]]
+                if grown[y] == -1:
+                    grown[y] = fy
+                    new.append(y)
+                    queue.extend((y, h, c) for h, c in gens_now)
+                elif grown[y] != fy:
+                    break
+            else:
+                if n % (len(members) + len(new)) == 0:
+                    yield from walk(grown, members + new, gens_now)
+
+    return sorted(walk([0] + [-1] * (n - 1), [0], []))
 
 
-def brace_from_regular_subgroup(hol: Holomorph, members) -> SkewBrace:
+def brace_from_regular_subgroup(base: FiniteGroup, automorphisms, members) -> SkewBrace:
     """The brace with a o b = a f(b), where (f, a) is the subgroup element over a."""
-    n = hol.base.order
+    n = base.order
     f_of = [None] * n
     for idx in members:
-        fi, a = hol.pair_of(idx)
-        f_of[a] = hol.automorphisms[fi].images
-    t = hol.base.table
+        fi, a = divmod(idx, n)
+        f_of[a] = automorphisms[fi].images
+    t = base.table
     circ = [[t[a][f_of[a][b]] for b in range(n)] for a in range(n)]
-    return SkewBrace(hol.base, group_from_table(circ))
+    return SkewBrace(base, group_from_table(circ))
 
 
 def enumerate_circ_ops(group: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list:
     """One skew brace per regular subgroup of Hol G, sorted by multiplicative table."""
-    hol = build_holomorph(group, limits)
-    braces = [brace_from_regular_subgroup(hol, members) for members in regular_subgroups(hol)]
+    auts = holomorph_automorphisms(group, limits)
+    braces = [brace_from_regular_subgroup(group, auts, members)
+              for members in regular_subgroups(group, auts)]
     return sorted(braces, key=lambda b: b.circ.table)
 
 
@@ -771,7 +764,7 @@ def brace_tables(data) -> tuple:
 
 
 def check_declared_order(data) -> None:
-    if "order" in data and data["order"] != len(data["add"]):
+    if "order" in data and data["order"] != len(brace_tables(data)[0]):
         raise InvalidGroup(("declared order does not match the tables",))
 
 

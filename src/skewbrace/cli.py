@@ -57,7 +57,7 @@ def _parse_elements(text: str) -> tuple:
 
 def _brace_payload(brace) -> dict:
     payload = braces.brace_to_json(brace)
-    payload["classify"] = braces.classify(brace).as_dict()
+    payload["classify"] = brace.classification.as_dict()
     return payload
 
 
@@ -77,11 +77,11 @@ def _cmd_verify_group(args):
 
 def _cmd_verify_brace(args):
     data = _load_json(args.infile)
+    braces.check_declared_order(data)
     rep = braces.verify_brace(*braces.brace_tables(data))
     report = rep.as_report()
     if rep.left_ok:
-        braces.check_declared_order(data)
-        report["classify"] = braces.classify(rep.brace).as_dict()
+        report["classify"] = rep.brace.classification.as_dict()
     return report, rep.left_ok
 
 
@@ -90,7 +90,7 @@ def _cmd_classify(args):
     rw = braces.right_law_witness(brace.add, brace.circ)
     report = braces.BraceReport(left_ok=True, right_ok=rw is None, two_sided=rw is None,
                                 left_witness=None, right_witness=rw, brace=brace).as_report()
-    report["classify"] = braces.classify(brace).as_dict()
+    report["classify"] = brace.classification.as_dict()
     return report, True
 
 
@@ -107,8 +107,7 @@ def _cmd_construct(args):
         brace = braces.op_brace(group)
     elif kind == "from-lambda":
         payload = _load_json(args.lam)
-        brace = braces.construct_from_lambda(group, [tuple(m) for m in payload["maps"]],
-                                             args.mode)
+        brace = braces.construct_from_lambda(group, payload["maps"], args.mode)
     elif kind == "exact-factorization":
         brace = braces.construct_exact_factorization(
             group, _parse_elements(args.part_a), _parse_elements(args.part_b))
@@ -128,20 +127,20 @@ def _cmd_enumerate(args):
         "order": group.order,
         "count": len(found),
         "braces": [{"circ": [list(r) for r in b.circ.table],
-                    "classify": braces.classify(b).as_dict()} for b in found],
+                    "classify": b.classification.as_dict()} for b in found],
     }, True
 
 
 def _cmd_system(args):
     group = groups.group_from_json(_load_json(args.group))
     if args.kind == "linear":
-        lam = [tuple(m) for m in _load_json(args.lam)["maps"]]
+        lam = _load_json(args.lam)["maps"]
         graph = systems.build_linear_system(group, lam, depth=args.depth,
                                             include_negative=args.include_negative)
         period = systems.detect_period(graph)
     elif args.kind == "union":
-        lam1 = [tuple(m) for m in _load_json(args.lam)["maps"]]
-        lam2 = [tuple(m) for m in _load_json(args.lam2)["maps"]]
+        lam1 = _load_json(args.lam)["maps"]
+        lam2 = _load_json(args.lam2)["maps"]
         graph = systems.union_systems(systems.build_linear_system(group, lam1),
                                       systems.build_linear_system(group, lam2))
         period = None

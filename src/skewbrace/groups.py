@@ -552,20 +552,24 @@ class Holomorph:
         self.automorphisms = automorphisms
         self.group = group
 
-    def pair_of(self, idx: int) -> tuple:
-        return divmod(idx, self.base.order)
-
     def second(self, idx: int) -> int:
         return idx % self.base.order
 
 
-def build_holomorph(base: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> Holomorph:
+def holomorph_automorphisms(base: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list:
+    """automorphism_group(base), after checking |Hol G| = |Aut G| * |G| against the cap."""
     auts = automorphism_group(base, limits)
-    n = base.order
-    total = len(auts) * n
+    total = len(auts) * base.order
     if total > limits.max_holomorph_order:
         raise OrderCapExceeded(
             f"holomorph order {total} exceeds cap {limits.max_holomorph_order}")
+    return auts
+
+
+def build_holomorph(base: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> Holomorph:
+    auts = holomorph_automorphisms(base, limits)
+    n = base.order
+    total = len(auts) * n
     aut_index = {a.images: i for i, a in enumerate(auts)}
     comp = [[aut_index[compose(f.images, g.images)] for g in auts] for f in auts]
     table = [[0] * total for _ in range(total)]

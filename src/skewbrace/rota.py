@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from itertools import product
 
-from .braces import SkewBrace, classify
+from .braces import SkewBrace
 from .config import DEFAULT_LIMITS, DEFAULT_SAMPLING, Limits, SampleConfig
 from .errors import CriterionMismatch, NotRotaBaxter, PreconditionFails
 from .groups import FiniteGroup, endomorphisms, group_from_table, structure_subgroups
@@ -95,7 +95,7 @@ def rb_brace(group: FiniteGroup, b_map) -> SkewBrace:
 def rb_symmetry_check(brace: SkewBrace, b_map) -> dict:
     """Symmetry of the brace rb_brace(G, B) versus centrality of the anti-homomorphism defect."""
     group = brace.add
-    symmetric = classify(brace).symmetric
+    symmetric = brace.classification.symmetric
     b = tuple(b_map)
     center = set(structure_subgroups(group).center)
     t, inv = group.table, group.inverse

@@ -4,9 +4,10 @@ Everything here deliberately avoids the code paths it is checking: tables
 are enumerated directly from the axioms.
 """
 
+from functools import lru_cache
 from itertools import permutations
 
-from skewbrace.groups import automorphism_group, compose, invert_permutation
+from skewbrace.groups import automorphism_group, build_holomorph, compose, invert_permutation
 
 
 def group_tables_identity_zero(n):
@@ -99,8 +100,9 @@ def regular_subgroup_count_by_lambda_walk(group):
 
     A regular subgroup is exactly a total assignment a -> f_a with f_e = id
     that is closed under the holomorph product; the walk branches per element
-    and propagates forced assignments, which is structurally unrelated to the
-    closure-based enumeration in the library.
+    and propagates the assignments forced by all pairwise products and
+    inverses, where the library's walk closes under right multiplication by
+    generators and returns the subgroups themselves.
     """
     auts = [m.images for m in automorphism_group(group)]
     aut_index = {img: i for i, img in enumerate(auts)}
@@ -187,3 +189,86 @@ def regular_subgroup_count_by_lambda_walk(group):
 
     dfs({0: 0})
     return count
+
+
+def _cyclic_candidates(table, n):
+    """Holomorph elements whose cyclic subgroup could sit inside a regular subgroup."""
+    out = []
+    for g in range(1, len(table)):
+        coords = {0}
+        x = g
+        ok = True
+        steps = 0
+        while x != 0:
+            c = x % n
+            if c in coords:
+                ok = False
+                break
+            coords.add(c)
+            x = table[x][g]
+            steps += 1
+        if ok and n % (steps + 1) == 0:
+            out.append(g)
+    return out
+
+
+def _closure_within(table, base_members, new_elem, n, coords):
+    """Closure of a subgroup plus one element, aborting on any repeated coordinate."""
+    members = set(base_members)
+    coord_set = set(coords)
+    c = new_elem % n
+    if c in coord_set:
+        return None
+    members.add(new_elem)
+    coord_set.add(c)
+    queue = [new_elem]
+    while queue:
+        a = queue.pop()
+        for b in tuple(members):
+            for p in (table[a][b], table[b][a]):
+                if p not in members:
+                    cp = p % n
+                    if cp in coord_set:
+                        return None
+                    members.add(p)
+                    coord_set.add(cp)
+                    queue.append(p)
+    return tuple(sorted(members))
+
+
+@lru_cache(maxsize=None)
+def regular_subgroups_by_closure(group):
+    """All regular subgroups of Hol G, a sorted tuple of sorted f_index * |G| + a tuples.
+
+    Grows subgroups inside the materialised holomorph table by closing seed
+    extensions under all pairwise products, discarding closures already seen
+    and pruning any partial subgroup with a repeated second coordinate.  It
+    shares nothing with the library's assignment walk but the automorphism
+    list.  Cached per group, since two census tests ask for the same groups.
+    """
+    n = group.order
+    if n == 1:
+        return ((0,),)
+    hol = build_holomorph(group).group.table
+    cands = _cyclic_candidates(hol, n)
+    seen = {(0,)}
+    complete = []
+    frontier = [(0,)]
+    while frontier:
+        nxt = []
+        for members in frontier:
+            mset = set(members)
+            coords = {x % n for x in members}
+            for g in cands:
+                if g in mset:
+                    continue
+                closure = _closure_within(hol, mset, g, n, coords)
+                if closure is None or closure in seen:
+                    continue
+                seen.add(closure)
+                if len(closure) == n:
+                    complete.append(closure)
+                elif n % len(closure) == 0:
+                    nxt.append(closure)
+        frontier = nxt
+    return tuple(sorted(complete))

@@ -7,7 +7,11 @@ wall-clock ceilings for desk-scale hardware.
 import json
 import time
 
-from oracles import brute_force_circ_tables, regular_subgroup_count_by_lambda_walk
+from oracles import (
+    brute_force_circ_tables,
+    regular_subgroup_count_by_lambda_walk,
+    regular_subgroups_by_closure,
+)
 from skewbrace import groups
 from skewbrace.braces import (
     SkewBrace,
@@ -15,6 +19,7 @@ from skewbrace.braces import (
     enumerate_circ_ops,
     left_law_witness,
     op_brace,
+    regular_subgroups,
     trivial_brace,
 )
 from skewbrace.config import SampleConfig
@@ -317,10 +322,14 @@ def test_criterion_9_sampling_suites_deterministic():
 
 
 def test_census_counts_match_independent_walk():
-    # supporting invariant for criteria 1-3: the closure enumeration and the
-    # assignment walk agree on every group of order <= 8
-    for g in groups.small_group_catalog(8):
-        assert len(enumerate_circ_ops(g)) == regular_subgroup_count_by_lambda_walk(g)
+    # supporting invariant for criteria 1-3: the library's assignment walk
+    # finds the same regular subgroups as closure inside the holomorph table
+    # on every group of order <= 12, and the count-only walk agrees up to 8
+    for g in groups.small_group_catalog(12):
+        found = regular_subgroups(g, groups.automorphism_group(g))
+        assert found == list(regular_subgroups_by_closure(g)), g.name
+        if g.order <= 8:
+            assert len(enumerate_circ_ops(g)) == regular_subgroup_count_by_lambda_walk(g)
 
 
 def test_lambda_is_circle_homomorphism_over_census():

@@ -4,6 +4,7 @@ from oracles import (
     brute_force_circ_tables,
     isomorphism_classes_by_orbit,
     regular_subgroup_count_by_lambda_walk,
+    regular_subgroups_by_closure,
 )
 from skewbrace import braces, groups
 from skewbrace.braces import (
@@ -25,6 +26,7 @@ from skewbrace.braces import (
     trivial_brace,
     verify_brace,
 )
+from skewbrace.config import Limits
 from skewbrace.errors import (
     AdditiveTablesDiffer,
     ImageNotAbelianModCenter,
@@ -36,6 +38,7 @@ from skewbrace.errors import (
     NotEndomorphismModCenter,
     NotExactFactorization,
     NotHomomorphism,
+    OrderCapExceeded,
     PreconditionFails,
 )
 from skewbrace.groups import compose, invert_permutation
@@ -477,8 +480,40 @@ def test_enumerate_all_verify(s3):
 
 
 def test_enumerate_matches_lambda_walk_small():
-    for g in groups.small_group_catalog(6):
-        assert len(enumerate_circ_ops(g)) == regular_subgroup_count_by_lambda_walk(g)
+    for g in groups.small_group_catalog(12):
+        found = braces.regular_subgroups(g, groups.automorphism_group(g))
+        assert found == list(regular_subgroups_by_closure(g)), g.name
+        if g.order <= 6:
+            assert len(enumerate_circ_ops(g)) == regular_subgroup_count_by_lambda_walk(g)
+
+
+def test_enumerate_cap_matches_holomorph_cap():
+    z2 = groups.cyclic_group(2)
+    cube = groups.direct_product(groups.direct_product(z2, z2), z2)
+    limits = Limits(max_holomorph_order=1000)
+    with pytest.raises(OrderCapExceeded) as from_table:
+        groups.build_holomorph(cube, limits)
+    with pytest.raises(OrderCapExceeded) as from_walk:
+        enumerate_circ_ops(cube, limits)
+    assert str(from_walk.value) == str(from_table.value) == "holomorph order 1344 exceeds cap 1000"
+
+
+def test_enumerate_builds_no_holomorph_table(monkeypatch):
+    z2 = groups.cyclic_group(2)
+    cube = groups.direct_product(groups.direct_product(z2, z2), z2)
+    expected = len(regular_subgroups_by_closure(cube))
+    groups._automorphism_images.cache_clear()
+    built = []
+    init = groups.FiniteGroup.__init__
+
+    def recording_init(self, table, name=""):
+        init(self, table, name)
+        built.append(self.order)
+
+    monkeypatch.setattr(groups.FiniteGroup, "__init__", recording_init)
+    found = enumerate_circ_ops(cube)
+    assert len(found) == expected
+    assert built and max(built) == 8
 
 
 # --- isomorphism -----------------------------------------------------------------
@@ -514,8 +549,6 @@ def test_not_isomorphic_orders(z4, s3):
 
 
 def test_isomorphism_cap():
-    from skewbrace.errors import OrderCapExceeded
-
     big = trivial_brace(groups.cyclic_group(30))
     with pytest.raises(OrderCapExceeded):
         brace_isomorphic(big, big)

@@ -89,6 +89,19 @@ def test_verify_brace_failure(tmp_path, capsys):
     assert report["left_ok"] is False and report["witness"] is not None
 
 
+@pytest.mark.parametrize("circ", [
+    [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1]],   # the left law fails
+    [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]],   # the left law holds
+])
+def test_verify_brace_declared_order_checked_first(tmp_path, capsys, circ):
+    z4 = groups.cyclic_group(4)
+    payload = {"order": 5, "add": [list(r) for r in z4.table], "circ": circ}
+    path = write(tmp_path, "misdeclared.json", payload)
+    code, out, err = run(capsys, ["verify-brace", "--in", path])
+    assert code == 2 and out == ""
+    assert "declared order does not match the tables" in err
+
+
 @pytest.mark.parametrize("missing", ["add", "circ"])
 def test_brace_file_missing_field_is_named(tmp_path, capsys, missing):
     payload = brace_to_json(trivial_brace(groups.cyclic_group(4)))
@@ -195,6 +208,28 @@ def test_system_linear_json(tmp_path, capsys):
     report = json.loads(out)
     assert report["period"] == 2
     assert report["kind"] == "linear"
+
+
+@pytest.mark.parametrize("maps,message", [
+    (3, "lambda must be a list of maps"),
+    ([[0, 1, 2, 3], [0, 3, 2, 1]], "lambda has 2 maps, the group has 4 elements"),
+    ([[0, 1, 2, 3], [0, 3, 2, 1], [0, 1, 2, 3], [0, 3, 2]],
+     "lambda map of element 3 must list 4 images in 0..3"),
+    ([[0, 1, 2, 3], [0, 3, 2, 1], [0, 1, 2, 3], [0, 3, 2, 1, 0]],
+     "lambda map of element 3 must list 4 images in 0..3"),
+    ([[0, 1, 2, 3], [0, 3, 2, 7], [0, 1, 2, 3], [0, 3, 2, 1]],
+     "lambda map of element 1 must list 4 images in 0..3"),
+    ([[0, 1, 2, 3], [0, -1, 2, 1], [0, 1, 2, 3], [0, 3, 2, 1]],
+     "lambda map of element 1 must list 4 images in 0..3"),
+])
+@pytest.mark.parametrize("command", [["system", "--kind", "linear"],
+                                     ["construct", "--kind", "from-lambda"]])
+def test_malformed_lambda_file_exit_2(tmp_path, capsys, maps, message, command):
+    gpath = z4_file(tmp_path)
+    lpath = write(tmp_path, "lam.json", {"maps": maps})
+    code, out, err = run(capsys, command + ["--group", gpath, "--lambda", lpath])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_system_linear_dot(tmp_path, capsys):
@@ -393,3 +428,18 @@ def test_rb_search_builds_each_brace_once(tmp_path, capsys, monkeypatch):
     operators = [tuple(op["map"]) for op in json.loads(out)["operators"]]
     assert len(operators) > 1
     assert [args[1] for args in calls] == operators
+
+
+def test_rb_brace_classifies_once(tmp_path, capsys, monkeypatch):
+    s3 = groups.symmetric_group(3)
+    gpath = write(tmp_path, "s3.json", groups.group_to_json(s3))
+    rbpath = write(tmp_path, "inv.json", {"order": 6, "map": list(s3.inverse)})
+    calls = count_calls(monkeypatch, braces.left_law_witness)
+    code, out, _ = run(capsys, ["rb", "brace", "--group", gpath, "--rb", rbpath])
+    assert code == 0
+    report = json.loads(out)
+    assert report["symmetric"] == report["brace"]["classify"]["symmetric"]
+    circ = tuple(map(tuple, report["brace"]["circ"]))
+    assert circ != s3.table
+    symmetry_scans = [args for args in calls if args[0].table == circ]  # left_law_witness(circ, add)
+    assert len(symmetry_scans) == 1
