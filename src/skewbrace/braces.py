@@ -43,6 +43,7 @@ from .groups import (
     permutation_order,
     structure_subgroups,
     subgroup_closure_in,
+    table_field,
     verify_group,
 )
 
@@ -227,11 +228,18 @@ def op_brace(group: FiniteGroup) -> SkewBrace:
 
 
 def left_law_witness(add: FiniteGroup, circ: FiniteGroup) -> tuple | None:
-    """First triple violating a o (b . c) = (a o b) . a^-1 . (a o c), or None."""
+    """First triple violating a o (b . c) = (a o b) . a^-1 . (a o c), or None.
+
+    At a fixed a the law says lambda_a(x) = a^-1 . (a o x) is multiplicative,
+    which is checked against the generators of (G, .) first; only the first a
+    that fails there is scanned over all (b, c) for its first witness.
+    """
     n = add.order
     at, ct, ainv = add.table, circ.table, add.inverse
     for a in range(n):
         ca, ia = ct[a], ainv[a]
+        if is_multiplicative(add, at, [at[ia][x] for x in ca]):
+            continue
         for b in range(n):
             left_ab = at[ca[b]][ia]
             ab = at[b]
@@ -242,9 +250,17 @@ def left_law_witness(add: FiniteGroup, circ: FiniteGroup) -> tuple | None:
 
 
 def right_law_witness(add: FiniteGroup, circ: FiniteGroup) -> tuple | None:
-    """First triple violating (a . b) o c = (a o c) . c^-1 . (b o c), or None."""
+    """First triple violating (a . b) o c = (a o c) . c^-1 . (b o c), or None.
+
+    At a fixed c the law says rho_c(x) = (x o c) . c^-1 is multiplicative,
+    which is checked against the generators of (G, .) first; only when some
+    c fails there are all triples scanned for the first witness.
+    """
     n = add.order
     at, ct, ainv = add.table, circ.table, add.inverse
+    if all(is_multiplicative(add, at, [at[ct[x][c]][ainv[c]] for x in range(n)])
+           for c in range(n)):
+        return None
     for a in range(n):
         for b in range(n):
             ab = at[a][b]
@@ -307,6 +323,7 @@ def _group_any_identity(table) -> FiniteGroup:
     g.name = ""
     g.inverse = tuple(rows[a].index(e) for a in range(n))
     g._abelian = None
+    g._generators = None    # computed from e, found as 0 . 0^-1
     return g
 
 
@@ -756,11 +773,11 @@ def pushforward(brace: SkewBrace, perm) -> SkewBrace:
 
 
 def brace_tables(data) -> tuple:
-    """The "add" and "circ" tables of a brace file; a missing one is named."""
+    """The "add" and "circ" tables of a brace file; a missing or misshapen one is named."""
     for key in ("add", "circ"):
         if key not in data:
             raise ValueError(f'brace file has no "{key}" table')
-    return data["add"], data["circ"]
+    return table_field(data, "add"), table_field(data, "circ")
 
 
 def check_declared_order(data) -> None:

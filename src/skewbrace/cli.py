@@ -7,25 +7,66 @@ emitted), 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
+from contextlib import ExitStack
+from itertools import islice
 
 from . import braces, groups, lattice, rota, structure, systems, words
 from .config import Limits, SampleConfig
 from .errors import AlgebraError
 
 
-def _emit_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+_BATCH = 1024   # chunks joined per write: few writes, and never the whole report at once
 
 
-def emit(report, fmt: str = "json") -> str:
-    """Serialize a report deterministically; DOT is only valid for system graphs."""
+class Emitted:
+    """What emit wrote to its streams; len() is the report's length in characters.
+
+    It stands in for the text emit returns without streams, so len() of the
+    result measures the report either way.
+    """
+
+    __slots__ = ("chars",)
+
+    def __init__(self, chars: int):
+        self.chars = chars
+
+    def __len__(self) -> int:
+        return self.chars
+
+
+def _write(streams, text: str) -> int:
+    for stream in streams:
+        stream.write(text)
+    return len(text)
+
+
+def _emit_json(report: dict, streams) -> int:
+    """Write json.dumps(report, indent=2, sort_keys=True) and a newline, in batches of chunks."""
+    chunks = _ENCODER.iterencode(report)
+    batches = iter(lambda: "".join(islice(chunks, _BATCH)), "")   # no chunk is ever empty
+    return sum(_write(streams, text) for text in batches) + _write(streams, "\n")
+
+
+def emit(report, fmt: str = "json", streams=None):
+    """Serialize a report deterministically; DOT is only valid for system graphs.
+
+    Without ``streams`` the text is returned. With them it is written to each
+    stream, JSON a batch of chunks at a time so that the whole text is never
+    held in memory, and an Emitted with its length is returned.
+    """
+    if streams is None:
+        buffer = io.StringIO()
+        emit(report, fmt, [buffer])
+        return buffer.getvalue()
     if fmt == "json":
-        return _emit_json(report)
+        return Emitted(_emit_json(report, streams))
     if fmt == "dot":
         if isinstance(report, systems.BraceSystemGraph):
-            return systems.export_graph(report, "dot")
+            return Emitted(_write(streams, systems.export_graph(report, "dot")))
         raise AlgebraError("dot output is only available for system graphs")
     raise AlgebraError(f"unsupported format {fmt!r}")
 
@@ -68,7 +109,7 @@ def _brace_payload(brace) -> dict:
 def _cmd_verify_group(args):
     data = _load_json(args.infile)
     if "table" in data:
-        check = groups.verify_group(data["table"], name=data.get("name", ""))
+        check = groups.verify_group(groups.table_field(data, "table"), name=data.get("name", ""))
         return check.as_report(), check.ok
     group = groups.group_from_json(data)  # generator format: raises on bad input
     return {"group_ok": True, "order": group.order,
@@ -350,18 +391,22 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if isinstance(result, systems.BraceSystemGraph):
-        text = emit(result, args.format)
+        report, fmt = result, args.format
     else:
         if args.format == "dot":
             print("error: dot output is only available for system graphs", file=sys.stderr)
             return 2
-        payload = {"config": _config_echo(args), "command": args.command}
-        payload.update(result)
-        text = emit(payload, "json")
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        report, fmt = {"config": _config_echo(args), "command": args.command}, "json"
+        report.update(result)
+    with ExitStack() as stack:
+        streams = [sys.stdout]
+        if args.out:
+            try:
+                streams.append(stack.enter_context(open(args.out, "w", encoding="utf-8")))
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+        emit(report, fmt, streams)
     return 0 if ok else 1
 
 

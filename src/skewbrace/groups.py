@@ -24,7 +24,7 @@ class FiniteGroup:
     validate and normalize untrusted tables.
     """
 
-    __slots__ = ("order", "table", "inverse", "name", "_abelian")
+    __slots__ = ("order", "table", "inverse", "name", "_abelian", "_generators")
 
     def __init__(self, table, name: str = ""):
         self.table = tuple(tuple(row) for row in table)
@@ -35,6 +35,7 @@ class FiniteGroup:
             inv[a] = self.table[a].index(0)
         self.inverse = tuple(inv)
         self._abelian = None
+        self._generators = None
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -66,6 +67,18 @@ class FiniteGroup:
                 for a in range(self.order) for b in range(self.order)
             )
         return self._abelian
+
+    @property
+    def generators(self) -> tuple:
+        """The seeds kept by the greedy right-product walk over all elements: at most log2(order).
+
+        Every element is a left-normed product of them, so a law that holds
+        against each generator holds everywhere.
+        """
+        if self._generators is None:
+            identity = self.table[0][self.inverse[0]]   # not 0 in a table scanned on raw labels
+            self._generators = tuple(_right_closure(self.table, identity, range(self.order))[1])
+        return self._generators
 
     def elements(self) -> range:
         return range(self.order)
@@ -111,12 +124,19 @@ class GroupMap:
 
 
 def is_multiplicative(src: FiniteGroup, dst_table, images) -> bool:
-    """True iff images[a b] = images[a] images[b] for all a, b, with the right side in dst_table."""
-    head = images[:src.order]
+    """True iff images[a b] = images[a] images[b] for all a, b, with the right side in dst_table.
+
+    Checked for every a against each generator b of src (at b = 0 for the
+    trivial group, which has none): when both operations are associative,
+    induction on word length gives the rest.
+    """
+    gens = src.generators or (0,)
+    gen_images = [images[g] for g in gens]
     for a, row in enumerate(src.table):
         target = dst_table[images[a]]
-        if list(map(images.__getitem__, row)) != list(map(target.__getitem__, head)):
-            return False
+        for g, h in zip(gens, gen_images):
+            if images[row[g]] != target[h]:
+                return False
     return True
 
 
@@ -219,17 +239,14 @@ def verify_group(table, name: str = "") -> GroupCheck:
                 violations.append(Violation("no_inverse", (a,)))
                 break
 
-    assoc_witness = None
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
-                    assoc_witness = (a, b, c)
-                    break
-            if assoc_witness:
-                break
-        if assoc_witness:
-            break
+    # Light's test: the elements g with (x g) y = x (g y) for all x, y are closed
+    # under products, so once they include generators every triple passes
+    light = not violations and all(
+        rows[rows[x][g]] == list(map(rows[x].__getitem__, rows[g]))
+        for g in _right_closure(rows, identity, range(n))[1] for x in range(n))
+    assoc_witness = None if light else next(
+        ((a, b, c) for a in range(n) for b in range(n) for c in range(n)
+         if rows[rows[a][b]][c] != rows[a][rows[b][c]]), None)
     if assoc_witness:
         violations.append(Violation("not_associative", assoc_witness))
 
@@ -389,24 +406,44 @@ class StructureInfo:
     inner_automorphisms: tuple  # GroupMaps indexed by coset representatives of G/Z
 
 
+def _right_closure(table, identity, seeds) -> tuple:
+    """(members, generators) of the subgroup generated by ``seeds`` in a group table.
+
+    A seed the walk has not reached yet is kept as a generator: the members
+    found before it are multiplied on the right by it, and each new member by
+    every generator kept so far. That closes in O(|H| * |gens|), and since a
+    kept seed at least doubles a subgroup, at most log2 |H| seeds are kept.
+    Members come in the order reached, each a left-normed product of the kept
+    seeds, so the walk also covers tables not yet known to be associative.
+    """
+    reached = [False] * len(table)
+    reached[identity] = True
+    members, gens = [identity], []
+    for s in seeds:
+        if reached[s]:
+            continue
+        gens.append(s)
+        start = len(members)
+        for x in members[:start]:
+            y = table[x][s]
+            if not reached[y]:
+                reached[y] = True
+                members.append(y)
+        i = start
+        while i < len(members):
+            row = table[members[i]]
+            i += 1
+            for g in gens:
+                y = row[g]
+                if not reached[y]:
+                    reached[y] = True
+                    members.append(y)
+    return members, gens
+
+
 def subgroup_closure_in(group: FiniteGroup, seeds) -> tuple:
     """Subgroup generated by the seed elements, as a sorted index tuple."""
-    members = {0}
-    frontier = [0]
-    for s in seeds:
-        if s not in members:
-            members.add(s)
-            frontier.append(s)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(members):
-                for c in (group.table[a][b], group.table[b][a]):
-                    if c not in members:
-                        members.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return tuple(sorted(members))
+    return tuple(sorted(_right_closure(group.table, 0, seeds)[0]))
 
 
 def structure_subgroups(group: FiniteGroup) -> StructureInfo:
@@ -446,21 +483,11 @@ def nilpotency_class(group: FiniteGroup) -> int | None:
 # Automorphisms and isomorphisms
 
 
-def _greedy_generators(group: FiniteGroup) -> list:
-    gens = []
-    closure = {0}
-    while len(closure) < group.order:
-        g = min(x for x in range(group.order) if x not in closure)
-        gens.append(g)
-        closure = set(subgroup_closure_in(group, gens))
-    return gens
-
-
 def _extend_homomorphism(src: FiniteGroup, dst: FiniteGroup, gens, images) -> tuple | None:
     """Extend generator images to a full map by closure, or None on conflict.
 
-    The returned array satisfies m[a*g] = m[a]*m[g] along the spanning tree;
-    full multiplicativity still has to be checked by the caller.
+    The walk checks m[a*g] = m[a]*m[g] for every a and every generator g, with
+    m[0] = 0, so a returned array is a homomorphism by induction on word length.
     """
     m = {0: 0}
     frontier = [0]
@@ -485,10 +512,10 @@ def _extend_homomorphism(src: FiniteGroup, dst: FiniteGroup, gens, images) -> tu
 def _homomorphisms(src: FiniteGroup, dst: FiniteGroup, bijective: bool) -> list:
     """Homomorphisms src -> dst (only the bijective ones if asked), as sorted image tuples.
 
-    Tries every choice of images for the greedy generators of src. An image
-    must have the generator's order (for bijections) or an order dividing it.
+    Tries every choice of images for the generators of src. An image must
+    have the generator's order (for bijections) or an order dividing it.
     """
-    gens = _greedy_generators(src)
+    gens = src.generators
     dst_orders = [dst.element_order(x) for x in range(dst.order)]
     choices = []
     for g in gens:
@@ -498,9 +525,7 @@ def _homomorphisms(src: FiniteGroup, dst: FiniteGroup, bijective: bool) -> list:
     found = set()
     for chosen in product(*choices):
         images = _extend_homomorphism(src, dst, gens, chosen)
-        if images is None or (bijective and len(set(images)) != src.order):
-            continue
-        if is_multiplicative(src, dst.table, images):
+        if images is not None and (not bijective or len(set(images)) == src.order):
             found.add(images)
     return sorted(found)
 
@@ -626,6 +651,19 @@ def parse_cycles(text: str, degree: int) -> tuple:
     return tuple(images)
 
 
+def table_field(data, key: str):
+    """The table under ``key`` of a loaded file, when it is a list of rows that are lists.
+
+    Raises ValueError naming the field and the expected shape otherwise; the
+    entries themselves are checked by verify_group.
+    """
+    table = data[key]
+    lists = (list, tuple)
+    if not isinstance(table, lists) or not all(isinstance(row, lists) for row in table):
+        raise ValueError(f'"{key}" must be a list of rows, each a list of integers')
+    return table
+
+
 def group_from_json(data) -> FiniteGroup:
     """Load a group from the JSON file format.
 
@@ -637,9 +675,10 @@ def group_from_json(data) -> FiniteGroup:
         data = json.loads(data)
     name = data.get("name", "")
     if "table" in data:
-        if "order" in data and data["order"] != len(data["table"]):
+        table = table_field(data, "table")
+        if "order" in data and data["order"] != len(table):
             raise InvalidGroup((Violation("not_square", (data["order"],)),))
-        return group_from_table(data["table"], name=name)
+        return group_from_table(table, name=name)
     if "generators" in data:
         degree = data["degree"]
         gens = [parse_cycles(g, degree) for g in data["generators"]]

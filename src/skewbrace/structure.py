@@ -11,6 +11,7 @@ from .groups import (
     FiniteGroup,
     automorphism_group,
     group_from_table,
+    is_multiplicative,
     subgroup_closure_in,
 )
 
@@ -133,20 +134,27 @@ def quotient_brace(brace: SkewBrace, ideal) -> SkewBrace:
 
 
 def all_subgroups(group: FiniteGroup) -> list:
-    """Every subgroup, by closure of seed extensions with dedup."""
+    """Every subgroup, sorted by size, then by members.
+
+    Each subgroup H found is extended by one seed g per right coset Hg other
+    than H, since <H, h g> = <H, g>; each extension is closed by the
+    generator walk from the seeds that generate H, followed by g.
+    """
+    t = group.table
     seen = {(0,)}
-    frontier = [(0,)]
+    frontier = [((0,), ())]
     while frontier:
         nxt = []
-        for members in frontier:
-            mset = set(members)
+        for members, gens in frontier:
+            covered = set(members)
             for g in range(1, group.order):
-                if g in mset:
+                if g in covered:
                     continue
-                closure = subgroup_closure_in(group, members + (g,))
+                covered.update(t[h][g] for h in members)
+                closure = subgroup_closure_in(group, gens + (g,))
                 if closure not in seen:
                     seen.add(closure)
-                    nxt.append(closure)
+                    nxt.append((closure, gens + (g,)))
         frontier = nxt
     return sorted(seen, key=lambda s: (len(s), s))
 
@@ -239,12 +247,7 @@ def brace_automorphisms(brace: SkewBrace, limits: Limits = DEFAULT_LIMITS) -> li
     the list (asserted).
     """
     auts = automorphism_group(brace.add, limits)
-    n = brace.order
-    out = [
-        m for m in auts
-        if all(m.images[brace.circ.table[a][b]] == brace.circ.table[m.images[a]][m.images[b]]
-               for a in range(n) for b in range(n))
-    ]
+    out = [m for m in auts if is_multiplicative(brace.circ, brace.circ.table, m.images)]
     lam = brace.lam
     if lam.homomorphic_on_add and lam.image_abelian:
         listed = {m.images for m in out}

@@ -5,7 +5,7 @@ are enumerated directly from the axioms.
 """
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 
 from skewbrace.groups import automorphism_group, build_holomorph, compose, invert_permutation
 
@@ -272,3 +272,120 @@ def regular_subgroups_by_closure(group):
                     nxt.append(closure)
         frontier = nxt
     return tuple(sorted(complete))
+
+
+# --- full scans: references for the checks the library makes on generators only ---
+
+
+def _inverses(table):
+    """Inverses in a group table whose identity may sit at any label."""
+    n = len(table)
+    e = next(x for x in range(n) if all(table[x][a] == a == table[a][x] for a in range(n)))
+    return [list(table[a]).index(e) for a in range(n)]
+
+
+def left_law_first_witness(add, circ):
+    """First (a, b, c) in lexicographic order with a o (b . c) != (a o b) . a^-1 . (a o c)."""
+    inv = _inverses(add)
+    for a, b, c in product(range(len(add)), repeat=3):
+        if circ[a][add[b][c]] != add[add[circ[a][b]][inv[a]]][circ[a][c]]:
+            return (a, b, c)
+    return None
+
+
+def right_law_first_witness(add, circ):
+    """First (a, b, c) in lexicographic order with (a . b) o c != (a o c) . c^-1 . (b o c)."""
+    inv = _inverses(add)
+    for a, b, c in product(range(len(add)), repeat=3):
+        if circ[add[a][b]][c] != add[add[circ[a][c]][inv[c]]][circ[b][c]]:
+            return (a, b, c)
+    return None
+
+
+def first_associativity_triple(table):
+    """First (a, b, c) in lexicographic order with (a b) c != a (b c)."""
+    for a, b, c in product(range(len(table)), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return (a, b, c)
+    return None
+
+
+def multiplicative_by_full_scan(src, dst, images):
+    """images[a b] == images[a] images[b] for every pair, products in the tables src and dst."""
+    n = len(src)
+    return all(images[src[a][b]] == dst[images[a]][images[b]]
+               for a in range(n) for b in range(n))
+
+
+def subgroup_closure_all_pairs(table, seeds):
+    """Close {0} and the seeds under every product of two members, both ways round."""
+    members = {0} | set(seeds)
+    frontier = list(members)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(members):
+                for c in (table[a][b], table[b][a]):
+                    if c not in members:
+                        members.add(c)
+                        nxt.append(c)
+        frontier = nxt
+    return tuple(sorted(members))
+
+
+def all_subgroups_by_all_pairs_closure(table):
+    """Every subgroup: each one found is extended by every element outside it."""
+    seen = {(0,)}
+    frontier = [(0,)]
+    while frontier:
+        nxt = []
+        for members in frontier:
+            for g in range(1, len(table)):
+                if g not in members:
+                    closure = subgroup_closure_all_pairs(table, members + (g,))
+                    if closure not in seen:
+                        seen.add(closure)
+                        nxt.append(closure)
+        frontier = nxt
+    return sorted(seen, key=lambda s: (len(s), s))
+
+
+@lru_cache(maxsize=None)
+def loop_tables(n):
+    """Every Latin square on {0..n-1} with identity 0: the labeled loops, groups among them."""
+    rows = [tuple(range(n))]
+    found = []
+
+    def fill(r):
+        if r == n:
+            found.append(tuple(rows))
+            return
+        for rest in permutations([x for x in range(n) if x != r]):
+            row = (r,) + rest
+            if all(row[c] != rows[k][c] for k in range(r) for c in range(n)):
+                rows.append(row)
+                fill(r + 1)
+                rows.pop()
+
+    fill(1)
+    return tuple(found)
+
+
+def switched_cyclic_loop(n, a, b):
+    """Z_n, n even, with the intercalate on rows a, a + n/2 and columns b, b + n/2 switched.
+
+    The result is a Latin square with identity 0 for 1 <= a, b < n/2, and in
+    general not associative.
+    """
+    h = n // 2
+    t = [[(x + y) % n for y in range(n)] for x in range(n)]
+    for r in (a, a + h):
+        t[r][b], t[r][b + h] = t[r][b + h], t[r][b]
+    return tuple(tuple(row) for row in t)
+
+
+def endomorphisms_by_brute_force(table):
+    """Every self-map of the group table, all n^n of them, that respects every product."""
+    n = len(table)
+    return [images for images in product(range(n), repeat=n)
+            if multiplicative_by_full_scan(table, table, images)]

@@ -113,6 +113,24 @@ def test_brace_file_missing_field_is_named(tmp_path, capsys, missing):
         assert err == f'error: brace file has no "{missing}" table\n'
 
 
+SHAPE = "must be a list of rows, each a list of integers"
+
+
+@pytest.mark.parametrize("command, payload, field", [
+    ("verify-brace", {"order": 4, "add": 5, "circ": 5}, "add"),
+    ("verify-brace", {"add": [[0, 1], [1, 0]], "circ": [[0, 1], 3]}, "circ"),
+    ("classify", {"add": [[0, 1], [1, 0]], "circ": 7}, "circ"),
+    ("verify-group", {"table": 3}, "table"),
+    ("verify-group", {"table": [[0, 1], 5]}, "table"),
+    ("enumerate", {"table": 3}, "table"),
+    ("enumerate", {"order": 2, "table": [0, 1]}, "table"),
+])
+def test_table_that_is_not_a_list_of_lists_exit_2(tmp_path, capsys, command, payload, field):
+    code, out, err = run(capsys, [command, "--in", write(tmp_path, "shape.json", payload)])
+    assert code == 2 and out == ""
+    assert err == f'error: "{field}" {SHAPE}\n'
+
+
 def test_classify(tmp_path, capsys):
     z4 = groups.cyclic_group(4)
     path = write(tmp_path, "trivial.json", brace_to_json(trivial_brace(z4)))
@@ -357,6 +375,32 @@ def test_emit_contract():
         emit({}, "yaml")
 
 
+def test_emit_streams_the_same_bytes_without_holding_them():
+    import io
+    import tracemalloc
+
+    from skewbrace.cli import emit
+
+    report = {"rows": [[i, {"k": [i] * 20, "s": "x" * (i % 7)}] for i in range(2000)]}
+    expected = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert emit(report) == expected
+    first, second = io.StringIO(), io.StringIO()
+    assert len(emit(report, "json", [first, second])) == len(expected)
+    assert first.getvalue() == second.getvalue() == expected
+
+    class Sink:
+        def write(self, text):
+            pass
+
+    tracemalloc.start()
+    try:
+        emit(report, "json", [Sink()])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(expected) // 4
+
+
 def test_byte_identical_runs(tmp_path, capsys):
     argv = ["enumerate", "--in", z4_file(tmp_path)]
     _, out1, _ = run(capsys, argv)
@@ -365,13 +409,20 @@ def test_byte_identical_runs(tmp_path, capsys):
 
 
 def test_byte_identical_across_processes(tmp_path):
+    import os
     import subprocess
     import sys
 
+    import skewbrace
+
     path = z4_file(tmp_path)
     argv = [sys.executable, "-m", "skewbrace.cli", "enumerate", "--in", path]
-    first = subprocess.run(argv, capture_output=True)
-    second = subprocess.run(argv, capture_output=True)
+    # the children import the package from where this process found it
+    package_root = os.path.dirname(os.path.dirname(skewbrace.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    first = subprocess.run(argv, capture_output=True, env=env)
+    second = subprocess.run(argv, capture_output=True, env=env)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout  # not empty
@@ -383,6 +434,13 @@ def test_out_flag_writes_file(tmp_path, capsys):
                                "--in", z4_file(tmp_path)])
     assert code == 0
     assert target.read_text() == out
+
+
+def test_out_path_that_cannot_be_opened_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "report.json"
+    code, out, err = run(capsys, ["--out", str(target), "enumerate", "--in", z4_file(tmp_path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "report.json" in err
 
 
 # --- each fact computed once per job ------------------------------------------------
