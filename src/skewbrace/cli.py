@@ -11,6 +11,7 @@ import io
 import json
 import sys
 from contextlib import ExitStack
+from functools import cache
 from itertools import islice
 
 from . import braces, groups, lattice, rota, structure, systems, words
@@ -71,9 +72,10 @@ def emit(report, fmt: str = "json", streams=None):
     raise AlgebraError(f"unsupported format {fmt!r}")
 
 
-def _load_json(path: str):
+def _load_json(path: str, what: str) -> dict:
+    """The JSON object in a file; ValueError naming ``what`` when its top level is not an object."""
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        return groups.json_object(json.load(handle), what)
 
 
 def _config_echo(args) -> dict:
@@ -107,7 +109,7 @@ def _brace_payload(brace) -> dict:
 
 
 def _cmd_verify_group(args):
-    data = _load_json(args.infile)
+    data = _load_json(args.infile, "group file")
     if "table" in data:
         check = groups.verify_group(groups.table_field(data, "table"), name=data.get("name", ""))
         return check.as_report(), check.ok
@@ -117,7 +119,7 @@ def _cmd_verify_group(args):
 
 
 def _cmd_verify_brace(args):
-    data = _load_json(args.infile)
+    data = _load_json(args.infile, "brace file")
     braces.check_declared_order(data)
     rep = braces.verify_brace(*braces.brace_tables(data))
     report = rep.as_report()
@@ -127,7 +129,7 @@ def _cmd_verify_brace(args):
 
 
 def _cmd_classify(args):
-    brace = braces.brace_from_json(_load_json(args.infile))
+    brace = braces.brace_from_json(_load_json(args.infile, "brace file"))
     rw = braces.right_law_witness(brace.add, brace.circ)
     report = braces.BraceReport(left_ok=True, right_ok=rw is None, two_sided=rw is None,
                                 left_witness=None, right_witness=rw, brace=brace).as_report()
@@ -138,22 +140,22 @@ def _cmd_classify(args):
 def _cmd_construct(args):
     kind = args.kind
     if kind == "opposite":
-        brace = braces.opposite(braces.brace_from_json(_load_json(args.infile)))
+        brace = braces.opposite(braces.brace_from_json(_load_json(args.infile, "brace file")))
         return {"construct": kind, "brace": _brace_payload(brace),
                 "trivial": brace.is_trivial}, True
-    group = groups.group_from_json(_load_json(args.group))
+    group = groups.group_from_json(_load_json(args.group, "group file"))
     if kind == "trivial":
         brace = braces.trivial_brace(group)
     elif kind == "op":
         brace = braces.op_brace(group)
     elif kind == "from-lambda":
-        payload = _load_json(args.lam)
+        payload = _load_json(args.lam, "lambda file")
         brace = braces.construct_from_lambda(group, payload["maps"], args.mode)
     elif kind == "exact-factorization":
         brace = braces.construct_exact_factorization(
             group, _parse_elements(args.part_a), _parse_elements(args.part_b))
     elif kind == "unification":
-        payload = _load_json(args.unification)
+        payload = _load_json(args.unification, "unification file")
         brace = braces.construct_unification(
             group, payload["f"], payload["alpha"], payload.get("epsilon", 1))
     else:  # pragma: no cover - argparse restricts choices
@@ -162,7 +164,7 @@ def _cmd_construct(args):
 
 
 def _cmd_enumerate(args):
-    group = groups.group_from_json(_load_json(args.infile))
+    group = groups.group_from_json(_load_json(args.infile, "group file"))
     found = braces.enumerate_circ_ops(group, _limits(args))
     return {
         "order": group.order,
@@ -173,20 +175,20 @@ def _cmd_enumerate(args):
 
 
 def _cmd_system(args):
-    group = groups.group_from_json(_load_json(args.group))
+    group = groups.group_from_json(_load_json(args.group, "group file"))
     if args.kind == "linear":
-        lam = _load_json(args.lam)["maps"]
+        lam = _load_json(args.lam, "lambda file")["maps"]
         graph = systems.build_linear_system(group, lam, depth=args.depth,
                                             include_negative=args.include_negative)
         period = systems.detect_period(graph)
     elif args.kind == "union":
-        lam1 = _load_json(args.lam)["maps"]
-        lam2 = _load_json(args.lam2)["maps"]
+        lam1 = _load_json(args.lam, "lambda file")["maps"]
+        lam2 = _load_json(args.lam2, "lambda file")["maps"]
         graph = systems.union_systems(systems.build_linear_system(group, lam1),
                                       systems.build_linear_system(group, lam2))
         period = None
     elif args.kind == "rb":
-        op = rota.rb_from_json(_load_json(args.rb))
+        op = rota.rb_from_json(_load_json(args.rb, "operator file"))
         graph = systems.build_rb_multibrace(group, op, args.k)
         period = None
     else:  # rooted
@@ -204,7 +206,7 @@ def _cmd_system(args):
 
 
 def _cmd_structure(args):
-    brace = braces.brace_from_json(_load_json(args.infile))
+    brace = braces.brace_from_json(_load_json(args.infile, "brace file"))
     ideals = structure.all_ideals(brace, Limits())
     chain = structure.triviality_step(brace, ideals)
     report = {
@@ -256,11 +258,11 @@ def _cmd_lattice(args):
 
 
 def _cmd_rb(args):
-    group = groups.group_from_json(_load_json(args.group)) if args.group else None
+    group = groups.group_from_json(_load_json(args.group, "group file")) if args.group else None
     if args.action in ("brace", "search") and group is None:
         raise ValueError("--group is required for this action")
     if args.action == "check":
-        op = rota.rb_from_json(_load_json(args.rb))
+        op = rota.rb_from_json(_load_json(args.rb, "operator file"))
         if isinstance(op, rota.FreeRb):
             report = rota.free_is_rb(op, _sampling(args))
             return report, report["failure_count"] == 0
@@ -270,7 +272,7 @@ def _cmd_rb(args):
         return {"is_rb": check.ok,
                 "witness": list(check.witness) if check.witness else None}, check.ok
     if args.action == "brace":
-        op = rota.rb_from_json(_load_json(args.rb))
+        op = rota.rb_from_json(_load_json(args.rb, "operator file"))
         brace = rota.rb_brace(group, op)
         report = {"brace": _brace_payload(brace)}
         report.update(rota.rb_symmetry_check(brace, op))
@@ -382,9 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main() call and reused by later ones."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         result, ok = args.handler(args)
     except (OSError, json.JSONDecodeError, KeyError, ValueError, AlgebraError) as exc:

@@ -664,6 +664,18 @@ def table_field(data, key: str):
     return table
 
 
+_JSON_KINDS = {list: "an array", str: "a string", int: "a number", float: "a number",
+               bool: "a boolean", type(None): "null"}
+
+
+def json_object(data, what: str) -> dict:
+    """``data`` when it is a JSON object; ValueError naming ``what`` and the kind found otherwise."""
+    if not isinstance(data, dict):
+        found = _JSON_KINDS.get(type(data), type(data).__name__)
+        raise ValueError(f"the {what} must be a JSON object, not {found}")
+    return data
+
+
 def group_from_json(data) -> FiniteGroup:
     """Load a group from the JSON file format.
 
@@ -673,6 +685,7 @@ def group_from_json(data) -> FiniteGroup:
     """
     if isinstance(data, str):
         data = json.loads(data)
+    data = json_object(data, "group file")
     name = data.get("name", "")
     if "table" in data:
         table = table_field(data, "table")

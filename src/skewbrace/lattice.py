@@ -2,8 +2,10 @@
 
 The grading is the coordinate sum s(a) = a1 + a2; the automorphism attached
 to every basis vector is the unipotent matrix M(p) with (M - I)^2 = 0, so
-powers are exact: M^k = I + k (M - I).  All arithmetic is exact big-integer
-arithmetic, so the algebraic identities hold on the nose.
+powers are exact: M^k = I + k (M - I).  Products use that affine form
+directly, a o_i b = a + b + i s(a) (M - I) b, with no matrix built per
+product.  All arithmetic is exact big-integer arithmetic, so the algebraic
+identities hold on the nose.
 """
 
 from __future__ import annotations
@@ -62,6 +64,20 @@ class LatticeAuto:
     def apply(self, v: Vec, k: int = 1) -> Vec:
         return mat_vec(self.power(k), v)
 
+    def circ(self, a: Vec, b: Vec, level: int = 1) -> Vec:
+        """a o_level b = a + M^{level s(a)} b = a + b + level s(a) (M - I) b."""
+        (m11, m12), (m21, m22) = self.matrix
+        k = level * (a[0] + a[1])
+        return (a[0] + b[0] + k * ((m11 - 1) * b[0] + m12 * b[1]),
+                a[1] + b[1] + k * (m21 * b[0] + (m22 - 1) * b[1]))
+
+    def circ_inverse(self, a: Vec, level: int = 1) -> Vec:
+        """M^{-level s(a)} (-a) = -a + level s(a) (M - I) a, the inverse of a under o_level."""
+        (m11, m12), (m21, m22) = self.matrix
+        k = level * (a[0] + a[1])
+        return (-a[0] + k * ((m11 - 1) * a[0] + m12 * a[1]),
+                -a[1] + k * (m21 * a[0] + (m22 - 1) * a[1]))
+
 
 def lattice_lambda(p: int) -> LatticeAuto:
     """The basis action x1 -> (1+p, -p), x2 -> (p, 1-p), as a matrix on columns."""
@@ -79,21 +95,18 @@ def lattice_circ(a: Vec, b: Vec, p: int, level: int = 1) -> Vec:
     """a o_i b = a + M^{i s(a)} b, the level-i multiplication."""
     if level < 0:
         raise ValueError("level must be non-negative")
-    auto = lattice_lambda(p)
-    return vec_add(a, auto.apply(b, level * grading(a)))
+    return lattice_lambda(p).circ(a, b, level)
 
 
-def lattice_circ_iterated(a: Vec, b: Vec, p: int, level: int) -> Vec:
+def lattice_circ_iterated(a: Vec, b: Vec, auto: LatticeAuto, level: int) -> Vec:
     """The same multiplication through the recursion o_{i+1}(a, b) = o_i(a, M^{s(a)} b)."""
-    auto = lattice_lambda(p)
     for _ in range(level):
         b = auto.apply(b, grading(a))
     return vec_add(a, b)
 
 
 def lattice_circ_inverse(a: Vec, p: int, level: int = 1) -> Vec:
-    auto = lattice_lambda(p)
-    return auto.apply(vec_neg(a), -level * grading(a))
+    return lattice_lambda(p).circ_inverse(a, level)
 
 
 def sample_vec(rng: Lcg, bound: int = 9) -> Vec:
@@ -120,36 +133,33 @@ def lattice_system_check(p: int, depth: int = 3,
         "lambda_homomorphism": 0, "kernel_containment": 0,
     }
 
-    def circ(i, a, b):
-        return vec_add(a, auto.apply(b, i * grading(a)))
+    circ, circ_inv = auto.circ, auto.circ_inverse
 
-    def circ_inv(i, a):
-        return auto.apply(vec_neg(a), -i * grading(a))
-
-    def circ_pow(i, a, k):
+    def circ_pow(a, k, i):
         out = (0, 0)
-        step = a if k >= 0 else circ_inv(i, a)
+        step = a if k >= 0 else circ_inv(a, i)
         for _ in range(abs(k)):
-            out = circ(i, out, step)
+            out = circ(out, step, i)
         return out
 
     for _ in range(sampling.samples):
         a, b, c = sample_vec(rng), sample_vec(rng), sample_vec(rng)
         for i in range(depth + 1):
-            if circ(i, circ(i, a, b), c) != circ(i, a, circ(i, b, c)):
+            a_b = circ(a, b, i)
+            if circ(a_b, c, i) != circ(a, circ(b, c, i), i):
                 failures["associativity"] += 1
-            if circ(i, (0, 0), a) != a or circ(i, a, (0, 0)) != a:
+            if circ((0, 0), a, i) != a or circ(a, (0, 0), i) != a:
                 failures["identity"] += 1
-            inv_a = circ_inv(i, a)
-            if circ(i, a, inv_a) != (0, 0) or circ(i, inv_a, a) != (0, 0):
+            inv_a = circ_inv(a, i)
+            if circ(a, inv_a, i) != (0, 0) or circ(inv_a, a, i) != (0, 0):
                 failures["inverse"] += 1
-            if circ(i, a, b) != circ(i, b, a):
+            if a_b != circ(b, a, i):
                 failures["commutativity"] += 1
-            if i <= 4 and lattice_circ_iterated(a, b, p, i) != circ(i, a, b):
+            if i <= 4 and lattice_circ_iterated(a, b, auto, i) != a_b:
                 failures["closed_form"] += 1
             for j in range(i):
-                lhs = circ(i, a, circ(j, b, c))
-                rhs = circ(j, circ(j, circ(i, a, b), circ_inv(j, a)), circ(i, a, c))
+                lhs = circ(a, circ(b, c, j), i)
+                rhs = circ(circ(a_b, circ_inv(a, j), j), circ(a, c, i), j)
                 if lhs != rhs:
                     failures["compatibility"] += 1
         # exactness facts about the grading
@@ -160,15 +170,17 @@ def lattice_system_check(p: int, depth: int = 3,
         # torsion: circle powers of a nonzero vector never vanish
         if a != (0, 0):
             for i in range(depth + 1):
-                for k in range(1, 5):
-                    if circ_pow(i, a, k) == (0, 0):
+                power = (0, 0)
+                for _ in range(4):   # a^{o_i k} for k = 1..4
+                    power = circ(power, a, i)
+                    if power == (0, 0):
                         failures["torsion"] += 1
         # generation: v = (t, -t) o_i x1^{o_i sigma} with sigma = s(v)
         for i in range(depth + 1):
             sigma = grading(a)
-            g = circ_pow(i, (1, 0), sigma)
-            u = circ(i, a, circ_inv(i, g))
-            if grading(u) != 0 or u[0] != -u[1] or circ(i, u, g) != a:
+            g = circ_pow((1, 0), sigma, i)
+            u = circ(a, circ_inv(g, i), i)
+            if grading(u) != 0 or u[0] != -u[1] or circ(u, g, i) != a:
                 failures["generation"] += 1
     return {
         "p": p,

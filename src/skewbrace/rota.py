@@ -299,8 +299,9 @@ def free_is_rb(op: FreeRb, sampling: SampleConfig = DEFAULT_SAMPLING) -> dict:
     for trial in range(sampling.samples):
         g = sample_word(rng, op.rank, sampling.max_syllables, sampling.max_exponent)
         h = sample_word(rng, op.rank, sampling.max_syllables, sampling.max_exponent)
-        lhs = op.apply(g).mul(op.apply(h))
-        rhs = op.apply(g.mul(op.apply(g)).mul(h).mul(op.apply(g).inv()))
+        b_g = op.apply(g)
+        lhs = b_g.mul(op.apply(h))
+        rhs = op.apply(g.mul(b_g).mul(h).mul(b_g.inv()))
         if lhs != rhs:
             failures.append({"trial": trial, "g": word_to_text(g), "h": word_to_text(h)})
     return {"rank": op.rank, "samples": sampling.samples, "seed": sampling.seed,
@@ -332,8 +333,9 @@ def free_rb_report(m: int, sampling: SampleConfig = DEFAULT_SAMPLING) -> dict:
     for trial in range(sampling.samples):
         g, h, c = (sample_word(rng, 2, sampling.max_syllables, sampling.max_exponent)
                    for _ in range(3))
-        lhs = op.apply(g).mul(op.apply(h))
-        rhs = op.apply(g.mul(op.apply(g)).mul(h).mul(op.apply(g).inv()))
+        b_g = op.apply(g)
+        lhs = b_g.mul(op.apply(h))
+        rhs = op.apply(g.mul(b_g).mul(h).mul(b_g.inv()))
         if lhs != rhs:
             failures.append({"trial": trial, "kind": "rb_identity", "g": word_to_text(g)})
         left = free_rb_example(m + 1, g, free_rb_example(m, h, c))

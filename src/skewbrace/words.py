@@ -3,6 +3,13 @@
 Words are kept in syllable normal form: runs (generator, exponent) with
 nonzero exponents and distinct adjacent generators, so reduction of the
 large generator powers used by the coset rewriting stays linear.
+
+``FreeWord(rank, syllables)`` is the validating reducer for untrusted input
+(the parser, the sampler, operator images). Everything built from words
+already in normal form skips it: a product of two reduced words can only
+cancel or merge where they meet, so ``mul`` reduces at the seam alone, and
+inverting a word, relabelling its generators by a permutation or scaling a
+one-syllable word keep it reduced.
 """
 
 from __future__ import annotations
@@ -38,6 +45,14 @@ class FreeWord:
         self.rank = rank
         self.syllables = tuple(stack)
 
+    @classmethod
+    def _reduced(cls, rank: int, syllables: tuple) -> "FreeWord":
+        """A word from syllables already in normal form over generators 1..rank."""
+        w = object.__new__(cls)
+        w.rank = rank
+        w.syllables = syllables
+        return w
+
     @staticmethod
     def identity(rank: int) -> "FreeWord":
         return FreeWord(rank)
@@ -53,12 +68,24 @@ class FreeWord:
     def mul(self, other: "FreeWord") -> "FreeWord":
         if self.rank != other.rank:
             raise RankMismatch(f"ranks {self.rank} and {other.rank} differ")
-        return FreeWord(self.rank, self.syllables + other.syllables)
+        # both operands are reduced: only syllables meeting at the seam cancel or merge
+        left, right = self.syllables, other.syllables
+        i, j = len(left), 0
+        while i and j < len(right) and left[i - 1][0] == right[j][0]:
+            gen, merged = right[j][0], left[i - 1][1] + right[j][1]
+            if merged:
+                return FreeWord._reduced(self.rank, left[:i - 1] + ((gen, merged),) + right[j + 1:])
+            i -= 1
+            j += 1
+        return FreeWord._reduced(self.rank, left[:i] + right[j:])
 
     def inv(self) -> "FreeWord":
-        return FreeWord(self.rank, tuple((g, -e) for g, e in reversed(self.syllables)))
+        return FreeWord._reduced(self.rank, tuple((g, -e) for g, e in reversed(self.syllables)))
 
     def pow(self, k: int) -> "FreeWord":
+        if len(self.syllables) == 1:
+            gen, exp = self.syllables[0]
+            return FreeWord._reduced(self.rank, ((gen, exp * k),) if k else ())
         if k < 0:
             return self.inv().pow(-k)
         out = FreeWord(self.rank)
@@ -145,8 +172,8 @@ class GeneratorCycle(FreeAutomorphism):
         if w.rank != self.rank:
             raise RankMismatch(f"word rank {w.rank} != automorphism rank {self.rank}")
         s = self.shift % self.rank
-        return FreeWord(self.rank, tuple(((g - 1 + s) % self.rank + 1, e)
-                                         for g, e in w.syllables))
+        return FreeWord._reduced(self.rank, tuple(((g - 1 + s) % self.rank + 1, e)
+                                                  for g, e in w.syllables))
 
     def inverse(self) -> "GeneratorCycle":
         return GeneratorCycle(self.rank, -self.shift % self.rank)
@@ -258,12 +285,13 @@ def sampled_brace_check(theta: FreeAutomorphism,
     for trial in range(sampling.samples):
         a, b, c, probe = (sample_word(rng, rank, sampling.max_syllables, sampling.max_exponent)
                           for _ in range(4))
+        a_b = circ_eval(a, b, theta)
         lhs = circ_eval(a, b.mul(c), theta)
-        rhs = circ_eval(a, b, theta).mul(a.inv()).mul(circ_eval(a, c, theta))
+        rhs = a_b.mul(a.inv()).mul(circ_eval(a, c, theta))
         if lhs != rhs:
             failures.append({"trial": trial, "kind": "left_law",
                              "a": word_to_text(a), "b": word_to_text(b), "c": word_to_text(c)})
-        left_pow = circ_eval(a, b, theta).exp_sum()
+        left_pow = a_b.exp_sum()
         right_pow = b.mul(a).exp_sum()
         if theta.pow(left_pow).apply(probe) != theta.pow(right_pow).apply(probe):
             failures.append({"trial": trial, "kind": "symmetry_criterion",

@@ -443,6 +443,95 @@ def test_out_path_that_cannot_be_opened_exit_2(tmp_path, capsys):
     assert err.startswith("error: ") and "report.json" in err
 
 
+# --- files whose top level is not a JSON object -----------------------------------
+
+
+NOT_OBJECTS = [([1, 2], "an array"), (5, "a number"), ("x", "a string"), (None, "null")]
+
+GROUP_COMMANDS = {
+    "verify-group": lambda g, t: ["verify-group", "--in", g],
+    "enumerate": lambda g, t: ["enumerate", "--in", g],
+    "construct": lambda g, t: ["construct", "--kind", "trivial", "--group", g],
+    "system": lambda g, t: ["system", "--kind", "linear", "--group", g,
+                            "--lambda", write(t, "lam.json", {"maps": [[0, 1], [0, 1]]})],
+    "rb": lambda g, t: ["rb", "search", "--group", g],
+}
+
+
+@pytest.mark.parametrize("payload,kind", NOT_OBJECTS)
+@pytest.mark.parametrize("command", sorted(GROUP_COMMANDS))
+def test_group_file_that_is_not_an_object_exit_2(tmp_path, capsys, command, payload, kind):
+    argv = GROUP_COMMANDS[command](write(tmp_path, "g.json", payload), tmp_path)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: the group file must be a JSON object, not {kind}\n"
+
+
+@pytest.mark.parametrize("argv,what", [
+    (["verify-brace", "--in", "{bad}"], "brace file"),
+    (["classify", "--in", "{bad}"], "brace file"),
+    (["structure", "--in", "{bad}"], "brace file"),
+    (["construct", "--kind", "opposite", "--in", "{bad}"], "brace file"),
+    (["construct", "--kind", "from-lambda", "--group", "{z4}", "--lambda", "{bad}"], "lambda file"),
+    (["construct", "--kind", "unification", "--group", "{z4}", "--unification", "{bad}"],
+     "unification file"),
+    (["system", "--kind", "linear", "--group", "{z4}", "--lambda", "{bad}"], "lambda file"),
+    (["rb", "check", "--rb", "{bad}"], "operator file"),
+])
+def test_other_file_that_is_not_an_object_exit_2(tmp_path, capsys, argv, what):
+    paths = {"bad": write(tmp_path, "bad.json", [1, 2]), "z4": z4_file(tmp_path)}
+    code, out, err = run(capsys, [arg.format(**paths) for arg in argv])
+    assert code == 2 and out == ""
+    assert err == f"error: the {what} must be a JSON object, not an array\n"
+
+
+def test_group_from_json_rejects_a_top_level_array():
+    with pytest.raises(ValueError, match="must be a JSON object, not an array"):
+        groups.group_from_json("[1, 2]")
+
+
+# --- the parser ----------------------------------------------------------------------
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        assert run(capsys, ["freegroup", "verify-cyclic", "--n", "2"])[0] == 0
+        assert run(capsys, ["--samples", "3", "lattice", "--p", "1", "--depth", "0"])[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
+
+
+def test_back_to_back_calls_do_not_leak_arguments(tmp_path, capsys):
+    target = tmp_path / "first.json"
+    code, first, _ = run(capsys, ["--seed", "7", "--samples", "5", "--out", str(target),
+                                  "lattice", "--p", "2", "--depth", "1"])
+    assert code == 0
+    code, second, _ = run(capsys, ["freegroup", "check", "--rank", "3"])
+    assert code == 0
+    assert target.read_text() == first   # the second call wrote no --out file
+    first, second = json.loads(first), json.loads(second)
+    assert first["config"] == {"seed": 7, "samples": 5, "max_order": 24}
+    assert (first["command"], first["p"], first["depth"]) == ("lattice", 2, 1)
+    assert second["config"] == {"seed": 0, "samples": 500, "max_order": 24}
+    assert (second["command"], second["rank"], second["seed"]) == ("freegroup", 3, 0)
+    assert "p" not in second and "depth" not in second
+    code, third, _ = run(capsys, ["lattice", "--p", "1"])
+    assert code == 0
+    third = json.loads(third)
+    assert third["config"]["seed"] == 0
+    assert (third["p"], third["depth"], third["samples"]) == (1, 3, 500)
+
+
 # --- each fact computed once per job ------------------------------------------------
 
 

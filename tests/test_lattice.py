@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from skewbrace.config import SampleConfig
 from skewbrace.lattice import (
     IDENTITY,
+    LatticeAuto,
     grading,
     lattice_circ,
     lattice_circ_inverse,
@@ -15,6 +16,8 @@ from skewbrace.lattice import (
     lattice_system_check,
     mat_mul,
     mat_vec,
+    vec_add,
+    vec_neg,
 )
 
 vecs = st.tuples(st.integers(-20, 20), st.integers(-20, 20))
@@ -75,7 +78,46 @@ def test_lambda_is_graded_homomorphism(a, b, p):
 
 @given(vecs, vecs, params, st.integers(0, 4))
 def test_closed_form_equals_iteration(a, b, p, level):
-    assert lattice_circ(a, b, p, level) == lattice_circ_iterated(a, b, p, level)
+    assert lattice_circ(a, b, p, level) == lattice_circ_iterated(a, b, lattice_lambda(p), level)
+
+
+small_vecs = st.tuples(params, params)
+levels = st.integers(0, 8)
+
+
+@st.composite
+def unipotent_autos(draw):
+    """M = I + c u w^T with w = (-u2, u1), so (M - I)^2 = 0: the p family and the rest."""
+    if draw(st.booleans()):
+        return lattice_lambda(draw(params))
+    (x, y), c = draw(small_vecs), draw(st.integers(-3, 3))
+    return LatticeAuto(((1 - c * x * y, c * x * x), (-c * y * y, 1 + c * x * y)))
+
+
+@given(small_vecs, small_vecs, unipotent_autos(), levels)
+def test_closed_form_product_matches_the_matrix_power(a, b, auto, level):
+    expected = vec_add(a, mat_vec(auto.power(level * grading(a)), b))
+    assert auto.circ(a, b, level) == expected
+
+
+@given(small_vecs, small_vecs, params, levels)
+def test_lattice_circ_matches_the_matrix_power(a, b, p, level):
+    auto = lattice_lambda(p)
+    assert lattice_circ(a, b, p, level) == vec_add(a, mat_vec(auto.power(level * grading(a)), b))
+
+
+@given(small_vecs, unipotent_autos(), levels)
+def test_closed_form_inverse_matches_the_matrix_power(a, auto, level):
+    expected = mat_vec(auto.power(-level * grading(a)), vec_neg(a))
+    assert auto.circ_inverse(a, level) == expected
+    assert auto.circ(a, expected, level) == (0, 0)
+
+
+@given(small_vecs, params, levels)
+def test_closed_form_inverse_matches_lattice_circ_inverse(a, p, level):
+    auto = lattice_lambda(p)
+    assert auto.circ_inverse(a, level) == lattice_circ_inverse(a, p, level) \
+        == mat_vec(auto.power(-level * grading(a)), vec_neg(a))
 
 
 @given(vecs, vecs, params, st.integers(0, 3))

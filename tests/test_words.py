@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from skewbrace.config import SampleConfig
@@ -99,6 +99,91 @@ def test_exp_sum_additive_seeded_samples():
         u = sample_word(rng, 2, 8, 3)
         v = sample_word(rng, 2, 8, 3)
         assert u.mul(v).exp_sum() == u.exp_sum() + v.exp_sum()
+
+
+# --- the seam product and the operations that keep words reduced -----------
+
+
+def reduce_fully(rank, syllables):
+    """The validating reducer, the oracle for every trusted construction."""
+    return FreeWord(rank, tuple(syllables))
+
+
+def is_normal(u):
+    return FreeWord(u.rank, u.syllables) == u and all(e for _, e in u.syllables) and all(
+        g != h for (g, _), (h, _) in zip(u.syllables, u.syllables[1:]))
+
+
+@given(words_strategy, words_strategy)
+def test_seam_product_matches_full_reduction(u, v):
+    product = u.mul(v)
+    assert product == reduce_fully(3, u.syllables + v.syllables)
+    assert is_normal(product)
+
+
+@given(words_strategy, words_strategy)
+def test_seam_product_cancels_across_the_seam(u, t):
+    # v = u^-1 t cancels all of u, and t u^-1 times u cancels all of u^-1
+    v = u.inv().mul(t)
+    assert u.mul(v) == reduce_fully(3, u.syllables + v.syllables) == t
+    v = t.mul(u.inv())
+    assert v.mul(u) == reduce_fully(3, v.syllables + u.syllables) == t
+
+
+@given(words_strategy, words_strategy, st.integers(0, 8))
+def test_seam_product_cancels_part_of_the_seam(u, t, keep):
+    # v starts with the inverse of the last syllables of u only
+    v = reduce_fully(3, u.inv().syllables[:keep] + t.syllables)
+    assert u.mul(v) == reduce_fully(3, u.syllables + v.syllables)
+    assert v.inv().mul(u.inv()) == reduce_fully(3, v.inv().syllables + u.inv().syllables)
+
+
+@given(words_strategy, words_strategy, st.integers(-4, 4))
+def test_seam_product_merges_syllables(u, t, e):
+    # v starts with the generator u ends with: the seam syllables merge or cancel
+    assume(not u.is_identity)
+    v = reduce_fully(3, ((u.syllables[-1][0], e),) + t.syllables)
+    product = u.mul(v)
+    assert product == reduce_fully(3, u.syllables + v.syllables)
+    assert is_normal(product)
+
+
+@given(words_strategy)
+def test_seam_product_with_empty_operands(u):
+    empty = FreeWord(3)
+    assert u.mul(empty) == empty.mul(u) == u
+    assert empty.mul(empty).is_identity
+
+
+@given(words_strategy, words_strategy)
+def test_seam_product_keeps_rank_mismatch(u, t):
+    other = FreeWord(2, tuple((min(g, 2), e) for g, e in t.syllables))
+    with pytest.raises(RankMismatch):
+        u.mul(other)
+    with pytest.raises(RankMismatch):
+        other.mul(u)
+
+
+@given(words_strategy)
+def test_inv_is_already_reduced(u):
+    inverse = u.inv()
+    assert is_normal(inverse)
+    assert inverse == reduce_fully(3, [(g, -e) for g, e in reversed(u.syllables)])
+
+
+@given(words_strategy, st.integers(-4, 4))
+def test_generator_cycle_image_is_already_reduced(u, shift):
+    image = GeneratorCycle(3, shift).apply(u)
+    assert is_normal(image)
+    assert image == reduce_fully(3, [((g - 1 + shift) % 3 + 1, e) for g, e in u.syllables])
+
+
+@given(st.integers(1, 3), st.integers(-3, 3).filter(bool), st.integers(-5, 5))
+def test_one_syllable_pow_is_already_reduced(gen, exp, k):
+    power = FreeWord.generator(3, gen, exp).pow(k)
+    assert is_normal(power)
+    step = (gen, exp) if k >= 0 else (gen, -exp)
+    assert power == reduce_fully(3, [step] * abs(k))
 
 
 # --- automorphisms ----------------------------------------------------------
