@@ -74,7 +74,7 @@ class LambdaMap:
 
     @staticmethod
     def of(group: FiniteGroup, lam) -> "LambdaMap":
-        """The facts of an assignment given per element as a GroupMap or an image array.
+        """The facts of an untrusted assignment given per element as a GroupMap or an image array.
 
         Raises ValueError when ``lam`` is not a list of at least n maps or a
         map is not a list of n images in 0..n-1, and NotAutomorphism for the first
@@ -95,6 +95,12 @@ class LambdaMap:
             if len(set(img)) != n or not is_multiplicative(group, group.table, img):
                 raise NotAutomorphism(a)
             arrays.append(img)
+        return LambdaMap.of_automorphisms(group, arrays)
+
+    @staticmethod
+    def of_automorphisms(group: FiniteGroup, arrays) -> "LambdaMap":
+        """The facts of an assignment whose n values are known automorphisms, as image tuples."""
+        n = group.order
         distinct = sorted(set(arrays))
         index = {img: i for i, img in enumerate(distinct)}
         which = [index[img] for img in arrays]
@@ -134,17 +140,18 @@ class LambdaMap:
 class SkewBrace:
     """One carrier, an additive and a multiplicative group table, both with identity 0."""
 
-    __slots__ = ("add", "circ", "_lam", "_classification")
+    __slots__ = ("add", "circ", "_lam_images", "_lam", "_classification")
 
     def __init__(self, add: FiniteGroup, circ: FiniteGroup):
         if add.order != circ.order:
             raise InvalidGroup(("carrier orders differ",))
-        witness = left_law_witness(add, circ)
+        arrays, witness = _lambda_arrays(add, circ)
         if witness is not None:
             a, b, c = witness
             raise LambdaNotAutomorphism(a, (b, c))
         self.add = add
         self.circ = circ
+        self._lam_images = arrays   # lambda_a per a, automorphisms by the left law just checked
         self._lam = None
         self._classification = None
 
@@ -155,13 +162,7 @@ class SkewBrace:
     @property
     def lam(self) -> LambdaMap:
         if self._lam is None:
-            add, circ = self.add, self.circ
-            arrays = [[add.table[add.inverse[a]][c] for c in circ.table[a]]
-                      for a in range(add.order)]
-            try:
-                self._lam = LambdaMap.of(add, arrays)
-            except NotAutomorphism as exc:
-                raise LambdaNotAutomorphism(exc.element) from None
+            self._lam = LambdaMap.of_automorphisms(self.add, self._lam_images)
         return self._lam
 
     @property
@@ -173,6 +174,11 @@ class SkewBrace:
     @property
     def is_trivial(self) -> bool:
         return self.add.table == self.circ.table
+
+    @property
+    def is_natural(self) -> bool:
+        """a o b = b . a for all a, b: circ is the opposite of the additive table."""
+        return self.circ.table == tuple(zip(*self.add.table))
 
     def circ_inv(self, a: int) -> int:
         return self.circ.inverse[a]
@@ -227,26 +233,35 @@ def op_brace(group: FiniteGroup) -> SkewBrace:
 # Law checks
 
 
-def left_law_witness(add: FiniteGroup, circ: FiniteGroup) -> tuple | None:
-    """First triple violating a o (b . c) = (a o b) . a^-1 . (a o c), or None.
+def _lambda_arrays(add: FiniteGroup, circ: FiniteGroup) -> tuple:
+    """(arrays, None) with arrays[a] = lambda_a, or (None, the first left-law triple).
 
-    At a fixed a the law says lambda_a(x) = a^-1 . (a o x) is multiplicative,
-    which is checked against the generators of (G, .) first; only the first a
-    that fails there is scanned over all (b, c) for its first witness.
+    At a fixed a the law a o (b . c) = (a o b) . a^-1 . (a o c) says
+    lambda_a(x) = a^-1 . (a o x) is multiplicative, which is checked against
+    the generators of (G, .) first; only the first a that fails there is
+    scanned over all (b, c) for its first witness.
     """
     n = add.order
     at, ct, ainv = add.table, circ.table, add.inverse
+    arrays = []
     for a in range(n):
         ca, ia = ct[a], ainv[a]
-        if is_multiplicative(add, at, [at[ia][x] for x in ca]):
-            continue
-        for b in range(n):
-            left_ab = at[ca[b]][ia]
-            ab = at[b]
-            for c in range(n):
-                if ca[ab[c]] != at[left_ab][ca[c]]:
-                    return (a, b, c)
-    return None
+        row = at[ia]
+        lam_a = tuple([row[x] for x in ca])
+        if not is_multiplicative(add, at, lam_a):
+            for b in range(n):
+                left_ab = at[ca[b]][ia]
+                ab = at[b]
+                for c in range(n):
+                    if ca[ab[c]] != at[left_ab][ca[c]]:
+                        return None, (a, b, c)
+        arrays.append(lam_a)
+    return arrays, None
+
+
+def left_law_witness(add: FiniteGroup, circ: FiniteGroup) -> tuple | None:
+    """First triple violating a o (b . c) = (a o b) . a^-1 . (a o c), or None."""
+    return _lambda_arrays(add, circ)[1]
 
 
 def right_law_witness(add: FiniteGroup, circ: FiniteGroup) -> tuple | None:
@@ -324,6 +339,7 @@ def _group_any_identity(table) -> FiniteGroup:
     g.inverse = tuple(rows[a].index(e) for a in range(n))
     g._abelian = None
     g._generators = None    # computed from e, found as 0 . 0^-1
+    g._center = None
     return g
 
 
@@ -369,9 +385,8 @@ def classify(brace: SkewBrace) -> Classification:
     cyclic = lam.homomorphic_on_add and any(
         permutation_order(m.images) == lam.image_order for m in lam.maps
     )
-    natural = brace.circ.table == brace.add.opposite().table
     return Classification(lam.homomorphic_on_add, lam.anti_homomorphic_on_add,
-                          criterion, cyclic, natural)
+                          criterion, cyclic, brace.is_natural)
 
 
 # ---------------------------------------------------------------------------

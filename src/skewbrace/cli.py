@@ -12,7 +12,7 @@ import json
 import sys
 from contextlib import ExitStack
 from functools import cache
-from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 from . import braces, groups, lattice, rota, structure, systems, words
 from .config import Limits, SampleConfig
@@ -20,7 +20,9 @@ from .errors import AlgebraError
 
 
 _ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
-_BATCH = 1024   # chunks joined per write: few writes, and never the whole report at once
+_BATCH = 1 << 15   # characters joined per write: few writes, and never the whole report at once
+_SCALARS = frozenset((int, str, bool, type(None)))
+_ROWS = frozenset((list, tuple))
 
 
 class Emitted:
@@ -45,19 +47,101 @@ def _write(streams, text: str) -> int:
     return len(text)
 
 
+def _json_scalar(value) -> str:
+    """The JSON text of a value that is neither a dict nor a list, as json.dumps gives it."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    return _ENCODER.encode(value)   # floats, subclasses; a TypeError for what JSON cannot hold
+
+
+def _json_key(key) -> str:
+    """A dict key as json.dumps writes it: non-string keys become strings after sorting."""
+    if not isinstance(key, str):
+        if not (isinstance(key, (int, float)) or key is None):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = _ENCODER.encode(key)
+    return encode_basestring_ascii(key)
+
+
+def _json_lines(texts, indent: str) -> str:
+    """A JSON array of ready item texts, one item a line at ``indent`` plus two spaces."""
+    inner = "\n" + indent + "  "
+    body = ("," + inner).join(texts)
+    return "[" + inner + body + "\n" + indent + "]" if body else "[]"
+
+
+def _json_flat(value, indent: str) -> str | None:
+    """The text of a scalar, a list of scalars or a table (a list of int lists); None otherwise."""
+    if isinstance(value, (list, tuple)):
+        if all(type(x) in _SCALARS for x in value):
+            return _json_lines(map(_json_scalar, value), indent)
+        if (all(type(row) in _ROWS for row in value)
+                and all(type(x) is int for row in value for x in row)):
+            inner = indent + "  "
+            rows = [_json_lines(map(int.__repr__, row), inner) for row in value]
+            return _json_lines(rows, indent)
+        return None
+    if isinstance(value, dict):
+        return None if value else "{}"
+    return _json_scalar(value)
+
+
+def _json_chunks(value, indent: str = ""):
+    """json.dumps(value, indent=2, sort_keys=True) in chunks; ``value`` starts a line at ``indent``.
+
+    A scalar, a list of scalars and a table are one chunk each; dicts and
+    other lists recurse, one chunk per item at least.
+    """
+    text = _json_flat(value, indent)
+    if text is not None:
+        yield text
+        return
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = ((_json_key(key) + ": ", item) for key, item in sorted(value.items()))
+        opening, closing = "{", "}"
+    else:
+        items = (("", item) for item in value)
+        opening, closing = "[", "]"
+    separator = opening + "\n" + inner
+    for head, item in items:
+        text = _json_flat(item, inner)
+        if text is None:
+            yield separator + head
+            yield from _json_chunks(item, inner)
+        else:
+            yield separator + head + text
+        separator = ",\n" + inner
+    yield "\n" + indent + closing
+
+
 def _emit_json(report: dict, streams) -> int:
-    """Write json.dumps(report, indent=2, sort_keys=True) and a newline, in batches of chunks."""
-    chunks = _ENCODER.iterencode(report)
-    batches = iter(lambda: "".join(islice(chunks, _BATCH)), "")   # no chunk is ever empty
-    return sum(_write(streams, text) for text in batches) + _write(streams, "\n")
+    """Write json.dumps(report, indent=2, sort_keys=True) and a newline, ~_BATCH chars a write."""
+    written, batch, size = 0, [], 0
+    for chunk in _json_chunks(report):
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= _BATCH:
+            written += _write(streams, "".join(batch))
+            batch, size = [], 0
+    batch.append("\n")
+    return written + _write(streams, "".join(batch))
 
 
 def emit(report, fmt: str = "json", streams=None):
     """Serialize a report deterministically; DOT is only valid for system graphs.
 
     Without ``streams`` the text is returned. With them it is written to each
-    stream, JSON a batch of chunks at a time so that the whole text is never
-    held in memory, and an Emitted with its length is returned.
+    stream, JSON one table or one line of scalars at a time and in batches
+    bounded by size, so that the whole text is never held in memory, and an
+    Emitted with its length is returned.
     """
     if streams is None:
         buffer = io.StringIO()
@@ -76,6 +160,10 @@ def _load_json(path: str, what: str) -> dict:
     """The JSON object in a file; ValueError naming ``what`` when its top level is not an object."""
     with open(path, "r", encoding="utf-8") as handle:
         return groups.json_object(json.load(handle), what)
+
+
+def _maps(payload: dict):
+    return groups.json_field(payload, "maps", "lambda file")
 
 
 def _config_echo(args) -> dict:
@@ -150,14 +238,15 @@ def _cmd_construct(args):
         brace = braces.op_brace(group)
     elif kind == "from-lambda":
         payload = _load_json(args.lam, "lambda file")
-        brace = braces.construct_from_lambda(group, payload["maps"], args.mode)
+        brace = braces.construct_from_lambda(group, _maps(payload), args.mode)
     elif kind == "exact-factorization":
         brace = braces.construct_exact_factorization(
             group, _parse_elements(args.part_a), _parse_elements(args.part_b))
     elif kind == "unification":
         payload = _load_json(args.unification, "unification file")
         brace = braces.construct_unification(
-            group, payload["f"], payload["alpha"], payload.get("epsilon", 1))
+            group, groups.json_field(payload, "f", "unification file"),
+            groups.json_field(payload, "alpha", "unification file"), payload.get("epsilon", 1))
     else:  # pragma: no cover - argparse restricts choices
         raise AlgebraError(f"unknown construction {kind!r}")
     return {"construct": kind, "brace": _brace_payload(brace)}, True
@@ -177,13 +266,13 @@ def _cmd_enumerate(args):
 def _cmd_system(args):
     group = groups.group_from_json(_load_json(args.group, "group file"))
     if args.kind == "linear":
-        lam = _load_json(args.lam, "lambda file")["maps"]
+        lam = _maps(_load_json(args.lam, "lambda file"))
         graph = systems.build_linear_system(group, lam, depth=args.depth,
                                             include_negative=args.include_negative)
         period = systems.detect_period(graph)
     elif args.kind == "union":
-        lam1 = _load_json(args.lam, "lambda file")["maps"]
-        lam2 = _load_json(args.lam2, "lambda file")["maps"]
+        lam1 = _maps(_load_json(args.lam, "lambda file"))
+        lam2 = _maps(_load_json(args.lam2, "lambda file"))
         graph = systems.union_systems(systems.build_linear_system(group, lam1),
                                       systems.build_linear_system(group, lam2))
         period = None

@@ -24,7 +24,7 @@ class FiniteGroup:
     validate and normalize untrusted tables.
     """
 
-    __slots__ = ("order", "table", "inverse", "name", "_abelian", "_generators")
+    __slots__ = ("order", "table", "inverse", "name", "_abelian", "_generators", "_center")
 
     def __init__(self, table, name: str = ""):
         self.table = tuple(tuple(row) for row in table)
@@ -36,6 +36,7 @@ class FiniteGroup:
         self.inverse = tuple(inv)
         self._abelian = None
         self._generators = None
+        self._center = None
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -79,6 +80,15 @@ class FiniteGroup:
             identity = self.table[0][self.inverse[0]]   # not 0 in a table scanned on raw labels
             self._generators = tuple(_right_closure(self.table, identity, range(self.order))[1])
         return self._generators
+
+    @property
+    def center(self) -> tuple:
+        """The elements that commute with every element, in increasing order."""
+        if self._center is None:
+            t = self.table
+            self._center = tuple(a for a in range(self.order)
+                                 if all(t[a][b] == t[b][a] for b in range(self.order)))
+        return self._center
 
     def elements(self) -> range:
         return range(self.order)
@@ -448,10 +458,6 @@ def subgroup_closure_in(group: FiniteGroup, seeds) -> tuple:
 
 def structure_subgroups(group: FiniteGroup) -> StructureInfo:
     n = group.order
-    center = tuple(
-        a for a in range(n)
-        if all(group.table[a][b] == group.table[b][a] for b in range(n))
-    )
     commutators = {group.commutator(a, b) for a in range(n) for b in range(n)}
     derived = subgroup_closure_in(group, commutators)
     inner, seen = [], set()
@@ -460,7 +466,7 @@ def structure_subgroups(group: FiniteGroup) -> StructureInfo:
         if images not in seen:
             seen.add(images)
             inner.append(GroupMap(images, True, True, group.is_abelian))
-    return StructureInfo(center, derived, tuple(inner))
+    return StructureInfo(group.center, derived, tuple(inner))
 
 
 def nilpotency_class(group: FiniteGroup) -> int | None:
@@ -668,6 +674,13 @@ _JSON_KINDS = {list: "an array", str: "a string", int: "a number", float: "a num
                bool: "a boolean", type(None): "null"}
 
 
+def json_field(data: dict, key: str, what: str):
+    """``data[key]`` of a loaded file; a missing field is a ValueError naming the file and field."""
+    if key not in data:
+        raise ValueError(f'the {what} has no "{key}" field')
+    return data[key]
+
+
 def json_object(data, what: str) -> dict:
     """``data`` when it is a JSON object; ValueError naming ``what`` and the kind found otherwise."""
     if not isinstance(data, dict):
@@ -693,7 +706,7 @@ def group_from_json(data) -> FiniteGroup:
             raise InvalidGroup((Violation("not_square", (data["order"],)),))
         return group_from_table(table, name=name)
     if "generators" in data:
-        degree = data["degree"]
+        degree = json_field(data, "degree", "group file")
         gens = [parse_cycles(g, degree) for g in data["generators"]]
         return group_from_permutations(gens, degree, name=name)
     raise InvalidGroup((Violation("no_identity", ()),))

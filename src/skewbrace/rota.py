@@ -14,7 +14,7 @@ from itertools import product
 from .braces import SkewBrace
 from .config import DEFAULT_LIMITS, DEFAULT_SAMPLING, Limits, SampleConfig
 from .errors import CriterionMismatch, NotRotaBaxter, PreconditionFails
-from .groups import FiniteGroup, endomorphisms, group_from_table, structure_subgroups
+from .groups import FiniteGroup, endomorphisms, group_from_table, json_field
 from .rng import Lcg
 from .words import FreeWord, sample_word, word_from_text, word_to_text
 
@@ -97,7 +97,7 @@ def rb_symmetry_check(brace: SkewBrace, b_map) -> dict:
     group = brace.add
     symmetric = brace.classification.symmetric
     b = tuple(b_map)
-    center = set(structure_subgroups(group).center)
+    center = set(group.center)
     t, inv = group.table, group.inverse
     center_condition = all(
         t[t[inv[b[c]]][inv[b[a]]]][b[t[c][a]]] in center
@@ -113,7 +113,7 @@ def rb_lambda_hom_check(brace: SkewBrace, b_map) -> dict:
     group = brace.add
     lam_hom = brace.lam.homomorphic_on_add
     b = tuple(b_map)
-    center = set(structure_subgroups(group).center)
+    center = set(group.center)
     t, inv = group.table, group.inverse
     center_condition = all(
         t[t[inv[b[t[a][c]]]][b[a]]][b[c]] in center
@@ -381,6 +381,6 @@ def rb_from_json(data):
             raise ValueError("declared order does not match the map length")
         return values
     if "images" in data:
-        rank = data["rank"]
+        rank = json_field(data, "rank", "operator file")
         return FreeRb(rank, tuple(word_from_text(rank, s) for s in data["images"]))
     raise ValueError("unrecognized operator payload")

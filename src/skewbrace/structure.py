@@ -227,9 +227,8 @@ def naturality_report(brace: SkewBrace) -> dict:
     """For anti-homomorphic braces: either the brace or its kernel quotient is natural."""
     if not brace.lam.anti_homomorphic_on_add:
         raise NotAntiHomomorphism(-1, -1)
-    is_natural = brace.circ.table == brace.add.opposite().table
-    quotient = quotient_brace(brace, kernel_ideal(brace))
-    quotient_natural = quotient.circ.table == quotient.add.opposite().table
+    is_natural = brace.is_natural
+    quotient_natural = quotient_brace(brace, kernel_ideal(brace)).is_natural
     if not (is_natural or quotient_natural):
         raise CriterionMismatch(
             "an anti-homomorphic brace or its kernel quotient must be natural")

@@ -516,6 +516,39 @@ def test_enumerate_builds_no_holomorph_table(monkeypatch):
     assert built and max(built) == 8
 
 
+# --- one lambda pass per brace ---------------------------------------------------
+
+
+def test_lambda_is_computed_once_by_the_left_law_pass(monkeypatch):
+    a4 = groups.alternating_group(4)
+    circ = next(b.circ for b in enumerate_circ_ops(a4)
+                if b.classification.symmetric and not b.is_trivial)
+    n = a4.order
+    calls = []
+    check = groups.is_multiplicative
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(braces, "is_multiplicative", counted)
+    brace = SkewBrace(a4, circ)
+    assert len(calls) == n                      # the constructor's left law
+    lam = brace.lam
+    assert len(calls) == n                      # reading lambda makes no check
+    assert brace.classification.symmetric
+    assert len(calls) == 2 * n                  # the direct symmetric cross-check
+    assert lam.image_order > 1
+
+
+def test_lambda_facts_equal_those_of_a_validated_assignment():
+    for group in groups.small_group_catalog(8):
+        n, t, inv = group.order, group.table, group.inverse
+        for brace in enumerate_circ_ops(group):
+            arrays = [[t[inv[a]][c] for c in brace.circ.table[a]] for a in range(n)]
+            assert brace.lam == braces.LambdaMap.of(group, arrays)
+
+
 # --- isomorphism -----------------------------------------------------------------
 
 

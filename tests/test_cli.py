@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from skewbrace import braces, cli, groups, rota, structure
 from skewbrace.braces import brace_to_json, op_brace, trivial_brace
@@ -250,6 +252,33 @@ def test_malformed_lambda_file_exit_2(tmp_path, capsys, maps, message, command):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command,kind,payload,message", [
+    (["system", "--kind", "linear", "--lambda"], "lambda", {"mapz": []},
+     'the lambda file has no "maps" field'),
+    (["system", "--kind", "union", "--lambda2", "{lam2}", "--lambda"], "lambda", {"mapz": []},
+     'the lambda file has no "maps" field'),
+    (["construct", "--kind", "from-lambda", "--lambda"], "lambda", {"mapz": []},
+     'the lambda file has no "maps" field'),
+    (["construct", "--kind", "unification", "--unification"], "unification",
+     {"alpha": [[0] * 4] * 4}, 'the unification file has no "f" field'),
+    (["construct", "--kind", "unification", "--unification"], "unification",
+     {"f": [0] * 4}, 'the unification file has no "alpha" field'),
+    (["verify-group", "--in"], "group", {"generators": ["(1 2)"]},
+     'the group file has no "degree" field'),
+    (["rb", "check", "--rb"], "operator", {"images": ["x1", "x1"]},
+     'the operator file has no "rank" field'),
+], ids=["linear", "union", "from-lambda", "unification-f", "unification-alpha", "degree", "rank"])
+def test_missing_loader_field_is_named(tmp_path, capsys, command, kind, payload, message):
+    lam2 = write(tmp_path, "lam2.json", {"maps": [[0, 1, 2, 3]] * 4})
+    path = write(tmp_path, f"{kind}.json", payload)
+    argv = [arg.replace("{lam2}", lam2) for arg in command] + [path]
+    if kind in ("lambda", "unification"):
+        argv += ["--group", z4_file(tmp_path)]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_system_linear_dot(tmp_path, capsys):
     gpath = z4_file(tmp_path)
     lpath = write(tmp_path, "lam.json",
@@ -399,6 +428,48 @@ def test_emit_streams_the_same_bytes_without_holding_them():
     finally:
         tracemalloc.stop()
     assert peak < len(expected) // 4
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                 | st.integers(min_value=-2 ** 200, max_value=2 ** 200)
+                 | st.floats(allow_nan=True, allow_infinity=True) | st.text())
+_INT_TABLES = st.lists(st.lists(st.integers(), max_size=5), max_size=5)   # empty and ragged rows too
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS | _INT_TABLES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=30)
+
+
+@given(_JSON_VALUES)
+def test_emit_writes_what_json_dumps_writes(value):
+    import io
+
+    from skewbrace.cli import emit
+
+    expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
+    assert emit(value) == expected
+    first, second = io.StringIO(), io.StringIO()
+    assert len(emit(value, "json", [first, second])) == len(expected)
+    assert first.getvalue() == second.getvalue() == expected
+
+
+def test_emit_batches_are_bounded_by_size():
+    from skewbrace.cli import _BATCH, emit
+
+    table = [[(a * b) % 23 for b in range(23)] for a in range(23)]
+    report = {"tables": [table] * 40}
+    one_table = len(json.dumps({"tables": [table]}, indent=2))   # a table's chunk, at its depth
+    writes = []
+
+    class Sink:
+        def write(self, text):
+            writes.append(len(text))
+
+    emitted = emit(report, "json", [Sink()])
+    assert len(emitted) == sum(writes) == len(json.dumps(report, indent=2, sort_keys=True)) + 1
+    assert len(writes) > 1
+    assert max(writes) < _BATCH + one_table
 
 
 def test_byte_identical_runs(tmp_path, capsys):
@@ -575,6 +646,23 @@ def test_rb_search_builds_each_brace_once(tmp_path, capsys, monkeypatch):
     operators = [tuple(op["map"]) for op in json.loads(out)["operators"]]
     assert len(operators) > 1
     assert [args[1] for args in calls] == operators
+
+
+def test_rb_search_computes_the_center_once(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "d4.json", groups.group_to_json(groups.dihedral_group(4)))
+    center = groups.FiniteGroup.center
+    computed = []
+
+    def counted(group):
+        if group._center is None:
+            computed.append(group.order)
+        return center.fget(group)
+
+    monkeypatch.setattr(groups.FiniteGroup, "center", property(counted))
+    code, out, _ = run(capsys, ["rb", "search", "--group", path])
+    assert code == 0
+    assert json.loads(out)["count"] > 1
+    assert computed == [8]
 
 
 def test_rb_brace_classifies_once(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,6 @@
-"""The sampler reports, pinned byte for byte.
+"""The sampler and table-command reports, pinned byte for byte.
 
-Each entry is the SHA-256 of the standard output of one sampled command at
+Each sampler entry is the SHA-256 of the standard output of one sampled command at
 a fixed seed, as printed by the word kernel that fully reduced every product
 and the lattice kernel that built a matrix power for every product. A faster
 kernel must give the same bytes: the same checks and the same counts. Those
@@ -13,6 +13,8 @@ import json
 
 import pytest
 
+from skewbrace import groups
+from skewbrace.braces import brace_to_json, enumerate_circ_ops
 from skewbrace.cli import main
 
 REPORT_SHA256 = [
@@ -76,3 +78,109 @@ def test_failing_operator_report_bytes_are_pinned(tmp_path, capsys, seed):
     out = capsys.readouterr().out
     assert json.loads(out)["failure_count"] == 27
     assert hashlib.sha256(out.encode()).hexdigest() == NOT_ROTA_BAXTER_SHA256[seed]
+
+
+# The table commands, pinned the same way: the reports of the brace
+# constructor that rebuilt and rechecked lambda per brace and of the
+# stdlib's indented JSON encoder. A brace is named by its group and its index
+# in enumerate_circ_ops; the braces chosen cover the homomorphic,
+# anti-homomorphic, natural and neither classes.
+
+TABLE_GROUPS = {
+    "Z2xZ2xZ2": lambda: groups.direct_product(
+        groups.direct_product(groups.cyclic_group(2), groups.cyclic_group(2)),
+        groups.cyclic_group(2), name="Z2xZ2xZ2"),
+    "D8": lambda: groups.dihedral_group(4),
+    "Q8": lambda: groups.dicyclic_group(2),
+    "A4": lambda: groups.alternating_group(4),
+    "Dic12": lambda: groups.dicyclic_group(3),
+    "Z12": lambda: groups.cyclic_group(12),
+    "S3": lambda: groups.symmetric_group(3),
+}
+
+
+def _group_file(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(groups.group_to_json(TABLE_GROUPS[name]())))
+    return str(path)
+
+
+def _brace_file(tmp_path, name, index):
+    brace = enumerate_circ_ops(TABLE_GROUPS[name]())[index]
+    path = tmp_path / f"{name}-{index}.json"
+    path.write_text(json.dumps(brace_to_json(brace)))
+    return str(path)
+
+
+def _law_breaking_file(tmp_path):
+    """The additive table of D8 with the table of Z4xZ2 as circ: the left law fails."""
+    z4xz2 = groups.direct_product(groups.cyclic_group(4), groups.cyclic_group(2))
+    path = tmp_path / "d8-z4xz2.json"
+    path.write_text(json.dumps({
+        "order": 8,
+        "add": [list(r) for r in TABLE_GROUPS["D8"]().table],
+        "circ": [list(r) for r in z4xz2.table],
+    }))
+    return str(path)
+
+
+TABLE_REPORT_SHA256 = [
+    (("enumerate", "Z2xZ2xZ2"), 0,
+     "ddfd76b5a6630c5ecec56acfc0cc28f36befac1bcabe4a2829a342f2e3f04b78"),
+    (("enumerate", "D8"), 0,
+     "3ec10b17abbc7c7c4454de3fb110d142feceaab90ecc2cf2aa48f3240eab5ae3"),
+    (("enumerate", "Q8"), 0,
+     "fad5e34742137e2216e42217a88d88e22d161c61491f261ca1b1434a9a99b598"),
+    (("enumerate", "A4"), 0,
+     "003f63915401fca3fd9b65fd9f63dc6fc0a352a6eb3bb13e163d02ff6ddf0b82"),
+    (("enumerate", "Dic12"), 0,
+     "215e45981e96e67db4542e85ab1d93a18804ae8cab511f7da798c8a6ed7b180d"),
+    (("classify", "D8", 14), 0,
+     "ed56c064e769fc5601234297454bc6a2d2be357754f5d968962784efd5109066"),
+    (("classify", "D8", 17), 0,
+     "552ea1f0c00c00b449b7ff676237b40420ba0db5effb99e0ea5f7e710e413fca"),
+    (("classify", "Q8", 1), 0,
+     "018e2c54b39469d921997f9360fc2d9747e6a2bab87b9ed24a5022e0a014d95a"),
+    (("classify", "A4", 4), 0,
+     "093b8939abe69720a7bfc713d5d36f02804ef6d9ace27d0c2030ef656d952dbc"),
+    (("classify", "Dic12", 20), 0,
+     "855bd4210e61b90198f59e8d90e7affb725f877e82f004eb9de47a2b950bcf49"),
+    (("classify", "Z12", 5), 0,
+     "00c5de46d79fc061324500656740a690436d6fadc7a22e8fb3220d16d9077096"),
+    (("structure", "D8", 14), 0,
+     "5fc853a498aa964416be2b92e12737bd6e61f209ea3de4b558d7e3ec01ee8f6a"),
+    (("structure", "Q8", 19), 0,
+     "2a0f08823a576b2607e423bf6c2456afe7be531db5a8509613df85c91bc07855"),
+    (("structure", "A4", 4), 0,
+     "38efbe00f8ab4b0c84db38090a2b58ce88c268b76510a236cda6db29a7ddd98d"),
+    (("structure", "Dic12", 21), 0,
+     "5deba1eff18b9ea4485b835d58df40fd7ea2518e9c07fbf2680ee2c14895d62a"),
+    (("structure", "Z12", 2), 0,
+     "e72f56faaa0cfae144e898bfb28934c96510312f8745c88b4b833425629fdec6"),
+    (("verify-brace", "D8", 14), 0,
+     "316afd98ea82c45a02df3025576d240b25d8e3aeedfbeb1b33127b97a80d2f29"),
+    (("verify-brace", "law-breaking"), 1,
+     "26bdfb213a7e992c40444338ba50b101a1ff915937013e27d31f04b098ea73d5"),
+    (("rb", "search", "S3"), 0,
+     "578156d588b9d10072637365027e2c1ad94b210d888b800ef373c27c925b5d22"),
+    (("rb", "search", "D8"), 0,
+     "8b303f443e5902e40cd8495381d630c7337e9a3aedb86969badeb76e53531bda"),
+]
+
+
+def _table_argv(tmp_path, case):
+    if case[0] == "enumerate":
+        return ["enumerate", "--in", _group_file(tmp_path, case[1])]
+    if case[0] == "rb":
+        return ["rb", "search", "--group", _group_file(tmp_path, case[2])]
+    if case[1] == "law-breaking":
+        return [case[0], "--in", _law_breaking_file(tmp_path)]
+    return [case[0], "--in", _brace_file(tmp_path, case[1], case[2])]
+
+
+@pytest.mark.parametrize("case,code,digest", TABLE_REPORT_SHA256,
+                         ids=[" ".join(map(str, c)) for c, _, _ in TABLE_REPORT_SHA256])
+def test_table_report_bytes_are_pinned(tmp_path, capsys, case, code, digest):
+    assert main(_table_argv(tmp_path, case)) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
