@@ -32,7 +32,6 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
-    GroupMap,
     compose,
     group_from_table,
     group_isomorphisms,
@@ -40,7 +39,9 @@ from .groups import (
     identity_map,
     invert_permutation,
     is_multiplicative,
+    is_self_map,
     permutation_order,
+    relabeled,
     structure_subgroups,
     subgroup_closure_in,
     table_field,
@@ -56,7 +57,7 @@ class LambdaMap:
     """
 
     group: FiniteGroup
-    maps: tuple                 # GroupMap per element, automorphisms of the group
+    maps: tuple                 # lambda_a per element a, an automorphism's image tuple
     kernel: tuple               # sorted elements with lambda_a = id
     image_order: int
     image_exponent: int
@@ -74,7 +75,7 @@ class LambdaMap:
 
     @staticmethod
     def of(group: FiniteGroup, lam) -> "LambdaMap":
-        """The facts of an untrusted assignment given per element as a GroupMap or an image array.
+        """The facts of an untrusted assignment given per element as an image array.
 
         Raises ValueError when ``lam`` is not a list of at least n maps or a
         map is not a list of n images in 0..n-1, and NotAutomorphism for the first
@@ -86,10 +87,8 @@ class LambdaMap:
         if len(lam) < n:
             raise ValueError(f"lambda has {len(lam)} maps, the group has {n} elements")
         arrays = []
-        for a, m in enumerate(lam[:n]):
-            img = m.images if isinstance(m, GroupMap) else m
-            if (not isinstance(img, (list, tuple)) or len(img) != n
-                    or not all(type(x) is int and 0 <= x < n for x in img)):
+        for a, img in enumerate(lam[:n]):
+            if not is_self_map(img, n):
                 raise ValueError(f"lambda map of element {a} must list {n} images in 0..{n - 1}")
             img = tuple(img)
             if len(set(img)) != n or not is_multiplicative(group, group.table, img):
@@ -118,7 +117,7 @@ class LambdaMap:
         ident = identity_map(n)
         return LambdaMap(
             group=group,
-            maps=tuple(GroupMap(img, True, True, group.is_abelian) for img in arrays),
+            maps=tuple(arrays),
             kernel=tuple(a for a in range(n) if arrays[a] == ident),
             image_order=len(distinct),
             image_exponent=exponent,
@@ -132,9 +131,8 @@ class LambdaMap:
         """First (a, b) with b^-1 . lambda_a(b) outside ``kernel``, or None."""
         kernel = set(kernel)
         n, t, inv = self.group.order, self.group.table, self.group.inverse
-        images = [m.images for m in self.maps]
         return next(((a, b) for a in range(n) for b in range(n)
-                     if t[inv[b]][images[a][b]] not in kernel), None)
+                     if t[inv[b]][self.maps[a][b]] not in kernel), None)
 
 
 class SkewBrace:
@@ -202,22 +200,12 @@ class SkewBrace:
             raise InvalidGroup(check.violations)
         if len(circ_table) != check.group.order:
             raise InvalidGroup(("carrier orders differ",))
-        circ_check = verify_group(_relabeled(circ_table, check.relabeling))
+        circ_check = verify_group(relabeled(circ_table, check.relabeling))
         if not circ_check.ok:
             raise InvalidGroup(circ_check.violations)
         if circ_check.relabeling != tuple(range(len(circ_table))):
             raise InvalidGroup(("identities of the two operations differ",))
         return SkewBrace(check.group, circ_check.group)
-
-
-def _relabeled(table, relabel) -> list:
-    """The table with every label x renamed relabel[x]."""
-    n = len(table)
-    out = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            out[relabel[a]][relabel[b]] = relabel[table[a][b]]
-    return out
 
 
 def trivial_brace(group: FiniteGroup) -> SkewBrace:
@@ -322,7 +310,7 @@ def verify_brace(add_table, circ_table) -> BraceReport:
     brace = None
     if lw is None:
         # the left law forces one identity, which the additive relabeling sends to 0
-        circ_group = FiniteGroup(_relabeled(circ_table, add_check.relabeling))
+        circ_group = FiniteGroup(relabeled(circ_table, add_check.relabeling))
         brace = SkewBrace(add_check.group, circ_group)
     return BraceReport(lw is None, rw is None, lw is None and rw is None, lw, rw, brace)
 
@@ -375,7 +363,7 @@ def classify(brace: SkewBrace) -> Classification:
     lam = brace.lam
     n = brace.order
     criterion = all(
-        lam.maps[brace.circ.table[a][b]].images == lam.maps[brace.add.table[b][a]].images
+        lam.maps[brace.circ.table[a][b]] == lam.maps[brace.add.table[b][a]]
         for a in range(n) for b in range(n)
     )
     direct = left_law_witness(brace.circ, brace.add) is None
@@ -383,7 +371,7 @@ def classify(brace: SkewBrace) -> Classification:
         raise CriterionMismatch(
             f"symmetry criterion ({criterion}) disagrees with direct check ({direct})")
     cyclic = lam.homomorphic_on_add and any(
-        permutation_order(m.images) == lam.image_order for m in lam.maps
+        permutation_order(m) == lam.image_order for m in lam.maps
     )
     return Classification(lam.homomorphic_on_add, lam.anti_homomorphic_on_add,
                           criterion, cyclic, brace.is_natural)
@@ -403,7 +391,7 @@ def construct_from_lambda(group: FiniteGroup, lam, mode: str) -> SkewBrace:
         raise ValueError(f"unknown mode {mode!r}")
     n = group.order
     facts = LambdaMap.of(group, lam)
-    arrays = [m.images for m in facts.maps]
+    arrays = facts.maps
     t, inv = group.table, group.inverse
     if mode == "homomorphic":
         if facts.hom_witness is not None:
@@ -453,7 +441,7 @@ def construct_exact_factorization(group: FiniteGroup, a_part, b_part) -> SkewBra
     for z in range(n):
         b1 = decomp[z][1]
         conj = tuple(t[t[group.inverse[b1]][y]][b1] for y in range(n))
-        if brace.lam.maps[z].images != conj:
+        if brace.lam.maps[z] != conj:
             raise CriterionMismatch("lambda of factorization brace is not conjugation by the B part")
     return brace
 
@@ -464,10 +452,16 @@ def construct_unification(group: FiniteGroup, f_images, alpha, epsilon: int = 1)
     ``f_images`` maps the carrier into a subgroup whose image mod the center
     is abelian and which induces an endomorphism mod the center;  ``alpha``
     is a bilinear pairing into the center vanishing on central arguments.
+    Raises ValueError naming "f" or "alpha" when either is misshapen.
     """
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
     n = group.order
+    if not is_self_map(f_images, n):
+        raise ValueError(f'"f" must list {n} elements in 0..{n - 1}')
+    if not (isinstance(alpha, (list, tuple)) and len(alpha) == n
+            and all(is_self_map(row, n) for row in alpha)):
+        raise ValueError(f'"alpha" must be a {n}x{n} table of elements in 0..{n - 1}')
     f = tuple(f_images)
     alpha = tuple(tuple(row) for row in alpha)
     info = structure_subgroups(group)
@@ -534,10 +528,8 @@ def opposite_symmetry_check(brace: SkewBrace) -> dict:
         raise PreconditionFails("brace must be lambda-homomorphic")
     op_sym = classify(opposite(brace)).symmetric
     inner = structure_subgroups(brace.add).inner_automorphisms
-    distinct = {m.images for m in lam.maps}
-    inn_cent = all(
-        compose(i.images, l) == compose(l, i.images) for i in inner for l in distinct
-    )
+    distinct = set(lam.maps)
+    inn_cent = all(compose(i, l) == compose(l, i) for i in inner for l in distinct)
     if inn_cent and not op_sym:
         raise CriterionMismatch("inner automorphisms centralize lambda but opposite is not symmetric")
     return {
@@ -579,8 +571,7 @@ def link_conditions(lam1: LambdaMap, lam2: LambdaMap) -> tuple:
     cond_i is [[G, lambda2(G)]] contained in Ker lambda1, cond_ii the same
     with the roles swapped.
     """
-    d1 = {m.images for m in lam1.maps}
-    d2 = {m.images for m in lam2.maps}
+    d1, d2 = set(lam1.maps), set(lam2.maps)
     images_commute = all(compose(f, g) == compose(g, f) for f in d1 for g in d2)
     return (images_commute, lam2.kernel_witness(lam1.kernel) is None,
             lam1.kernel_witness(lam2.kernel) is None)
@@ -627,16 +618,16 @@ def cross_compatibility_check(add: FiniteGroup, circ_i_table, circ_j_table) -> d
     t, inv = add.table, add.inverse
     condition = True
     for a in range(n):
-        mu_a = mu.maps[a].images
-        lam_a_inv = invert_permutation(lam.maps[a].images)
+        mu_a = mu.maps[a]
+        lam_a_inv = invert_permutation(lam.maps[a])
         ai = lam_a_inv[inv[a]]                      # inverse of a in (G, o_i)
         for b in range(n):
             s = t[a][mu_a[b]]                       # a . mu_a(b)
-            u = lam.maps[s].images[ai]              # lambda_s(a^{o_i(-1)})
+            u = lam.maps[s][ai]                     # lambda_s(a^{o_i(-1)})
             v = t[s][u]
-            lam_v = lam.maps[v].images
+            lam_v, lam_b = lam.maps[v], lam.maps[b]
             for c in range(n):
-                lhs = mu_a[lam.maps[b].images[c]]
+                lhs = mu_a[lam_b[c]]
                 rhs = t[u][lam_v[t[a][mu_a[c]]]]
                 if lhs != rhs:
                     condition = False
@@ -667,8 +658,7 @@ def regular_subgroups(base: FiniteGroup, automorphisms) -> list:
     repeated coordinate or an order not dividing |G|.  Each regular subgroup
     is reached along exactly one path.  Automorphisms are composed on demand.
     """
-    n, t = base.order, base.table
-    auts = [m.images for m in automorphisms]
+    n, t, auts = base.order, base.table, automorphisms
     index = {img: i for i, img in enumerate(auts)}
 
     @cache
@@ -718,7 +708,7 @@ def brace_from_regular_subgroup(base: FiniteGroup, automorphisms, members) -> Sk
     f_of = [None] * n
     for idx in members:
         fi, a = divmod(idx, n)
-        f_of[a] = automorphisms[fi].images
+        f_of[a] = automorphisms[fi]
     t = base.table
     circ = [[t[a][f_of[a][b]] for b in range(n)] for a in range(n)]
     return SkewBrace(base, group_from_table(circ))
@@ -737,8 +727,8 @@ def enumerate_circ_ops(group: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> l
 
 
 def brace_isomorphic(brace1: SkewBrace, brace2: SkewBrace,
-                     limits: Limits = DEFAULT_LIMITS) -> GroupMap | None:
-    """A simultaneous isomorphism of both operations, or None.
+                     limits: Limits = DEFAULT_LIMITS) -> tuple | None:
+    """The image tuple of a simultaneous isomorphism of both operations, or None.
 
     Searches additive-group isomorphisms; for a pair of lambda-homomorphic
     braces the conjugacy criterion phi lambda_a phi^-1 = mu_{phi(a)} filters
@@ -750,27 +740,16 @@ def brace_isomorphic(brace1: SkewBrace, brace2: SkewBrace,
     isos = group_isomorphisms(brace1.add, brace2.add, limits)
     lam, mu = brace1.lam, brace2.lam
     use_criterion = lam.homomorphic_on_add and mu.homomorphic_on_add
-    n = brace1.order
     for phi in isos:
         if use_criterion:
             phi_inv = invert_permutation(phi)
-            good = all(
-                compose(phi, compose(lam.maps[a].images, phi_inv)) == mu.maps[phi[a]].images
-                for a in range(n)
-            )
-            if good:
-                if not all(
-                    phi[brace1.circ.table[a][b]] == brace2.circ.table[phi[a]][phi[b]]
-                    for a in range(n) for b in range(n)
-                ):
-                    raise CriterionMismatch("conjugacy criterion accepted a non-isomorphism")
-                return GroupMap(tuple(phi))
-        else:
-            if all(
-                phi[brace1.circ.table[a][b]] == brace2.circ.table[phi[a]][phi[b]]
-                for a in range(n) for b in range(n)
-            ):
-                return GroupMap(tuple(phi))
+            if any(compose(phi, compose(lam.maps[a], phi_inv)) != mu.maps[phi[a]]
+                   for a in range(brace1.order)):
+                continue
+        if is_multiplicative(brace1.circ, brace2.circ.table, phi):
+            return phi
+        if use_criterion:
+            raise CriterionMismatch("conjugacy criterion accepted a non-isomorphism")
     return None
 
 

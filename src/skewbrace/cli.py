@@ -166,6 +166,14 @@ def _maps(payload: dict):
     return groups.json_field(payload, "maps", "lambda file")
 
 
+def _finite_operator(path: str, group) -> tuple:
+    """The "map" of an operator file, checked as a self-map of the group."""
+    op = rota.rb_from_json(_load_json(path, "operator file"), group)
+    if isinstance(op, rota.FreeRb):
+        raise ValueError('this command needs a finite operator, an operator file with a "map"')
+    return op
+
+
 def _config_echo(args) -> dict:
     return {
         "seed": args.seed,
@@ -277,8 +285,7 @@ def _cmd_system(args):
                                       systems.build_linear_system(group, lam2))
         period = None
     elif args.kind == "rb":
-        op = rota.rb_from_json(_load_json(args.rb, "operator file"))
-        graph = systems.build_rb_multibrace(group, op, args.k)
+        graph = systems.build_rb_multibrace(group, _finite_operator(args.rb, group), args.k)
         period = None
     else:  # rooted
         found = braces.enumerate_circ_ops(group, _limits(args))
@@ -351,7 +358,7 @@ def _cmd_rb(args):
     if args.action in ("brace", "search") and group is None:
         raise ValueError("--group is required for this action")
     if args.action == "check":
-        op = rota.rb_from_json(_load_json(args.rb, "operator file"))
+        op = rota.rb_from_json(_load_json(args.rb, "operator file"), group)
         if isinstance(op, rota.FreeRb):
             report = rota.free_is_rb(op, _sampling(args))
             return report, report["failure_count"] == 0
@@ -361,7 +368,7 @@ def _cmd_rb(args):
         return {"is_rb": check.ok,
                 "witness": list(check.witness) if check.witness else None}, check.ok
     if args.action == "brace":
-        op = rota.rb_from_json(_load_json(args.rb, "operator file"))
+        op = _finite_operator(args.rb, group)
         brace = rota.rb_brace(group, op)
         report = {"brace": _brace_payload(brace)}
         report.update(rota.rb_symmetry_check(brace, op))

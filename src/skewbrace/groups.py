@@ -112,27 +112,6 @@ class FiniteGroup:
         return f"FiniteGroup({label})"
 
 
-@dataclass(frozen=True)
-class GroupMap:
-    """A self-map of a group given by its image array, with computed flags."""
-
-    images: tuple
-    is_endomorphism: bool = False
-    is_automorphism: bool = False
-    is_anti_homomorphism: bool = False
-
-    @staticmethod
-    def on(group: FiniteGroup, images) -> "GroupMap":
-        images = tuple(images)
-        endo = is_multiplicative(group, group.table, images)
-        anti = is_multiplicative(group, tuple(zip(*group.table)), images)
-        bij = len(set(images)) == group.order
-        return GroupMap(images, endo, endo and bij, anti)
-
-    def __call__(self, a: int) -> int:
-        return self.images[a]
-
-
 def is_multiplicative(src: FiniteGroup, dst_table, images) -> bool:
     """True iff images[a b] = images[a] images[b] for all a, b, with the right side in dst_table.
 
@@ -148,6 +127,12 @@ def is_multiplicative(src: FiniteGroup, dst_table, images) -> bool:
             if images[row[g]] != target[h]:
                 return False
     return True
+
+
+def is_self_map(values, n: int) -> bool:
+    """True iff ``values`` is a list or tuple of n integers in 0..n-1 (booleans excluded)."""
+    return (isinstance(values, (list, tuple)) and len(values) == n
+            and all(type(x) is int and 0 <= x < n for x in values))
 
 
 def identity_map(n: int) -> tuple:
@@ -269,11 +254,17 @@ def verify_group(table, name: str = "") -> GroupCheck:
         relabel = [0] * n
         for new, old in enumerate(old_order):
             relabel[old] = new
-    new_table = [[0] * n for _ in range(n)]
+    return GroupCheck(True, FiniteGroup(relabeled(rows, relabel), name=name), tuple(relabel), ())
+
+
+def relabeled(table, relabel) -> list:
+    """The table with every label x renamed relabel[x]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            new_table[relabel[a]][relabel[b]] = relabel[rows[a][b]]
-    return GroupCheck(True, FiniteGroup(new_table, name=name), tuple(relabel), ())
+            out[relabel[a]][relabel[b]] = relabel[table[a][b]]
+    return out
 
 
 def group_from_table(table, name: str = "") -> FiniteGroup:
@@ -413,7 +404,7 @@ def small_group_catalog(max_order: int) -> list:
 class StructureInfo:
     center: tuple
     derived_subgroup: tuple
-    inner_automorphisms: tuple  # GroupMaps indexed by coset representatives of G/Z
+    inner_automorphisms: tuple  # image tuples, one per coset of G/Z
 
 
 def _right_closure(table, identity, seeds) -> tuple:
@@ -460,12 +451,7 @@ def structure_subgroups(group: FiniteGroup) -> StructureInfo:
     n = group.order
     commutators = {group.commutator(a, b) for a in range(n) for b in range(n)}
     derived = subgroup_closure_in(group, commutators)
-    inner, seen = [], set()
-    for g in range(n):
-        images = tuple(group.conj(g, x) for x in range(n))
-        if images not in seen:
-            seen.add(images)
-            inner.append(GroupMap(images, True, True, group.is_abelian))
+    inner = dict.fromkeys(tuple(group.conj(g, x) for x in range(n)) for g in range(n))
     return StructureInfo(group.center, derived, tuple(inner))
 
 
@@ -552,13 +538,9 @@ def _automorphism_images(table: tuple, cap: int) -> tuple:
     return tuple(group_isomorphisms(group, group, Limits(max_group_order=cap)))
 
 
-def automorphism_group(group: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list:
-    """All automorphisms as GroupMaps, identity first, lexicographic on image arrays.
-
-    An automorphism is an anti-homomorphism exactly when the group is abelian.
-    """
-    images = _automorphism_images(group.table, limits.max_group_order)
-    return [GroupMap(img, True, True, group.is_abelian) for img in images]
+def automorphism_group(group: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> tuple:
+    """All automorphisms as image tuples, identity first, in lexicographic order."""
+    return _automorphism_images(group.table, limits.max_group_order)
 
 
 def endomorphisms(group: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list:
@@ -587,7 +569,7 @@ class Holomorph:
         return idx % self.base.order
 
 
-def holomorph_automorphisms(base: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list:
+def holomorph_automorphisms(base: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> tuple:
     """automorphism_group(base), after checking |Hol G| = |Aut G| * |G| against the cap."""
     auts = automorphism_group(base, limits)
     total = len(auts) * base.order
@@ -601,18 +583,17 @@ def build_holomorph(base: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> Holom
     auts = holomorph_automorphisms(base, limits)
     n = base.order
     total = len(auts) * n
-    aut_index = {a.images: i for i, a in enumerate(auts)}
-    comp = [[aut_index[compose(f.images, g.images)] for g in auts] for f in auts]
+    aut_index = {f: i for i, f in enumerate(auts)}
+    comp = [[aut_index[compose(f, g)] for g in auts] for f in auts]
     table = [[0] * total for _ in range(total)]
     for fi, f in enumerate(auts):
-        fimg = f.images
         for a in range(n):
             row = table[fi * n + a]
             arow = base.table[a]
             for gi in range(len(auts)):
                 block = comp[fi][gi] * n
                 for b in range(n):
-                    row[gi * n + b] = block + arow[fimg[b]]
+                    row[gi * n + b] = block + arow[f[b]]
     hol = FiniteGroup(table, name=f"Hol({base.name})" if base.name else "Hol")
     return Holomorph(base, auts, hol)
 

@@ -14,7 +14,14 @@ from itertools import product
 from .braces import SkewBrace
 from .config import DEFAULT_LIMITS, DEFAULT_SAMPLING, Limits, SampleConfig
 from .errors import CriterionMismatch, NotRotaBaxter, PreconditionFails
-from .groups import FiniteGroup, endomorphisms, group_from_table, json_field
+from .groups import (
+    FiniteGroup,
+    endomorphisms,
+    group_from_table,
+    is_multiplicative,
+    is_self_map,
+    json_field,
+)
 from .rng import Lcg
 from .words import FreeWord, sample_word, word_from_text, word_to_text
 
@@ -69,14 +76,11 @@ def derived_group(group: FiniteGroup, b_map) -> FiniteGroup:
     check = is_rb(group, b_map)
     if not check.ok:
         raise NotRotaBaxter(check.witness)
-    b = tuple(b_map)
     derived = group_from_table(derived_table(group, b_map))
     if not is_rb(derived, b_map).ok:
         raise CriterionMismatch("operator is not Rota-Baxter on the derived group")
-    for g in range(group.order):
-        for h in range(group.order):
-            if b[derived.table[g][h]] != group.table[b[g]][b[h]]:
-                raise CriterionMismatch("operator is not a homomorphism out of the derived group")
+    if not is_multiplicative(derived, group.table, tuple(b_map)):
+        raise CriterionMismatch("operator is not a homomorphism out of the derived group")
     return derived
 
 
@@ -87,7 +91,7 @@ def rb_brace(group: FiniteGroup, b_map) -> SkewBrace:
     for a in range(group.order):
         conj = tuple(group.table[group.table[b[a]][x]][group.inverse[b[a]]]
                      for x in range(group.order))
-        if brace.lam.maps[a].images != conj:
+        if brace.lam.maps[a] != conj:
             raise CriterionMismatch("lambda of a Rota-Baxter brace must be conjugation by B")
     return brace
 
@@ -131,8 +135,7 @@ def rb_anti_hom_lemma_check(group: FiniteGroup, b_map) -> bool:
         raise NotRotaBaxter(check.witness)
     b = tuple(b_map)
     t = group.table
-    anti = all(b[t[g][h]] == t[b[h]][b[g]] for g in range(group.order) for h in range(group.order))
-    if not anti:
+    if not is_multiplicative(group, tuple(zip(*t)), b):    # B(g h) = B(h) B(g)
         raise PreconditionFails("operator must be an anti-homomorphism")
     for a in range(group.order):
         u = t[b[b[a]]][b[a]]
@@ -371,16 +374,32 @@ def free_circ_word_expand(op: FreeRb, letters):
 # File format
 
 
-def rb_from_json(data):
-    """Load an operator: {"order": n, "map": [...]} or {"rank": 2, "images": [...]}."""
+def rb_from_json(data, group: FiniteGroup | None = None):
+    """Load an operator: {"order": n, "map": [...]} or {"rank": 2, "images": [...]}.
+
+    A "map" must be a list, and with ``group`` given a self-map of it; the
+    "images" must be one word string per generator. ValueError otherwise.
+    """
     if isinstance(data, str):
         data = json.loads(data)
     if "map" in data:
-        values = tuple(data["map"])
+        values = data["map"]
+        if not isinstance(values, list):
+            raise ValueError('"map" must be a list of elements')
         if "order" in data and data["order"] != len(values):
             raise ValueError("declared order does not match the map length")
-        return values
+        if group is not None and not is_self_map(values, group.order):
+            raise ValueError(f'"map" must list {group.order} elements in 0..{group.order - 1}')
+        return tuple(values)
     if "images" in data:
         rank = json_field(data, "rank", "operator file")
-        return FreeRb(rank, tuple(word_from_text(rank, s) for s in data["images"]))
+        images = data["images"]
+        if type(rank) is not int:
+            raise ValueError('"rank" must be an integer')
+        if not isinstance(images, list) or not all(isinstance(s, str) for s in images):
+            raise ValueError('"images" must be a list of words, each a string')
+        op = FreeRb(rank, tuple(word_from_text(rank, s) for s in images))
+        if len(op.images) != rank:
+            raise ValueError(f'"images" must give one word per generator, {rank} in all')
+        return op
     raise ValueError("unrecognized operator payload")

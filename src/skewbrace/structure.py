@@ -50,7 +50,7 @@ def is_ideal(brace: SkewBrace, elements) -> IdealReport:
     lam_ok, witness = True, None
     for a in range(brace.order):
         for x in sorted(members):
-            if lam.maps[a].images[x] not in members:
+            if lam.maps[a][x] not in members:
                 lam_ok, witness = False, ("lambda", a, x)
                 break
         if not lam_ok:
@@ -240,16 +240,16 @@ def naturality_report(brace: SkewBrace) -> dict:
 
 
 def brace_automorphisms(brace: SkewBrace, limits: Limits = DEFAULT_LIMITS) -> list:
-    """Permutations that are automorphisms of both operation tables.
+    """Image tuples of the permutations that are automorphisms of both operation tables.
 
     For a homomorphic brace with abelian image every lambda value must be in
     the list (asserted).
     """
     auts = automorphism_group(brace.add, limits)
-    out = [m for m in auts if is_multiplicative(brace.circ, brace.circ.table, m.images)]
+    out = [m for m in auts if is_multiplicative(brace.circ, brace.circ.table, m)]
     lam = brace.lam
     if lam.homomorphic_on_add and lam.image_abelian:
-        listed = {m.images for m in out}
-        if any(mp.images not in listed for mp in lam.maps):
+        listed = set(out)
+        if any(mp not in listed for mp in lam.maps):
             raise CriterionMismatch("lambda values must be brace automorphisms here")
     return out

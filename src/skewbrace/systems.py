@@ -119,7 +119,7 @@ def build_linear_system(group: FiniteGroup, lam, depth: int | None = None,
     of distinct vertices is verified and must pass.
     """
     facts = check_linear_preconditions(group, lam)
-    arrays = [m.images for m in facts.maps]
+    arrays = facts.maps
     if depth is None:
         depth = facts.image_exponent
     if depth < 0:
@@ -194,25 +194,21 @@ def union_systems(sys1: BraceSystemGraph, sys2: BraceSystemGraph,
     tables = [(("a", lbl), g.table) for lbl, g in zip(sys1.labels, sys1.vertices)]
     tables += [(("b", lbl), g.table) for lbl, g in zip(sys2.labels, sys2.vertices)]
     vertices, _, _ = _dedupe(tables, limits)
-    labels = tuple(f"circ_{i}" for i in range(len(vertices)))
     edges = _verify_all_pairs(vertices)
-    if hypotheses_met:
-        if any(status == "failed" for status in edges.values()):
-            raise CriterionMismatch("union hypotheses held but a cross pair failed")
-        kind = "full_symmetric"
-    else:
-        verified = {k for k, v in edges.items() if v == "verified"}
-        symmetric = all((v, u) in verified for (u, v) in verified)
-        kind = "symmetric" if symmetric else "general"
-    return BraceSystemGraph(
+    if hypotheses_met and any(status == "failed" for status in edges.values()):
+        raise CriterionMismatch("union hypotheses held but a cross pair failed")
+    graph = BraceSystemGraph(
         carrier_order=sys1.carrier_order,
         vertices=vertices,
-        labels=labels,
+        labels=tuple(f"circ_{i}" for i in range(len(vertices))),
         edges=edges,
-        kind=kind,
+        kind="full_symmetric" if hypotheses_met else "general",
         label_map={},
         hypotheses_met=hypotheses_met,
     )
+    if not hypotheses_met and graph.is_edge_symmetric():
+        graph.kind = "symmetric"
+    return graph
 
 
 # ---------------------------------------------------------------------------

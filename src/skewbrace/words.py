@@ -157,9 +157,6 @@ class FreeAutomorphism:
     def inverse(self) -> "FreeAutomorphism":
         raise NotImplementedError
 
-    def pow(self, k: int) -> "FreeAutomorphism":
-        return Power(self, k)
-
 
 @dataclass(frozen=True)
 class GeneratorCycle(FreeAutomorphism):
@@ -208,49 +205,9 @@ class Inner(FreeAutomorphism):
         return Inner(self.word.pow(k))
 
 
-@dataclass(frozen=True)
-class Power(FreeAutomorphism):
-    base: FreeAutomorphism
-    k: int
-
-    @property
-    def rank(self) -> int:
-        return self.base.rank
-
-    def apply(self, w: FreeWord) -> FreeWord:
-        target = self.base if self.k >= 0 else self.base.inverse()
-        for _ in range(abs(self.k)):
-            w = target.apply(w)
-        return w
-
-    def inverse(self) -> "Power":
-        return Power(self.base, -self.k)
-
-
-@dataclass(frozen=True)
-class Compose(FreeAutomorphism):
-    parts: tuple  # applied right to left
-
-    @property
-    def rank(self) -> int:
-        return self.parts[0].rank
-
-    def apply(self, w: FreeWord) -> FreeWord:
-        for part in reversed(self.parts):
-            w = part.apply(w)
-        return w
-
-    def inverse(self) -> "Compose":
-        return Compose(tuple(p.inverse() for p in reversed(self.parts)))
-
-
 def circ_eval(a: FreeWord, b: FreeWord, theta: FreeAutomorphism) -> FreeWord:
     """a o b = a . theta^{l(a)}(b): the multiplication graded by exponent sum."""
     return a.mul(theta.pow(a.exp_sum()).apply(b))
-
-
-def circ_inverse(a: FreeWord, theta: FreeAutomorphism) -> FreeWord:
-    return theta.pow(-a.exp_sum()).apply(a.inv())
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ def regular_subgroup_count_by_lambda_walk(group):
     inverses, where the library's walk closes under right multiplication by
     generators and returns the subgroups themselves.
     """
-    auts = [m.images for m in automorphism_group(group)]
+    auts = automorphism_group(group)
     aut_index = {img: i for i, img in enumerate(auts)}
     n = group.order
     table = group.table

@@ -279,6 +279,50 @@ def test_missing_loader_field_is_named(tmp_path, capsys, command, kind, payload,
     assert err == f"error: {message}\n"
 
 
+UNIFICATION = ["construct", "--kind", "unification", "--unification"]
+FREE_OP = {"rank": 2, "images": ["x1", "x1"]}
+
+
+@pytest.mark.parametrize("command,payload,message", [
+    (UNIFICATION, {"f": [0], "alpha": [[0]]}, '"f" must list 4 elements in 0..3'),
+    (UNIFICATION, {"f": [0, 0, 0, 0], "alpha": 5},
+     '"alpha" must be a 4x4 table of elements in 0..3'),
+    (UNIFICATION, {"f": [0, 0, 0, 0], "alpha": [[0, 0, 0, 0]] * 3},
+     '"alpha" must be a 4x4 table of elements in 0..3'),
+    (["rb", "check", "--rb"], {"map": 5}, '"map" must be a list of elements'),
+    (["rb", "check", "--rb"], {"rank": 2, "images": 5},
+     '"images" must be a list of words, each a string'),
+    (["rb", "check", "--rb"], {"rank": 2, "images": [1, 2]},
+     '"images" must be a list of words, each a string'),
+    (["rb", "check", "--rb"], {"rank": 2, "images": ["x1"]},
+     '"images" must give one word per generator, 2 in all'),
+    (["rb", "check", "--rb"], {"rank": "2", "images": ["x1", "x1"]}, '"rank" must be an integer'),
+    (["rb", "brace", "--rb"], FREE_OP,
+     'this command needs a finite operator, an operator file with a "map"'),
+    (["system", "--kind", "rb", "--rb"], FREE_OP,
+     'this command needs a finite operator, an operator file with a "map"'),
+], ids=["unification-f-short", "unification-alpha-number", "unification-alpha-short",
+        "map-number", "images-number", "images-not-words", "images-short", "rank-string",
+        "brace-free-operator", "system-free-operator"])
+def test_misshapen_loader_payload_exit_2(tmp_path, capsys, command, payload, message):
+    argv = command + [write(tmp_path, "payload.json", payload), "--group", z4_file(tmp_path)]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("values", [[0, 1], [0, 9, 2, 3], [0, True, 2, 3], ["0", 1, 2, 3]],
+                         ids=["short", "out-of-range", "boolean", "string"])
+@pytest.mark.parametrize("command", [["rb", "check"], ["rb", "brace"], ["system", "--kind", "rb"]],
+                         ids=["rb-check", "rb-brace", "system-rb"])
+def test_operator_map_that_is_not_a_self_map_exit_2(tmp_path, capsys, command, values):
+    argv = command + ["--group", z4_file(tmp_path),
+                      "--rb", write(tmp_path, "op.json", {"map": values})]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == 'error: "map" must list 4 elements in 0..3\n'
+
+
 def test_system_linear_dot(tmp_path, capsys):
     gpath = z4_file(tmp_path)
     lpath = write(tmp_path, "lam.json",

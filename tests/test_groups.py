@@ -6,13 +6,13 @@ from skewbrace import groups
 from skewbrace.config import Limits
 from skewbrace.errors import InvalidGroup, NotASubgroup, OrderCapExceeded
 from skewbrace.groups import (
-    GroupMap,
     automorphism_group,
     build_holomorph,
     compose,
     group_from_json,
     group_from_permutations,
     group_isomorphisms,
+    is_multiplicative,
     is_regular_subgroup,
     nilpotency_class,
     small_group_catalog,
@@ -135,8 +135,8 @@ def test_dicyclic_is_q8(q8):
 
 def test_automorphisms_z3(z3):
     auts = automorphism_group(z3)
-    assert [a.images for a in auts] == [(0, 1, 2), (0, 2, 1)]
-    assert auts[0].images == tuple(range(3))  # identity first
+    assert list(auts) == [(0, 1, 2), (0, 2, 1)]
+    assert auts[0] == tuple(range(3))  # identity first
 
 
 def test_automorphisms_trivial():
@@ -147,8 +147,8 @@ def test_automorphisms_trivial():
 def test_automorphisms_s3_all_inner(s3):
     auts = automorphism_group(s3)
     assert len(auts) == 6
-    inner = {m.images for m in structure_subgroups(s3).inner_automorphisms}
-    assert {a.images for a in auts} == inner
+    inner = set(structure_subgroups(s3).inner_automorphisms)
+    assert set(auts) == inner
 
 
 @pytest.mark.parametrize("maker", [
@@ -163,12 +163,12 @@ def test_automorphisms_s3_all_inner(s3):
 ])
 def test_automorphisms_match_brute_force(maker):
     g = maker()
-    auts = [a.images for a in automorphism_group(g)]
+    auts = list(automorphism_group(g))
     assert auts == brute_force_automorphisms(g)
 
 
 def test_automorphism_group_closed(d4):
-    auts = [a.images for a in automorphism_group(d4)]
+    auts = automorphism_group(d4)
     as_set = set(auts)
     for f in auts:
         for g in auts:
@@ -256,9 +256,8 @@ def test_holomorph_product_law(s3):
             for gi in (1, 3):
                 for b in (2, 5):
                     lhs = hol.group.table[fi * n + a][gi * n + b]
-                    fg = compose(auts[fi].images, auts[gi].images)
-                    fgi = next(i for i, m in enumerate(auts) if m.images == fg)
-                    assert lhs == fgi * n + s3.table[a][auts[fi].images[b]]
+                    fgi = auts.index(compose(auts[fi], auts[gi]))
+                    assert lhs == fgi * n + s3.table[a][auts[fi][b]]
 
 
 def test_holomorph_s3_passes_verification(s3):
@@ -294,7 +293,7 @@ def test_translation_subgroup_regular():
 def test_regularity_affine_examples(z4):
     # inside Hol(Z4): automorphisms are id and inversion (index 1); (f, a) is f * 4 + a
     hol = build_holomorph(z4)
-    inv_idx = next(i for i, m in enumerate(hol.automorphisms) if m.images == (0, 3, 2, 1))
+    inv_idx = hol.automorphisms.index((0, 3, 2, 1))
     # {x, x+2, 3x, 3x+2}: second coordinates repeat
     s1 = subgroup_closure_in(hol.group, (2, inv_idx * 4))
     assert sorted(hol.second(i) for i in s1) == [0, 0, 2, 2]
@@ -373,10 +372,10 @@ def test_subgroup_closure_in_plain_group(s3):
     assert subgroup_closure_in(s3, three) == three
 
 
-def test_groupmap_flags(z4, s3):
-    inv = GroupMap.on(z4, (0, 3, 2, 1))
-    assert inv.is_automorphism and inv.is_endomorphism and inv.is_anti_homomorphism
-    conj_inv = GroupMap.on(s3, tuple(s3.conj(s3.inv(1), x) for x in range(6)))
-    assert conj_inv.is_automorphism
-    broken = GroupMap.on(z4, (0, 1, 1, 1))
-    assert not broken.is_endomorphism and not broken.is_automorphism
+def test_self_map_flags(z4, s3):
+    inv = (0, 3, 2, 1)
+    assert is_multiplicative(z4, z4.table, inv) and len(set(inv)) == 4    # an automorphism
+    assert is_multiplicative(z4, tuple(zip(*z4.table)), inv)              # and anti-homomorphic
+    conj_inv = tuple(s3.conj(s3.inv(1), x) for x in range(6))
+    assert is_multiplicative(s3, s3.table, conj_inv) and len(set(conj_inv)) == 6
+    assert not is_multiplicative(z4, z4.table, (0, 1, 1, 1))               # not an endomorphism
