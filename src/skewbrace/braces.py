@@ -303,8 +303,8 @@ def verify_brace(add_table, circ_table) -> BraceReport:
     if add_check.group.order != circ_check.group.order:
         raise InvalidGroup(("carrier orders differ",))
     # scan on the original labels: the laws only use each operation's own inverse
-    add = _group_any_identity(add_table)
-    circ = _group_any_identity(circ_table)
+    add = FiniteGroup(add_table)
+    circ = FiniteGroup(circ_table)
     lw = left_law_witness(add, circ)
     rw = right_law_witness(add, circ)
     brace = None
@@ -313,22 +313,6 @@ def verify_brace(add_table, circ_table) -> BraceReport:
         circ_group = FiniteGroup(relabeled(circ_table, add_check.relabeling))
         brace = SkewBrace(add_check.group, circ_group)
     return BraceReport(lw is None, rw is None, lw is None and rw is None, lw, rw, brace)
-
-
-def _group_any_identity(table) -> FiniteGroup:
-    """FiniteGroup-shaped access for a valid group table with identity anywhere."""
-    rows = [tuple(r) for r in table]
-    n = len(rows)
-    e = next(x for x in range(n) if all(rows[x][a] == a and rows[a][x] == a for a in range(n)))
-    g = FiniteGroup.__new__(FiniteGroup)
-    g.table = tuple(rows)
-    g.order = n
-    g.name = ""
-    g.inverse = tuple(rows[a].index(e) for a in range(n))
-    g._abelian = None
-    g._generators = None    # computed from e, found as 0 . 0^-1
-    g._center = None
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +436,10 @@ def construct_unification(group: FiniteGroup, f_images, alpha, epsilon: int = 1)
     ``f_images`` maps the carrier into a subgroup whose image mod the center
     is abelian and which induces an endomorphism mod the center;  ``alpha``
     is a bilinear pairing into the center vanishing on central arguments.
-    Raises ValueError naming "f" or "alpha" when either is misshapen.
+    Raises ValueError naming "f", "alpha" or epsilon when one is misshapen;
+    epsilon must be the integer 1 or -1, not a boolean.
     """
-    if epsilon not in (1, -1):
+    if type(epsilon) is not int or epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
     n = group.order
     if not is_self_map(f_images, n):

@@ -20,20 +20,21 @@ from .errors import InvalidGroup, NotASubgroup, OrderCapExceeded
 class FiniteGroup:
     """A group on {0,...,order-1} given by its multiplication table.
 
-    The identity element is always index 0; use :func:`verify_group` to
-    validate and normalize untrusted tables.
+    Every group the library builds has identity 0; use :func:`verify_group`
+    to validate untrusted tables and move their identity there. The identity
+    and the inverses are read off the table, so the brace-law scans of
+    ``verify_brace`` can run on a valid table in its raw labels.
     """
 
-    __slots__ = ("order", "table", "inverse", "name", "_abelian", "_generators", "_center")
+    __slots__ = ("order", "table", "identity", "inverse", "name",
+                 "_abelian", "_generators", "_center")
 
     def __init__(self, table, name: str = ""):
         self.table = tuple(tuple(row) for row in table)
         self.order = len(self.table)
         self.name = name
-        inv = [0] * self.order
-        for a in range(self.order):
-            inv[a] = self.table[a].index(0)
-        self.inverse = tuple(inv)
+        self.identity = e = self.table[0].index(0)    # 0 e = 0
+        self.inverse = tuple(row.index(e) for row in self.table)
         self._abelian = None
         self._generators = None
         self._center = None
@@ -77,8 +78,7 @@ class FiniteGroup:
         against each generator holds everywhere.
         """
         if self._generators is None:
-            identity = self.table[0][self.inverse[0]]   # not 0 in a table scanned on raw labels
-            self._generators = tuple(_right_closure(self.table, identity, range(self.order))[1])
+            self._generators = tuple(_right_closure(self.table, self.identity, range(self.order))[1])
         return self._generators
 
     @property
@@ -408,7 +408,7 @@ class StructureInfo:
 
 
 def _right_closure(table, identity, seeds) -> tuple:
-    """(members, generators) of the subgroup generated by ``seeds`` in a group table.
+    """(members, generators, steps) of the subgroup generated by ``seeds`` in a group table.
 
     A seed the walk has not reached yet is kept as a generator: the members
     found before it are multiplied on the right by it, and each new member by
@@ -416,10 +416,12 @@ def _right_closure(table, identity, seeds) -> tuple:
     kept seed at least doubles a subgroup, at most log2 |H| seeds are kept.
     Members come in the order reached, each a left-normed product of the kept
     seeds, so the walk also covers tables not yet known to be associative.
+    ``steps[i]`` is the pair (x, g) by which ``members[i + 1]`` was reached:
+    it equals x g, where x is an earlier member and g a kept generator.
     """
     reached = [False] * len(table)
     reached[identity] = True
-    members, gens = [identity], []
+    members, gens, steps = [identity], [], []
     for s in seeds:
         if reached[s]:
             continue
@@ -430,16 +432,19 @@ def _right_closure(table, identity, seeds) -> tuple:
             if not reached[y]:
                 reached[y] = True
                 members.append(y)
+                steps.append((x, s))
         i = start
         while i < len(members):
-            row = table[members[i]]
+            x = members[i]
+            row = table[x]
             i += 1
             for g in gens:
                 y = row[g]
                 if not reached[y]:
                     reached[y] = True
                     members.append(y)
-    return members, gens
+                    steps.append((x, g))
+    return members, gens, steps
 
 
 def subgroup_closure_in(group: FiniteGroup, seeds) -> tuple:
@@ -475,50 +480,31 @@ def nilpotency_class(group: FiniteGroup) -> int | None:
 # Automorphisms and isomorphisms
 
 
-def _extend_homomorphism(src: FiniteGroup, dst: FiniteGroup, gens, images) -> tuple | None:
-    """Extend generator images to a full map by closure, or None on conflict.
-
-    The walk checks m[a*g] = m[a]*m[g] for every a and every generator g, with
-    m[0] = 0, so a returned array is a homomorphism by induction on word length.
-    """
-    m = {0: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g, h in zip(gens, images):
-                b = src.table[a][g]
-                mb = dst.table[m[a]][h]
-                if b in m:
-                    if m[b] != mb:
-                        return None
-                else:
-                    m[b] = mb
-                    nxt.append(b)
-        frontier = nxt
-    if len(m) != src.order:
-        return None
-    return tuple(m[a] for a in range(src.order))
-
-
 def _homomorphisms(src: FiniteGroup, dst: FiniteGroup, bijective: bool) -> list:
     """Homomorphisms src -> dst (only the bijective ones if asked), as sorted image tuples.
 
     Tries every choice of images for the generators of src. An image must
     have the generator's order (for bijections) or an order dividing it.
+    The choice fixes the map along the steps of the generator walk, the only
+    possible extension, and the map is kept iff it is multiplicative.
     """
-    gens = src.generators
+    members, gens, steps = _right_closure(src.table, 0, range(src.order))
+    position = {g: i for i, g in enumerate(gens)}
+    walk = [(y, x, position[g]) for y, (x, g) in zip(members[1:], steps)]
     dst_orders = [dst.element_order(x) for x in range(dst.order)]
     choices = []
     for g in gens:
         k = src.element_order(g)
         choices.append([h for h, o in enumerate(dst_orders)
                         if (o == k if bijective else k % o == 0)])
-    found = set()
+    dt, n = dst.table, src.order
+    images = [0] * n
+    found = []
     for chosen in product(*choices):
-        images = _extend_homomorphism(src, dst, gens, chosen)
-        if images is not None and (not bijective or len(set(images)) == src.order):
-            found.add(images)
+        for y, x, i in walk:
+            images[y] = dt[images[x]][chosen[i]]
+        if is_multiplicative(src, dt, images) and (not bijective or len(set(images)) == n):
+            found.append(tuple(images))
     return sorted(found)
 
 
@@ -533,14 +519,14 @@ def group_isomorphisms(src: FiniteGroup, dst: FiniteGroup, limits: Limits = DEFA
 
 
 @lru_cache(maxsize=256)
-def _automorphism_images(table: tuple, cap: int) -> tuple:
-    group = FiniteGroup(table)
+def _automorphism_images(group: FiniteGroup, cap: int) -> tuple:
+    """Cached by the group's table, by which a FiniteGroup hashes and compares."""
     return tuple(group_isomorphisms(group, group, Limits(max_group_order=cap)))
 
 
 def automorphism_group(group: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> tuple:
     """All automorphisms as image tuples, identity first, in lexicographic order."""
-    return _automorphism_images(group.table, limits.max_group_order)
+    return _automorphism_images(group, limits.max_group_order)
 
 
 def endomorphisms(group: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list:
@@ -688,7 +674,12 @@ def group_from_json(data) -> FiniteGroup:
         return group_from_table(table, name=name)
     if "generators" in data:
         degree = json_field(data, "degree", "group file")
-        gens = [parse_cycles(g, degree) for g in data["generators"]]
+        if type(degree) is not int or degree < 1:
+            raise ValueError('"degree" must be a positive integer')
+        texts = data["generators"]
+        if not isinstance(texts, list) or not all(isinstance(g, str) for g in texts):
+            raise ValueError('"generators" must be a list of permutations, each a string')
+        gens = [parse_cycles(g, degree) for g in texts]
         return group_from_permutations(gens, degree, name=name)
     raise InvalidGroup((Violation("no_identity", ()),))
 

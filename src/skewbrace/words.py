@@ -150,16 +150,8 @@ def word_to_text(w: FreeWord) -> str:
 # Automorphisms
 
 
-class FreeAutomorphism:
-    def apply(self, w: FreeWord) -> FreeWord:
-        raise NotImplementedError
-
-    def inverse(self) -> "FreeAutomorphism":
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class GeneratorCycle(FreeAutomorphism):
+class GeneratorCycle:
     """x1 -> x2 -> ... -> xn -> x1, optionally shifted several steps."""
 
     rank: int
@@ -184,7 +176,7 @@ class GeneratorCycle(FreeAutomorphism):
 
 
 @dataclass(frozen=True)
-class Inner(FreeAutomorphism):
+class Inner:
     """Conjugation u -> w u w^-1."""
 
     word: FreeWord
@@ -205,7 +197,7 @@ class Inner(FreeAutomorphism):
         return Inner(self.word.pow(k))
 
 
-def circ_eval(a: FreeWord, b: FreeWord, theta: FreeAutomorphism) -> FreeWord:
+def circ_eval(a: FreeWord, b: FreeWord, theta: GeneratorCycle | Inner) -> FreeWord:
     """a o b = a . theta^{l(a)}(b): the multiplication graded by exponent sum."""
     return a.mul(theta.pow(a.exp_sum()).apply(b))
 
@@ -226,7 +218,7 @@ def sample_word(rng: Lcg, rank: int, max_syllables: int, max_exp: int) -> FreeWo
     return FreeWord(rank, syllables)
 
 
-def sampled_brace_check(theta: FreeAutomorphism,
+def sampled_brace_check(theta: GeneratorCycle | Inner,
                         sampling: SampleConfig = DEFAULT_SAMPLING) -> dict:
     """Check the left brace law and the symmetry criterion on sampled word triples.
 

@@ -389,3 +389,42 @@ def endomorphisms_by_brute_force(table):
     n = len(table)
     return [images for images in product(range(n), repeat=n)
             if multiplicative_by_full_scan(table, table, images)]
+
+
+
+def _extend_by_closure(src, dst, gens, chosen):
+    """The map with m[0] = 0 and m[g] = h for the chosen pairs, or None on a conflict.
+
+    Extended breadth-first with a check of m[a g] = m[a] m[g] at every reached
+    a and generator g, so a returned map is a homomorphism by induction on
+    word length.
+    """
+    m = {0: 0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g, h in zip(gens, chosen):
+                b, mb = src.table[a][g], dst.table[m[a]][h]
+                if b not in m:
+                    m[b] = mb
+                    nxt.append(b)
+                elif m[b] != mb:
+                    return None
+        frontier = nxt
+    return tuple(m[a] for a in range(src.order)) if len(m) == src.order else None
+
+
+def homomorphisms_by_extension(src, dst, bijective):
+    """Homomorphisms src -> dst (only the bijective ones if asked), sorted, by closure.
+
+    Every choice of images for the generators of src is extended, without
+    pruning the choices by element order.
+    """
+    gens = src.generators
+    found = []
+    for chosen in product(range(dst.order), repeat=len(gens)):
+        images = _extend_by_closure(src, dst, gens, chosen)
+        if images is not None and (not bijective or len(set(images)) == src.order):
+            found.append(images)
+    return sorted(found)

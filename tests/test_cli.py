@@ -289,6 +289,8 @@ FREE_OP = {"rank": 2, "images": ["x1", "x1"]}
      '"alpha" must be a 4x4 table of elements in 0..3'),
     (UNIFICATION, {"f": [0, 0, 0, 0], "alpha": [[0, 0, 0, 0]] * 3},
      '"alpha" must be a 4x4 table of elements in 0..3'),
+    (UNIFICATION, {"f": [0, 0, 0, 0], "alpha": [[0, 0, 0, 0]] * 4, "epsilon": True},
+     "epsilon must be +1 or -1"),
     (["rb", "check", "--rb"], {"map": 5}, '"map" must be a list of elements'),
     (["rb", "check", "--rb"], {"rank": 2, "images": 5},
      '"images" must be a list of words, each a string'),
@@ -302,11 +304,25 @@ FREE_OP = {"rank": 2, "images": ["x1", "x1"]}
     (["system", "--kind", "rb", "--rb"], FREE_OP,
      'this command needs a finite operator, an operator file with a "map"'),
 ], ids=["unification-f-short", "unification-alpha-number", "unification-alpha-short",
-        "map-number", "images-number", "images-not-words", "images-short", "rank-string",
+        "unification-epsilon-boolean", "map-number", "images-number", "images-not-words", "images-short", "rank-string",
         "brace-free-operator", "system-free-operator"])
 def test_misshapen_loader_payload_exit_2(tmp_path, capsys, command, payload, message):
     argv = command + [write(tmp_path, "payload.json", payload), "--group", z4_file(tmp_path)]
     code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("payload,message", [
+    ({"degree": "x", "generators": ["(1 2)"]}, '"degree" must be a positive integer'),
+    ({"degree": True, "generators": ["(1 2)"]}, '"degree" must be a positive integer'),
+    ({"degree": 3, "generators": 5},
+     '"generators" must be a list of permutations, each a string'),
+    ({"degree": 3, "generators": [5]},
+     '"generators" must be a list of permutations, each a string'),
+], ids=["degree-string", "degree-boolean", "generators-number", "generators-not-strings"])
+def test_misshapen_generator_group_file_exit_2(tmp_path, capsys, payload, message):
+    code, out, err = run(capsys, ["verify-group", "--in", write(tmp_path, "g.json", payload)])
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
 

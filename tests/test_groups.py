@@ -167,6 +167,30 @@ def test_automorphisms_match_brute_force(maker):
     assert auts == brute_force_automorphisms(g)
 
 
+def test_automorphism_search_builds_no_group(monkeypatch):
+    d8, again = groups.dihedral_group(4), groups.dihedral_group(4)
+    groups._automorphism_images.cache_clear()
+    built = []
+    init = groups.FiniteGroup.__init__
+
+    def recording_init(self, table, name=""):
+        init(self, table, name)
+        built.append(self.order)
+
+    monkeypatch.setattr(groups.FiniteGroup, "__init__", recording_init)
+    auts = automorphism_group(d8)
+    assert len(auts) == 8 and built == []
+    assert automorphism_group(again) is auts    # cached by the table
+
+
+def test_identity_read_off_a_raw_table():
+    # Z3 with identity 2: 2 + 2 = 2 and 0 + 1 = 2
+    g = groups.FiniteGroup([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
+    assert g.identity == 2
+    assert g.inverse == (1, 0, 2)
+    assert groups.cyclic_group(5).identity == 0
+
+
 def test_automorphism_group_closed(d4):
     auts = automorphism_group(d4)
     as_set = set(auts)

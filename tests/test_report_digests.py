@@ -14,7 +14,7 @@ import json
 import pytest
 
 from skewbrace import groups
-from skewbrace.braces import brace_to_json, enumerate_circ_ops
+from skewbrace.braces import brace_to_json, construct_from_lambda, enumerate_circ_ops
 from skewbrace.cli import main
 
 REPORT_SHA256 = [
@@ -84,7 +84,8 @@ def test_failing_operator_report_bytes_are_pinned(tmp_path, capsys, seed):
 # constructor that rebuilt and rechecked lambda per brace and of the
 # stdlib's indented JSON encoder. A brace is named by its group and its index
 # in enumerate_circ_ops; the braces chosen cover the homomorphic,
-# anti-homomorphic, natural and neither classes.
+# anti-homomorphic, natural and neither classes. The two braces of order 16
+# run the largest automorphism searches of the table commands.
 
 TABLE_GROUPS = {
     "Z2xZ2xZ2": lambda: groups.direct_product(
@@ -96,7 +97,24 @@ TABLE_GROUPS = {
     "Dic12": lambda: groups.dicyclic_group(3),
     "Z12": lambda: groups.cyclic_group(12),
     "S3": lambda: groups.symmetric_group(3),
+    "D16": lambda: groups.dihedral_group(8),
+    "Z4xZ2xZ2": lambda: groups.direct_product(
+        groups.direct_product(groups.cyclic_group(4), groups.cyclic_group(2)),
+        groups.cyclic_group(2), name="Z4xZ2xZ2"),
 }
+
+
+def _homomorphic_z4xz2xz2():
+    """lambda_a = phi^j for a = (i, j, k) in Z4xZ2xZ2, where phi(i, j, k) = (i, j, k + i).
+
+    a -> j is a homomorphism onto Z2 and b^-1 phi(b) = (0, 0, i) lies in its
+    kernel, so this is a homomorphic brace; it avoids enumerating the 3152
+    labeled braces of the group.
+    """
+    group = TABLE_GROUPS["Z4xZ2xZ2"]()
+    phi = tuple(x ^ ((x >> 2) & 1) for x in range(16))   # x = 4i + 2j + k
+    lam = [phi if a & 2 else tuple(range(16)) for a in range(16)]
+    return construct_from_lambda(group, lam, "homomorphic")
 
 
 def _group_file(tmp_path, name):
@@ -106,7 +124,10 @@ def _group_file(tmp_path, name):
 
 
 def _brace_file(tmp_path, name, index):
-    brace = enumerate_circ_ops(TABLE_GROUPS[name]())[index]
+    if index == "homomorphic":
+        brace = _homomorphic_z4xz2xz2()
+    else:
+        brace = enumerate_circ_ops(TABLE_GROUPS[name]())[index]
     path = tmp_path / f"{name}-{index}.json"
     path.write_text(json.dumps(brace_to_json(brace)))
     return str(path)
@@ -157,6 +178,10 @@ TABLE_REPORT_SHA256 = [
      "5deba1eff18b9ea4485b835d58df40fd7ea2518e9c07fbf2680ee2c14895d62a"),
     (("structure", "Z12", 2), 0,
      "e72f56faaa0cfae144e898bfb28934c96510312f8745c88b4b833425629fdec6"),
+    (("structure", "D16", 150), 0,
+     "271cb14f91b993761b1217a1e01aff05b7b68938ba9953188159cc03ad2e0737"),
+    (("structure", "Z4xZ2xZ2", "homomorphic"), 0,
+     "095fd680d2d107d0a2bfeed7d61f3961cba7579e3b510e8802bb2635d63697e6"),
     (("verify-brace", "D8", 14), 0,
      "316afd98ea82c45a02df3025576d240b25d8e3aeedfbeb1b33127b97a80d2f29"),
     (("verify-brace", "law-breaking"), 1,

@@ -16,6 +16,7 @@ from oracles import (
     all_subgroups_by_all_pairs_closure,
     endomorphisms_by_brute_force,
     first_associativity_triple,
+    homomorphisms_by_extension,
     left_law_first_witness,
     loop_tables,
     multiplicative_by_full_scan,
@@ -27,7 +28,12 @@ from skewbrace.braces import enumerate_circ_ops, left_law_witness, right_law_wit
 from skewbrace.groups import (
     FiniteGroup,
     automorphism_group,
+    cyclic_group,
+    dicyclic_group,
+    dihedral_group,
+    direct_product,
     endomorphisms,
+    group_isomorphisms,
     is_multiplicative,
     small_group_catalog,
     subgroup_closure_in,
@@ -158,3 +164,25 @@ def test_homomorphism_search_matches_all_self_maps(group):
     assert endomorphisms(group) == brute
     assert list(automorphism_group(group)) == \
         [m for m in brute if len(set(m)) == group.order]
+
+
+ORDER_16 = [
+    cyclic_group(16),
+    direct_product(cyclic_group(8), cyclic_group(2)),
+    dihedral_group(8),
+    dicyclic_group(4),
+    direct_product(cyclic_group(4), cyclic_group(4)),
+    direct_product(direct_product(cyclic_group(4), cyclic_group(2)), cyclic_group(2),
+                   name="Z4xZ2xZ2"),
+]
+
+
+@pytest.mark.parametrize("group", CATALOG + ORDER_16, ids=lambda g: g.name)
+def test_homomorphism_search_matches_extension_by_closure(group):
+    assert endomorphisms(group) == homomorphisms_by_extension(group, group, False)
+    assert group_isomorphisms(group, group) == homomorphisms_by_extension(group, group, True)
+    # onto a copy relabeled by reversing the non-identity labels
+    p = (0,) + tuple(range(group.order - 1, 0, -1))
+    copy = FiniteGroup(relabeled(group.table, p))
+    assert group_isomorphisms(group, copy) == homomorphisms_by_extension(group, copy, True)
+    assert group_isomorphisms(copy, group) == homomorphisms_by_extension(copy, group, True)
