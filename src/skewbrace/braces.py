@@ -41,7 +41,6 @@ from .groups import (
     is_multiplicative,
     is_self_map,
     permutation_order,
-    relabeled,
     structure_subgroups,
     subgroup_closure_in,
     table_field,
@@ -178,9 +177,6 @@ class SkewBrace:
         """a o b = b . a for all a, b: circ is the opposite of the additive table."""
         return self.circ.table == tuple(zip(*self.add.table))
 
-    def circ_inv(self, a: int) -> int:
-        return self.circ.inverse[a]
-
     def __eq__(self, other):
         return (isinstance(other, SkewBrace)
                 and self.add.table == other.add.table
@@ -191,21 +187,6 @@ class SkewBrace:
 
     def __repr__(self):
         return f"SkewBrace(order={self.order}, trivial={self.is_trivial})"
-
-    @staticmethod
-    def from_tables(add_table, circ_table, name: str = "") -> "SkewBrace":
-        """Build from raw tables; the additive identity is normalized to 0 on both."""
-        check = verify_group(add_table, name=name)
-        if not check.ok:
-            raise InvalidGroup(check.violations)
-        if len(circ_table) != check.group.order:
-            raise InvalidGroup(("carrier orders differ",))
-        circ_check = verify_group(relabeled(circ_table, check.relabeling))
-        if not circ_check.ok:
-            raise InvalidGroup(circ_check.violations)
-        if circ_check.relabeling != tuple(range(len(circ_table))):
-            raise InvalidGroup(("identities of the two operations differ",))
-        return SkewBrace(check.group, circ_check.group)
 
 
 def trivial_brace(group: FiniteGroup) -> SkewBrace:
@@ -292,26 +273,29 @@ class BraceReport:
         }
 
 
-def verify_brace(add_table, circ_table) -> BraceReport:
-    """Check both brace laws on a pair of group tables; failures are data, not errors."""
-    add_check = verify_group(add_table)
-    circ_check = verify_group(circ_table)
-    if not add_check.ok:
-        raise InvalidGroup(add_check.violations)
-    if not circ_check.ok:
-        raise InvalidGroup(circ_check.violations)
+def _checked_pair(add_table, circ_table) -> tuple:
+    """verify_group's checks of two raw tables; InvalidGroup unless both are groups of one order.
+
+    The violations of the first table that fails are raised. Each check's
+    relabeling depends only on its table's identity, so the relabelings agree
+    exactly when the identities do.
+    """
+    add_check, circ_check = verify_group(add_table).or_raise(), verify_group(circ_table).or_raise()
     if add_check.group.order != circ_check.group.order:
         raise InvalidGroup(("carrier orders differ",))
+    return add_check, circ_check
+
+
+def verify_brace(add_table, circ_table) -> BraceReport:
+    """Check both brace laws on a pair of group tables; failures are data, not errors."""
+    add_check, circ_check = _checked_pair(add_table, circ_table)
     # scan on the original labels: the laws only use each operation's own inverse
     add = FiniteGroup(add_table)
     circ = FiniteGroup(circ_table)
     lw = left_law_witness(add, circ)
     rw = right_law_witness(add, circ)
-    brace = None
-    if lw is None:
-        # the left law forces one identity, which the additive relabeling sends to 0
-        circ_group = FiniteGroup(relabeled(circ_table, add_check.relabeling))
-        brace = SkewBrace(add_check.group, circ_group)
+    # the left law forces one identity, so both tables were relabeled alike
+    brace = SkewBrace(add_check.group, circ_check.group) if lw is None else None
     return BraceReport(lw is None, rw is None, lw is None and rw is None, lw, rw, brace)
 
 
@@ -400,6 +384,9 @@ def construct_exact_factorization(group: FiniteGroup, a_part, b_part) -> SkewBra
     """Brace from an exact factorization G = A B: (a1 b1) o (a2 b2) = a1 a2 b2 b1."""
     A = tuple(sorted(a_part))
     B = tuple(sorted(b_part))
+    n, t = group.order, group.table
+    if not all(0 <= x < n for x in A + B):
+        raise ValueError(f"the parts must list elements in 0..{n - 1}")
     if subgroup_closure_in(group, A) != A or subgroup_closure_in(group, B) != B:
         raise NotExactFactorization("A and B must be subgroups")
     if set(A) & set(B) != {0}:
@@ -413,8 +400,6 @@ def construct_exact_factorization(group: FiniteGroup, a_part, b_part) -> SkewBra
             if g in decomp:
                 raise NotExactFactorization(f"element {g} decomposes twice")
             decomp[g] = (a, b)
-    n = group.order
-    t = group.table
     circ = [[0] * n for _ in range(n)]
     for g1 in range(n):
         a1, b1 = decomp[g1]
@@ -752,24 +737,27 @@ def pushforward(brace: SkewBrace, perm) -> SkewBrace:
 
 
 def brace_tables(data) -> tuple:
-    """The "add" and "circ" tables of a brace file; a missing or misshapen one is named."""
+    """The "add" and "circ" tables of a brace file; a missing or misshapen table raises.
+
+    So does a declared "order" that is not the integer size of the tables.
+    """
     for key in ("add", "circ"):
         if key not in data:
             raise ValueError(f'brace file has no "{key}" table')
-    return table_field(data, "add"), table_field(data, "circ")
-
-
-def check_declared_order(data) -> None:
-    if "order" in data and data["order"] != len(brace_tables(data)[0]):
+    add, circ = table_field(data, "add"), table_field(data, "circ")
+    if "order" in data and (type(data["order"]) is not int or data["order"] != len(add)):
         raise InvalidGroup(("declared order does not match the tables",))
+    return add, circ
 
 
 def brace_from_json(data) -> SkewBrace:
+    """The brace of a brace file, on the labels that move its identity to 0."""
     if isinstance(data, str):
         data = json.loads(data)
-    add, circ = brace_tables(data)
-    check_declared_order(data)
-    return SkewBrace.from_tables(add, circ)
+    add_check, circ_check = _checked_pair(*brace_tables(data))
+    if circ_check.relabeling != add_check.relabeling:
+        raise InvalidGroup(("identities of the two operations differ",))
+    return SkewBrace(add_check.group, circ_check.group)
 
 
 def brace_to_json(brace: SkewBrace) -> dict:

@@ -205,19 +205,12 @@ def _brace_payload(brace) -> dict:
 
 
 def _cmd_verify_group(args):
-    data = _load_json(args.infile, "group file")
-    if "table" in data:
-        check = groups.verify_group(groups.table_field(data, "table"), name=data.get("name", ""))
-        return check.as_report(), check.ok
-    group = groups.group_from_json(data)  # generator format: raises on bad input
-    return {"group_ok": True, "order": group.order,
-            "relabeling": None, "violations": []}, True
+    check = groups.group_check_from_json(_load_json(args.infile, "group file"))
+    return check.as_report(), check.ok
 
 
 def _cmd_verify_brace(args):
-    data = _load_json(args.infile, "brace file")
-    braces.check_declared_order(data)
-    rep = braces.verify_brace(*braces.brace_tables(data))
+    rep = braces.verify_brace(*braces.brace_tables(_load_json(args.infile, "brace file")))
     report = rep.as_report()
     if rep.left_ok:
         report["classify"] = rep.brace.classification.as_dict()

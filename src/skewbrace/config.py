@@ -25,6 +25,10 @@ class SampleConfig:
     max_syllables: int = 8
     max_exponent: int = 3
 
+    def __post_init__(self):
+        if self.samples < 0:
+            raise ValueError("samples must not be negative")
+
 
 DEFAULT_LIMITS = Limits()
 DEFAULT_SAMPLING = SampleConfig()

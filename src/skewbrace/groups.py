@@ -39,12 +39,6 @@ class FiniteGroup:
         self._generators = None
         self._center = None
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def conj(self, g: int, x: int) -> int:
         """Inner action g x g^-1."""
         return self.table[self.table[g][x]][self.inverse[g]]
@@ -89,9 +83,6 @@ class FiniteGroup:
             self._center = tuple(a for a in range(self.order)
                                  if all(t[a][b] == t[b][a] for b in range(self.order)))
         return self._center
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def opposite(self) -> "FiniteGroup":
         """The opposite group: a *op b = b * a (same carrier, same inverses)."""
@@ -191,6 +182,12 @@ class GroupCheck:
             "violations": [{"code": v.code, "witness": list(v.witness)} for v in self.violations],
         }
 
+    def or_raise(self) -> "GroupCheck":
+        """This check when it passed; InvalidGroup with its violations otherwise."""
+        if not self.ok:
+            raise InvalidGroup(self.violations)
+        return self
+
 
 def verify_group(table, name: str = "") -> GroupCheck:
     """Check the group axioms on a raw table.
@@ -269,10 +266,7 @@ def relabeled(table, relabel) -> list:
 
 def group_from_table(table, name: str = "") -> FiniteGroup:
     """verify_group that raises on failure; for trusted-but-checked construction."""
-    check = verify_group(table, name=name)
-    if not check.ok:
-        raise InvalidGroup(check.violations)
-    return check.group
+    return verify_group(table, name=name).or_raise().group
 
 
 # ---------------------------------------------------------------------------
@@ -656,12 +650,13 @@ def json_object(data, what: str) -> dict:
     return data
 
 
-def group_from_json(data) -> FiniteGroup:
-    """Load a group from the JSON file format.
+def group_check_from_json(data) -> GroupCheck:
+    """The check of a group file, the one reader of the JSON group format.
 
-    Either {"name", "order", "table"} with an arbitrary labeling (the
-    identity is auto-normalized to 0), or {"name", "degree", "generators"}
-    with cycle notation on points 1..degree.
+    Either {"name", "order", "table"} with an arbitrary labeling, checked by
+    verify_group (which moves the identity to 0), or {"name", "degree",
+    "generators"} with cycle notation on points 1..degree. A declared "order"
+    that is not the table's integer size, a misshapen field or neither form raises.
     """
     if isinstance(data, str):
         data = json.loads(data)
@@ -669,9 +664,9 @@ def group_from_json(data) -> FiniteGroup:
     name = data.get("name", "")
     if "table" in data:
         table = table_field(data, "table")
-        if "order" in data and data["order"] != len(table):
+        if "order" in data and (type(data["order"]) is not int or data["order"] != len(table)):
             raise InvalidGroup((Violation("not_square", (data["order"],)),))
-        return group_from_table(table, name=name)
+        return verify_group(table, name=name)
     if "generators" in data:
         degree = json_field(data, "degree", "group file")
         if type(degree) is not int or degree < 1:
@@ -680,8 +675,13 @@ def group_from_json(data) -> FiniteGroup:
         if not isinstance(texts, list) or not all(isinstance(g, str) for g in texts):
             raise ValueError('"generators" must be a list of permutations, each a string')
         gens = [parse_cycles(g, degree) for g in texts]
-        return group_from_permutations(gens, degree, name=name)
+        return GroupCheck(True, group_from_permutations(gens, degree, name=name), None, ())
     raise InvalidGroup((Violation("no_identity", ()),))
+
+
+def group_from_json(data) -> FiniteGroup:
+    """The group of a group file; InvalidGroup when group_check_from_json finds none."""
+    return group_check_from_json(data).or_raise().group
 
 
 def group_to_json(group: FiniteGroup) -> dict:

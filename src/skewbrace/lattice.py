@@ -125,6 +125,8 @@ def lattice_system_check(p: int, depth: int = 3,
     """
     if depth > limits.max_lattice_depth:
         raise ValueError(f"depth is capped at {limits.max_lattice_depth}")
+    if depth < 0:
+        raise ValueError("depth must not be negative")
     rng = Lcg(sampling.seed)
     auto = lattice_lambda(p)
     failures = {

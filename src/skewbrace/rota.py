@@ -386,7 +386,7 @@ def rb_from_json(data, group: FiniteGroup | None = None):
         values = data["map"]
         if not isinstance(values, list):
             raise ValueError('"map" must be a list of elements')
-        if "order" in data and data["order"] != len(values):
+        if "order" in data and (type(data["order"]) is not int or data["order"] != len(values)):
             raise ValueError("declared order does not match the map length")
         if group is not None and not is_self_map(values, group.order):
             raise ValueError(f'"map" must list {group.order} elements in 0..{group.order - 1}')

@@ -157,6 +157,10 @@ class GeneratorCycle:
     rank: int
     shift: int = 1
 
+    def __post_init__(self):
+        if self.rank < 1:
+            raise ValueError("rank must be at least 1")
+
     def apply(self, w: FreeWord) -> FreeWord:
         if w.rank != self.rank:
             raise RankMismatch(f"word rank {w.rank} != automorphism rank {self.rank}")
@@ -270,6 +274,10 @@ class SchreierRewriter:
 
     rank: int
     modulus: int | None
+
+    def __post_init__(self):
+        if self.modulus is not None and self.modulus < 1:
+            raise ValueError("modulus must be at least 1, or None for the infinite case")
 
     def token(self, coset: int, gen: int):
         """Schreier generator for (coset representative x1^coset, generator), or None."""

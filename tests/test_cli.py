@@ -104,6 +104,21 @@ def test_verify_brace_declared_order_checked_first(tmp_path, capsys, circ):
     assert "declared order does not match the tables" in err
 
 
+@pytest.mark.parametrize("order", [2.0, True, "2"])
+@pytest.mark.parametrize("argv,payload,message", [
+    (["verify-group", "--in"], {"table": [[0, 1], [1, 0]]}, "not a group"),
+    (["classify", "--in"], {"add": [[0, 1], [1, 0]], "circ": [[0, 1], [1, 0]]},
+     "declared order does not match the tables"),
+    (["rb", "check", "--rb"], {"map": [0, 1]}, "declared order does not match the map length"),
+])
+def test_declared_order_that_is_not_an_integer_exit_2(tmp_path, capsys, argv, payload, message,
+                                                      order):
+    path = write(tmp_path, "declared.json", {**payload, "order": order})
+    code, out, err = run(capsys, argv + [path])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 @pytest.mark.parametrize("missing", ["add", "circ"])
 def test_brace_file_missing_field_is_named(tmp_path, capsys, missing):
     payload = brace_to_json(trivial_brace(groups.cyclic_group(4)))
@@ -419,6 +434,30 @@ def test_lattice_command(capsys):
     code, out, _ = run(capsys, ["--samples", "100", "lattice", "--p", "1", "--depth", "2"])
     assert code == 0
     assert json.loads(out)["failure_count"] == 0
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["freegroup", "check", "--rank", "0"], "rank must be at least 1"),
+    (["freegroup", "check", "--rank", "0", "--theta", "identity"], "rank must be at least 1"),
+    (["freegroup", "rewrite", "--modulus", "0"], "modulus must be at least 1"),
+    (["freegroup", "rewrite", "--rank", "2", "--modulus", "-2", "--w", "x1^2"],
+     "modulus must be at least 1"),
+    (["--samples", "-5", "freegroup", "check", "--rank", "2"], "samples must not be negative"),
+    (["--samples", "-5", "rb", "free"], "samples must not be negative"),
+    (["lattice", "--p", "1", "--depth", "-1"], "depth must not be negative"),
+])
+def test_out_of_range_argument_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+
+
+def test_exact_factorization_element_outside_the_group_exit_2(tmp_path, capsys):
+    argv = ["construct", "--kind", "exact-factorization", "--group", z4_file(tmp_path)]
+    for parts in (["--a", "0,4", "--b", "0,1"], ["--a", "0,2", "--b", "0,-1"]):
+        code, out, err = run(capsys, argv + parts)
+        assert code == 2 and out == ""
+        assert err == "error: the parts must list elements in 0..3\n"
 
 
 def test_rb_check(tmp_path, capsys):
