@@ -352,8 +352,13 @@ def alternating_group(n: int) -> FiniteGroup:
     return _perm_group_from([p for p in permutations(range(n)) if sign(p) == 1], name=f"A{n}")
 
 
-def group_from_permutations(generators, degree: int, name: str = "") -> FiniteGroup:
-    """Closure of permutation generators on {0..degree-1}; elements sorted lexicographically."""
+def group_from_permutations(generators, degree: int, name: str = "",
+                            limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
+    """Closure of permutation generators on {0..degree-1}; elements sorted lexicographically.
+
+    The closure stops with OrderCapExceeded as soon as it holds more than
+    ``limits.max_group_order`` elements, before any table is built.
+    """
     gens = [tuple(g) for g in generators]
     for g in gens:
         if sorted(g) != list(range(degree)):
@@ -366,6 +371,9 @@ def group_from_permutations(generators, degree: int, name: str = "") -> FiniteGr
             for g in gens:
                 q = tuple(p[g[x]] for x in range(degree))
                 if q not in closure:
+                    if len(closure) == limits.max_group_order:
+                        raise OrderCapExceeded(
+                            f"the generated group has order above the cap {limits.max_group_order}")
                     closure.add(q)
                     nxt.append(q)
         frontier = nxt
@@ -600,6 +608,9 @@ def is_regular_subgroup(hol: Holomorph, members) -> bool:
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
+MAX_PERMUTATION_DEGREE = 256
+"""The largest "degree" a generator-format group file may declare."""
+
 
 def parse_cycles(text: str, degree: int) -> tuple:
     """Parse cycle notation like "(1 2)(3 4)" on points 1..degree into a 0-based permutation."""
@@ -656,7 +667,9 @@ def group_check_from_json(data) -> GroupCheck:
     Either {"name", "order", "table"} with an arbitrary labeling, checked by
     verify_group (which moves the identity to 0), or {"name", "degree",
     "generators"} with cycle notation on points 1..degree. A declared "order"
-    that is not the table's integer size, a misshapen field or neither form raises.
+    that is not the table's integer size, a misshapen field, a degree above
+    MAX_PERMUTATION_DEGREE, generators of a group above the order cap or
+    neither form raises.
     """
     if isinstance(data, str):
         data = json.loads(data)
@@ -671,6 +684,8 @@ def group_check_from_json(data) -> GroupCheck:
         degree = json_field(data, "degree", "group file")
         if type(degree) is not int or degree < 1:
             raise ValueError('"degree" must be a positive integer')
+        if degree > MAX_PERMUTATION_DEGREE:
+            raise ValueError(f'"degree" {degree} exceeds the bound of {MAX_PERMUTATION_DEGREE} points')
         texts = data["generators"]
         if not isinstance(texts, list) or not all(isinstance(g, str) for g in texts):
             raise ValueError('"generators" must be a list of permutations, each a string')

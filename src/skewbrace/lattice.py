@@ -144,24 +144,30 @@ def lattice_system_check(p: int, depth: int = 3,
             out = circ(out, step, i)
         return out
 
+    # (sigma, i) -> x1^{o_i sigma} and its o_i-inverse, each computed by repeated products once
+    x1_powers = {}
+
     for _ in range(sampling.samples):
         a, b, c = sample_vec(rng), sample_vec(rng), sample_vec(rng)
+        b_c, inv_a = [], []   # b o_j c and the o_j-inverse of a at every level j up to i
         for i in range(depth + 1):
             a_b = circ(a, b, i)
-            if circ(a_b, c, i) != circ(a, circ(b, c, i), i):
+            b_c.append(circ(b, c, i))
+            inv_a.append(circ_inv(a, i))
+            if circ(a_b, c, i) != circ(a, b_c[i], i):
                 failures["associativity"] += 1
             if circ((0, 0), a, i) != a or circ(a, (0, 0), i) != a:
                 failures["identity"] += 1
-            inv_a = circ_inv(a, i)
-            if circ(a, inv_a, i) != (0, 0) or circ(inv_a, a, i) != (0, 0):
+            if circ(a, inv_a[i], i) != (0, 0) or circ(inv_a[i], a, i) != (0, 0):
                 failures["inverse"] += 1
             if a_b != circ(b, a, i):
                 failures["commutativity"] += 1
             if i <= 4 and lattice_circ_iterated(a, b, auto, i) != a_b:
                 failures["closed_form"] += 1
+            a_c = circ(a, c, i)
             for j in range(i):
-                lhs = circ(a, circ(b, c, j), i)
-                rhs = circ(circ(a_b, circ_inv(a, j), j), circ(a, c, i), j)
+                lhs = circ(a, b_c[j], i)
+                rhs = circ(circ(a_b, inv_a[j], j), a_c, j)
                 if lhs != rhs:
                     failures["compatibility"] += 1
         # exactness facts about the grading
@@ -178,10 +184,14 @@ def lattice_system_check(p: int, depth: int = 3,
                     if power == (0, 0):
                         failures["torsion"] += 1
         # generation: v = (t, -t) o_i x1^{o_i sigma} with sigma = s(v)
+        sigma = grading(a)
         for i in range(depth + 1):
-            sigma = grading(a)
-            g = circ_pow((1, 0), sigma, i)
-            u = circ(a, circ_inv(g, i), i)
+            power = x1_powers.get((sigma, i))
+            if power is None:
+                g = circ_pow((1, 0), sigma, i)
+                power = x1_powers[sigma, i] = g, circ_inv(g, i)
+            g, inv_g = power
+            u = circ(a, inv_g, i)
             if grading(u) != 0 or u[0] != -u[1] or circ(u, g, i) != a:
                 failures["generation"] += 1
     return {

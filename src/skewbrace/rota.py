@@ -311,12 +311,17 @@ def free_is_rb(op: FreeRb, sampling: SampleConfig = DEFAULT_SAMPLING) -> dict:
             "failure_count": len(failures), "failures": failures}
 
 
+def _x1_power(k: int) -> FreeWord:
+    """x1^k in the free group of rank 2, built reduced."""
+    return FreeWord._reduced(2, ((1, k),) if k else ())
+
+
 def free_rb_example(m: int, a: FreeWord, b: FreeWord) -> FreeWord:
     """Level-m multiplication of the rank-2 example: a x1^{m l(a)} b x1^{-m l(a)}."""
     if a.rank != 2 or b.rank != 2:
         raise ValueError("the example lives on the free group of rank 2")
-    conjugator = FreeWord.generator(2, 1, m * a.exp_sum())
-    return a.mul(conjugator).mul(b).mul(conjugator.inv())
+    k = m * a.exp_sum()
+    return a.mul(_x1_power(k)).mul(b).mul(_x1_power(-k))
 
 
 def free_rb_report(m: int, sampling: SampleConfig = DEFAULT_SAMPLING) -> dict:
@@ -330,8 +335,8 @@ def free_rb_report(m: int, sampling: SampleConfig = DEFAULT_SAMPLING) -> dict:
     failures = []
 
     def level_inv(i, a):
-        conj = FreeWord.generator(2, 1, -i * a.exp_sum())
-        return conj.mul(a.inv()).mul(conj.inv())
+        k = i * a.exp_sum()
+        return _x1_power(-k).mul(a.inv()).mul(_x1_power(k))
 
     for trial in range(sampling.samples):
         g, h, c = (sample_word(rng, 2, sampling.max_syllables, sampling.max_exponent)

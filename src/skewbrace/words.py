@@ -5,20 +5,25 @@ nonzero exponents and distinct adjacent generators, so reduction of the
 large generator powers used by the coset rewriting stays linear.
 
 ``FreeWord(rank, syllables)`` is the validating reducer for untrusted input
-(the parser, the sampler, operator images). Everything built from words
-already in normal form skips it: a product of two reduced words can only
-cancel or merge where they meet, so ``mul`` reduces at the seam alone, and
-inverting a word, relabelling its generators by a permutation or scaling a
-one-syllable word keep it reduced.
+(the parser, operator images). Everything built from words already in normal
+form skips it: a product of two reduced words can only cancel or merge where
+they meet, so ``mul`` reduces at the seam alone, and inverting a word,
+relabelling its generators by a permutation or scaling a one-syllable word
+keep it reduced. The sampler merges each drawn syllable into the stack as it
+draws it, so its words are reduced too.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .config import DEFAULT_SAMPLING, SampleConfig
 from .errors import CriterionMismatch, NotInKernel, RankMismatch, WindowTooSmall
-from .rng import Lcg
+from .rng import INC, MASK, MULT, Lcg
+
+MAX_REWRITE_LENGTH = 100_000
+"""The longest word, in letters, that ``SchreierRewriter.rewrite`` scans one letter at a time."""
 
 
 class FreeWord:
@@ -70,14 +75,27 @@ class FreeWord:
             raise RankMismatch(f"ranks {self.rank} and {other.rank} differ")
         # both operands are reduced: only syllables meeting at the seam cancel or merge
         left, right = self.syllables, other.syllables
-        i, j = len(left), 0
-        while i and j < len(right) and left[i - 1][0] == right[j][0]:
-            gen, merged = right[j][0], left[i - 1][1] + right[j][1]
-            if merged:
-                return FreeWord._reduced(self.rank, left[:i - 1] + ((gen, merged),) + right[j + 1:])
-            i -= 1
-            j += 1
-        return FreeWord._reduced(self.rank, left[:i] + right[j:])
+        if not left:
+            return other
+        if not right:
+            return self
+        if left[-1][0] != right[0][0]:
+            syllables = left + right
+        else:
+            i, j = len(left), 0
+            while i and j < len(right) and left[i - 1][0] == right[j][0]:
+                gen, merged = right[j][0], left[i - 1][1] + right[j][1]
+                if merged:
+                    syllables = left[:i - 1] + ((gen, merged),) + right[j + 1:]
+                    break
+                i -= 1
+                j += 1
+            else:
+                syllables = left[:i] + right[j:]
+        out = object.__new__(FreeWord)
+        out.rank = self.rank
+        out.syllables = syllables
+        return out
 
     def inv(self) -> "FreeWord":
         return FreeWord._reduced(self.rank, tuple((g, -e) for g, e in reversed(self.syllables)))
@@ -98,7 +116,10 @@ class FreeWord:
         return out
 
     def exp_sum(self) -> int:
-        return sum(e for _, e in self.syllables)
+        total = 0
+        for _, e in self.syllables:
+            total += e
+        return total
 
     def length(self) -> int:
         return sum(abs(e) for _, e in self.syllables)
@@ -124,19 +145,24 @@ class FreeWord:
         return f"FreeWord({self.rank}, {word_to_text(self)!r})"
 
 
+_TOKEN = r"x(0|[1-9][0-9]*)(?:\^([+-]?[0-9]+))?"   # compiled on first use, by re's cache
+
+
 def word_from_text(rank: int, text: str) -> FreeWord:
-    """Parse the CLI word syntax, e.g. "x1 x2^-1 x1^3"; "1" or "" is the empty word."""
+    """Parse the CLI word syntax, e.g. "x1 x2^-1 x1^3"; "1" or "" is the empty word.
+
+    A token is x<index> (no sign, no leading zero) with an optional ^<signed integer>.
+    """
     text = text.strip()
     if text in ("", "1", "e"):
         return FreeWord(rank)
     syllables = []
     for token in text.split():
-        base, _, exp_text = token.partition("^")
-        if not base.startswith("x"):
+        match = re.fullmatch(_TOKEN, token)
+        if match is None:
             raise ValueError(f"cannot parse word token {token!r}")
-        gen = int(base[1:])
-        exp = int(exp_text) if exp_text else 1
-        syllables.append((gen, exp))
+        gen, exp_text = match.groups()
+        syllables.append((int(gen), int(exp_text) if exp_text else 1))
     return FreeWord(rank, syllables)
 
 
@@ -161,22 +187,15 @@ class GeneratorCycle:
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
 
-    def apply(self, w: FreeWord) -> FreeWord:
-        if w.rank != self.rank:
-            raise RankMismatch(f"word rank {w.rank} != automorphism rank {self.rank}")
-        s = self.shift % self.rank
-        return FreeWord._reduced(self.rank, tuple(((g - 1 + s) % self.rank + 1, e)
-                                                  for g, e in w.syllables))
-
-    def inverse(self) -> "GeneratorCycle":
-        return GeneratorCycle(self.rank, -self.shift % self.rank)
-
-    def pow(self, k: int) -> "GeneratorCycle":
-        return GeneratorCycle(self.rank, (self.shift * k) % self.rank)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.shift % self.rank == 0
+    def apply(self, w: FreeWord, k: int = 1) -> FreeWord:
+        """The k-th power of the cycle applied to ``w``; k < 0 applies the inverse."""
+        rank = self.rank
+        if w.rank != rank:
+            raise RankMismatch(f"word rank {w.rank} != automorphism rank {rank}")
+        s = self.shift * k % rank
+        if not s:
+            return w
+        return FreeWord._reduced(rank, tuple(((g - 1 + s) % rank + 1, e) for g, e in w.syllables))
 
 
 @dataclass(frozen=True)
@@ -189,21 +208,17 @@ class Inner:
     def rank(self) -> int:
         return self.word.rank
 
-    def apply(self, u: FreeWord) -> FreeWord:
+    def apply(self, u: FreeWord, k: int = 1) -> FreeWord:
+        """Conjugation by word^k: u -> word^k u word^-k."""
         if u.rank != self.rank:
             raise RankMismatch(f"word rank {u.rank} != automorphism rank {self.rank}")
-        return self.word.mul(u).mul(self.word.inv())
-
-    def inverse(self) -> "Inner":
-        return Inner(self.word.inv())
-
-    def pow(self, k: int) -> "Inner":
-        return Inner(self.word.pow(k))
+        w = self.word.pow(k)
+        return w.mul(u).mul(w.inv())
 
 
 def circ_eval(a: FreeWord, b: FreeWord, theta: GeneratorCycle | Inner) -> FreeWord:
     """a o b = a . theta^{l(a)}(b): the multiplication graded by exponent sum."""
-    return a.mul(theta.pow(a.exp_sum()).apply(b))
+    return a.mul(theta.apply(b, a.exp_sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +226,35 @@ def circ_eval(a: FreeWord, b: FreeWord, theta: GeneratorCycle | Inner) -> FreeWo
 
 
 def sample_word(rng: Lcg, rank: int, max_syllables: int, max_exp: int) -> FreeWord:
-    count = rng.next_int(max_syllables + 1)
-    syllables = []
+    """A random reduced word: up to ``max_syllables`` draws x_g^{+-e}, 1 <= e <= max_exp.
+
+    Makes the draws ``rng.next_int``/``next_in`` would make, in the same order
+    (the syllable count, then generator, exponent and sign per syllable), on
+    the LCG state directly, and merges each syllable into the word as it is drawn.
+    """
+    if rank < 1:
+        raise ValueError("rank must be at least 1")
+    if max_exp < 1:
+        raise ValueError("max_exp must be at least 1")
+    state = (rng.state * MULT + INC) & MASK
+    count = (state >> 33) % (max_syllables + 1)
+    stack = []
     for _ in range(count):
-        g = 1 + rng.next_int(rank)
-        e = rng.next_in(1, max_exp)
-        if rng.next_int(2):
+        state = (state * MULT + INC) & MASK
+        g = 1 + (state >> 33) % rank
+        state = (state * MULT + INC) & MASK
+        e = 1 + (state >> 33) % max_exp
+        state = (state * MULT + INC) & MASK
+        if (state >> 33) & 1:
             e = -e
-        syllables.append((g, e))
-    return FreeWord(rank, syllables)
+        if stack and stack[-1][0] == g:
+            merged = stack.pop()[1] + e
+            if merged:
+                stack.append((g, merged))
+        else:
+            stack.append((g, e))
+    rng.state = state
+    return FreeWord._reduced(rank, tuple(stack))
 
 
 def sampled_brace_check(theta: GeneratorCycle | Inner,
@@ -246,7 +281,7 @@ def sampled_brace_check(theta: GeneratorCycle | Inner,
                              "a": word_to_text(a), "b": word_to_text(b), "c": word_to_text(c)})
         left_pow = a_b.exp_sum()
         right_pow = b.mul(a).exp_sum()
-        if theta.pow(left_pow).apply(probe) != theta.pow(right_pow).apply(probe):
+        if theta.apply(probe, left_pow) != theta.apply(probe, right_pow):
             failures.append({"trial": trial, "kind": "symmetry_criterion",
                              "a": word_to_text(a), "b": word_to_text(b)})
     return {
@@ -315,6 +350,9 @@ class SchreierRewriter:
                 raise NotInKernel(f"exponent sum {total} is nonzero")
         elif total % self.modulus != 0:
             raise NotInKernel(f"exponent sum {total} not divisible by {self.modulus}")
+        if w.length() > MAX_REWRITE_LENGTH:
+            raise ValueError(f"word length {w.length()} exceeds the rewrite bound of "
+                             f"{MAX_REWRITE_LENGTH} letters")
         out = []
 
         def emit(token, e):
@@ -369,7 +407,6 @@ def verify_cyclic1(n: int) -> dict:
     if not (2 <= n <= 6):
         raise ValueError("supported range is 2 <= n <= 6")
     theta = GeneratorCycle(n)
-    theta_inv = theta.inverse()
     rw = SchreierRewriter(n, n)
     x1 = FreeWord.generator(n, 1)
 
@@ -383,7 +420,7 @@ def verify_cyclic1(n: int) -> dict:
 
     def conj(u):
         # s^-1 (1,u) s pushed to words: theta^-1(x1^-1 u x1)
-        return theta_inv.apply(x1.inv().mul(u).mul(x1))
+        return theta.apply(x1.inv().mul(u).mul(x1), -1)
 
     kernel_rank = 0
     for coset in range(n):
@@ -422,9 +459,9 @@ def verify_cyclic1(n: int) -> dict:
             record("conj_zjk", {"j": j, "k": k}, conj(z(j, k)), rhs)
 
     # n-th power of s = (cycle, x1): automorphism part collapses, word part folds
-    assert all(theta.pow(n).apply(FreeWord.generator(n, i)) == FreeWord.generator(n, i)
+    assert all(theta.apply(FreeWord.generator(n, i), n) == FreeWord.generator(n, i)
                for i in range(1, n + 1))
-    s_power = _product(n, [theta.pow(i).apply(x1) for i in range(n)])
+    s_power = _product(n, [theta.apply(x1, i) for i in range(n)])
     s_power_rhs = _product(n, [z(j + 1, j) for j in range(1, n - 1)] + [y(n)])
     record("s_power", {"n": n}, s_power, s_power_rhs)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from skewbrace import braces, cli, groups, rota, structure
+from skewbrace import braces, cli, groups, rota, structure, words
 from skewbrace.braces import brace_to_json, op_brace, trivial_brace
 from skewbrace.cli import main
 
@@ -342,6 +342,33 @@ def test_misshapen_generator_group_file_exit_2(tmp_path, capsys, payload, messag
     assert err == f"error: {message}\n"
 
 
+def test_generator_group_file_degree_bound(tmp_path, capsys):
+    bound = groups.MAX_PERMUTATION_DEGREE
+    code, out, _ = run(capsys, ["verify-group", "--in", write(
+        tmp_path, "wide.json", {"degree": bound, "generators": ["(1 2)", f"({bound - 1} {bound})"]})])
+    assert code == 0 and json.loads(out)["order"] == 4
+    code, out, err = run(capsys, ["verify-group", "--in", write(
+        tmp_path, "wider.json", {"degree": bound + 1, "generators": ["(1 2)"]})])
+    assert code == 2 and out == ""
+    assert err == f'error: "degree" {bound + 1} exceeds the bound of {bound} points\n'
+
+
+@pytest.mark.parametrize("command", [["verify-group", "--in"], ["enumerate", "--in"],
+                                     ["rb", "search", "--group"]],
+                         ids=["verify-group", "enumerate", "rb-search"])
+def test_generator_group_file_above_the_order_cap_exit_2(tmp_path, capsys, command):
+    s4 = write(tmp_path, "s4.json", {"degree": 4, "generators": ["(1 2)", "(1 2 3 4)"]})
+    code, out, _ = run(capsys, ["verify-group", "--in", s4])
+    assert code == 0 and json.loads(out)["order"] == 24
+    # S5 and the symmetric group on all 256 points: the closure stops at 25 elements
+    for degree in (5, groups.MAX_PERMUTATION_DEGREE):
+        cycle = "(" + " ".join(str(p) for p in range(1, degree + 1)) + ")"
+        path = write(tmp_path, f"s{degree}.json", {"degree": degree, "generators": ["(1 2)", cycle]})
+        code, out, err = run(capsys, command + [path])
+        assert code == 2 and out == ""
+        assert err == "error: the generated group has order above the cap 24\n"
+
+
 @pytest.mark.parametrize("values", [[0, 1], [0, 9, 2, 3], [0, True, 2, 3], ["0", 1, 2, 3]],
                          ids=["short", "out-of-range", "boolean", "string"])
 @pytest.mark.parametrize("command", [["rb", "check"], ["rb", "brace"], ["system", "--kind", "rb"]],
@@ -434,6 +461,38 @@ def test_lattice_command(capsys):
     code, out, _ = run(capsys, ["--samples", "100", "lattice", "--p", "1", "--depth", "2"])
     assert code == 0
     assert json.loads(out)["failure_count"] == 0
+
+
+@pytest.mark.parametrize("token", ["x1^", "x+1", "x01", "x1_0", "x-1", "x", "y1", "x1^2^3",
+                                   "x1^1_0", "x1^ 2", "x1^--2", "x\u0661", "x1^0x2", "^2"])
+@pytest.mark.parametrize("command", [["freegroup", "verify-t4", "--n", "2", "--w"],
+                                     ["freegroup", "check", "--theta", "inner", "--inner-word"],
+                                     ["freegroup", "rewrite", "--w"]],
+                         ids=["verify-t4", "check-inner", "rewrite"])
+def test_malformed_word_token_exit_2(capsys, command, token):
+    code, out, err = run(capsys, command + [f"x2 {token}"])
+    assert code == 2 and out == ""
+    assert err == f"error: cannot parse word token {token.split()[0]!r}\n"
+
+
+@pytest.mark.parametrize("text,word", [("x1^-2 x2", "x1^-2 x2"), ("x2^+3", "x2^3"),
+                                       ("x1^1 x2^0", "x1"), ("x10", None)])
+def test_well_formed_word_tokens(capsys, text, word):
+    code, out, err = run(capsys, ["freegroup", "verify-t4", "--n", "2", "--w", text])
+    if word is None:   # x10 parses and names a generator outside rank 2
+        assert code == 2 and err == "error: generator x10 outside rank 2\n"
+    else:
+        assert code == 0 and json.loads(out)["w"] == word
+
+
+def test_rewrite_length_bound_exit_2(capsys):
+    bound = words.MAX_REWRITE_LENGTH
+    half = bound // 2 - 1
+    code, out, _ = run(capsys, ["freegroup", "rewrite", "--w", f"x2 x1^{half} x2^-1 x1^-{half}"])
+    assert code == 0 and json.loads(out)["generators"] == [["z_{2,0}", 1], ["z_{2,%d}" % half, -1]]
+    code, out, err = run(capsys, ["freegroup", "rewrite", "--w", "x2 x1^1000000000 x2^-1 x1^-1000000000"])
+    assert code == 2 and out == ""
+    assert err == f"error: word length 2000000002 exceeds the rewrite bound of {bound} letters\n"
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -64,6 +64,37 @@ def test_sampler_report_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# The exact word verifications, pinned as printed by the kernel whose
+# automorphisms built a new object for every power: the coset-rewriting checks
+# for n = 2..6, the index-shift check for a word of exponent sum 1 and one of
+# exponent sum -2, and one Schreier rewriting modulo 3.
+WORD_REPORT_SHA256 = [
+    (("freegroup", "verify-cyclic", "--n", "2"),
+     "5a60dcb407b0daa74215334064b5cd1e78b891e388e79acd5adf151d6359d30f"),
+    (("freegroup", "verify-cyclic", "--n", "3"),
+     "8800315004921439d5286d747d51eb060e944d496fa6f8d56f81d51b88d6a0ac"),
+    (("freegroup", "verify-cyclic", "--n", "4"),
+     "d6f5e275206046a44f1c661548784ed1adbfabf23a3e18317e818ecf24fe3508"),
+    (("freegroup", "verify-cyclic", "--n", "5"),
+     "9ecb07cf4fc477189a2e49d17acf612a68aa67735e7b519b0810ddc01b3bafd6"),
+    (("freegroup", "verify-cyclic", "--n", "6"),
+     "761127fbc326ec45ecc177227830aec7d0edd860df0647eb0112676bafca9e5a"),
+    (("freegroup", "verify-t4", "--n", "2", "--w", "x1 x2 x1^-1"),
+     "bf28e9b3262a1b868c8f77692116a233d5701e594ade86bdc8440bed57a31e2d"),
+    (("freegroup", "verify-t4", "--n", "3", "--w", "x2^-1 x3 x1^-2"),
+     "b15693b5a73e931eeb0587a394b2428f121977a9db771d1d911833eb793a0d98"),
+    (("freegroup", "rewrite", "--rank", "3", "--modulus", "3", "--w", "x2 x1^2 x3^-1 x1"),
+     "fffb2d28c0a979ef20dab62f3ae5c814068c3140805810266660e66715b03110"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", WORD_REPORT_SHA256, ids=[" ".join(a) for a, _ in WORD_REPORT_SHA256])
+def test_word_report_bytes_are_pinned(capsys, argv, digest):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 NOT_ROTA_BAXTER_SHA256 = {
     "11": "224d18336f127a409912e19215796ec7752f9f86c63e582832c3b035f12db0ef",
     "90210": "bcd28a9ca05ab16de66dc935d7d04973bce41e3ce40fe94452c7593b4035ba80",

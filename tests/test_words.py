@@ -98,6 +98,60 @@ def test_exp_sum_additive_seeded_samples():
         assert u.mul(v).exp_sum() == u.exp_sum() + v.exp_sum()
 
 
+def reference_sample_word(rng, rank, max_syllables, max_exp):
+    """The oracle for sample_word: one Lcg method call per draw, then the validating reducer."""
+    count = rng.next_int(max_syllables + 1)
+    syllables = []
+    for _ in range(count):
+        g = 1 + rng.next_int(rank)
+        e = rng.next_in(1, max_exp)
+        if rng.next_int(2):
+            e = -e
+        syllables.append((g, e))
+    return FreeWord(rank, syllables), count
+
+
+@pytest.mark.parametrize("rank,max_syllables,max_exp",
+                         [(1, 8, 3), (1, 0, 3), (2, 0, 1), (2, 8, 3), (3, 6, 1), (4, 12, 5)])
+def test_sample_word_draws_like_the_reference(rank, max_syllables, max_exp):
+    merged = cancelled = False
+    for seed in range(40):
+        rng, ref = Lcg(seed), Lcg(seed)
+        for _ in range(25):
+            u = sample_word(rng, rank, max_syllables, max_exp)
+            expected, count = reference_sample_word(ref, rank, max_syllables, max_exp)
+            assert u == expected and is_normal(u)
+            assert rng.state == ref.state
+            merged |= len(u.syllables) < count
+            cancelled |= count > 0 and u.is_identity
+    if rank == 1 and max_syllables:
+        # every drawn run of one generator merges, and some cancel to the empty word
+        assert merged and cancelled
+
+
+def test_sample_word_merges_runs_of_two_generators():
+    rng, ref = Lcg(3), Lcg(3)
+    merged = 0
+    for _ in range(2000):
+        u = sample_word(rng, 2, 8, 1)
+        expected, count = reference_sample_word(ref, 2, 8, 1)
+        assert u == expected and rng.state == ref.state
+        merged += len(u.syllables) < count
+    assert merged > 1000
+
+
+@pytest.mark.parametrize("max_syllables", [0, 8])
+def test_sample_word_needs_positive_rank(max_syllables):
+    with pytest.raises(ValueError, match="rank must be at least 1"):
+        sample_word(Lcg(0), 0, max_syllables, 3)
+
+
+@pytest.mark.parametrize("max_exp", [0, -2])
+def test_sample_word_needs_positive_exponent_bound(max_exp):
+    with pytest.raises(ValueError, match="max_exp must be at least 1"):
+        sample_word(Lcg(0), 2, 8, max_exp)
+
+
 # --- the seam product and the operations that keep words reduced -----------
 
 
@@ -199,7 +253,7 @@ def test_inner_apply():
 def test_cycle_power_is_identity(u):
     theta = GeneratorCycle(3)
     assert theta.apply(theta.apply(theta.apply(u))) == u
-    assert theta.pow(3).apply(u) == u
+    assert theta.apply(u, 3) == u
 
 
 @given(words_strategy, words_strategy)
@@ -212,8 +266,50 @@ def test_autos_are_homomorphisms(u, v):
 
 @given(words_strategy)
 def test_inverse_really_inverts(u):
-    for theta in (GeneratorCycle(3), Inner(w(3, "x1 x3^-1")), GeneratorCycle(3).pow(2)):
-        assert theta.inverse().apply(theta.apply(u)) == u
+    for theta in (GeneratorCycle(3), Inner(w(3, "x1 x3^-1")), GeneratorCycle(3, 2)):
+        assert theta.apply(theta.apply(u), -1) == u
+
+
+def repeated_application(theta, inverse, u, k):
+    """theta applied k times, or its inverse |k| times when k < 0."""
+    for _ in range(abs(k)):
+        u = (theta if k > 0 else inverse).apply(u)
+    return u
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_cycle_apply_power_matches_repeated_application(rank):
+    rng = Lcg(rank)
+    for shift in range(rank + 1):
+        theta, inverse = GeneratorCycle(rank, shift), GeneratorCycle(rank, -shift)
+        for k in range(-7, 8):
+            for _ in range(6):
+                u = sample_word(rng, rank, 6, 3)
+                image = theta.apply(u, k)
+                assert image == repeated_application(theta, inverse, u, k)
+                assert is_normal(image)
+                if shift * k % rank == 0:
+                    assert image is u
+
+
+@pytest.mark.parametrize("text", ["x1", "x1 x2^-1", "x2 x1^-2 x3", "x3^2 x1 x3^-2"])
+def test_inner_apply_power_matches_repeated_application(text):
+    rng = Lcg(len(text))
+    theta = Inner(w(3, text))
+    inverse = Inner(theta.word.inv())
+    for k in range(-7, 8):
+        for _ in range(6):
+            u = sample_word(rng, 3, 6, 3)
+            image = theta.apply(u, k)
+            assert image == repeated_application(theta, inverse, u, k)
+            assert is_normal(image)
+
+
+def test_apply_power_keeps_rank_mismatch():
+    for theta in (GeneratorCycle(3, 0), Inner(w(3, "x1"))):
+        for k in (0, 1, -2):
+            with pytest.raises(RankMismatch):
+                theta.apply(w(2, "x1"), k)
 
 
 # --- graded multiplication ---------------------------------------------------
@@ -235,7 +331,7 @@ def test_circ_inverse_identity_seeded():
     for theta in (GeneratorCycle(2), Inner(w(2, "x1 x2"))):
         for _ in range(200):
             a = sample_word(rng, 2, 6, 3)
-            inverse = theta.pow(-a.exp_sum()).apply(a.inv())    # theta^{-l(a)}(a^-1)
+            inverse = theta.apply(a.inv(), -a.exp_sum())    # theta^{-l(a)}(a^-1)
             assert circ_eval(a, inverse, theta).is_identity
 
 
