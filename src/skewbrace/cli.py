@@ -205,7 +205,7 @@ def _brace_payload(brace) -> dict:
 
 
 def _cmd_verify_group(args):
-    check = groups.group_check_from_json(_load_json(args.infile, "group file"))
+    check = groups.group_check_from_json(_load_json(args.infile, "group file"), _limits(args))
     return check.as_report(), check.ok
 
 
@@ -232,7 +232,7 @@ def _cmd_construct(args):
         brace = braces.opposite(braces.brace_from_json(_load_json(args.infile, "brace file")))
         return {"construct": kind, "brace": _brace_payload(brace),
                 "trivial": brace.is_trivial}, True
-    group = groups.group_from_json(_load_json(args.group, "group file"))
+    group = groups.group_from_json(_load_json(args.group, "group file"), _limits(args))
     if kind == "trivial":
         brace = braces.trivial_brace(group)
     elif kind == "op":
@@ -254,7 +254,7 @@ def _cmd_construct(args):
 
 
 def _cmd_enumerate(args):
-    group = groups.group_from_json(_load_json(args.infile, "group file"))
+    group = groups.group_from_json(_load_json(args.infile, "group file"), _limits(args))
     found = braces.enumerate_circ_ops(group, _limits(args))
     return {
         "order": group.order,
@@ -265,7 +265,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_system(args):
-    group = groups.group_from_json(_load_json(args.group, "group file"))
+    group = groups.group_from_json(_load_json(args.group, "group file"), _limits(args))
     if args.kind == "linear":
         lam = _maps(_load_json(args.lam, "lambda file"))
         graph = systems.build_linear_system(group, lam, depth=args.depth,
@@ -347,7 +347,8 @@ def _cmd_lattice(args):
 
 
 def _cmd_rb(args):
-    group = groups.group_from_json(_load_json(args.group, "group file")) if args.group else None
+    group = (groups.group_from_json(_load_json(args.group, "group file"), _limits(args))
+             if args.group else None)
     if args.action in ("brace", "search") and group is None:
         raise ValueError("--group is required for this action")
     if args.action == "check":

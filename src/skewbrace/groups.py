@@ -661,15 +661,15 @@ def json_object(data, what: str) -> dict:
     return data
 
 
-def group_check_from_json(data) -> GroupCheck:
+def group_check_from_json(data, limits: Limits = DEFAULT_LIMITS) -> GroupCheck:
     """The check of a group file, the one reader of the JSON group format.
 
     Either {"name", "order", "table"} with an arbitrary labeling, checked by
     verify_group (which moves the identity to 0), or {"name", "degree",
     "generators"} with cycle notation on points 1..degree. A declared "order"
     that is not the table's integer size, a misshapen field, a degree above
-    MAX_PERMUTATION_DEGREE, generators of a group above the order cap or
-    neither form raises.
+    MAX_PERMUTATION_DEGREE, generators of a group above ``limits.max_group_order``
+    or neither form raises.
     """
     if isinstance(data, str):
         data = json.loads(data)
@@ -690,13 +690,14 @@ def group_check_from_json(data) -> GroupCheck:
         if not isinstance(texts, list) or not all(isinstance(g, str) for g in texts):
             raise ValueError('"generators" must be a list of permutations, each a string')
         gens = [parse_cycles(g, degree) for g in texts]
-        return GroupCheck(True, group_from_permutations(gens, degree, name=name), None, ())
+        return GroupCheck(True, group_from_permutations(gens, degree, name=name, limits=limits),
+                          None, ())
     raise InvalidGroup((Violation("no_identity", ()),))
 
 
-def group_from_json(data) -> FiniteGroup:
+def group_from_json(data, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
     """The group of a group file; InvalidGroup when group_check_from_json finds none."""
-    return group_check_from_json(data).or_raise().group
+    return group_check_from_json(data, limits).or_raise().group
 
 
 def group_to_json(group: FiniteGroup) -> dict:

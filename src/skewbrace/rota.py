@@ -311,9 +311,7 @@ def free_is_rb(op: FreeRb, sampling: SampleConfig = DEFAULT_SAMPLING) -> dict:
             "failure_count": len(failures), "failures": failures}
 
 
-def _x1_power(k: int) -> FreeWord:
-    """x1^k in the free group of rank 2, built reduced."""
-    return FreeWord._reduced(2, ((1, k),) if k else ())
+_X1 = FreeWord.generator(2, 1)
 
 
 def free_rb_example(m: int, a: FreeWord, b: FreeWord) -> FreeWord:
@@ -321,7 +319,7 @@ def free_rb_example(m: int, a: FreeWord, b: FreeWord) -> FreeWord:
     if a.rank != 2 or b.rank != 2:
         raise ValueError("the example lives on the free group of rank 2")
     k = m * a.exp_sum()
-    return a.mul(_x1_power(k)).mul(b).mul(_x1_power(-k))
+    return a.mul(_X1.pow(k)).mul(b).mul(_X1.pow(-k))
 
 
 def free_rb_report(m: int, sampling: SampleConfig = DEFAULT_SAMPLING) -> dict:
@@ -336,7 +334,7 @@ def free_rb_report(m: int, sampling: SampleConfig = DEFAULT_SAMPLING) -> dict:
 
     def level_inv(i, a):
         k = i * a.exp_sum()
-        return _x1_power(-k).mul(a.inv()).mul(_x1_power(k))
+        return _X1.pow(-k).mul(a.inv()).mul(_X1.pow(k))
 
     for trial in range(sampling.samples):
         g, h, c = (sample_word(rng, 2, sampling.max_syllables, sampling.max_exponent)

@@ -79,23 +79,14 @@ class FreeWord:
             return other
         if not right:
             return self
-        if left[-1][0] != right[0][0]:
-            syllables = left + right
-        else:
-            i, j = len(left), 0
-            while i and j < len(right) and left[i - 1][0] == right[j][0]:
-                gen, merged = right[j][0], left[i - 1][1] + right[j][1]
-                if merged:
-                    syllables = left[:i - 1] + ((gen, merged),) + right[j + 1:]
-                    break
-                i -= 1
-                j += 1
-            else:
-                syllables = left[:i] + right[j:]
-        out = object.__new__(FreeWord)
-        out.rank = self.rank
-        out.syllables = syllables
-        return out
+        i, j = len(left), 0
+        while i and j < len(right) and left[i - 1][0] == right[j][0]:
+            gen, merged = right[j][0], left[i - 1][1] + right[j][1]
+            if merged:
+                return FreeWord._reduced(self.rank, left[:i - 1] + ((gen, merged),) + right[j + 1:])
+            i -= 1
+            j += 1
+        return FreeWord._reduced(self.rank, left[:i] + right[j:])
 
     def inv(self) -> "FreeWord":
         return FreeWord._reduced(self.rank, tuple((g, -e) for g, e in reversed(self.syllables)))
@@ -116,10 +107,7 @@ class FreeWord:
         return out
 
     def exp_sum(self) -> int:
-        total = 0
-        for _, e in self.syllables:
-            total += e
-        return total
+        return sum(e for _, e in self.syllables)
 
     def length(self) -> int:
         return sum(abs(e) for _, e in self.syllables)
@@ -145,7 +133,7 @@ class FreeWord:
         return f"FreeWord({self.rank}, {word_to_text(self)!r})"
 
 
-_TOKEN = r"x(0|[1-9][0-9]*)(?:\^([+-]?[0-9]+))?"   # compiled on first use, by re's cache
+_TOKEN_RE = re.compile(r"x(0|[1-9][0-9]*)(?:\^([+-]?[0-9]+))?")
 
 
 def word_from_text(rank: int, text: str) -> FreeWord:
@@ -158,7 +146,7 @@ def word_from_text(rank: int, text: str) -> FreeWord:
         return FreeWord(rank)
     syllables = []
     for token in text.split():
-        match = re.fullmatch(_TOKEN, token)
+        match = _TOKEN_RE.fullmatch(token)
         if match is None:
             raise ValueError(f"cannot parse word token {token!r}")
         gen, exp_text = match.groups()

@@ -369,6 +369,16 @@ def test_generator_group_file_above_the_order_cap_exit_2(tmp_path, capsys, comma
         assert err == "error: the generated group has order above the cap 24\n"
 
 
+def test_max_order_raises_the_generator_file_cap(tmp_path, capsys):
+    s5 = write(tmp_path, "s5.json", {"degree": 5, "generators": ["(1 2)", "(1 2 3 4 5)"]})
+    code, out, err = run(capsys, ["verify-group", "--in", s5])
+    assert code == 2 and err == "error: the generated group has order above the cap 24\n"
+    code, out, _ = run(capsys, ["--max-order", "120", "verify-group", "--in", s5])
+    assert code == 0 and json.loads(out)["order"] == 120
+    code, out, err = run(capsys, ["--max-order", "119", "verify-group", "--in", s5])
+    assert code == 2 and err == "error: the generated group has order above the cap 119\n"
+
+
 @pytest.mark.parametrize("values", [[0, 1], [0, 9, 2, 3], [0, True, 2, 3], ["0", 1, 2, 3]],
                          ids=["short", "out-of-range", "boolean", "string"])
 @pytest.mark.parametrize("command", [["rb", "check"], ["rb", "brace"], ["system", "--kind", "rb"]],

@@ -344,6 +344,17 @@ def test_group_from_permutations_s3():
     assert group_isomorphisms(g, groups.symmetric_group(3))
 
 
+def test_group_from_permutations_stops_at_the_order_cap():
+    s4 = [groups.parse_cycles("(1 2)", 4), groups.parse_cycles("(1 2 3 4)", 4)]
+    assert group_from_permutations(s4, 4, limits=Limits(max_group_order=24)).order == 24
+    with pytest.raises(OrderCapExceeded):
+        group_from_permutations(s4, 4, limits=Limits(max_group_order=23))
+    s5 = {"degree": 5, "generators": ["(1 2)", "(1 2 3 4 5)"]}
+    with pytest.raises(OrderCapExceeded):
+        group_from_json(s5)
+    assert group_from_json(s5, Limits(max_group_order=120)).order == 120
+
+
 def test_group_from_json_generators():
     g = group_from_json({"name": "V", "degree": 4,
                          "generators": ["(1 2)(3 4)", "(1 3)(2 4)"]})
