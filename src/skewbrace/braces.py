@@ -205,26 +205,28 @@ def op_brace(group: FiniteGroup) -> SkewBrace:
 def _lambda_arrays(add: FiniteGroup, circ: FiniteGroup) -> tuple:
     """(arrays, None) with arrays[a] = lambda_a, or (None, the first left-law triple).
 
-    At a fixed a the law a o (b . c) = (a o b) . a^-1 . (a o c) says
-    lambda_a(x) = a^-1 . (a o x) is multiplicative, which is checked against
-    the generators of (G, .) first; only the first a that fails there is
-    scanned over all (b, c) for its first witness.
+    At a fixed a the law says lambda_a(x) = a^-1 . (a o x) is multiplicative.
+    If lambda_a and lambda_b are, then (a o b) o x = a o (b . lambda_b(x)) =
+    (a o b) . lambda_a lambda_b(x), so lambda_{a o b} = lambda_a lambda_b is
+    too: the a where the law holds are closed under o, hence all of the
+    finite G once they hold the generators of (G, o), with no shared identity
+    needed. Only when a generator fails is every a tried in order, and the
+    first that fails is scanned over all (b, c) for its witness.
     """
     n = add.order
     at, ct, ainv = add.table, circ.table, add.inverse
-    arrays = []
+    arrays = [tuple([at[ainv[a]][x] for x in ct[a]]) for a in range(n)]
+    if all(is_multiplicative(add, at, arrays[a]) for a in circ.generators):
+        return arrays, None
     for a in range(n):
-        ca, ia = ct[a], ainv[a]
-        row = at[ia]
-        lam_a = tuple([row[x] for x in ca])
-        if not is_multiplicative(add, at, lam_a):
+        if not is_multiplicative(add, at, arrays[a]):
+            ca, ia = ct[a], ainv[a]
             for b in range(n):
                 left_ab = at[ca[b]][ia]
                 ab = at[b]
                 for c in range(n):
                     if ca[ab[c]] != at[left_ab][ca[c]]:
                         return None, (a, b, c)
-        arrays.append(lam_a)
     return arrays, None
 
 
@@ -236,14 +238,16 @@ def left_law_witness(add: FiniteGroup, circ: FiniteGroup) -> tuple | None:
 def right_law_witness(add: FiniteGroup, circ: FiniteGroup) -> tuple | None:
     """First triple violating (a . b) o c = (a o c) . c^-1 . (b o c), or None.
 
-    At a fixed c the law says rho_c(x) = (x o c) . c^-1 is multiplicative,
-    which is checked against the generators of (G, .) first; only when some
-    c fails there are all triples scanned for the first witness.
+    At a fixed c the law says rho_c(x) = (x o c) . c^-1 is multiplicative.
+    As for the left law, x o (c o d) = rho_d rho_c(x) . (c o d) gives
+    rho_{c o d} = rho_d rho_c, so the c where the law holds are closed under
+    o and it is checked only for the generators c of (G, o); only when one
+    fails there are all triples scanned for the first witness.
     """
     n = add.order
     at, ct, ainv = add.table, circ.table, add.inverse
     if all(is_multiplicative(add, at, [at[ct[x][c]][ainv[c]] for x in range(n)])
-           for c in range(n)):
+           for c in circ.generators):
         return None
     for a in range(n):
         for b in range(n):

@@ -189,50 +189,70 @@ class GroupCheck:
         return self
 
 
+def _latin_identity(rows, n: int):
+    """The identity of a Latin square of exact ints on range(n) that has one, else None.
+
+    Rows and columns are compared as sets; the identity's row is then the
+    only row equal to range(n), and only its column is left to check.
+    """
+    ident = list(range(n))
+    full = set(ident)
+    if not (all(len(r) == n and set(map(type, r)) == {int} and set(r) == full for r in rows)
+            and all(set(col) == full for col in zip(*rows)) and ident in rows):
+        return None
+    e = rows.index(ident)
+    return e if all(rows[a][e] == a for a in ident) else None
+
+
 def verify_group(table, name: str = "") -> GroupCheck:
     """Check the group axioms on a raw table.
 
     On success the identity is relabeled to index 0 and the relabeling
     permutation (old label -> new label) is reported so external labels
     round-trip.  On failure every violated axiom is reported with a witness.
+
+    A Latin square of exact ints with an identity passes whole-row and
+    whole-column checks; any other table is scanned entry by entry. Light's
+    test: the g with (x g) y = x (g y) for all x, y are closed under products,
+    so associativity is checked on generators and scanned only on failure.
     """
     rows = [list(r) for r in table]
     n = len(rows)
+    identity = _latin_identity(rows, n)
+    latin = identity is not None
     violations = []
-    if any(len(r) != n for r in rows) or n == 0:
-        return GroupCheck(False, None, None, (Violation("not_square", (n,)),))
-    for a in range(n):
-        for b in range(n):
-            v = rows[a][b]
-            if isinstance(v, bool) or not isinstance(v, int) or not (0 <= v < n):
-                return GroupCheck(False, None, None, (Violation("entry_out_of_range", (a, b)),))
-
-    for a in range(n):
-        if len(set(rows[a])) != n:
-            violations.append(Violation("not_latin_square", ("row", a)))
-            break
-    else:
-        for b in range(n):
-            if len({rows[a][b] for a in range(n)}) != n:
-                violations.append(Violation("not_latin_square", ("col", b)))
-                break
-
-    identity = None
-    for e in range(n):
-        if all(rows[e][a] == a and rows[a][e] == a for a in range(n)):
-            identity = e
-            break
-    if identity is None:
-        violations.append(Violation("no_identity", ()))
-
-    if identity is not None:
+    if not latin:
+        if any(len(r) != n for r in rows) or n == 0:
+            return GroupCheck(False, None, None, (Violation("not_square", (n,)),))
         for a in range(n):
-            if identity not in rows[a]:
-                violations.append(Violation("no_inverse", (a,)))
-                break
+            for b in range(n):
+                v = rows[a][b]
+                if isinstance(v, bool) or not isinstance(v, int) or not (0 <= v < n):
+                    return GroupCheck(False, None, None, (Violation("entry_out_of_range", (a, b)),))
 
-    # Light's test: the elements g with (x g) y = x (g y) for all x, y are closed
-    # under products, so once they include generators every triple passes
+        for a in range(n):
+            if len(set(rows[a])) != n:
+                violations.append(Violation("not_latin_square", ("row", a)))
+                break
+        else:
+            for b in range(n):
+                if len({rows[a][b] for a in range(n)}) != n:
+                    violations.append(Violation("not_latin_square", ("col", b)))
+                    break
+
+        for e in range(n):
+            if all(rows[e][a] == a and rows[a][e] == a for a in range(n)):
+                identity = e
+                break
+        if identity is None:
+            violations.append(Violation("no_identity", ()))
+
+        if identity is not None:
+            for a in range(n):
+                if identity not in rows[a]:
+                    violations.append(Violation("no_inverse", (a,)))
+                    break
+
     light = not violations and all(
         rows[rows[x][g]] == list(map(rows[x].__getitem__, rows[g]))
         for g in _right_closure(rows, identity, range(n))[1] for x in range(n))
@@ -245,12 +265,12 @@ def verify_group(table, name: str = "") -> GroupCheck:
     if violations:
         return GroupCheck(False, None, None, tuple(violations))
 
-    relabel = list(range(n))
-    if identity != 0:
-        old_order = [identity] + [x for x in range(n) if x != identity]
-        relabel = [0] * n
-        for new, old in enumerate(old_order):
-            relabel[old] = new
+    if latin and identity == 0:     # exact ints already in place: no relabeled copy
+        return GroupCheck(True, FiniteGroup(rows, name=name), tuple(range(n)), ())
+    old_order = [identity] + [x for x in range(n) if x != identity]
+    relabel = [0] * n
+    for new, old in enumerate(old_order):
+        relabel[old] = new
     return GroupCheck(True, FiniteGroup(relabeled(rows, relabel), name=name), tuple(relabel), ())
 
 

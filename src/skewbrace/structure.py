@@ -30,6 +30,15 @@ class IdealReport:
 
 
 def _is_normal_subgroup(group: FiniteGroup, members: set):
+    """(True, None) when ``members``, which hold 0, are a normal subgroup; else (False, witness).
+
+    Closure is decided by the generator walk and conjugation by the group's
+    generators alone, since the g with g H g^-1 in H are closed under
+    products. Only a failure runs the scans that find the first witness.
+    """
+    if subgroup_closure_in(group, members) == tuple(sorted(members)) and all(
+            group.conj(g, a) in members for g in group.generators for a in members):
+        return True, None
     for a in members:
         for b in members:
             if group.table[a][b] not in members:
@@ -42,22 +51,23 @@ def _is_normal_subgroup(group: FiniteGroup, members: set):
 
 
 def is_ideal(brace: SkewBrace, elements) -> IdealReport:
-    """Check the three ideal conditions; failures carry a witness."""
+    """Check the three ideal conditions; failures carry a witness.
+
+    Since lambda_{a o b} = lambda_a lambda_b, the a with lambda_a(I) in I
+    are closed under o, so lambda-invariance is checked on the generators of
+    (G, o) and scanned over every a, for the first witness, only on failure.
+    """
     members = set(elements)
     if 0 not in members:
         return IdealReport(tuple(sorted(members)), False, False, False, ("identity",))
-    lam = brace.lam
-    lam_ok, witness = True, None
-    for a in range(brace.order):
-        for x in sorted(members):
-            if lam.maps[a][x] not in members:
-                lam_ok, witness = False, ("lambda", a, x)
-                break
-        if not lam_ok:
-            break
+    maps = brace.lam.maps
+    witness = None
+    if not all(maps[a][x] in members for a in brace.circ.generators for x in members):
+        witness = next(("lambda", a, x) for a in range(brace.order) for x in sorted(members)
+                       if maps[a][x] not in members)
     add_ok, add_w = _is_normal_subgroup(brace.add, members)
     circ_ok, circ_w = _is_normal_subgroup(brace.circ, members)
-    return IdealReport(tuple(sorted(members)), lam_ok, add_ok, circ_ok,
+    return IdealReport(tuple(sorted(members)), witness is None, add_ok, circ_ok,
                        witness or add_w or circ_w)
 
 

@@ -25,6 +25,9 @@ from .rng import INC, MASK, MULT, Lcg
 MAX_REWRITE_LENGTH = 100_000
 """The longest word, in letters, that ``SchreierRewriter.rewrite`` scans one letter at a time."""
 
+MAX_T4_WINDOW = 1000
+"""The largest index window ``verify_t4`` checks: it builds and compares words for every k in it."""
+
 
 class FreeWord:
     """A reduced word over generators x1..x_rank with integer exponents."""
@@ -506,8 +509,11 @@ def verify_t4(n: int, w: FreeWord, window: int = 6) -> dict:
     With every generator acting by conjugation by ``w`` and m the exponent sum
     of w: conjugation by s maps z_{j,k} to the w0-conjugate of z_{j,k-m-1}
     (w0 = x1^-m w), and the modified element s w0^-1 shifts indices purely.
-    The m = -1 case is flagged as the direct-product regime.
+    The m = -1 case is flagged as the direct-product regime. A window above
+    MAX_T4_WINDOW raises ValueError before any word is built.
     """
+    if window > MAX_T4_WINDOW:
+        raise ValueError(f"window {window} exceeds the bound of {MAX_T4_WINDOW}")
     if not (2 <= n <= 4):
         raise ValueError("supported range is 2 <= n <= 4")
     if w.rank != n:

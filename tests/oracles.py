@@ -7,13 +7,23 @@ are enumerated directly from the axioms.
 from functools import lru_cache
 from itertools import permutations, product
 
-from skewbrace.groups import automorphism_group, build_holomorph, compose, invert_permutation
+from skewbrace.groups import (
+    FiniteGroup,
+    GroupCheck,
+    Violation,
+    automorphism_group,
+    build_holomorph,
+    compose,
+    invert_permutation,
+)
+from skewbrace.structure import IdealReport
 
 
+@lru_cache(maxsize=None)
 def group_tables_identity_zero(n):
-    """All group multiplication tables on {0..n-1} with identity 0."""
+    """All group multiplication tables on {0..n-1} with identity 0, as a tuple."""
     if n == 1:
-        return [((0,),)]
+        return (((0,),),)
     rows_by_first = {}
     for a in range(1, n):
         rows_by_first[a] = [
@@ -21,8 +31,12 @@ def group_tables_identity_zero(n):
         ]
     tables = []
 
-    def fill(row_idx, rows):
-        if row_idx == n:
+    def clash(row, other):
+        return any(x == y for x, y in zip(row, other))
+
+    def fill(rows, pools):
+        """pools[k]: the candidates for row len(rows) + k that keep every column latin."""
+        if not pools:
             t = tuple(rows)
             for a in range(n):
                 for b in range(n):
@@ -31,18 +45,14 @@ def group_tables_identity_zero(n):
                             return
             tables.append(t)
             return
-        for cand in rows_by_first[row_idx]:
-            ok = True
-            for col in range(n):  # keep columns latin as rows are placed
-                seen = {rows[r][col] for r in range(row_idx)}
-                if cand[col] in seen:
-                    ok = False
-                    break
-            if ok:
-                fill(row_idx + 1, rows + [cand])
+        for cand in pools[0]:
+            rest = [[r for r in pool if not clash(r, cand)] for pool in pools[1:]]
+            if all(rest):
+                fill(rows + [cand], rest)
 
-    fill(1, [tuple(range(n))])
-    return tables
+    first = tuple(range(n))
+    fill([first], [[r for r in rows_by_first[a] if not clash(r, first)] for a in range(1, n)])
+    return tuple(tables)
 
 
 def left_law_holds(add_table, circ_table, add_inverse):
@@ -308,6 +318,85 @@ def first_associativity_triple(table):
         if table[table[a][b]][c] != table[a][table[b][c]]:
             return (a, b, c)
     return None
+
+
+def verify_group_by_full_scan(table):
+    """The group check scanned entry by entry, with associativity tried on every triple.
+
+    Violations, witnesses and the relabeling (identity to 0, the other labels
+    in order) are those verify_group reports.
+    """
+    rows = [list(r) for r in table]
+    n = len(rows)
+    violations = []
+    if any(len(r) != n for r in rows) or n == 0:
+        return GroupCheck(False, None, None, (Violation("not_square", (n,)),))
+    for a in range(n):
+        for b in range(n):
+            v = rows[a][b]
+            if isinstance(v, bool) or not isinstance(v, int) or not (0 <= v < n):
+                return GroupCheck(False, None, None, (Violation("entry_out_of_range", (a, b)),))
+    for a in range(n):
+        if len(set(rows[a])) != n:
+            violations.append(Violation("not_latin_square", ("row", a)))
+            break
+    else:
+        for b in range(n):
+            if len({rows[a][b] for a in range(n)}) != n:
+                violations.append(Violation("not_latin_square", ("col", b)))
+                break
+    identity = next((e for e in range(n)
+                     if all(rows[e][a] == a and rows[a][e] == a for a in range(n))), None)
+    if identity is None:
+        violations.append(Violation("no_identity", ()))
+    else:
+        missing = next((a for a in range(n) if identity not in rows[a]), None)
+        if missing is not None:
+            violations.append(Violation("no_inverse", (missing,)))
+    triple = first_associativity_triple(rows)
+    if triple:
+        violations.append(Violation("not_associative", triple))
+    if violations:
+        return GroupCheck(False, None, None, tuple(violations))
+    order = [identity] + [x for x in range(n) if x != identity]
+    relabel = [0] * n
+    for new, old in enumerate(order):
+        relabel[old] = new
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[relabel[a]][relabel[b]] = relabel[rows[a][b]]
+    return GroupCheck(True, FiniteGroup(out), tuple(relabel), ())
+
+
+def _normal_by_full_scan(table, members):
+    """(True, None), or (False, the first closure or conjugation failure) over every pair."""
+    n = len(table)
+    inv = _inverses(table)
+    for a in members:
+        for b in members:
+            if table[a][b] not in members:
+                return False, ("closure", a, b)
+    for g in range(n):
+        for a in members:
+            if table[table[g][a]][inv[g]] not in members:
+                return False, ("conjugation", g, a)
+    return True, None
+
+
+def is_ideal_by_full_scan(brace, elements):
+    """The IdealReport of ``elements`` with lambda-invariance tried at every a of the brace."""
+    members = set(elements)
+    if 0 not in members:
+        return IdealReport(tuple(sorted(members)), False, False, False, ("identity",))
+    add, circ, n = brace.add.table, brace.circ.table, brace.order
+    inv = _inverses(add)
+    witness = next((("lambda", a, x) for a in range(n) for x in sorted(members)
+                    if add[inv[a]][circ[a][x]] not in members), None)
+    add_ok, add_w = _normal_by_full_scan(add, members)
+    circ_ok, circ_w = _normal_by_full_scan(circ, members)
+    return IdealReport(tuple(sorted(members)), witness is None, add_ok, circ_ok,
+                       witness or add_w or circ_w)
 
 
 def multiplicative_by_full_scan(src, dst, images):

@@ -505,6 +505,16 @@ def test_rewrite_length_bound_exit_2(capsys):
     assert err == f"error: word length 2000000002 exceeds the rewrite bound of {bound} letters\n"
 
 
+def test_t4_window_bound_exit_2(capsys):
+    bound = words.MAX_T4_WINDOW
+    argv = ["freegroup", "verify-t4", "--n", "2", "--w", "x2", "--window"]
+    code, out, _ = run(capsys, argv + [str(bound)])
+    assert code == 0 and json.loads(out)["window"] == bound
+    code, out, err = run(capsys, argv + [str(bound + 1)])
+    assert code == 2 and out == ""
+    assert err == f"error: window {bound + 1} exceeds the bound of {bound}\n"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["freegroup", "check", "--rank", "0"], "rank must be at least 1"),
     (["freegroup", "check", "--rank", "0", "--theta", "identity"], "rank must be at least 1"),

@@ -2,10 +2,13 @@
 
 Each library check below tests its law against the generators of a group
 and falls back to a full scan only on failure; the oracles scan every pair
-or triple.  The inputs cover valid braces, law-breaking pairs, tables whose
-identity is not 0 and non-associative loops, where Light's test fails.
+or triple.  The inputs cover valid braces, every pair of small group
+tables, law-breaking pairs, tables whose identity is not 0, malformed
+tables, non-associative loops, where Light's test fails, and sets one
+element off a subgroup, for the ideal check.
 """
 
+import random
 from functools import lru_cache
 
 import pytest
@@ -16,13 +19,16 @@ from oracles import (
     all_subgroups_by_all_pairs_closure,
     endomorphisms_by_brute_force,
     first_associativity_triple,
+    group_tables_identity_zero,
     homomorphisms_by_extension,
+    is_ideal_by_full_scan,
     left_law_first_witness,
     loop_tables,
     multiplicative_by_full_scan,
     right_law_first_witness,
     subgroup_closure_all_pairs,
     switched_cyclic_loop,
+    verify_group_by_full_scan,
 )
 from skewbrace.braces import enumerate_circ_ops, left_law_witness, right_law_witness, verify_brace
 from skewbrace.groups import (
@@ -39,7 +45,7 @@ from skewbrace.groups import (
     subgroup_closure_in,
     verify_group,
 )
-from skewbrace.structure import all_subgroups
+from skewbrace.structure import all_subgroups, is_ideal
 
 CATALOG = small_group_catalog(12)
 
@@ -68,6 +74,46 @@ def relabeled(table, p):
 
 def fixing_zero(n):
     return st.permutations(range(1, n)).map(lambda rest: (0,) + tuple(rest))
+
+
+def sending_zero_to(rng, n, k):
+    """A seeded permutation of range(n) with 0 -> k."""
+    p = list(range(n))
+    rng.shuffle(p)
+    z = p.index(k)
+    p[0], p[z] = p[z], p[0]
+    return p
+
+
+def assert_laws_match_full_scans(add, circ):
+    """Both law checks, directly and through verify_brace, against the full-scan oracles."""
+    left, right = left_law_first_witness(add, circ), right_law_first_witness(add, circ)
+    assert left_law_witness(FiniteGroup(add), FiniteGroup(circ)) == left
+    assert right_law_witness(FiniteGroup(add), FiniteGroup(circ)) == right
+    report = verify_brace(add, circ)
+    assert (report.left_witness, report.right_witness) == (left, right)
+    return left
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_laws_on_every_pair_of_small_group_tables(n):
+    # every ordered pair, so each pair is also checked as (circ, add)
+    tables = group_tables_identity_zero(n)
+    for add in tables:
+        for circ in tables:
+            assert_laws_match_full_scans(add, circ)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_laws_on_pairs_with_two_identities_away_from_zero(n):
+    rng = random.Random(n)
+    tables = group_tables_identity_zero(n)
+    for _ in range(60):
+        i, j = rng.sample(range(1, n), 2)
+        add = relabeled(rng.choice(tables), sending_zero_to(rng, n, i))
+        circ = relabeled(rng.choice(tables), sending_zero_to(rng, n, j))
+        assert assert_laws_match_full_scans(add, circ) is not None    # one identity each
+        assert assert_laws_match_full_scans(circ, add) is not None
 
 
 @given(braces())
@@ -186,3 +232,75 @@ def test_homomorphism_search_matches_extension_by_closure(group):
     copy = FiniteGroup(relabeled(group.table, p))
     assert group_isomorphisms(group, copy) == homomorphisms_by_extension(group, copy, True)
     assert group_isomorphisms(copy, group) == homomorphisms_by_extension(copy, group, True)
+
+
+class Label(int):
+    """An int subclass: verify_group takes it as an integer entry."""
+
+
+def _edited(table, edits):
+    rows = [list(row) for row in table]
+    for a, b, v in edits:
+        rows[a][b] = v
+    return rows
+
+
+Z4 = cyclic_group(4).table
+MALFORMED_TABLES = {
+    "empty": [],
+    "ragged": [[0, 1], [1]],
+    "bools": [[False, True], [True, False]],
+    "int_subclass": _edited(Z4, [(2, 3, Label(1))]),
+    "int_subclass_group": [[Label(x) for x in row] for row in Z4],
+    "floats": [[float(x) for x in row] for row in Z4],
+    "one_float": _edited(Z4, [(3, 3, 2.0)]),
+    "out_of_range": _edited(Z4, [(1, 2, 4)]),
+    "negative": _edited(Z4, [(0, 0, -1)]),
+    "repeated_row": [Z4[0], Z4[1], Z4[1], Z4[3]],
+    "repeated_column": _edited(Z4, [(1, 0, 2), (1, 1, 1)]),
+    "repeated_column_identity_intact": _edited(Z4, [(2, 1, 1), (2, 3, 3)]),
+    "no_identity": [[(a + b + 1) % 3 for b in range(3)] for a in range(3)],
+    "identity_row_bad_column": [[0, 1, 2], [2, 0, 1], [1, 2, 0]],
+    "identity_row_away_from_zero": [[1, 2, 0], [0, 1, 2], [2, 0, 1]],
+    "no_inverse": [[0, 1, 2], [1, 1, 1], [2, 2, 2]],
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_TABLES)
+def test_verify_group_matches_full_scan_on_malformed_tables(name):
+    table = MALFORMED_TABLES[name]
+    assert verify_group(table) == verify_group_by_full_scan(table)
+
+
+@pytest.mark.parametrize("group", CATALOG + ORDER_16, ids=lambda g: g.name)
+def test_verify_group_matches_full_scan_on_relabeled_groups(group):
+    rng = random.Random(group.name)
+    n = group.order
+    for k in range(n):
+        table = relabeled(group.table, sending_zero_to(rng, n, k))
+        assert verify_group(table) == verify_group_by_full_scan(table)
+        # rows in reverse order: a Latin square whose identity row sits elsewhere
+        assert verify_group(table[::-1]) == verify_group_by_full_scan(table[::-1])
+
+
+@pytest.mark.parametrize("table", loop_tables(5) + tuple(
+    switched_cyclic_loop(n, a, b) for n in (6, 8) for a in (1, 2) for b in (1, 2)))
+def test_verify_group_matches_full_scan_on_loops(table):
+    n = len(table)
+    for k in range(n):
+        moved = relabeled(table, sending_zero_to(random.Random(k), n, k))
+        assert verify_group(moved) == verify_group_by_full_scan(moved)
+
+
+def one_element_off(subgroup, n):
+    """Every set that is the subgroup with one element taken out or put in."""
+    for x in range(n):
+        yield tuple(y for y in subgroup if y != x) if x in subgroup else subgroup + (x,)
+
+
+@pytest.mark.parametrize("i", range(len(CATALOG)), ids=lambda i: CATALOG[i].name)
+def test_is_ideal_matches_full_scan(i):
+    for brace in braces_over(i):
+        for subgroup in all_subgroups(brace.add):
+            for members in (subgroup, *one_element_off(subgroup, brace.order)):
+                assert is_ideal(brace, members) == is_ideal_by_full_scan(brace, members)
