@@ -189,21 +189,6 @@ class GroupCheck:
         return self
 
 
-def _latin_identity(rows, n: int):
-    """The identity of a Latin square of exact ints on range(n) that has one, else None.
-
-    Rows and columns are compared as sets; the identity's row is then the
-    only row equal to range(n), and only its column is left to check.
-    """
-    ident = list(range(n))
-    full = set(ident)
-    if not (all(len(r) == n and set(map(type, r)) == {int} and set(r) == full for r in rows)
-            and all(set(col) == full for col in zip(*rows)) and ident in rows):
-        return None
-    e = rows.index(ident)
-    return e if all(rows[a][e] == a for a in ident) else None
-
-
 def verify_group(table, name: str = "") -> GroupCheck:
     """Check the group axioms on a raw table.
 
@@ -211,47 +196,44 @@ def verify_group(table, name: str = "") -> GroupCheck:
     permutation (old label -> new label) is reported so external labels
     round-trip.  On failure every violated axiom is reported with a witness.
 
-    A Latin square of exact ints with an identity passes whole-row and
-    whole-column checks; any other table is scanned entry by entry. Light's
-    test: the g with (x g) y = x (g y) for all x, y are closed under products,
-    so associativity is checked on generators and scanned only on failure.
+    Entries, rows and columns are checked with whole-row set operations, and
+    only a row that fails them is scanned entry by entry for its witness.
+    Light's test: the g with (x g) y = x (g y) for all x, y are closed under
+    products, so associativity is checked on generators and scanned only on
+    failure.
     """
     rows = [list(r) for r in table]
     n = len(rows)
-    identity = _latin_identity(rows, n)
-    latin = identity is not None
+    if any(len(r) != n for r in rows) or n == 0:
+        return GroupCheck(False, None, None, (Violation("not_square", (n,)),))
+    labels = list(range(n))
+    in_range = set(labels)
+    exact = True        # every entry a plain int: the identity-0 table needs no copy
+    for a, r in enumerate(rows):
+        if set(map(type, r)) == {int} and in_range.issuperset(r):
+            continue
+        exact = False
+        for b, v in enumerate(r):
+            if isinstance(v, bool) or not isinstance(v, int) or not (0 <= v < n):
+                return GroupCheck(False, None, None, (Violation("entry_out_of_range", (a, b)),))
+
     violations = []
-    if not latin:
-        if any(len(r) != n for r in rows) or n == 0:
-            return GroupCheck(False, None, None, (Violation("not_square", (n,)),))
-        for a in range(n):
-            for b in range(n):
-                v = rows[a][b]
-                if isinstance(v, bool) or not isinstance(v, int) or not (0 <= v < n):
-                    return GroupCheck(False, None, None, (Violation("entry_out_of_range", (a, b)),))
+    bad_row = next((a for a, r in enumerate(rows) if len(set(r)) != n), None)
+    bad_col = None if bad_row is not None else next(
+        (b for b, col in enumerate(zip(*rows)) if len(set(col)) != n), None)
+    if bad_row is not None:
+        violations.append(Violation("not_latin_square", ("row", bad_row)))
+    elif bad_col is not None:
+        violations.append(Violation("not_latin_square", ("col", bad_col)))
 
-        for a in range(n):
-            if len(set(rows[a])) != n:
-                violations.append(Violation("not_latin_square", ("row", a)))
-                break
-        else:
-            for b in range(n):
-                if len({rows[a][b] for a in range(n)}) != n:
-                    violations.append(Violation("not_latin_square", ("col", b)))
-                    break
-
-        for e in range(n):
-            if all(rows[e][a] == a and rows[a][e] == a for a in range(n)):
-                identity = e
-                break
-        if identity is None:
-            violations.append(Violation("no_identity", ()))
-
-        if identity is not None:
-            for a in range(n):
-                if identity not in rows[a]:
-                    violations.append(Violation("no_inverse", (a,)))
-                    break
+    identity = next((e for e, r in enumerate(rows)
+                     if r == labels and [s[e] for s in rows] == labels), None)
+    if identity is None:
+        violations.append(Violation("no_identity", ()))
+    else:
+        no_inverse = next((a for a, r in enumerate(rows) if identity not in r), None)
+        if no_inverse is not None:
+            violations.append(Violation("no_inverse", (no_inverse,)))
 
     light = not violations and all(
         rows[rows[x][g]] == list(map(rows[x].__getitem__, rows[g]))
@@ -265,8 +247,8 @@ def verify_group(table, name: str = "") -> GroupCheck:
     if violations:
         return GroupCheck(False, None, None, tuple(violations))
 
-    if latin and identity == 0:     # exact ints already in place: no relabeled copy
-        return GroupCheck(True, FiniteGroup(rows, name=name), tuple(range(n)), ())
+    if exact and identity == 0:
+        return GroupCheck(True, FiniteGroup(rows, name=name), tuple(labels), ())
     old_order = [identity] + [x for x in range(n) if x != identity]
     relabel = [0] * n
     for new, old in enumerate(old_order):
