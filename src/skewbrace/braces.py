@@ -63,6 +63,7 @@ class LambdaMap:
     hom_witness: tuple | None   # first (a, b) with lambda_{a.b} != lambda_a lambda_b
     anti_witness: tuple | None  # first (a, b) with lambda_{a.b} != lambda_b lambda_a
     image_abelian: bool
+    image_cyclic: bool          # some lambda_a has order image_order
 
     @property
     def homomorphic_on_add(self) -> bool:
@@ -109,9 +110,9 @@ class LambdaMap:
                     if which[t[a][b]] != prod[which[a]][which[b]]), None)
         anti = next(((a, b) for a in range(n) for b in range(n)
                      if which[t[a][b]] != prod[which[b]][which[a]]), None)
+        orders = {permutation_order(img) for img in distinct}
         exponent = 1
-        for img in distinct:
-            o = permutation_order(img)
+        for o in orders:
             exponent = exponent * o // gcd(exponent, o)
         ident = identity_map(n)
         return LambdaMap(
@@ -124,6 +125,7 @@ class LambdaMap:
             anti_witness=anti,
             image_abelian=all(products[i][j] == products[j][i]
                               for i in range(len(distinct)) for j in range(i)),
+            image_cyclic=len(distinct) in orders,
         )
 
     def kernel_witness(self, kernel) -> tuple | None:
@@ -328,25 +330,20 @@ class Classification:
 def classify(brace: SkewBrace) -> Classification:
     """Compute the five structural flags of a brace.
 
-    Symmetry is computed both by the criterion lambda_{a o b} = lambda_{b . a}
-    and by directly checking that swapping the two operations again gives a
-    brace; the two must agree.
+    A brace is symmetric when lambda_{a o b} = lambda_{b . a}; as
+    lambda_{a o b} = lambda_a lambda_b, that is lambda being an
+    anti-homomorphism of (G, .). The flag is read off that witness and must
+    agree with directly checking that swapping the two operations again gives
+    a brace.
     """
     lam = brace.lam
-    n = brace.order
-    criterion = all(
-        lam.maps[brace.circ.table[a][b]] == lam.maps[brace.add.table[b][a]]
-        for a in range(n) for b in range(n)
-    )
+    symmetric = lam.anti_homomorphic_on_add
     direct = left_law_witness(brace.circ, brace.add) is None
-    if criterion != direct:
+    if symmetric != direct:
         raise CriterionMismatch(
-            f"symmetry criterion ({criterion}) disagrees with direct check ({direct})")
-    cyclic = lam.homomorphic_on_add and any(
-        permutation_order(m) == lam.image_order for m in lam.maps
-    )
-    return Classification(lam.homomorphic_on_add, lam.anti_homomorphic_on_add,
-                          criterion, cyclic, brace.is_natural)
+            f"symmetry criterion ({symmetric}) disagrees with direct check ({direct})")
+    return Classification(lam.homomorphic_on_add, symmetric, symmetric,
+                          lam.homomorphic_on_add and lam.image_cyclic, brace.is_natural)
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +394,8 @@ def construct_exact_factorization(group: FiniteGroup, a_part, b_part) -> SkewBra
         raise NotExactFactorization("A and B must intersect trivially")
     if len(A) * len(B) != group.order:
         raise NotExactFactorization("|A| * |B| must equal |G|")
-    decomp = {}
-    for a in A:
-        for b in B:
-            g = group.table[a][b]
-            if g in decomp:
-                raise NotExactFactorization(f"element {g} decomposes twice")
-            decomp[g] = (a, b)
+    # a1 b1 = a2 b2 gives a2^-1 a1 = b2 b1^-1 in A & B = {0}: each g is one a b
+    decomp = {t[a][b]: (a, b) for a in A for b in B}
     circ = [[0] * n for _ in range(n)]
     for g1 in range(n):
         a1, b1 = decomp[g1]

@@ -156,8 +156,14 @@ def emit(report, fmt: str = "json", streams=None):
     raise AlgebraError(f"unsupported format {fmt!r}")
 
 
-def _load_json(path: str, what: str) -> dict:
-    """The JSON object in a file; ValueError naming ``what`` when its top level is not an object."""
+def _load_json(path: str | None, what: str) -> dict:
+    """The JSON object in a file.
+
+    Raises ValueError naming ``what`` when no path is given or the top level
+    is not an object.
+    """
+    if path is None:
+        raise ValueError(f"no {what} given")
     with open(path, "r", encoding="utf-8") as handle:
         return groups.json_object(json.load(handle), what)
 
@@ -190,7 +196,9 @@ def _sampling(args) -> SampleConfig:
     return SampleConfig(samples=args.samples, seed=args.seed)
 
 
-def _parse_elements(text: str) -> tuple:
+def _parse_elements(text: str | None, flag: str) -> tuple:
+    if text is None:
+        raise ValueError(f"no {flag} elements given")
     return tuple(int(tok) for tok in text.split(",") if tok != "")
 
 
@@ -242,7 +250,7 @@ def _cmd_construct(args):
         brace = braces.construct_from_lambda(group, _maps(payload), args.mode)
     elif kind == "exact-factorization":
         brace = braces.construct_exact_factorization(
-            group, _parse_elements(args.part_a), _parse_elements(args.part_b))
+            group, _parse_elements(args.part_a, "--a"), _parse_elements(args.part_b, "--b"))
     elif kind == "unification":
         payload = _load_json(args.unification, "unification file")
         brace = braces.construct_unification(

@@ -75,7 +75,8 @@ def kernel_ideal(brace: SkewBrace) -> IdealReport:
     """Ker lambda as an ideal; the sub-brace on it is trivial by construction.
 
     Ker lambda is always a subgroup of (G, .), but an ideal only in some
-    braces; it is one in every lambda-anti-homomorphic brace.
+    braces; it is one in every lambda-anti-homomorphic brace. It must be the
+    set of a whose o row equals their . row.
     """
     kernel = brace.lam.kernel
     report = is_ideal(brace, kernel)
@@ -83,16 +84,10 @@ def kernel_ideal(brace: SkewBrace) -> IdealReport:
         if brace.lam.anti_homomorphic_on_add:
             raise CriterionMismatch("the kernel of lambda must be an ideal")
         raise NotAnIdeal(f"Ker lambda {list(kernel)} fails {report.witness}")
-    pointwise = tuple(
-        a for a in range(brace.order)
-        if all(brace.circ.table[a][b] == brace.add.table[a][b] for b in range(brace.order))
-    )
+    circ, add = brace.circ.table, brace.add.table
+    pointwise = tuple(a for a in range(brace.order) if circ[a] == add[a])
     if pointwise != kernel:
         raise CriterionMismatch("kernel must equal the set where both products agree")
-    for a in kernel:
-        for b in kernel:
-            if brace.circ.table[a][b] != brace.add.table[a][b]:
-                raise CriterionMismatch("sub-brace on the kernel must be trivial")
     return report
 
 

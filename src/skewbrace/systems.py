@@ -30,6 +30,9 @@ from .groups import (
 )
 from .rota import derived_table, is_rb
 
+MAX_TOWER_HEIGHT = 1000
+"""The tallest operator tower ``build_rb_multibrace`` builds: it derives and keeps every level."""
+
 
 @dataclass
 class BraceSystemGraph:
@@ -220,13 +223,16 @@ def build_rb_multibrace(group: FiniteGroup, b_map, k: int,
     """The operator tower o_0 = ., o_{i+1} built from o_i and the operator.
 
     Consecutive pairs must satisfy the mixed law (asserted); non-consecutive
-    pairs are tested and tagged but carry no guarantee.
+    pairs are tested and tagged but carry no guarantee. A height above
+    MAX_TOWER_HEIGHT raises ValueError before any level is derived.
     """
     check = is_rb(group, b_map)
     if not check.ok:
         raise NotRotaBaxter(check.witness)
     if k < 0:
         raise ValueError("tower height must be non-negative")
+    if k > MAX_TOWER_HEIGHT:
+        raise ValueError(f"tower height {k} exceeds the bound of {MAX_TOWER_HEIGHT}")
     b = tuple(b_map)
     n = group.order
     level_tables = [group.table]

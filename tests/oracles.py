@@ -7,6 +7,7 @@ are enumerated directly from the axioms.
 from functools import lru_cache
 from itertools import permutations, product
 
+from skewbrace.braces import Classification
 from skewbrace.groups import (
     FiniteGroup,
     GroupCheck,
@@ -397,6 +398,41 @@ def is_ideal_by_full_scan(brace, elements):
     circ_ok, circ_w = _normal_by_full_scan(circ, members)
     return IdealReport(tuple(sorted(members)), witness is None, add_ok, circ_ok,
                        witness or add_w or circ_w)
+
+
+def _permutation_order(p):
+    k, q = 1, tuple(p)
+    while any(x != i for i, x in enumerate(q)):
+        k, q = k + 1, tuple(p[x] for x in q)
+    return k
+
+
+def classification_by_scan(brace):
+    """classify's five flags, each scanned over every element, pair or triple of the tables.
+
+    lambda_a(b) = a^-1 . (a o b) is read off the tables. Symmetry is the
+    criterion lambda_{a o b} = lambda_{b . a} over all pairs, which must
+    agree with the left law of (G, o, .) scanned over all triples; cyclicity
+    asks, for a homomorphic lambda, whether some lambda_a has the order of
+    the image.
+    """
+    add, circ = brace.add.table, brace.circ.table
+    n, inv = len(add), _inverses(add)
+    lam = [tuple(add[inv[a]][circ[a][b]] for b in range(n)) for a in range(n)]
+
+    def after(f, g):
+        return tuple(f[g[x]] for x in range(n))
+
+    pairs = list(product(range(n), repeat=2))
+    hom = all(lam[add[a][b]] == after(lam[a], lam[b]) for a, b in pairs)
+    anti = all(lam[add[a][b]] == after(lam[b], lam[a]) for a, b in pairs)
+    criterion = all(lam[circ[a][b]] == lam[add[b][a]] for a, b in pairs)
+    direct = left_law_first_witness(circ, add) is None
+    assert criterion == direct, "symmetry criterion disagrees with the direct check"
+    image_order = len(set(lam))
+    cyclic = hom and any(_permutation_order(m) == image_order for m in lam)
+    natural = all(circ[a][b] == add[b][a] for a, b in pairs)
+    return Classification(hom, anti, criterion, cyclic, natural)
 
 
 def multiplicative_by_full_scan(src, dst, images):

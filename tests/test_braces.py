@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
 from oracles import (
     brute_force_circ_tables,
+    classification_by_scan,
     isomorphism_classes_by_orbit,
     regular_subgroup_count_by_lambda_walk,
     regular_subgroups_by_closure,
@@ -29,6 +32,7 @@ from skewbrace.braces import (
 from skewbrace.config import Limits
 from skewbrace.errors import (
     AdditiveTablesDiffer,
+    CriterionMismatch,
     ImageNotAbelianModCenter,
     InvalidGroup,
     KernelConditionFails,
@@ -163,6 +167,29 @@ def test_classify_inversion(z4_inversion):
     flags = classify(z4_inversion)
     assert flags.lambda_homomorphic and flags.symmetric and flags.lambda_cyclic
     assert not flags.natural
+
+
+def test_classify_matches_the_scans_on_every_enumerated_brace():
+    carriers = groups.small_group_catalog(12) + [groups.dihedral_group(8), groups.dicyclic_group(4)]
+    for g in carriers:
+        for brace in enumerate_circ_ops(g):
+            assert classify(brace) == classification_by_scan(brace), g.name
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_classify_raises_when_the_direct_check_disagrees(monkeypatch, s3, symmetric):
+    brace = next(b for b in enumerate_circ_ops(s3) if classify(b).symmetric == symmetric)
+    real = braces.left_law_witness
+
+    def flipped(add, circ):   # the direct symmetry check of this brace gives the other answer
+        if add is brace.circ and circ is brace.add:
+            return None if real(add, circ) else (0, 0, 0)
+        return real(add, circ)
+
+    monkeypatch.setattr(braces, "left_law_witness", flipped)
+    message = f"symmetry criterion ({symmetric}) disagrees with direct check ({not symmetric})"
+    with pytest.raises(CriterionMismatch, match=re.escape(message)):
+        classify(SkewBrace(brace.add, brace.circ))
 
 
 # --- construct_from_lambda ---------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from skewbrace import braces, cli, groups, rota, structure, words
+from skewbrace import braces, cli, groups, rota, structure, systems, words
 from skewbrace.braces import brace_to_json, op_brace, trivial_brace
 from skewbrace.cli import main
 
@@ -513,6 +513,43 @@ def test_t4_window_bound_exit_2(capsys):
     code, out, err = run(capsys, argv + [str(bound + 1)])
     assert code == 2 and out == ""
     assert err == f"error: window {bound + 1} exceeds the bound of {bound}\n"
+
+
+def test_rb_tower_height_bound_exit_2(tmp_path, capsys):
+    bound = systems.MAX_TOWER_HEIGHT
+    s3 = groups.symmetric_group(3)
+    argv = ["system", "--kind", "rb", "--group", write(tmp_path, "s3.json", groups.group_to_json(s3)),
+            "--rb", write(tmp_path, "inv.json", {"map": list(s3.inverse)}), "--k"]
+    code, out, _ = run(capsys, argv + [str(bound)])
+    assert code == 0 and json.loads(out)["kind"] == "linear"
+    code, out, err = run(capsys, argv + [str(bound + 1)])
+    assert code == 2 and out == ""
+    assert err == f"error: tower height {bound + 1} exceeds the bound of {bound}\n"
+
+
+@pytest.mark.parametrize("argv,what", [
+    (["construct", "--kind", "trivial"], "group file"),
+    (["construct", "--kind", "from-lambda", "--group", "{z4}"], "lambda file"),
+    (["construct", "--kind", "unification", "--group", "{z4}"], "unification file"),
+    (["construct", "--kind", "opposite"], "brace file"),
+    (["construct", "--kind", "exact-factorization", "--group", "{z4}", "--b", "0,2"], "--a elements"),
+    (["construct", "--kind", "exact-factorization", "--group", "{z4}", "--a", "0,2"], "--b elements"),
+    (["construct", "--kind", "exact-factorization", "--group", "{z4}"], "--a elements"),
+    (["system", "--kind", "linear", "--group", "{z4}"], "lambda file"),
+    (["system", "--kind", "union", "--group", "{z4}"], "lambda file"),
+    (["system", "--kind", "union", "--group", "{z4}", "--lambda", "{lam}"], "lambda file"),
+    (["system", "--kind", "rb", "--group", "{z4}"], "operator file"),
+    (["rb", "check"], "operator file"),
+    (["rb", "check", "--group", "{z4}"], "operator file"),
+    (["rb", "brace", "--group", "{z4}"], "operator file"),
+])
+def test_missing_file_argument_exit_2(tmp_path, capsys, argv, what):
+    paths = {"z4": z4_file(tmp_path),
+             "lam": write(tmp_path, "lam.json", {"maps": [[0, 1, 2, 3]] * 4})}
+    code, out, err = run(capsys, [arg.format(**paths) for arg in argv])
+    assert code == 2 and out == ""
+    assert err == f"error: no {what} given\n"
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv,message", [
