@@ -1,7 +1,9 @@
 """Command-line front end: ingestion, dispatch, deterministic JSON/DOT reports.
 
 Exit codes: 0 on success, 1 when a verification failed (the report is still
-emitted), 2 on usage or input errors.
+emitted), 2 on usage or input errors, 3 when two computations the theory says
+must agree did not (CriterionMismatch, a bug in the library), with an
+``invariant_failure`` report on standard error.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import braces, groups, lattice, rota, structure, systems, words
 from .config import Limits, SampleConfig
-from .errors import AlgebraError
+from .errors import AlgebraError, CriterionMismatch
 
 
 _ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
@@ -492,6 +494,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         result, ok = args.handler(args)
+    except CriterionMismatch as exc:
+        failure = {"command": args.command, "error": type(exc).__name__, "message": str(exc)}
+        print(json.dumps({"invariant_failure": failure}, sort_keys=True), file=sys.stderr)
+        return 3
     except (OSError, json.JSONDecodeError, KeyError, ValueError, AlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

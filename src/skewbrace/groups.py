@@ -10,7 +10,6 @@ import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from math import gcd
 
 from .config import DEFAULT_LIMITS, Limits
@@ -484,31 +483,64 @@ def nilpotency_class(group: FiniteGroup) -> int | None:
 # Automorphisms and isomorphisms
 
 
-def _homomorphisms(src: FiniteGroup, dst: FiniteGroup, bijective: bool) -> list:
+def _homomorphisms(src: FiniteGroup, dst: FiniteGroup, bijective: bool,
+                   circ: FiniteGroup | None = None) -> list:
     """Homomorphisms src -> dst (only the bijective ones if asked), as sorted image tuples.
 
-    Tries every choice of images for the generators of src. An image must
-    have the generator's order (for bijections) or an order dividing it.
-    The choice fixes the map along the steps of the generator walk, the only
-    possible extension, and the map is kept iff it is multiplicative.
+    Backtracks over images of the generators of src, in the order of the
+    generator walk. An image must have the generator's order (for
+    bijections) or an order dividing it. Choosing the image of the k-th
+    generator fixes the map on the subgroup H_k the walk has closed by then,
+    along the walk's steps, the only possible extension. The choice is
+    dropped unless that map is multiplicative on the pairs new to H_k: each
+    old member times the new generator (a step of the walk, so it holds by
+    construction) and each new member times each generator so far. Then the
+    map is a homomorphism on H_k, by the induction of is_multiplicative, and
+    for bijections it is injective there iff no new member maps to 0.
+
+    With ``circ``, a second group on the carrier of src = dst (for
+    bijections), only maps that are also automorphisms of circ are kept:
+    every image keeps its o-order, checked at each level, and a full map is
+    kept iff it is multiplicative for circ.
     """
     members, gens, steps = _right_closure(src.table, 0, range(src.order))
-    position = {g: i for i, g in enumerate(gens)}
-    walk = [(y, x, position[g]) for y, (x, g) in zip(members[1:], steps)]
+    n, st, dt = src.order, src.table, dst.table
     dst_orders = [dst.element_order(x) for x in range(dst.order)]
-    choices = []
-    for g in gens:
-        k = src.element_order(g)
-        choices.append([h for h, o in enumerate(dst_orders)
-                        if (o == k if bijective else k % o == 0)])
-    dt, n = dst.table, src.order
+    circ_orders = [circ.element_order(x) for x in range(n)] if circ else None
+    starts = [members.index(g) for g in gens] + [n]
+    levels = []
+    for k, g in enumerate(gens):
+        new = members[starts[k]:starts[k + 1]]
+        walk = [(y, x, s) for y, (x, s) in zip(new, steps[starts[k] - 1:starts[k + 1] - 1])]
+        stepped = {(x, s) for _, x, s in walk}
+        checks = [(y, s, st[y][s]) for y in new for s in gens[:k + 1] if (y, s) not in stepped]
+        order = src.element_order(g)
+        choices = [h for h, o in enumerate(dst_orders)
+                   if (o == order if bijective else order % o == 0)
+                   and (circ is None or circ_orders[h] == circ_orders[g])]
+        levels.append((g, choices, walk[1:], checks, new))
     images = [0] * n
     found = []
-    for chosen in product(*choices):
-        for y, x, i in walk:
-            images[y] = dt[images[x]][chosen[i]]
-        if is_multiplicative(src, dt, images) and (not bijective or len(set(images)) == n):
-            found.append(tuple(images))
+
+    def extend(level):
+        if level == len(levels):
+            if circ is None or is_multiplicative(circ, circ.table, images):
+                found.append(tuple(images))
+            return
+        g, choices, walk, checks, new = levels[level]
+        for h in choices:
+            images[g] = h
+            for y, x, s in walk:
+                images[y] = dt[images[x]][images[s]]
+            if any(images[p] != dt[images[y]][images[s]] for y, s, p in checks):
+                continue
+            if bijective and 0 in map(images.__getitem__, new):
+                continue
+            if circ is not None and any(circ_orders[images[y]] != circ_orders[y] for y in new):
+                continue
+            extend(level + 1)
+
+    extend(0)
     return sorted(found)
 
 

@@ -9,9 +9,9 @@ from .config import DEFAULT_LIMITS, Limits
 from .errors import CriterionMismatch, NotAnIdeal, NotAntiHomomorphism, OrderCapExceeded
 from .groups import (
     FiniteGroup,
-    automorphism_group,
+    _homomorphisms,
+    _right_closure,
     group_from_table,
-    is_multiplicative,
     subgroup_closure_in,
 )
 
@@ -164,11 +164,64 @@ def all_subgroups(group: FiniteGroup) -> list:
     return sorted(seen, key=lambda s: (len(s), s))
 
 
+def _ideal_closure(brace: SkewBrace, seed: int) -> tuple:
+    """The ideal generated by ``seed``, as a sorted tuple.
+
+    The fixpoint of three closures: the subgroup of (G, .) by the generator
+    walk, conjugation by the generators of (G, .), and lambda_a and
+    o-conjugation by a for each generator a of (G, o). The first two make a
+    normal subgroup of (G, .), and lambda_a(I) in I for the generators a
+    gives it for all a, since lambda_{a o b} = lambda_a lambda_b; a
+    lambda-invariant normal subgroup is a subgroup of (G, o), normal once
+    the generators of (G, o) conjugate it into itself. Conjugation in (G, .)
+    and lambda_a are automorphisms of (G, .), so they are applied to the
+    walk's generators only; o-conjugation once to each member.
+    """
+    t, ct, maps = brace.add.table, brace.circ.table, brace.lam.maps
+    inv, cinv = brace.add.inverse, brace.circ.inverse
+    add_gens, circ_gens = brace.add.generators, brace.circ.generators
+    members, gens, _ = _right_closure(t, 0, (seed,))
+    done_gens = done = 0
+    while True:
+        reached = set(members)
+        new = [y for x in gens[done_gens:] for y in
+               [t[t[g][x]][inv[g]] for g in add_gens] + [maps[a][x] for a in circ_gens]
+               if y not in reached]
+        new += [y for x in members[done:] for a in circ_gens
+                if (y := ct[ct[a][x]][cinv[a]]) not in reached]
+        if not new:
+            return tuple(sorted(members))
+        done_gens, done = len(gens), len(members)
+        members, gens, _ = _right_closure(t, 0, gens + new)
+
+
 def all_ideals(brace: SkewBrace, limits: Limits = DEFAULT_LIMITS) -> list:
+    """Every ideal, sorted by size, then by members.
+
+    A product I J of ideals is an ideal and every ideal is the product of
+    the ideals its elements generate (Guarnieri-Vendramin 2017), so {0} is
+    closed under products with the ideal of each element.
+    """
     if brace.order > limits.max_ideal_search_order:
         raise OrderCapExceeded(
             f"ideal search capped at order {limits.max_ideal_search_order}")
-    return [s for s in all_subgroups(brace.add) if is_ideal(brace, s).is_ideal]
+    t = brace.add.table
+    principal = sorted(set(_ideal_closure(brace, a) for a in range(1, brace.order)))
+    seen = {(0,)}
+    frontier = [(0,)]
+    while frontier:
+        nxt = []
+        for ideal in frontier:
+            members = set(ideal)
+            for p in principal:
+                if members.issuperset(p):
+                    continue
+                product = tuple(sorted({t[x][y] for x in ideal for y in p}))
+                if product not in seen:
+                    seen.add(product)
+                    nxt.append(product)
+        frontier = nxt
+    return sorted(seen, key=lambda s: (len(s), s))
 
 
 @dataclass(frozen=True)
@@ -245,13 +298,16 @@ def naturality_report(brace: SkewBrace) -> dict:
 
 
 def brace_automorphisms(brace: SkewBrace, limits: Limits = DEFAULT_LIMITS) -> list:
-    """Image tuples of the permutations that are automorphisms of both operation tables.
+    """Image tuples of the permutations that are automorphisms of both operation tables, sorted.
 
-    For a homomorphic brace with abelian image every lambda value must be in
-    the list (asserted).
+    One search over the automorphisms of (G, .) that also keep o-orders and
+    products. For a homomorphic brace with abelian image every lambda value
+    must be in the list (asserted).
     """
-    auts = automorphism_group(brace.add, limits)
-    out = [m for m in auts if is_multiplicative(brace.circ, brace.circ.table, m)]
+    if brace.order > limits.max_group_order:
+        raise OrderCapExceeded(
+            f"order {brace.order} exceeds automorphism cap {limits.max_group_order}")
+    out = _homomorphisms(brace.add, brace.add, True, brace.circ)
     lam = brace.lam
     if lam.homomorphic_on_add and lam.image_abelian:
         listed = set(out)

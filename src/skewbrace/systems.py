@@ -8,6 +8,7 @@ deduplicated by exact table equality, keeping the label closest to the base.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .braces import LambdaMap, left_law_witness, link_conditions
 from .config import DEFAULT_LIMITS, Limits
@@ -118,32 +119,30 @@ def build_linear_system(group: FiniteGroup, lam, depth: int | None = None,
     """Materialize the iterated operations a o_i b = a . lambda_a^i(b).
 
     ``depth`` defaults to the exponent of the image, so the whole period is
-    built; negative levels use the inverse automorphisms.  Every ordered pair
-    of distinct vertices is verified and must pass.
+    built; negative levels use the inverse automorphisms. Each level's
+    lambda_a^i is one composition from the level before it. A depth above
+    MAX_TOWER_HEIGHT raises ValueError before any level is built. Every
+    ordered pair of distinct vertices is verified and must pass.
     """
     facts = check_linear_preconditions(group, lam)
-    arrays = facts.maps
     if depth is None:
         depth = facts.image_exponent
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    n = group.order
-    inv_arrays = [invert_permutation(a) for a in arrays]
+    if depth > MAX_TOWER_HEIGHT:
+        raise ValueError(f"depth {depth} exceeds the bound of {MAX_TOWER_HEIGHT}")
+    n, t = group.order, group.table
 
-    def level_table(i):
-        powered = []
-        for a in range(n):
-            img = identity_map(n)
-            step = arrays[a] if i >= 0 else inv_arrays[a]
-            for _ in range(abs(i)):
-                img = compose(step, img)
-            powered.append(img)
-        return tuple(tuple(group.table[a][powered[a][b]] for b in range(n)) for a in range(n))
+    def levels(steps, sign):
+        """(sign * i, table of level sign * i) for i = 1..depth, from the powers steps[a]^i."""
+        powers = [identity_map(n)] * n
+        for i in range(1, depth + 1):
+            powers = [compose(step, power) for step, power in zip(steps, powers)]
+            yield sign * i, tuple(tuple(map(t[a].__getitem__, power))
+                                  for a, power in enumerate(powers))
 
-    levels = list(range(depth + 1))
-    if include_negative:
-        levels += [-i for i in range(1, depth + 1)]
-    tables = [(i, level_table(i)) for i in levels]
+    negative = levels([invert_permutation(m) for m in facts.maps], -1) if include_negative else ()
+    tables = chain([(0, t)], levels(facts.maps, 1), negative)
     vertices, labels, label_map = _dedupe(tables, limits)
     edges = _verify_all_pairs(vertices)
     if any(status == "failed" for status in edges.values()):

@@ -553,3 +553,19 @@ def homomorphisms_by_extension(src, dst, bijective):
         if images is not None and (not bijective or len(set(images)) == src.order):
             found.append(images)
     return sorted(found)
+
+
+def linear_level_by_recomposing(group, maps, i):
+    """The table of a o_i b = a . lambda_a^i(b), each power recomposed from the identity.
+
+    A negative i powers the inverse of each lambda_a.
+    """
+    n = group.order
+    table = []
+    for a in range(n):
+        step = maps[a] if i >= 0 else tuple(maps[a].index(x) for x in range(n))
+        power = tuple(range(n))
+        for _ in range(abs(i)):
+            power = tuple(step[x] for x in power)
+        table.append(tuple(group.table[a][power[b]] for b in range(n)))
+    return tuple(table)

@@ -332,6 +332,29 @@ def test_census_counts_match_independent_walk():
             assert len(enumerate_circ_ops(g)) == regular_subgroup_count_by_lambda_walk(g)
 
 
+def test_census_orbits_match_guarnieri_vendramin():
+    # The Aut(G)-orbits of the labeled braces over G are its isomorphism
+    # classes; summed over the groups of each order 2-12 they give the
+    # published counts of skew braces and of braces (abelian addition),
+    # Guarnieri-Vendramin, Math. Comp. 86 (2017).
+    skew, classical = [0] * 13, [0] * 13
+    for g in groups.small_group_catalog(12)[1:]:
+        n, auts = g.order, groups.automorphism_group(g)
+        unseen = {b.circ.table for b in enumerate_circ_ops(g)}
+        orbits = 0
+        while unseen:
+            circ = min(unseen)
+            orbits += 1
+            for phi in auts:
+                inv = groups.invert_permutation(phi)
+                unseen.discard(tuple(tuple(phi[circ[inv[a]][inv[b]]] for b in range(n))
+                                     for a in range(n)))
+        skew[n] += orbits
+        classical[n] += orbits if g.is_abelian else 0
+    assert skew[2:] == [1, 1, 4, 1, 6, 1, 47, 4, 6, 1, 38]
+    assert classical[2:] == [1, 1, 4, 1, 2, 1, 27, 4, 2, 1, 10]
+
+
 def test_lambda_is_circle_homomorphism_over_census():
     # lambda_{a o b} = lambda_a . lambda_b holds for every brace
     from skewbrace.groups import compose

@@ -245,6 +245,33 @@ def test_system_linear_json(tmp_path, capsys):
     assert report["kind"] == "linear"
 
 
+@pytest.mark.parametrize("depth,code", [(1000, 0), (1001, 2)])
+def test_system_linear_depth_bound(tmp_path, capsys, depth, code):
+    gpath = z4_file(tmp_path)
+    lpath = write(tmp_path, "lam.json",
+                  {"maps": [[0, 1, 2, 3], [0, 3, 2, 1], [0, 1, 2, 3], [0, 3, 2, 1]]})
+    found, out, err = run(capsys, ["system", "--kind", "linear", "--group", gpath,
+                                   "--lambda", lpath, "--depth", str(depth),
+                                   "--include-negative"])
+    assert found == code
+    if code == 0:
+        assert json.loads(out)["period"] == 2
+    else:
+        assert out == "" and err == f"error: depth 1001 exceeds the bound of {systems.MAX_TOWER_HEIGHT}\n"
+
+
+def test_criterion_mismatch_exits_3_with_invariant_report(tmp_path, capsys, monkeypatch):
+    # with no automorphism found, the identity lambda values of a trivial brace are unlisted
+    path = write(tmp_path, "brace.json", brace_to_json(trivial_brace(groups.cyclic_group(4))))
+    monkeypatch.setattr(structure, "_homomorphisms", lambda *args: [])
+    code, out, err = run(capsys, ["structure", "--in", path])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {"invariant_failure": {
+        "command": "structure", "error": "CriterionMismatch",
+        "message": "lambda values must be brace automorphisms here"}}
+
+
 @pytest.mark.parametrize("maps,message", [
     (3, "lambda must be a list of maps"),
     ([[0, 1, 2, 3], [0, 3, 2, 1]], "lambda has 2 maps, the group has 4 elements"),
@@ -836,12 +863,14 @@ def count_calls(monkeypatch, fn):
     return calls
 
 
-def test_structure_enumerates_subgroups_once(tmp_path, capsys, monkeypatch):
+def test_structure_closes_one_ideal_per_element(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "brace.json", brace_to_json(op_brace(groups.dihedral_group(4))))
-    calls = count_calls(monkeypatch, structure.all_subgroups)
+    subgroups = count_calls(monkeypatch, structure.all_subgroups)
+    closures = count_calls(monkeypatch, structure._ideal_closure)
     code, _, _ = run(capsys, ["structure", "--in", path])
     assert code == 0
-    assert len(calls) == 1
+    assert subgroups == []
+    assert sorted(seed for _, seed in closures) == list(range(1, 8))
 
 
 @pytest.mark.parametrize("command", ["classify", "verify-brace"])

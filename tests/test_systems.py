@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from oracles import linear_level_by_recomposing
 from skewbrace import groups
 from skewbrace.braces import SkewBrace, classify, enumerate_circ_ops, left_law_witness
 from skewbrace.config import Limits
@@ -92,6 +93,26 @@ def test_closed_form_matches_iteration(z4):
         tables.append(tuple(tuple(prev[a][lam[a][b]] for b in range(4)) for a in range(4)))
     for i, table in enumerate(tables):
         assert system.vertices[system.label_map[i]].table == table
+
+
+def shear_lambda(m, k, c):
+    """On Zm x Zk (index x * k + y): lambda_(x, y)(u, v) = (u, v + c x u)."""
+    return [tuple(u * k + (v + c * (a // k) * u) % k for u in range(m) for v in range(k))
+            for a in range(m * k)]
+
+
+@pytest.mark.parametrize("m,k,c", [(2, 4, 2), (4, 8, 2), (3, 9, 3), (5, 5, 1)])
+def test_levels_match_recomposing_from_identity(m, k, c):
+    group = groups.direct_product(groups.cyclic_group(m), groups.cyclic_group(k))
+    lam = shear_lambda(m, k, c)
+    exponent = build_linear_system(group, lam).image_exponent
+    depth = 3 * exponent
+    system = build_linear_system(group, lam, depth=depth, include_negative=True)
+    assert sorted(system.label_map) == list(range(-depth, depth + 1))
+    for i in range(-depth, depth + 1):
+        assert system.vertices[system.label_map[i]].table == \
+            linear_level_by_recomposing(group, lam, i)
+    assert system.vertex_count() == exponent
 
 
 def test_cross_level_closed_form(z2xz4):

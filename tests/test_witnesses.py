@@ -30,7 +30,13 @@ from oracles import (
     switched_cyclic_loop,
     verify_group_by_full_scan,
 )
-from skewbrace.braces import enumerate_circ_ops, left_law_witness, right_law_witness, verify_brace
+from skewbrace.braces import (
+    enumerate_circ_ops,
+    left_law_witness,
+    pushforward,
+    right_law_witness,
+    verify_brace,
+)
 from skewbrace.groups import (
     FiniteGroup,
     automorphism_group,
@@ -45,7 +51,7 @@ from skewbrace.groups import (
     subgroup_closure_in,
     verify_group,
 )
-from skewbrace.structure import all_subgroups, is_ideal
+from skewbrace.structure import all_ideals, all_subgroups, brace_automorphisms, is_ideal
 
 CATALOG = small_group_catalog(12)
 
@@ -307,3 +313,59 @@ def test_is_ideal_matches_full_scan(i):
         for subgroup in all_subgroups(brace.add):
             for members in (subgroup, *one_element_off(subgroup, brace.order)):
                 assert is_ideal(brace, members) == is_ideal_by_full_scan(brace, members)
+
+
+# ---------------------------------------------------------------------------
+# Brace automorphisms and ideals, against searches that prune nothing
+
+
+@lru_cache(maxsize=None)
+def additive_automorphisms_by_extension(add):
+    return homomorphisms_by_extension(add, add, True)
+
+
+@lru_cache(maxsize=None)
+def additive_subgroups_by_all_pairs_closure(add):
+    return all_subgroups_by_all_pairs_closure(add.table)
+
+
+@lru_cache(maxsize=None)
+def braces_over_order_16():
+    """Every brace over D16 and Q16, relabeled by one of four seeded permutations fixing 0."""
+    rng = random.Random(16)
+    found = []
+    for group in (dihedral_group(8), dicyclic_group(4)):
+        perms = [sending_zero_to(rng, 16, 0) for _ in range(4)]
+        found += [pushforward(brace, perms[k % 4])
+                  for k, brace in enumerate(enumerate_circ_ops(group))]
+    return tuple(found)
+
+
+def assert_structure_matches_oracles(brace):
+    add, circ = brace.add, brace.circ.table
+    assert brace_automorphisms(brace) == [
+        m for m in additive_automorphisms_by_extension(add)
+        if multiplicative_by_full_scan(circ, circ, m)]
+    assert all_ideals(brace) == [
+        s for s in additive_subgroups_by_all_pairs_closure(add)
+        if is_ideal_by_full_scan(brace, s).is_ideal]
+
+
+@pytest.mark.parametrize("i", range(len(CATALOG)), ids=lambda i: CATALOG[i].name)
+def test_brace_automorphisms_and_ideals_match_oracles(i):
+    for brace in braces_over(i):
+        assert_structure_matches_oracles(brace)
+
+
+def test_brace_automorphisms_and_ideals_match_oracles_at_order_16():
+    found = braces_over_order_16()
+    assert len({b.add.table for b in found}) == 8
+    for brace in found:
+        assert_structure_matches_oracles(brace)
+
+
+def test_automorphisms_and_endomorphisms_of_z2_to_the_4():
+    z2 = cyclic_group(2)
+    group = direct_product(direct_product(direct_product(z2, z2), z2), z2)
+    assert len(automorphism_group(group)) == 20160     # |GL(4, 2)|
+    assert len(endomorphisms(group)) == 65536          # 2^16 matrices over F2
