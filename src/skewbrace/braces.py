@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cache
 from math import gcd
 
-from .config import DEFAULT_LIMITS, Limits
 from .errors import (
     AdditiveTablesDiffer,
     CriterionMismatch,
@@ -31,6 +30,7 @@ from .errors import (
     PreconditionFails,
 )
 from .groups import (
+    MAX_GROUP_ORDER,
     FiniteGroup,
     compose,
     group_from_table,
@@ -680,9 +680,9 @@ def brace_from_regular_subgroup(base: FiniteGroup, automorphisms, members) -> Sk
     return SkewBrace(base, group_from_table(circ))
 
 
-def enumerate_circ_ops(group: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list:
+def enumerate_circ_ops(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> list:
     """One skew brace per regular subgroup of Hol G, sorted by multiplicative table."""
-    auts = holomorph_automorphisms(group, limits)
+    auts = holomorph_automorphisms(group, max_order)
     braces = [brace_from_regular_subgroup(group, auts, members)
               for members in regular_subgroups(group, auts)]
     return sorted(braces, key=lambda b: b.circ.table)
@@ -693,7 +693,7 @@ def enumerate_circ_ops(group: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> l
 
 
 def brace_isomorphic(brace1: SkewBrace, brace2: SkewBrace,
-                     limits: Limits = DEFAULT_LIMITS) -> tuple | None:
+                     max_order: int = MAX_GROUP_ORDER) -> tuple | None:
     """The image tuple of a simultaneous isomorphism of both operations, or None.
 
     Searches additive-group isomorphisms; for a pair of lambda-homomorphic
@@ -703,7 +703,7 @@ def brace_isomorphic(brace1: SkewBrace, brace2: SkewBrace,
     """
     if brace1.order != brace2.order:
         return None
-    isos = group_isomorphisms(brace1.add, brace2.add, limits)
+    isos = group_isomorphisms(brace1.add, brace2.add, max_order)
     lam, mu = brace1.lam, brace2.lam
     use_criterion = lam.homomorphic_on_add and mu.homomorphic_on_add
     for phi in isos:

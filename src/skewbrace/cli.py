@@ -17,7 +17,7 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from . import braces, groups, lattice, rota, structure, systems, words
-from .config import Limits, SampleConfig
+from .config import SampleConfig
 from .errors import AlgebraError, CriterionMismatch
 
 
@@ -190,10 +190,6 @@ def _config_echo(args) -> dict:
     }
 
 
-def _limits(args) -> Limits:
-    return Limits(max_group_order=args.max_order)
-
-
 def _sampling(args) -> SampleConfig:
     return SampleConfig(samples=args.samples, seed=args.seed)
 
@@ -215,7 +211,7 @@ def _brace_payload(brace) -> dict:
 
 
 def _cmd_verify_group(args):
-    check = groups.group_check_from_json(_load_json(args.infile, "group file"), _limits(args))
+    check = groups.group_check_from_json(_load_json(args.infile, "group file"), args.max_order)
     return check.as_report(), check.ok
 
 
@@ -242,7 +238,7 @@ def _cmd_construct(args):
         brace = braces.opposite(braces.brace_from_json(_load_json(args.infile, "brace file")))
         return {"construct": kind, "brace": _brace_payload(brace),
                 "trivial": brace.is_trivial}, True
-    group = groups.group_from_json(_load_json(args.group, "group file"), _limits(args))
+    group = groups.group_from_json(_load_json(args.group, "group file"), args.max_order)
     if kind == "trivial":
         brace = braces.trivial_brace(group)
     elif kind == "op":
@@ -264,8 +260,8 @@ def _cmd_construct(args):
 
 
 def _cmd_enumerate(args):
-    group = groups.group_from_json(_load_json(args.infile, "group file"), _limits(args))
-    found = braces.enumerate_circ_ops(group, _limits(args))
+    group = groups.group_from_json(_load_json(args.infile, "group file"), args.max_order)
+    found = braces.enumerate_circ_ops(group, args.max_order)
     return {
         "order": group.order,
         "count": len(found),
@@ -275,7 +271,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_system(args):
-    group = groups.group_from_json(_load_json(args.group, "group file"), _limits(args))
+    group = groups.group_from_json(_load_json(args.group, "group file"), args.max_order)
     if args.kind == "linear":
         lam = _maps(_load_json(args.lam, "lambda file"))
         graph = systems.build_linear_system(group, lam, depth=args.depth,
@@ -291,7 +287,7 @@ def _cmd_system(args):
         graph = systems.build_rb_multibrace(group, _finite_operator(args.rb, group), args.k)
         period = None
     else:  # rooted
-        found = braces.enumerate_circ_ops(group, _limits(args))
+        found = braces.enumerate_circ_ops(group, args.max_order)
         graph = systems.build_rooted_system(group, [b.circ for b in found])
         period = None
     if args.format == "dot":
@@ -306,14 +302,14 @@ def _cmd_system(args):
 
 def _cmd_structure(args):
     brace = braces.brace_from_json(_load_json(args.infile, "brace file"))
-    ideals = structure.all_ideals(brace, Limits())
+    ideals = structure.all_ideals(brace)
     chain = structure.triviality_step(brace, ideals)
     report = {
         "ideals": [list(i) for i in ideals],
         "kernel": list(brace.lam.kernel),
         "st": chain.step if chain else None,
         "chain": [list(part) for part in chain.chain] if chain else None,
-        "automorphism_count": len(structure.brace_automorphisms(brace, _limits(args))),
+        "automorphism_count": len(structure.brace_automorphisms(brace, args.max_order)),
     }
     if brace.lam.anti_homomorphic_on_add:
         report["naturality"] = structure.naturality_report(brace)
@@ -357,7 +353,7 @@ def _cmd_lattice(args):
 
 
 def _cmd_rb(args):
-    group = (groups.group_from_json(_load_json(args.group, "group file"), _limits(args))
+    group = (groups.group_from_json(_load_json(args.group, "group file"), args.max_order)
              if args.group else None)
     if args.action in ("brace", "search") and group is None:
         raise ValueError("--group is required for this action")
@@ -382,7 +378,7 @@ def _cmd_rb(args):
             found = rota.rb_self_maps(group)
             scope = "self-maps"
         else:
-            found = rota.rb_endomorphisms(group, _limits(args))
+            found = rota.rb_endomorphisms(group, args.max_order)
             scope = "endomorphisms"
         rows = []
         for op in found:
@@ -408,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct, verify and enumerate skew braces and brace systems.")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--samples", type=int, default=500)
-    parser.add_argument("--max-order", type=int, default=24, dest="max_order")
+    parser.add_argument("--max-order", type=int, default=groups.MAX_GROUP_ORDER, dest="max_order")
     parser.add_argument("--out", default=None, help="also write the report to this path")
     parser.add_argument("--format", choices=("json", "dot"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)

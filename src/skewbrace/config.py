@@ -1,34 +1,29 @@
-"""Tunable size caps and sampling defaults.
+"""Sampling settings: how many samples the word and lattice samplers draw, and the seed.
 
-Every cap is a config value rather than a hard constant so that callers
-(and the CLI) can raise or lower the desk-scale guardrails.
+Size caps are not config values: each is a module constant beside the one
+check that reads it (``groups.MAX_GROUP_ORDER`` and its siblings). The one
+tunable cap, the group-order cap, is a ``max_order`` argument of the
+functions that read it and the CLI's ``--max-order``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class Limits:
-    max_group_order: int = 24        # automorphism search cap
-    max_holomorph_order: int = 10000
-    max_ideal_search_order: int = 16  # ideal lattice / triviality chains
-    max_system_vertices: int = 64
-    max_lattice_depth: int = 8
+MAX_SAMPLES = 100_000
+"""The most samples a sampler draws: each one builds and compares a few words or vectors."""
 
 
 @dataclass(frozen=True)
 class SampleConfig:
     samples: int = 500
     seed: int = 0
-    max_syllables: int = 8
-    max_exponent: int = 3
 
     def __post_init__(self):
         if self.samples < 0:
             raise ValueError("samples must not be negative")
+        if self.samples > MAX_SAMPLES:
+            raise ValueError(f"samples {self.samples} exceeds the bound of {MAX_SAMPLES}")
 
 
-DEFAULT_LIMITS = Limits()
 DEFAULT_SAMPLING = SampleConfig()

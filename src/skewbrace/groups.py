@@ -9,10 +9,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
-from .config import DEFAULT_LIMITS, Limits
 from .errors import InvalidGroup, NotASubgroup, OrderCapExceeded
 
 
@@ -353,12 +351,16 @@ def alternating_group(n: int) -> FiniteGroup:
     return _perm_group_from([p for p in permutations(range(n)) if sign(p) == 1], name=f"A{n}")
 
 
+MAX_GROUP_ORDER = 24
+"""The default ``max_order``: the largest group the closure and homomorphism searches take."""
+
+
 def group_from_permutations(generators, degree: int, name: str = "",
-                            limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
+                            max_order: int = MAX_GROUP_ORDER) -> FiniteGroup:
     """Closure of permutation generators on {0..degree-1}; elements sorted lexicographically.
 
     The closure stops with OrderCapExceeded as soon as it holds more than
-    ``limits.max_group_order`` elements, before any table is built.
+    ``max_order`` elements, before any table is built.
     """
     gens = [tuple(g) for g in generators]
     for g in gens:
@@ -372,9 +374,9 @@ def group_from_permutations(generators, degree: int, name: str = "",
             for g in gens:
                 q = tuple(p[g[x]] for x in range(degree))
                 if q not in closure:
-                    if len(closure) == limits.max_group_order:
+                    if len(closure) == max_order:
                         raise OrderCapExceeded(
-                            f"the generated group has order above the cap {limits.max_group_order}")
+                            f"the generated group has order above the cap {max_order}")
                     closure.add(q)
                     nxt.append(q)
         frontier = nxt
@@ -544,31 +546,24 @@ def _homomorphisms(src: FiniteGroup, dst: FiniteGroup, bijective: bool,
     return sorted(found)
 
 
-def group_isomorphisms(src: FiniteGroup, dst: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list:
+def group_isomorphisms(src: FiniteGroup, dst: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> list:
     """All isomorphisms src -> dst as image tuples, sorted lexicographically."""
     if src.order != dst.order:
         return []
-    if src.order > limits.max_group_order:
-        raise OrderCapExceeded(
-            f"order {src.order} exceeds automorphism cap {limits.max_group_order}")
+    if src.order > max_order:
+        raise OrderCapExceeded(f"order {src.order} exceeds automorphism cap {max_order}")
     return _homomorphisms(src, dst, True)
 
 
-@lru_cache(maxsize=256)
-def _automorphism_images(group: FiniteGroup, cap: int) -> tuple:
-    """Cached by the group's table, by which a FiniteGroup hashes and compares."""
-    return tuple(group_isomorphisms(group, group, Limits(max_group_order=cap)))
-
-
-def automorphism_group(group: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> tuple:
+def automorphism_group(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> tuple:
     """All automorphisms as image tuples, identity first, in lexicographic order."""
-    return _automorphism_images(group, limits.max_group_order)
+    return tuple(group_isomorphisms(group, group, max_order))
 
 
-def endomorphisms(group: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list:
+def endomorphisms(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> list:
     """All endomorphism image tuples of the group, sorted."""
-    if group.order > limits.max_group_order:
-        raise OrderCapExceeded(f"order {group.order} exceeds cap {limits.max_group_order}")
+    if group.order > max_order:
+        raise OrderCapExceeded(f"order {group.order} exceeds cap {max_order}")
     return _homomorphisms(group, group, False)
 
 
@@ -591,18 +586,21 @@ class Holomorph:
         return idx % self.base.order
 
 
-def holomorph_automorphisms(base: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> tuple:
+MAX_HOLOMORPH_ORDER = 10000
+"""The largest |Hol G| = |Aut G| |G| whose regular subgroups the census walks."""
+
+
+def holomorph_automorphisms(base: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> tuple:
     """automorphism_group(base), after checking |Hol G| = |Aut G| * |G| against the cap."""
-    auts = automorphism_group(base, limits)
+    auts = automorphism_group(base, max_order)
     total = len(auts) * base.order
-    if total > limits.max_holomorph_order:
-        raise OrderCapExceeded(
-            f"holomorph order {total} exceeds cap {limits.max_holomorph_order}")
+    if total > MAX_HOLOMORPH_ORDER:
+        raise OrderCapExceeded(f"holomorph order {total} exceeds cap {MAX_HOLOMORPH_ORDER}")
     return auts
 
 
-def build_holomorph(base: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> Holomorph:
-    auts = holomorph_automorphisms(base, limits)
+def build_holomorph(base: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> Holomorph:
+    auts = holomorph_automorphisms(base, max_order)
     n = base.order
     total = len(auts) * n
     aut_index = {f: i for i, f in enumerate(auts)}
@@ -695,14 +693,14 @@ def json_object(data, what: str) -> dict:
     return data
 
 
-def group_check_from_json(data, limits: Limits = DEFAULT_LIMITS) -> GroupCheck:
+def group_check_from_json(data, max_order: int = MAX_GROUP_ORDER) -> GroupCheck:
     """The check of a group file, the one reader of the JSON group format.
 
     Either {"name", "order", "table"} with an arbitrary labeling, checked by
     verify_group (which moves the identity to 0), or {"name", "degree",
     "generators"} with cycle notation on points 1..degree. A declared "order"
     that is not the table's integer size, a misshapen field, a degree above
-    MAX_PERMUTATION_DEGREE, generators of a group above ``limits.max_group_order``
+    MAX_PERMUTATION_DEGREE, generators of a group above ``max_order``
     or neither form raises.
     """
     if isinstance(data, str):
@@ -724,14 +722,13 @@ def group_check_from_json(data, limits: Limits = DEFAULT_LIMITS) -> GroupCheck:
         if not isinstance(texts, list) or not all(isinstance(g, str) for g in texts):
             raise ValueError('"generators" must be a list of permutations, each a string')
         gens = [parse_cycles(g, degree) for g in texts]
-        return GroupCheck(True, group_from_permutations(gens, degree, name=name, limits=limits),
-                          None, ())
+        return GroupCheck(True, group_from_permutations(gens, degree, name, max_order), None, ())
     raise InvalidGroup((Violation("no_identity", ()),))
 
 
-def group_from_json(data, limits: Limits = DEFAULT_LIMITS) -> FiniteGroup:
+def group_from_json(data, max_order: int = MAX_GROUP_ORDER) -> FiniteGroup:
     """The group of a group file; InvalidGroup when group_check_from_json finds none."""
-    return group_check_from_json(data, limits).or_raise().group
+    return group_check_from_json(data, max_order).or_raise().group
 
 
 def group_to_json(group: FiniteGroup) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import DEFAULT_LIMITS, DEFAULT_SAMPLING, Limits, SampleConfig
+from .config import DEFAULT_SAMPLING, SampleConfig
 from .errors import CriterionMismatch
 from .rng import Lcg
 
@@ -113,9 +113,12 @@ def sample_vec(rng: Lcg, bound: int = 9) -> Vec:
     return (rng.next_in(-bound, bound), rng.next_in(-bound, bound))
 
 
+MAX_LATTICE_DEPTH = 8
+"""The highest level ``lattice_system_check`` builds: each sample checks every ordered pair of levels."""
+
+
 def lattice_system_check(p: int, depth: int = 3,
-                         sampling: SampleConfig = DEFAULT_SAMPLING,
-                         limits: Limits = DEFAULT_LIMITS) -> dict:
+                         sampling: SampleConfig = DEFAULT_SAMPLING) -> dict:
     """Sampled verification that the level tower is a commutative brace system.
 
     For every level up to ``depth``: group laws, commutativity, the closed
@@ -123,8 +126,8 @@ def lattice_system_check(p: int, depth: int = 3,
     the desk-scale content of freeness (no sampled torsion, every sampled
     vector splits over the two generators).
     """
-    if depth > limits.max_lattice_depth:
-        raise ValueError(f"depth is capped at {limits.max_lattice_depth}")
+    if depth > MAX_LATTICE_DEPTH:
+        raise ValueError(f"depth is capped at {MAX_LATTICE_DEPTH}")
     if depth < 0:
         raise ValueError("depth must not be negative")
     rng = Lcg(sampling.seed)

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from itertools import product
 
 from .braces import SkewBrace
-from .config import DEFAULT_LIMITS, DEFAULT_SAMPLING, Limits, SampleConfig
+from .config import DEFAULT_SAMPLING, SampleConfig
 from .errors import CriterionMismatch, NotRotaBaxter, PreconditionFails
 from .groups import (
+    MAX_GROUP_ORDER,
     FiniteGroup,
     endomorphisms,
     group_from_table,
@@ -23,7 +24,7 @@ from .groups import (
     json_field,
 )
 from .rng import Lcg
-from .words import FreeWord, sample_word, word_from_text, word_to_text
+from .words import MAX_EXPONENT, MAX_SYLLABLES, FreeWord, sample_word, word_from_text, word_to_text
 
 
 @dataclass(frozen=True)
@@ -272,9 +273,9 @@ def rb_self_maps(group: FiniteGroup) -> list:
     return found
 
 
-def rb_endomorphisms(group: FiniteGroup, limits: Limits = DEFAULT_LIMITS) -> list:
+def rb_endomorphisms(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> list:
     """Endomorphisms of the group that satisfy the Rota-Baxter identity."""
-    return [e for e in endomorphisms(group, limits) if is_rb(group, e).ok]
+    return [e for e in endomorphisms(group, max_order) if is_rb(group, e).ok]
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +301,8 @@ def free_is_rb(op: FreeRb, sampling: SampleConfig = DEFAULT_SAMPLING) -> dict:
     rng = Lcg(sampling.seed)
     failures = []
     for trial in range(sampling.samples):
-        g = sample_word(rng, op.rank, sampling.max_syllables, sampling.max_exponent)
-        h = sample_word(rng, op.rank, sampling.max_syllables, sampling.max_exponent)
+        g = sample_word(rng, op.rank, MAX_SYLLABLES, MAX_EXPONENT)
+        h = sample_word(rng, op.rank, MAX_SYLLABLES, MAX_EXPONENT)
         b_g = op.apply(g)
         lhs = b_g.mul(op.apply(h))
         rhs = op.apply(g.mul(b_g).mul(h).mul(b_g.inv()))
@@ -337,8 +338,7 @@ def free_rb_report(m: int, sampling: SampleConfig = DEFAULT_SAMPLING) -> dict:
         return _X1.pow(-k).mul(a.inv()).mul(_X1.pow(k))
 
     for trial in range(sampling.samples):
-        g, h, c = (sample_word(rng, 2, sampling.max_syllables, sampling.max_exponent)
-                   for _ in range(3))
+        g, h, c = (sample_word(rng, 2, MAX_SYLLABLES, MAX_EXPONENT) for _ in range(3))
         b_g = op.apply(g)
         lhs = b_g.mul(op.apply(h))
         rhs = op.apply(g.mul(b_g).mul(h).mul(b_g.inv()))

@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braces import SkewBrace
-from .config import DEFAULT_LIMITS, Limits
 from .errors import CriterionMismatch, NotAnIdeal, NotAntiHomomorphism, OrderCapExceeded
 from .groups import (
+    MAX_GROUP_ORDER,
     FiniteGroup,
     _homomorphisms,
     _right_closure,
@@ -195,16 +195,19 @@ def _ideal_closure(brace: SkewBrace, seed: int) -> tuple:
         members, gens, _ = _right_closure(t, 0, gens + new)
 
 
-def all_ideals(brace: SkewBrace, limits: Limits = DEFAULT_LIMITS) -> list:
+MAX_IDEAL_SEARCH_ORDER = 16
+"""The largest brace whose ideals ``all_ideals`` lists, and so whose triviality chain is built."""
+
+
+def all_ideals(brace: SkewBrace) -> list:
     """Every ideal, sorted by size, then by members.
 
     A product I J of ideals is an ideal and every ideal is the product of
     the ideals its elements generate (Guarnieri-Vendramin 2017), so {0} is
     closed under products with the ideal of each element.
     """
-    if brace.order > limits.max_ideal_search_order:
-        raise OrderCapExceeded(
-            f"ideal search capped at order {limits.max_ideal_search_order}")
+    if brace.order > MAX_IDEAL_SEARCH_ORDER:
+        raise OrderCapExceeded(f"ideal search capped at order {MAX_IDEAL_SEARCH_ORDER}")
     t = brace.add.table
     principal = sorted(set(_ideal_closure(brace, a) for a in range(1, brace.order)))
     seen = {(0,)}
@@ -297,16 +300,15 @@ def naturality_report(brace: SkewBrace) -> dict:
 # Brace automorphisms
 
 
-def brace_automorphisms(brace: SkewBrace, limits: Limits = DEFAULT_LIMITS) -> list:
+def brace_automorphisms(brace: SkewBrace, max_order: int = MAX_GROUP_ORDER) -> list:
     """Image tuples of the permutations that are automorphisms of both operation tables, sorted.
 
     One search over the automorphisms of (G, .) that also keep o-orders and
     products. For a homomorphic brace with abelian image every lambda value
     must be in the list (asserted).
     """
-    if brace.order > limits.max_group_order:
-        raise OrderCapExceeded(
-            f"order {brace.order} exceeds automorphism cap {limits.max_group_order}")
+    if brace.order > max_order:
+        raise OrderCapExceeded(f"order {brace.order} exceeds automorphism cap {max_order}")
     out = _homomorphisms(brace.add, brace.add, True, brace.circ)
     lam = brace.lam
     if lam.homomorphic_on_add and lam.image_abelian:

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from .braces import LambdaMap, left_law_witness, link_conditions
-from .config import DEFAULT_LIMITS, Limits
 from .errors import (
     BaseMismatch,
     CarrierMismatch,
@@ -33,6 +32,9 @@ from .rota import derived_table, is_rb
 
 MAX_TOWER_HEIGHT = 1000
 """The tallest operator tower ``build_rb_multibrace`` builds: it derives and keeps every level."""
+
+MAX_SYSTEM_VERTICES = 64
+"""The most distinct operations a system keeps: every ordered pair of them is checked."""
 
 
 @dataclass
@@ -71,7 +73,7 @@ def _verify_all_pairs(vertices) -> dict:
     return edges
 
 
-def _dedupe(tables_by_label, limits: Limits):
+def _dedupe(tables_by_label):
     """Keep first occurrence of each table, in the given label order."""
     vertices = []
     labels = []
@@ -81,9 +83,8 @@ def _dedupe(tables_by_label, limits: Limits):
         if table in seen:
             label_map[label] = seen[table]
             continue
-        if len(vertices) >= limits.max_system_vertices:
-            raise OrderCapExceeded(
-                f"system would exceed {limits.max_system_vertices} vertices")
+        if len(vertices) >= MAX_SYSTEM_VERTICES:
+            raise OrderCapExceeded(f"system would exceed {MAX_SYSTEM_VERTICES} vertices")
         idx = len(vertices)
         seen[table] = idx
         vertices.append(group_from_table(table))
@@ -114,8 +115,7 @@ def check_linear_preconditions(group: FiniteGroup, lam) -> LambdaMap:
 
 
 def build_linear_system(group: FiniteGroup, lam, depth: int | None = None,
-                        include_negative: bool = False,
-                        limits: Limits = DEFAULT_LIMITS) -> BraceSystemGraph:
+                        include_negative: bool = False) -> BraceSystemGraph:
     """Materialize the iterated operations a o_i b = a . lambda_a^i(b).
 
     ``depth`` defaults to the exponent of the image, so the whole period is
@@ -143,7 +143,7 @@ def build_linear_system(group: FiniteGroup, lam, depth: int | None = None,
 
     negative = levels([invert_permutation(m) for m in facts.maps], -1) if include_negative else ()
     tables = chain([(0, t)], levels(facts.maps, 1), negative)
-    vertices, labels, label_map = _dedupe(tables, limits)
+    vertices, labels, label_map = _dedupe(tables)
     edges = _verify_all_pairs(vertices)
     if any(status == "failed" for status in edges.values()):
         raise CriterionMismatch("a pair of iterated operations failed the brace law")
@@ -177,8 +177,7 @@ def detect_period(system: BraceSystemGraph) -> int | None:
 # Unions
 
 
-def union_systems(sys1: BraceSystemGraph, sys2: BraceSystemGraph,
-                  limits: Limits = DEFAULT_LIMITS) -> BraceSystemGraph:
+def union_systems(sys1: BraceSystemGraph, sys2: BraceSystemGraph) -> BraceSystemGraph:
     """Merge two linear systems sharing carrier and base vertex.
 
     The linking hypotheses (commuting images, crossed kernel containments)
@@ -195,7 +194,7 @@ def union_systems(sys1: BraceSystemGraph, sys2: BraceSystemGraph,
 
     tables = [(("a", lbl), g.table) for lbl, g in zip(sys1.labels, sys1.vertices)]
     tables += [(("b", lbl), g.table) for lbl, g in zip(sys2.labels, sys2.vertices)]
-    vertices, _, _ = _dedupe(tables, limits)
+    vertices, _, _ = _dedupe(tables)
     edges = _verify_all_pairs(vertices)
     if hypotheses_met and any(status == "failed" for status in edges.values()):
         raise CriterionMismatch("union hypotheses held but a cross pair failed")
@@ -217,8 +216,7 @@ def union_systems(sys1: BraceSystemGraph, sys2: BraceSystemGraph,
 # Operator towers
 
 
-def build_rb_multibrace(group: FiniteGroup, b_map, k: int,
-                        limits: Limits = DEFAULT_LIMITS) -> BraceSystemGraph:
+def build_rb_multibrace(group: FiniteGroup, b_map, k: int) -> BraceSystemGraph:
     """The operator tower o_0 = ., o_{i+1} built from o_i and the operator.
 
     Consecutive pairs must satisfy the mixed law (asserted); non-consecutive
@@ -240,7 +238,7 @@ def build_rb_multibrace(group: FiniteGroup, b_map, k: int,
         nxt = group_from_table(derived_table(current, b))
         level_tables.append(nxt.table)
         current = nxt
-    vertices, labels, label_map = _dedupe(list(enumerate(level_tables)), limits)
+    vertices, labels, label_map = _dedupe(list(enumerate(level_tables)))
     edges = _verify_all_pairs(vertices)
     for i in range(1, k + 1):
         u, v = label_map[i - 1], label_map[i]
@@ -256,10 +254,10 @@ def build_rb_multibrace(group: FiniteGroup, b_map, k: int,
     )
 
 
-def build_rooted_system(base: FiniteGroup, circ_groups, limits: Limits = DEFAULT_LIMITS) -> BraceSystemGraph:
+def build_rooted_system(base: FiniteGroup, circ_groups) -> BraceSystemGraph:
     """Root vertex plus one vertex per operation, with root -> vertex edges."""
     tables = [("root", base.table)] + [(i, g.table) for i, g in enumerate(circ_groups)]
-    vertices, _, label_map = _dedupe(tables, limits)
+    vertices, _, label_map = _dedupe(tables)
     labels = ("circ_root",) + tuple(f"circ_{i}" for i in range(1, len(vertices)))
     root = label_map["root"]
     edges = {}

@@ -28,6 +28,12 @@ MAX_REWRITE_LENGTH = 100_000
 MAX_T4_WINDOW = 1000
 """The largest index window ``verify_t4`` checks: it builds and compares words for every k in it."""
 
+MAX_SYLLABLES = 8
+"""The most syllables the samplers draw for one word (``sample_word``'s ``max_syllables``)."""
+
+MAX_EXPONENT = 3
+"""The largest exponent of a syllable the samplers draw (``sample_word``'s ``max_exp``)."""
+
 
 class FreeWord:
     """A reduced word over generators x1..x_rank with integer exponents."""
@@ -262,8 +268,7 @@ def sampled_brace_check(theta: GeneratorCycle | Inner,
     rank = theta.rank
     failures = []
     for trial in range(sampling.samples):
-        a, b, c, probe = (sample_word(rng, rank, sampling.max_syllables, sampling.max_exponent)
-                          for _ in range(4))
+        a, b, c, probe = (sample_word(rng, rank, MAX_SYLLABLES, MAX_EXPONENT) for _ in range(4))
         a_b = circ_eval(a, b, theta)
         lhs = circ_eval(a, b.mul(c), theta)
         rhs = a_b.mul(a.inv()).mul(circ_eval(a, c, theta))
@@ -279,8 +284,8 @@ def sampled_brace_check(theta: GeneratorCycle | Inner,
         "rank": rank,
         "samples": sampling.samples,
         "seed": sampling.seed,
-        "max_syllables": sampling.max_syllables,
-        "max_exponent": sampling.max_exponent,
+        "max_syllables": MAX_SYLLABLES,
+        "max_exponent": MAX_EXPONENT,
         "failure_count": len(failures),
         "failures": failures,
     }

@@ -29,7 +29,6 @@ from skewbrace.braces import (
     trivial_brace,
     verify_brace,
 )
-from skewbrace.config import Limits
 from skewbrace.errors import (
     AdditiveTablesDiffer,
     CriterionMismatch,
@@ -514,14 +513,14 @@ def test_enumerate_matches_lambda_walk_small():
             assert len(enumerate_circ_ops(g)) == regular_subgroup_count_by_lambda_walk(g)
 
 
-def test_enumerate_cap_matches_holomorph_cap():
+def test_enumerate_cap_matches_holomorph_cap(monkeypatch):
     z2 = groups.cyclic_group(2)
     cube = groups.direct_product(groups.direct_product(z2, z2), z2)
-    limits = Limits(max_holomorph_order=1000)
+    monkeypatch.setattr(groups, "MAX_HOLOMORPH_ORDER", 1000)
     with pytest.raises(OrderCapExceeded) as from_table:
-        groups.build_holomorph(cube, limits)
+        groups.build_holomorph(cube)
     with pytest.raises(OrderCapExceeded) as from_walk:
-        enumerate_circ_ops(cube, limits)
+        enumerate_circ_ops(cube)
     assert str(from_walk.value) == str(from_table.value) == "holomorph order 1344 exceeds cap 1000"
 
 
@@ -529,7 +528,6 @@ def test_enumerate_builds_no_holomorph_table(monkeypatch):
     z2 = groups.cyclic_group(2)
     cube = groups.direct_product(groups.direct_product(z2, z2), z2)
     expected = len(regular_subgroups_by_closure(cube))
-    groups._automorphism_images.cache_clear()
     built = []
     init = groups.FiniteGroup.__init__
 

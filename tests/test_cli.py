@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from skewbrace import braces, cli, groups, rota, structure, systems, words
+from skewbrace import braces, cli, config, groups, rng, rota, structure, systems, words
 from skewbrace.braces import brace_to_json, op_brace, trivial_brace
 from skewbrace.cli import main
 
@@ -552,6 +552,54 @@ def test_rb_tower_height_bound_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, argv + [str(bound + 1)])
     assert code == 2 and out == ""
     assert err == f"error: tower height {bound + 1} exceeds the bound of {bound}\n"
+
+
+@pytest.mark.parametrize("argv", [["freegroup", "check", "--rank", "2"],
+                                  ["rb", "check", "--rb", "{free}"],
+                                  ["rb", "free"],
+                                  ["lattice", "--p", "1"]],
+                         ids=["freegroup-check", "rb-check-free", "rb-free", "lattice"])
+def test_samples_bound_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, argv):
+    def no_draws(self, seed):
+        raise AssertionError("a sampler seeded its generator before the samples bound was checked")
+
+    bound = config.MAX_SAMPLES
+    free = write(tmp_path, "free.json", {"rank": 2, "images": ["x1", "x1"]})
+    monkeypatch.setattr(rng.Lcg, "__init__", no_draws)
+    code, out, err = run(capsys, ["--samples", str(bound + 1)] + [a.format(free=free) for a in argv])
+    assert code == 2 and out == ""
+    assert err == f"error: samples {bound + 1} exceeds the bound of {bound}\n"
+
+
+def test_samples_bound_admits_the_bound():
+    assert config.MAX_SAMPLES == 100_000
+    assert config.SampleConfig(samples=100_000).samples == 100_000
+    with pytest.raises(ValueError, match="samples 100001 exceeds the bound of 100000"):
+        config.SampleConfig(samples=100_001)
+
+
+def test_ideal_search_cap_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "z18.json", brace_to_json(trivial_brace(groups.cyclic_group(18))))
+    code, out, err = run(capsys, ["structure", "--in", path])
+    assert code == 2 and out == ""
+    assert err == "error: ideal search capped at order 16\n"
+
+
+def test_lattice_depth_cap_exit_2(capsys):
+    code, out, _ = run(capsys, ["--samples", "20", "lattice", "--p", "1", "--depth", "8"])
+    assert code == 0 and json.loads(out)["failure_count"] == 0
+    code, out, err = run(capsys, ["--samples", "20", "lattice", "--p", "1", "--depth", "9"])
+    assert code == 2 and out == ""
+    assert err == "error: depth is capped at 8\n"
+
+
+def test_max_order_caps_the_brace_automorphism_search(tmp_path, capsys):
+    path = write(tmp_path, "z8.json", brace_to_json(trivial_brace(groups.cyclic_group(8))))
+    code, out, _ = run(capsys, ["--max-order", "8", "structure", "--in", path])
+    assert code == 0 and json.loads(out)["automorphism_count"] == 4
+    code, out, err = run(capsys, ["--max-order", "7", "structure", "--in", path])
+    assert code == 2 and out == ""
+    assert err == "error: order 8 exceeds automorphism cap 7\n"
 
 
 @pytest.mark.parametrize("argv,what", [

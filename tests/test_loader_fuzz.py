@@ -106,15 +106,20 @@ def mutated(draw, payload):
     return payload
 
 
+def run_argv(argv) -> tuple:
+    """(exit code, stdout, stderr) of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def run_main(valid_paths, argv, slot, payload) -> tuple:
     """main(argv) with ``payload`` as the file of ``slot`` and a valid file in every other slot."""
     fuzzed = valid_paths["dir"] / "fuzzed.json"
     fuzzed.write_text(json.dumps(payload))
     paths = {**valid_paths, slot: fuzzed}
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([arg.format(**paths) for arg in argv])
-    return code, out.getvalue(), err.getvalue()
+    return run_argv([arg.format(**paths) for arg in argv])
 
 
 def check_outcome(code, out, err):
@@ -149,6 +154,29 @@ def test_mutated_files_exit_cleanly(valid_paths, slot, argv, data):
 @given(payload=json_values)
 def test_arbitrary_json_files_exit_cleanly(valid_paths, slot, argv, payload):
     check_outcome(*run_main(valid_paths, argv, slot, payload))
+
+
+# Word text on the command line: valid tokens x<i>[^<e>], malformed ones, generators
+# outside rank 2 and exponents up to 10^12, which no command may expand letter by letter.
+
+WORD_COMMANDS = [
+    ["freegroup", "verify-t4", "--w"],
+    ["freegroup", "rewrite", "--w"],
+    ["--samples", "20", "freegroup", "check", "--theta", "inner", "--inner-word"],
+]
+exponents = st.integers(-3, 3) | st.integers(-10**12, 10**12)
+valid_tokens = st.builds("x{}{}".format, st.integers(1, 2), st.just("") | exponents.map("^{}".format))
+bad_tokens = (st.sampled_from(["x01", "x+1", "x1^", "x1^^2", "y2"])
+              | st.builds("x{}".format, st.integers(3, 10**12)))
+# at most one bad token, so that most texts get past the parser
+word_texts = st.builds(lambda valid, bad: " ".join(valid + bad),
+                       st.lists(valid_tokens, max_size=5), st.lists(bad_tokens, max_size=1))
+
+
+@pytest.mark.parametrize("argv", WORD_COMMANDS, ids=["verify-t4", "rewrite", "check-inner"])
+@given(text=word_texts)
+def test_word_text_exits_cleanly(argv, text):
+    check_outcome(*run_argv(argv + [text]))
 
 
 # Files on which the brace readers once disagreed: a raw circ table that is not a group

@@ -3,9 +3,8 @@ import json
 import pytest
 
 from oracles import linear_level_by_recomposing
-from skewbrace import groups
+from skewbrace import groups, systems
 from skewbrace.braces import SkewBrace, classify, enumerate_circ_ops, left_law_witness
-from skewbrace.config import Limits
 from skewbrace.errors import (
     BaseMismatch,
     CarrierMismatch,
@@ -176,10 +175,10 @@ def test_precondition_errors(s3, z4):
         build_linear_system(z4, [(0, 1, 1, 1)] * 4, depth=1)
 
 
-def test_vertex_cap(z4):
+def test_vertex_cap(z4, monkeypatch):
+    monkeypatch.setattr(systems, "MAX_SYSTEM_VERTICES", 1)
     with pytest.raises(OrderCapExceeded):
-        build_linear_system(z4, inversion_lambda(z4), depth=2,
-                            limits=Limits(max_system_vertices=1))
+        build_linear_system(z4, inversion_lambda(z4), depth=2)
 
 
 def test_detect_period_none_when_depth_short(z4):
