@@ -32,6 +32,7 @@ from .errors import (
 from .groups import (
     MAX_GROUP_ORDER,
     FiniteGroup,
+    _lut,
     compose,
     group_from_table,
     group_isomorphisms,
@@ -56,7 +57,7 @@ class LambdaMap:
     """
 
     group: FiniteGroup
-    maps: tuple                 # lambda_a per element a, an automorphism's image tuple
+    maps: tuple                 # lambda_a per element a, an automorphism's image array
     kernel: tuple               # sorted elements with lambda_a = id
     image_order: int
     image_exponent: int
@@ -90,7 +91,7 @@ class LambdaMap:
         for a, img in enumerate(lam[:n]):
             if not is_self_map(img, n):
                 raise ValueError(f"lambda map of element {a} must list {n} images in 0..{n - 1}")
-            img = tuple(img)
+            img = bytes(img)
             if len(set(img)) != n or not is_multiplicative(group, group.table, img):
                 raise NotAutomorphism(a)
             arrays.append(img)
@@ -98,18 +99,15 @@ class LambdaMap:
 
     @staticmethod
     def of_automorphisms(group: FiniteGroup, arrays) -> "LambdaMap":
-        """The facts of an assignment whose n values are known automorphisms, as image tuples."""
+        """The facts of an assignment whose n values are known automorphisms, as image arrays."""
         n = group.order
         distinct = sorted(set(arrays))
         index = {img: i for i, img in enumerate(distinct)}
-        which = [index[img] for img in arrays]
+        which = bytes(index[img] for img in arrays)
         products = [[compose(f, g) for g in distinct] for f in distinct]
         prod = [[index.get(fg, -1) for fg in row] for row in products]
-        t = group.table
-        hom = next(((a, b) for a in range(n) for b in range(n)
-                    if which[t[a][b]] != prod[which[a]][which[b]]), None)
-        anti = next(((a, b) for a in range(n) for b in range(n)
-                     if which[t[a][b]] != prod[which[b]][which[a]]), None)
+        hom = _first_unequal_pair(group.table, which, prod)
+        anti = _first_unequal_pair(group.table, which, list(zip(*prod)))
         orders = {permutation_order(img) for img in distinct}
         exponent = 1
         for o in orders:
@@ -134,6 +132,22 @@ class LambdaMap:
         n, t, inv = self.group.order, self.group.table, self.group.inverse
         return next(((a, b) for a in range(n) for b in range(n)
                      if t[inv[b]][self.maps[a][b]] not in kernel), None)
+
+
+def _first_unequal_pair(table, which: bytes, prod) -> tuple | None:
+    """First (a, b) with which[a b] != prod[which[a]][which[b]], or None.
+
+    ``prod`` holds -1 where a product of two lambda values is none of them.
+    When it holds none, each row a is one translate and one compare; only a
+    row that differs, or every row otherwise, is scanned for the first b.
+    """
+    n = len(table)
+    rows = range(n)
+    if all(-1 not in row for row in prod):
+        lut, luts = _lut(which), [_lut(bytes(row)) for row in prod]
+        rows = (a for a in rows if table[a].translate(lut) != which.translate(luts[which[a]]))
+    return next(((a, b) for a in rows for b in range(n)
+                 if which[table[a][b]] != prod[which[a]][which[b]]), None)
 
 
 class SkewBrace:
@@ -177,7 +191,7 @@ class SkewBrace:
     @property
     def is_natural(self) -> bool:
         """a o b = b . a for all a, b: circ is the opposite of the additive table."""
-        return self.circ.table == tuple(zip(*self.add.table))
+        return self.circ.table == self.add.columns
 
     def __eq__(self, other):
         return (isinstance(other, SkewBrace)
@@ -217,7 +231,7 @@ def _lambda_arrays(add: FiniteGroup, circ: FiniteGroup) -> tuple:
     """
     n = add.order
     at, ct, ainv = add.table, circ.table, add.inverse
-    arrays = [tuple([at[ainv[a]][x] for x in ct[a]]) for a in range(n)]
+    arrays = [row.translate(_lut(at[ainv[a]])) for a, row in enumerate(ct)]
     if all(is_multiplicative(add, at, arrays[a]) for a in circ.generators):
         return arrays, None
     for a in range(n):
@@ -248,7 +262,8 @@ def right_law_witness(add: FiniteGroup, circ: FiniteGroup) -> tuple | None:
     """
     n = add.order
     at, ct, ainv = add.table, circ.table, add.inverse
-    if all(is_multiplicative(add, at, [at[ct[x][c]][ainv[c]] for x in range(n)])
+    ccols, acols = circ.columns, add.columns
+    if all(is_multiplicative(add, at, ccols[c].translate(_lut(acols[ainv[c]])))
            for c in circ.generators):
         return None
     for a in range(n):
@@ -377,7 +392,7 @@ def construct_from_lambda(group: FiniteGroup, lam, mode: str) -> SkewBrace:
                 probe = t[t[t[a][arrays[a][b]]][inv[a]]][inv[b]]  # a lambda_a(b) a^-1 b^-1
                 if probe not in kernel:
                     raise KernelConditionFails(a, b)
-    circ = [[t[a][arrays[a][b]] for b in range(n)] for a in range(n)]
+    circ = [img.translate(_lut(row)) for img, row in zip(arrays, t)]
     return SkewBrace(group, group_from_table(circ))
 
 
@@ -405,7 +420,7 @@ def construct_exact_factorization(group: FiniteGroup, a_part, b_part) -> SkewBra
     brace = SkewBrace(group, group_from_table(circ))
     for z in range(n):
         b1 = decomp[z][1]
-        conj = tuple(t[t[group.inverse[b1]][y]][b1] for y in range(n))
+        conj = t[group.inverse[b1]].translate(_lut(group.columns[b1]))
         if brace.lam.maps[z] != conj:
             raise CriterionMismatch("lambda of factorization brace is not conjugation by the B part")
     return brace
@@ -675,8 +690,7 @@ def brace_from_regular_subgroup(base: FiniteGroup, automorphisms, members) -> Sk
     for idx in members:
         fi, a = divmod(idx, n)
         f_of[a] = automorphisms[fi]
-    t = base.table
-    circ = [[t[a][f_of[a][b]] for b in range(n)] for a in range(n)]
+    circ = [f.translate(_lut(row)) for f, row in zip(f_of, base.table)]
     return SkewBrace(base, group_from_table(circ))
 
 
@@ -694,7 +708,7 @@ def enumerate_circ_ops(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> 
 
 def brace_isomorphic(brace1: SkewBrace, brace2: SkewBrace,
                      max_order: int = MAX_GROUP_ORDER) -> tuple | None:
-    """The image tuple of a simultaneous isomorphism of both operations, or None.
+    """The image array of a simultaneous isomorphism of both operations, or None.
 
     Searches additive-group isomorphisms; for a pair of lambda-homomorphic
     braces the conjugacy criterion phi lambda_a phi^-1 = mu_{phi(a)} filters
@@ -722,7 +736,7 @@ def brace_isomorphic(brace1: SkewBrace, brace2: SkewBrace,
 def pushforward(brace: SkewBrace, perm) -> SkewBrace:
     """Relabel a brace along a permutation of the carrier fixing 0."""
     n = brace.order
-    inv = invert_permutation(tuple(perm))
+    inv = invert_permutation(perm)
     add = [[perm[brace.add.table[inv[a]][inv[b]]] for b in range(n)] for a in range(n)]
     circ = [[perm[brace.circ.table[inv[a]][inv[b]]] for b in range(n)] for a in range(n)]
     return SkewBrace(group_from_table(add), group_from_table(circ))

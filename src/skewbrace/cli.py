@@ -190,10 +190,6 @@ def _config_echo(args) -> dict:
     }
 
 
-def _sampling(args) -> SampleConfig:
-    return SampleConfig(samples=args.samples, seed=args.seed)
-
-
 def _parse_elements(text: str | None, flag: str) -> tuple:
     if text is None:
         raise ValueError(f"no {flag} elements given")
@@ -331,7 +327,7 @@ def _cmd_freegroup(args):
             theta = words.GeneratorCycle(args.rank, shift=0)
         else:
             theta = words.Inner(words.word_from_text(args.rank, args.inner_word))
-        report = words.sampled_brace_check(theta, _sampling(args))
+        report = words.sampled_brace_check(theta, args.sampling)
         return report, report["failure_count"] == 0
     # rewrite
     modulus = None if args.modulus == "inf" else int(args.modulus)
@@ -348,7 +344,7 @@ def _cmd_freegroup(args):
 
 def _cmd_lattice(args):
     report = lattice.lattice_system_check(args.p, depth=args.depth,
-                                          sampling=_sampling(args))
+                                          sampling=args.sampling)
     return report, report["failure_count"] == 0
 
 
@@ -360,7 +356,7 @@ def _cmd_rb(args):
     if args.action == "check":
         op = rota.rb_from_json(_load_json(args.rb, "operator file"), group)
         if isinstance(op, rota.FreeRb):
-            report = rota.free_is_rb(op, _sampling(args))
+            report = rota.free_is_rb(op, args.sampling)
             return report, report["failure_count"] == 0
         if group is None:
             raise ValueError("--group is required to check a finite operator")
@@ -390,7 +386,7 @@ def _cmd_rb(args):
         return {"order": group.order, "scope": scope,
                 "count": len(found), "operators": rows}, True
     # free
-    report = rota.free_rb_report(args.m, _sampling(args))
+    report = rota.free_rb_report(args.m, args.sampling)
     return report, report["failure_count"] == 0
 
 
@@ -489,6 +485,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        args.sampling = SampleConfig(samples=args.samples, seed=args.seed)   # checked for every command
         result, ok = args.handler(args)
     except CriterionMismatch as exc:
         failure = {"command": args.command, "error": type(exc).__name__, "message": str(exc)}

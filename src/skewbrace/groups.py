@@ -2,6 +2,12 @@
 
 The table convention is ``table[a][b] = a * b`` (row = left factor).  All
 values emitted by this module are immutable and safe to share across threads.
+
+A table is a tuple of ``bytes`` rows and a map on the carrier (an
+automorphism, a lambda value, an operator) is a ``bytes`` image array, so
+``table[a][b]`` and ``images[x]`` are ints and a whole row is mapped through
+an image array by one ``bytes.translate`` in C. One byte holds a label, so a
+table has at most MAX_TABLE_ORDER elements.
 """
 
 from __future__ import annotations
@@ -14,8 +20,24 @@ from math import gcd
 from .errors import InvalidGroup, NotASubgroup, OrderCapExceeded
 
 
+MAX_TABLE_ORDER = 256
+"""The largest group table: a label is one byte of a ``bytes`` row."""
+
+_LABELS = bytes(range(MAX_TABLE_ORDER))
+
+
+def _lut(images: bytes) -> bytes:
+    """An image array as the 256-byte table of bytes.translate: x -> images[x] for x < len(images)."""
+    return images.ljust(MAX_TABLE_ORDER, b"\0")
+
+
+def transpose(table) -> tuple:
+    """The columns of a table as bytes rows: transpose(t)[b][a] = t[a][b]."""
+    return tuple(map(bytes, zip(*table)))
+
+
 class FiniteGroup:
-    """A group on {0,...,order-1} given by its multiplication table.
+    """A group on {0,...,order-1} given by its multiplication table, a tuple of bytes rows.
 
     Every group the library builds has identity 0; use :func:`verify_group`
     to validate untrusted tables and move their identity there. The identity
@@ -24,15 +46,15 @@ class FiniteGroup:
     """
 
     __slots__ = ("order", "table", "identity", "inverse", "name",
-                 "_abelian", "_generators", "_center")
+                 "_columns", "_generators", "_center")
 
     def __init__(self, table, name: str = ""):
-        self.table = tuple(tuple(row) for row in table)
+        self.table = tuple(map(bytes, table))
         self.order = len(self.table)
         self.name = name
         self.identity = e = self.table[0].index(0)    # 0 e = 0
-        self.inverse = tuple(row.index(e) for row in self.table)
-        self._abelian = None
+        self.inverse = bytes(row.index(e) for row in self.table)
+        self._columns = None
         self._generators = None
         self._center = None
 
@@ -53,13 +75,15 @@ class FiniteGroup:
         return n
 
     @property
+    def columns(self) -> tuple:
+        """transpose(table): ``columns[b]`` is the map a -> a b, right multiplication by b."""
+        if self._columns is None:
+            self._columns = transpose(self.table)
+        return self._columns
+
+    @property
     def is_abelian(self) -> bool:
-        if self._abelian is None:
-            self._abelian = all(
-                self.table[a][b] == self.table[b][a]
-                for a in range(self.order) for b in range(self.order)
-            )
-        return self._abelian
+        return self.table == self.columns
 
     @property
     def generators(self) -> tuple:
@@ -76,18 +100,13 @@ class FiniteGroup:
     def center(self) -> tuple:
         """The elements that commute with every element, in increasing order."""
         if self._center is None:
-            t = self.table
-            self._center = tuple(a for a in range(self.order)
-                                 if all(t[a][b] == t[b][a] for b in range(self.order)))
+            self._center = tuple(a for a, (row, col) in enumerate(zip(self.table, self.columns))
+                                 if row == col)
         return self._center
 
     def opposite(self) -> "FiniteGroup":
         """The opposite group: a *op b = b * a (same carrier, same inverses)."""
-        n = self.order
-        return FiniteGroup(
-            tuple(tuple(self.table[b][a] for b in range(n)) for a in range(n)),
-            name=f"{self.name}^op" if self.name else "",
-        )
+        return FiniteGroup(self.columns, name=f"{self.name}^op" if self.name else "")
 
     def __eq__(self, other):
         return isinstance(other, FiniteGroup) and self.table == other.table
@@ -100,43 +119,37 @@ class FiniteGroup:
         return f"FiniteGroup({label})"
 
 
-def is_multiplicative(src: FiniteGroup, dst_table, images) -> bool:
+def is_multiplicative(src: FiniteGroup, dst_table, images: bytes) -> bool:
     """True iff images[a b] = images[a] images[b] for all a, b, with the right side in dst_table.
 
-    Checked for every a against each generator b of src (at b = 0 for the
-    trivial group, which has none): when both operations are associative,
-    induction on word length gives the rest.
+    Checked for each generator a of src against every b (at a = 0 for the
+    trivial group, which has none), one row at a time: the row of a mapped
+    through the images against the images mapped through the row of
+    images[a]. The a where it holds are closed under products, so when both
+    operations are associative it holds everywhere.
     """
-    gens = src.generators or (0,)
-    gen_images = [images[g] for g in gens]
-    for a, row in enumerate(src.table):
-        target = dst_table[images[a]]
-        for g, h in zip(gens, gen_images):
-            if images[row[g]] != target[h]:
-                return False
-    return True
+    lut = _lut(images)
+    return all(src.table[a].translate(lut) == images.translate(_lut(dst_table[images[a]]))
+               for a in src.generators or (0,))
 
 
 def is_self_map(values, n: int) -> bool:
-    """True iff ``values`` is a list or tuple of n integers in 0..n-1 (booleans excluded)."""
-    return (isinstance(values, (list, tuple)) and len(values) == n
+    """True iff ``values`` is an image array, list or tuple of n integers in 0..n-1 (booleans excluded)."""
+    return (isinstance(values, (bytes, list, tuple)) and len(values) == n
             and all(type(x) is int and 0 <= x < n for x in values))
 
 
-def identity_map(n: int) -> tuple:
-    return tuple(range(n))
+def identity_map(n: int) -> bytes:
+    return _LABELS[:n]
 
 
-def compose(f, g) -> tuple:
+def compose(f: bytes, g: bytes) -> bytes:
     """Composition f after g on image arrays."""
-    return tuple(f[x] for x in g)
+    return g.translate(_lut(f))
 
 
-def invert_permutation(p) -> tuple:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
+def invert_permutation(p) -> bytes:
+    return bytes(map(p.index, range(len(p))))
 
 
 def permutation_order(p) -> int:
@@ -196,35 +209,37 @@ def verify_group(table, name: str = "") -> GroupCheck:
     Entries, rows and columns are checked with whole-row set operations, and
     only a row that fails them is scanned entry by entry for its witness.
     Light's test: the g with (x g) y = x (g y) for all x, y are closed under
-    products, so associativity is checked on generators and scanned only on
-    failure.
+    products, so associativity is checked on generators, one row x at a
+    time, and scanned only on failure. A table of more than MAX_TABLE_ORDER
+    rows raises OrderCapExceeded before any of this.
     """
+    if len(table) > MAX_TABLE_ORDER:
+        raise OrderCapExceeded(f"table order {len(table)} exceeds the bound of {MAX_TABLE_ORDER}")
     rows = [list(r) for r in table]
     n = len(rows)
     if any(len(r) != n for r in rows) or n == 0:
         return GroupCheck(False, None, None, (Violation("not_square", (n,)),))
-    labels = list(range(n))
+    labels = _LABELS[:n]
     in_range = set(labels)
-    exact = True        # every entry a plain int: the identity-0 table needs no copy
     for a, r in enumerate(rows):
         if set(map(type, r)) == {int} and in_range.issuperset(r):
             continue
-        exact = False
         for b, v in enumerate(r):
             if isinstance(v, bool) or not isinstance(v, int) or not (0 <= v < n):
                 return GroupCheck(False, None, None, (Violation("entry_out_of_range", (a, b)),))
+    rows = list(map(bytes, rows))
+    cols = transpose(rows)
 
     violations = []
     bad_row = next((a for a, r in enumerate(rows) if len(set(r)) != n), None)
     bad_col = None if bad_row is not None else next(
-        (b for b, col in enumerate(zip(*rows)) if len(set(col)) != n), None)
+        (b for b, col in enumerate(cols) if len(set(col)) != n), None)
     if bad_row is not None:
         violations.append(Violation("not_latin_square", ("row", bad_row)))
     elif bad_col is not None:
         violations.append(Violation("not_latin_square", ("col", bad_col)))
 
-    identity = next((e for e, r in enumerate(rows)
-                     if r == labels and [s[e] for s in rows] == labels), None)
+    identity = next((e for e, r in enumerate(rows) if r == labels == cols[e]), None)
     if identity is None:
         violations.append(Violation("no_identity", ()))
     else:
@@ -232,9 +247,10 @@ def verify_group(table, name: str = "") -> GroupCheck:
         if no_inverse is not None:
             violations.append(Violation("no_inverse", (no_inverse,)))
 
+    gens = () if violations else _right_closure(rows, identity, range(n))[1]
     light = not violations and all(
-        rows[rows[x][g]] == list(map(rows[x].__getitem__, rows[g]))
-        for g in _right_closure(rows, identity, range(n))[1] for x in range(n))
+        rows[row[g]] == rows[g].translate(lut)
+        for row, lut in zip(rows, map(_lut, rows)) for g in gens)
     assoc_witness = None if light else next(
         ((a, b, c) for a in range(n) for b in range(n) for c in range(n)
          if rows[rows[a][b]][c] != rows[a][rows[b][c]]), None)
@@ -244,23 +260,18 @@ def verify_group(table, name: str = "") -> GroupCheck:
     if violations:
         return GroupCheck(False, None, None, tuple(violations))
 
-    if exact and identity == 0:
+    if identity == 0:
         return GroupCheck(True, FiniteGroup(rows, name=name), tuple(labels), ())
-    old_order = [identity] + [x for x in range(n) if x != identity]
-    relabel = [0] * n
-    for new, old in enumerate(old_order):
-        relabel[old] = new
+    old_order = bytes([identity]) + labels.replace(bytes([identity]), b"")
+    relabel = invert_permutation(old_order)
     return GroupCheck(True, FiniteGroup(relabeled(rows, relabel), name=name), tuple(relabel), ())
 
 
-def relabeled(table, relabel) -> list:
-    """The table with every label x renamed relabel[x]."""
-    n = len(table)
-    out = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            out[relabel[a]][relabel[b]] = relabel[table[a][b]]
-    return out
+def relabeled(table, relabel: bytes) -> list:
+    """The table with every label x renamed relabel[x], as bytes rows."""
+    old = invert_permutation(relabel)      # old[new label] = old label
+    lut = _lut(relabel)
+    return [bytes(map(table[a].__getitem__, old)).translate(lut) for a in old]
 
 
 def group_from_table(table, name: str = "") -> FiniteGroup:
@@ -360,12 +371,14 @@ def group_from_permutations(generators, degree: int, name: str = "",
     """Closure of permutation generators on {0..degree-1}; elements sorted lexicographically.
 
     The closure stops with OrderCapExceeded as soon as it holds more than
-    ``max_order`` elements, before any table is built.
+    ``max_order`` elements, or MAX_TABLE_ORDER if that is less, before any
+    table is built.
     """
     gens = [tuple(g) for g in generators]
     for g in gens:
         if sorted(g) != list(range(degree)):
             raise InvalidGroup((Violation("entry_out_of_range", tuple(g)),))
+    max_order = min(max_order, MAX_TABLE_ORDER)
     closure = {tuple(range(degree))}
     frontier = list(closure)
     while frontier:
@@ -409,7 +422,7 @@ def small_group_catalog(max_order: int) -> list:
 class StructureInfo:
     center: tuple
     derived_subgroup: tuple
-    inner_automorphisms: tuple  # image tuples, one per coset of G/Z
+    inner_automorphisms: tuple  # image arrays, one per coset of G/Z
 
 
 def _right_closure(table, identity, seeds) -> tuple:
@@ -461,7 +474,8 @@ def structure_subgroups(group: FiniteGroup) -> StructureInfo:
     n = group.order
     commutators = {group.commutator(a, b) for a in range(n) for b in range(n)}
     derived = subgroup_closure_in(group, commutators)
-    inner = dict.fromkeys(tuple(group.conj(g, x) for x in range(n)) for g in range(n))
+    cols, inv = group.columns, group.inverse
+    inner = dict.fromkeys(row.translate(_lut(cols[inv[g]])) for g, row in enumerate(group.table))
     return StructureInfo(group.center, derived, tuple(inner))
 
 
@@ -487,7 +501,7 @@ def nilpotency_class(group: FiniteGroup) -> int | None:
 
 def _homomorphisms(src: FiniteGroup, dst: FiniteGroup, bijective: bool,
                    circ: FiniteGroup | None = None) -> list:
-    """Homomorphisms src -> dst (only the bijective ones if asked), as sorted image tuples.
+    """Homomorphisms src -> dst (only the bijective ones if asked), as sorted image arrays.
 
     Backtracks over images of the generators of src, in the order of the
     generator walk. An image must have the generator's order (for
@@ -526,8 +540,9 @@ def _homomorphisms(src: FiniteGroup, dst: FiniteGroup, bijective: bool,
 
     def extend(level):
         if level == len(levels):
-            if circ is None or is_multiplicative(circ, circ.table, images):
-                found.append(tuple(images))
+            image = bytes(images)
+            if circ is None or is_multiplicative(circ, circ.table, image):
+                found.append(image)
             return
         g, choices, walk, checks, new = levels[level]
         for h in choices:
@@ -547,7 +562,7 @@ def _homomorphisms(src: FiniteGroup, dst: FiniteGroup, bijective: bool,
 
 
 def group_isomorphisms(src: FiniteGroup, dst: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> list:
-    """All isomorphisms src -> dst as image tuples, sorted lexicographically."""
+    """All isomorphisms src -> dst as image arrays, sorted lexicographically."""
     if src.order != dst.order:
         return []
     if src.order > max_order:
@@ -556,12 +571,12 @@ def group_isomorphisms(src: FiniteGroup, dst: FiniteGroup, max_order: int = MAX_
 
 
 def automorphism_group(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> tuple:
-    """All automorphisms as image tuples, identity first, in lexicographic order."""
+    """All automorphisms as image arrays, identity first, in lexicographic order."""
     return tuple(group_isomorphisms(group, group, max_order))
 
 
 def endomorphisms(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> list:
-    """All endomorphism image tuples of the group, sorted."""
+    """All endomorphisms of the group as image arrays, sorted."""
     if group.order > max_order:
         raise OrderCapExceeded(f"order {group.order} exceeds cap {max_order}")
     return _homomorphisms(group, group, False)
@@ -600,9 +615,12 @@ def holomorph_automorphisms(base: FiniteGroup, max_order: int = MAX_GROUP_ORDER)
 
 
 def build_holomorph(base: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> Holomorph:
+    """Hol G with its multiplication table; OrderCapExceeded when |Hol G| exceeds MAX_TABLE_ORDER."""
     auts = holomorph_automorphisms(base, max_order)
     n = base.order
     total = len(auts) * n
+    if total > MAX_TABLE_ORDER:
+        raise OrderCapExceeded(f"holomorph order {total} exceeds the table bound of {MAX_TABLE_ORDER}")
     aut_index = {f: i for i, f in enumerate(auts)}
     comp = [[aut_index[compose(f, g)] for g in auts] for f in auts]
     table = [[0] * total for _ in range(total)]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
 
 from .braces import SkewBrace
 from .config import DEFAULT_SAMPLING, SampleConfig
@@ -17,6 +16,7 @@ from .errors import CriterionMismatch, NotRotaBaxter, PreconditionFails
 from .groups import (
     MAX_GROUP_ORDER,
     FiniteGroup,
+    _lut,
     endomorphisms,
     group_from_table,
     is_multiplicative,
@@ -37,35 +37,37 @@ class RbCheck:
 
 
 def is_rb(group: FiniteGroup, b_map) -> RbCheck:
-    """Exhaustively check the Rota-Baxter identity; the witness is a failing pair."""
-    b = tuple(b_map)
-    t, inv = group.table, group.inverse
-    for g in range(group.order):
-        bg, bg_inv = b[g], inv[b[g]]
-        gg = t[g][bg]
-        lhs_left = b[g]
-        for h in range(group.order):
-            if t[lhs_left][b[h]] != b[t[t[gg][h]][bg_inv]]:
-                return RbCheck(False, (g, h))
+    """Exhaustively check the Rota-Baxter identity; the witness is the first failing pair.
+
+    Each g is one row: h -> B(g) B(h) against h -> B(g B(g) h B(g)^-1). Only
+    a row that differs is scanned for its first h.
+    """
+    b = bytes(b_map)
+    t, inv, cols = group.table, group.inverse, group.columns
+    lut = _lut(b)
+    for g, row in enumerate(t):
+        bg = b[g]
+        lhs = b.translate(_lut(t[bg]))
+        rhs = t[row[bg]].translate(_lut(cols[inv[bg]])).translate(lut)
+        if lhs != rhs:
+            return RbCheck(False, (g, next(h for h in range(group.order) if lhs[h] != rhs[h])))
     return RbCheck(True, None)
 
 
-def inversion_operator(group: FiniteGroup) -> tuple:
+def inversion_operator(group: FiniteGroup) -> bytes:
     """g -> g^-1, a Rota-Baxter operator on every group."""
     return group.inverse
 
 
-def constant_operator(group: FiniteGroup) -> tuple:
-    return (0,) * group.order
+def constant_operator(group: FiniteGroup) -> bytes:
+    return bytes(group.order)
 
 
 def derived_table(group: FiniteGroup, b_map) -> list:
-    b = tuple(b_map)
-    t, inv = group.table, group.inverse
-    return [
-        [t[t[t[g][b[g]]][h]][inv[b[g]]] for h in range(group.order)]
-        for g in range(group.order)
-    ]
+    """The table of g o h = g B(g) h B(g)^-1, as bytes rows."""
+    b = bytes(b_map)
+    t, inv, cols = group.table, group.inverse, group.columns
+    return [t[row[bg]].translate(_lut(cols[inv[bg]])) for row, bg in zip(t, b)]
 
 
 def derived_group(group: FiniteGroup, b_map) -> FiniteGroup:
@@ -80,7 +82,7 @@ def derived_group(group: FiniteGroup, b_map) -> FiniteGroup:
     derived = group_from_table(derived_table(group, b_map))
     if not is_rb(derived, b_map).ok:
         raise CriterionMismatch("operator is not Rota-Baxter on the derived group")
-    if not is_multiplicative(derived, group.table, tuple(b_map)):
+    if not is_multiplicative(derived, group.table, bytes(b_map)):
         raise CriterionMismatch("operator is not a homomorphism out of the derived group")
     return derived
 
@@ -88,42 +90,60 @@ def derived_group(group: FiniteGroup, b_map) -> FiniteGroup:
 def rb_brace(group: FiniteGroup, b_map) -> SkewBrace:
     """The skew brace (G, ., o) of a Rota-Baxter operator; lambda is conjugation by B."""
     brace = SkewBrace(group, derived_group(group, b_map))
-    b = tuple(b_map)
-    for a in range(group.order):
-        conj = tuple(group.table[group.table[b[a]][x]][group.inverse[b[a]]]
-                     for x in range(group.order))
-        if brace.lam.maps[a] != conj:
+    t, inv, cols = group.table, group.inverse, group.columns
+    for lam_a, ba in zip(brace.lam.maps, bytes(b_map)):
+        if lam_a != t[ba].translate(_lut(cols[inv[ba]])):
             raise CriterionMismatch("lambda of a Rota-Baxter brace must be conjugation by B")
     return brace
 
 
+def _center_cosets(group: FiniteGroup) -> bytes:
+    """q with q[x] = q[y] iff x Z(G) = y Z(G): the least element of each coset labels it."""
+    q = bytearray(group.order)
+    seen = set()
+    for x, row in enumerate(group.table):
+        if x not in seen:
+            coset = [row[z] for z in group.center]
+            seen.update(coset)
+            for y in coset:
+                q[y] = x
+    return bytes(q)
+
+
 def rb_symmetry_check(brace: SkewBrace, b_map) -> dict:
-    """Symmetry of the brace rb_brace(G, B) versus centrality of the anti-homomorphism defect."""
+    """Symmetry of the brace rb_brace(G, B) versus centrality of the anti-homomorphism defect.
+
+    The defect B(c)^-1 B(a)^-1 B(c a) is central iff B(c a) and B(a) B(c)
+    lie in one coset of Z(G), so each a is one row of coset labels against
+    another, over every c.
+    """
     group = brace.add
     symmetric = brace.classification.symmetric
-    b = tuple(b_map)
-    center = set(group.center)
-    t, inv = group.table, group.inverse
+    b = bytes(b_map)
+    t, cols, q = group.table, group.columns, _lut(_center_cosets(group))
+    lut = _lut(b)
     center_condition = all(
-        t[t[inv[b[c]]][inv[b[a]]]][b[t[c][a]]] in center
-        for a in range(group.order) for c in range(group.order)
-    )
+        cols[a].translate(lut).translate(q) == b.translate(_lut(t[ba])).translate(q)
+        for a, ba in enumerate(b))
     if symmetric != center_condition:
         raise CriterionMismatch("symmetry and the central-defect condition must agree")
     return {"symmetric": symmetric, "center_condition": center_condition}
 
 
 def rb_lambda_hom_check(brace: SkewBrace, b_map) -> dict:
-    """Lambda-homomorphy of the brace rb_brace(G, B) versus the homomorphism defect of B."""
+    """Lambda-homomorphy of the brace rb_brace(G, B) versus the homomorphism defect of B.
+
+    The defect B(a c)^-1 B(a) B(c) is central iff B(a c) and B(a) B(c) lie
+    in one coset of Z(G), which is checked as in rb_symmetry_check.
+    """
     group = brace.add
     lam_hom = brace.lam.homomorphic_on_add
-    b = tuple(b_map)
-    center = set(group.center)
-    t, inv = group.table, group.inverse
+    b = bytes(b_map)
+    t, q = group.table, _lut(_center_cosets(group))
+    lut = _lut(b)
     center_condition = all(
-        t[t[inv[b[t[a][c]]]][b[a]]][b[c]] in center
-        for a in range(group.order) for c in range(group.order)
-    )
+        row.translate(lut).translate(q) == b.translate(_lut(t[ba])).translate(q)
+        for row, ba in zip(t, b))
     if lam_hom != center_condition:
         raise CriterionMismatch("lambda-homomorphy and the defect condition must agree")
     return {"lambda_homomorphic": lam_hom, "center_condition": center_condition}
@@ -134,9 +154,9 @@ def rb_anti_hom_lemma_check(group: FiniteGroup, b_map) -> bool:
     check = is_rb(group, b_map)
     if not check.ok:
         raise NotRotaBaxter(check.witness)
-    b = tuple(b_map)
+    b = bytes(b_map)
     t = group.table
-    if not is_multiplicative(group, tuple(zip(*t)), b):    # B(g h) = B(h) B(g)
+    if not is_multiplicative(group, group.columns, b):    # B(g h) = B(h) B(g)
         raise PreconditionFails("operator must be an anti-homomorphism")
     for a in range(group.order):
         u = t[b[b[a]]][b[a]]
@@ -257,19 +277,40 @@ def circ2_expansion_report(group: FiniteGroup, b_map) -> dict:
 
 
 def rb_self_maps(group: FiniteGroup) -> list:
-    """All Rota-Baxter operators among the self-maps of a small group.
+    """All Rota-Baxter operators among the self-maps of a small group, in lexicographic order.
 
-    B(e) = e is forced by the identity at the pair (e, e), so only the other
-    values are enumerated; keep carriers at order <= 6.
+    B(e) = e is forced by the identity at the pair (e, e). The other values
+    are chosen in order, B(1), B(2), ..., and a choice is dropped as soon as
+    the identity fails at a pair (g, h) whose three values B(g), B(h) and
+    B(g B(g) h B(g)^-1) are all chosen; each pair is checked once, when the
+    last of them is. A full map has passed every pair, as is_rb asks. Keep
+    carriers at order <= 6.
     """
     if group.order > 6:
         raise PreconditionFails("exhaustive self-map search is capped at order 6")
+    n, t, inv = group.order, group.table, group.inverse
+    b = [0] * n
     found = []
-    n = group.order
-    for tail in product(range(n), repeat=n - 1):
-        candidate = (0,) + tail
-        if is_rb(group, candidate).ok:
-            found.append(candidate)
+
+    def holds_through(k):
+        for g in range(k + 1):
+            bg, row = b[g], t[t[g][b[g]]]
+            for h in range(k + 1):
+                p = t[row[h]][inv[bg]]
+                if p <= k and k in (g, h, p) and t[bg][b[h]] != b[p]:
+                    return False
+        return True
+
+    def extend(k):
+        if k == n:
+            found.append(bytes(b))
+            return
+        for value in range(n):
+            b[k] = value
+            if holds_through(k):
+                extend(k + 1)
+
+    extend(1)
     return found
 
 

@@ -236,23 +236,29 @@ class TrivialityChain:
         return {"step": self.step, "chain": [list(part) for part in self.chain]}
 
 
+def trivial_quotient(brace: SkewBrace, small: set, big) -> bool:
+    """True iff a . b and a o b agree modulo the ideal ``small`` for all a, b in the ideal ``big``.
+
+    (a . b)^-1 (a o b) = b^-1 lambda_a(b). At a fixed a the b where it lies
+    in ``small`` form a subgroup of (big, .), as ``small`` is normal in
+    (G, .); the a where it does for every b are closed under o, as ``big``
+    is lambda-invariant. So a runs over generators of (big, o) and b over
+    generators of (big, .).
+    """
+    t, inv, maps = brace.add.table, brace.add.inverse, brace.lam.maps
+    add_gens = _right_closure(t, 0, big)[1]
+    circ_gens = _right_closure(brace.circ.table, 0, big)[1]
+    return all(t[inv[b]][maps[a][b]] in small for a in circ_gens for b in add_gens)
+
+
 def triviality_step(brace: SkewBrace, ideals) -> TrivialityChain | None:
     """Shortest chain of ideals with trivial successive quotients, or None.
 
     ``ideals`` is the list from all_ideals(brace). Breadth-first over ideals:
     a step from I to J > I is allowed when every pair from J multiplies the
-    same way under both operations modulo I.
+    same way under both operations modulo I (trivial_quotient).
     """
     everything = tuple(range(brace.order))
-    t_add, t_circ = brace.add.table, brace.circ.table
-    inv_add = brace.add.inverse
-
-    def trivial_quotient(small: set, big) -> bool:
-        return all(
-            t_add[inv_add[t_add[a][b]]][t_circ[a][b]] in small
-            for a in big for b in big
-        )
-
     if brace.order == 1:
         return TrivialityChain(((0,),), 0)
     start = (0,)
@@ -267,7 +273,7 @@ def triviality_step(brace: SkewBrace, ideals) -> TrivialityChain | None:
                     continue
                 if candidate in parents:
                     continue
-                if trivial_quotient(cset, candidate):
+                if trivial_quotient(brace, cset, candidate):
                     parents[candidate] = current
                     if candidate == everything:
                         chain = [candidate]

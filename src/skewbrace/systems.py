@@ -23,6 +23,7 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
+    _lut,
     compose,
     group_from_table,
     identity_map,
@@ -138,8 +139,7 @@ def build_linear_system(group: FiniteGroup, lam, depth: int | None = None,
         powers = [identity_map(n)] * n
         for i in range(1, depth + 1):
             powers = [compose(step, power) for step, power in zip(steps, powers)]
-            yield sign * i, tuple(tuple(map(t[a].__getitem__, power))
-                                  for a, power in enumerate(powers))
+            yield sign * i, tuple(power.translate(_lut(row)) for row, power in zip(t, powers))
 
     negative = levels([invert_permutation(m) for m in facts.maps], -1) if include_negative else ()
     tables = chain([(0, t)], levels(facts.maps, 1), negative)
@@ -230,7 +230,7 @@ def build_rb_multibrace(group: FiniteGroup, b_map, k: int) -> BraceSystemGraph:
         raise ValueError("tower height must be non-negative")
     if k > MAX_TOWER_HEIGHT:
         raise ValueError(f"tower height {k} exceeds the bound of {MAX_TOWER_HEIGHT}")
-    b = tuple(b_map)
+    b = bytes(b_map)
     n = group.order
     level_tables = [group.table]
     current = group

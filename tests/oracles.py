@@ -1,7 +1,10 @@
 """Independent brute-force oracles used to cross-check library output.
 
 Everything here deliberately avoids the code paths it is checking: tables
-are enumerated directly from the axioms.
+are enumerated directly from the axioms. The library keeps tables as bytes
+rows and maps as bytes image arrays; the oracles work on int tuples, one
+subscript at a time, and ``tuples`` converts the library's values for a
+comparison.
 """
 
 from functools import lru_cache
@@ -13,11 +16,59 @@ from skewbrace.groups import (
     GroupCheck,
     Violation,
     automorphism_group,
-    build_holomorph,
-    compose,
-    invert_permutation,
 )
 from skewbrace.structure import IdealReport
+
+
+def tuples(maps) -> list:
+    """Library image arrays or table rows as int tuples, the representation of these oracles."""
+    return [tuple(m) for m in maps]
+
+
+def compose_by_index(f, g):
+    """f after g, one subscript at a time: the reference for groups.compose."""
+    return tuple(f[x] for x in g)
+
+
+def invert_by_index(p):
+    """The inverse permutation, one assignment at a time."""
+    out = [0] * len(p)
+    for i, v in enumerate(p):
+        out[v] = i
+    return tuple(out)
+
+
+def lambda_by_index(add, circ):
+    """lambda_a(b) = a^-1 . (a o b) for every a and b, read off two tables with identity 0."""
+    n = len(add)
+    inv = [list(add[a]).index(0) for a in range(n)]
+    return [tuple(add[inv[a]][circ[a][b]] for b in range(n)) for a in range(n)]
+
+
+def rb_first_failure_by_index(table, b):
+    """First (g, h) with B(g) B(h) != B(g B(g) h B(g)^-1) in a table with identity 0, or None."""
+    n = len(table)
+    inv = [list(table[a]).index(0) for a in range(n)]
+    return next(((g, h) for g in range(n) for h in range(n)
+                 if table[b[g]][b[h]] != b[table[table[table[g][b[g]]][h]][inv[b[g]]]]), None)
+
+
+def rb_center_conditions_by_scan(table, b):
+    """(B(c)^-1 B(a)^-1 B(c a), B(a c)^-1 B(a) B(c)) central for all a, c, in a table with identity 0."""
+    n = len(table)
+    inv = [list(table[a]).index(0) for a in range(n)]
+    center = {z for z in range(n) if all(table[z][x] == table[x][z] for x in range(n))}
+    pairs = [(a, c) for a in range(n) for c in range(n)]
+    return (all(table[table[inv[b[c]]][inv[b[a]]]][b[table[c][a]]] in center for a, c in pairs),
+            all(table[table[inv[b[table[a][c]]]][b[a]]][b[c]] in center for a, c in pairs))
+
+
+def derived_table_by_index(table, b):
+    """The table of g o h = g B(g) h B(g)^-1, in a table with identity 0."""
+    n = len(table)
+    inv = [list(table[a]).index(0) for a in range(n)]
+    return tuple(tuple(table[table[table[g][b[g]]][h]][inv[b[g]]] for h in range(n))
+                 for g in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -84,7 +135,8 @@ def isomorphism_classes_by_orbit(braces):
     the census set under pushforward along all permutations fixing 0.
     """
     n = braces[0].order
-    tables = {(b.add.table, b.circ.table): i for i, b in enumerate(braces)}
+    tables = {(tuple(tuples(b.add.table)), tuple(tuples(b.circ.table))): i
+              for i, b in enumerate(braces)}
     perms = [(0,) + p for p in permutations(range(1, n))]
     unassigned = set(range(len(braces)))
     classes = []
@@ -93,7 +145,7 @@ def isomorphism_classes_by_orbit(braces):
         brace = braces[seed]
         orbit = set()
         for p in perms:
-            inv = invert_permutation(p)
+            inv = invert_by_index(p)
             add = tuple(tuple(p[brace.add.table[inv[a]][inv[b]]] for b in range(n))
                         for a in range(n))
             circ = tuple(tuple(p[brace.circ.table[inv[a]][inv[b]]] for b in range(n))
@@ -115,7 +167,7 @@ def regular_subgroup_count_by_lambda_walk(group):
     inverses, where the library's walk closes under right multiplication by
     generators and returns the subgroups themselves.
     """
-    auts = automorphism_group(group)
+    auts = tuples(automorphism_group(group))
     aut_index = {img: i for i, img in enumerate(auts)}
     n = group.order
     table = group.table
@@ -124,14 +176,14 @@ def regular_subgroup_count_by_lambda_walk(group):
     def comp(i, j):
         key = (i, j)
         if key not in comp_cache:
-            comp_cache[key] = aut_index[compose(auts[i], auts[j])]
+            comp_cache[key] = aut_index[compose_by_index(auts[i], auts[j])]
         return comp_cache[key]
 
     inv_cache = {}
 
     def aut_inv(i):
         if i not in inv_cache:
-            inv_cache[i] = aut_index[invert_permutation(auts[i])]
+            inv_cache[i] = aut_index[invert_by_index(auts[i])]
         return inv_cache[i]
 
     # (f, a) must generate a cyclic group meeting each coordinate at most once
@@ -153,7 +205,7 @@ def regular_subgroup_count_by_lambda_walk(group):
                     break
                 coords.add(x)
                 x = table[x][fk[a]]
-                fk = compose(fk, img)
+                fk = compose_by_index(fk, img)
                 size += 1
             if good and n % size == 0:
                 ok.append(fi)
@@ -247,6 +299,21 @@ def _closure_within(table, base_members, new_elem, n, coords):
     return tuple(sorted(members))
 
 
+def holomorph_table(group):
+    """The table of Hol G = Aut G x| G, (f, a)(g, b) = (f g, a f(b)), with (f, a) at f_index * |G| + a.
+
+    Built from the automorphism list as int tuples: Hol G can have more
+    elements than a bytes row has labels.
+    """
+    auts = tuples(automorphism_group(group))
+    n = group.order
+    index = {f: i for i, f in enumerate(auts)}
+    comp = [[index[compose_by_index(f, g)] * n for g in auts] for f in auts]
+    return tuple(tuple(comp[fi][gi] + group.table[a][f[b]]
+                       for gi in range(len(auts)) for b in range(n))
+                 for fi, f in enumerate(auts) for a in range(n))
+
+
 @lru_cache(maxsize=None)
 def regular_subgroups_by_closure(group):
     """All regular subgroups of Hol G, a sorted tuple of sorted f_index * |G| + a tuples.
@@ -260,7 +327,7 @@ def regular_subgroups_by_closure(group):
     n = group.order
     if n == 1:
         return ((0,),)
-    hol = build_holomorph(group).group.table
+    hol = holomorph_table(group)
     cands = _cyclic_candidates(hol, n)
     seen = {(0,)}
     complete = []
@@ -398,6 +465,13 @@ def is_ideal_by_full_scan(brace, elements):
     circ_ok, circ_w = _normal_by_full_scan(circ, members)
     return IdealReport(tuple(sorted(members)), witness is None, add_ok, circ_ok,
                        witness or add_w or circ_w)
+
+
+def trivial_quotient_by_all_pairs(brace, small, big):
+    """(a . b)^-1 (a o b) in ``small`` for every pair a, b of ``big``, read off the tables."""
+    add, circ = brace.add.table, brace.circ.table
+    inv = _inverses(add)
+    return all(add[inv[add[a][b]]][circ[a][b]] in small for a in big for b in big)
 
 
 def _permutation_order(p):

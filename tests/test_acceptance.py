@@ -11,6 +11,7 @@ from oracles import (
     brute_force_circ_tables,
     regular_subgroup_count_by_lambda_walk,
     regular_subgroups_by_closure,
+    tuples,
 )
 from skewbrace import groups
 from skewbrace.braces import (
@@ -85,7 +86,7 @@ def test_criterion_1_enumeration_oracle_equivalence():
     ]
     problems = []
     for group, expected in cases:
-        found = {b.circ.table for b in enumerate_circ_ops(group)}
+        found = {tuple(tuples(b.circ.table)) for b in enumerate_circ_ops(group)}
         oracle = {tuple(map(tuple, t)) for t in brute_force_circ_tables(group)}
         if found != oracle:
             problems.append(f"{group.name}: sets differ")
@@ -155,7 +156,7 @@ def test_criterion_4_linear_system_laws():
             problems.append(f"{group.name}: period {period} != exponent {system.image_exponent}")
         # kernel and image are level-independent
         levels = sorted(k for k in system.label_map if k >= 0)
-        base_maps = tuple(tuple(m) for m in lam)
+        base_maps = tuple(bytes(m) for m in lam)
         for i in levels[:-1]:
             lower = system.vertices[system.label_map[i]]
             upper = system.vertices[system.label_map[i + 1]]
@@ -347,7 +348,7 @@ def test_census_orbits_match_guarnieri_vendramin():
             orbits += 1
             for phi in auts:
                 inv = groups.invert_permutation(phi)
-                unseen.discard(tuple(tuple(phi[circ[inv[a]][inv[b]]] for b in range(n))
+                unseen.discard(tuple(bytes(phi[circ[inv[a]][inv[b]]] for b in range(n))
                                      for a in range(n)))
         skew[n] += orbits
         classical[n] += orbits if g.is_abelian else 0

@@ -404,6 +404,35 @@ def test_max_order_raises_the_generator_file_cap(tmp_path, capsys):
     assert code == 0 and json.loads(out)["order"] == 120
     code, out, err = run(capsys, ["--max-order", "119", "verify-group", "--in", s5])
     assert code == 2 and err == "error: the generated group has order above the cap 119\n"
+    # a group table holds at most MAX_TABLE_ORDER labels, whatever --max-order says
+    s6 = write(tmp_path, "s6.json", {"degree": 6, "generators": ["(1 2)", "(1 2 3 4 5 6)"]})
+    code, out, err = run(capsys, ["--max-order", "720", "verify-group", "--in", s6])
+    assert code == 2 and err == "error: the generated group has order above the cap 256\n"
+
+
+def test_table_of_the_bound_order_is_accepted(tmp_path, capsys):
+    z2 = groups.cyclic_group(2)
+    group = z2
+    for _ in range(7):
+        group = groups.direct_product(group, z2)
+    assert group.order == groups.MAX_TABLE_ORDER == 256
+    code, out, _ = run(capsys, ["verify-group", "--in", write(
+        tmp_path, "z2-8.json", groups.group_to_json(group))])
+    assert code == 0
+    report = json.loads(out)
+    assert report["group_ok"] and report["order"] == 256
+
+
+@pytest.mark.parametrize("command", ["verify-group", "verify-brace", "structure", "enumerate"])
+def test_table_above_the_order_bound_exit_2(tmp_path, capsys, command):
+    table = [[(a + b) % 257 for b in range(257)] for a in range(257)]
+    if command in ("verify-group", "enumerate"):
+        payload = {"name": "Z257", "order": 257, "table": table}
+    else:
+        payload = {"order": 257, "add": table, "circ": table}
+    code, out, err = run(capsys, [command, "--in", write(tmp_path, "z257.json", payload)])
+    assert code == 2 and out == ""
+    assert err == "error: table order 257 exceeds the bound of 256\n"
 
 
 @pytest.mark.parametrize("values", [[0, 1], [0, 9, 2, 3], [0, True, 2, 3], ["0", 1, 2, 3]],
@@ -636,6 +665,11 @@ def test_missing_file_argument_exit_2(tmp_path, capsys, argv, what):
     (["--samples", "-5", "freegroup", "check", "--rank", "2"], "samples must not be negative"),
     (["--samples", "-5", "rb", "free"], "samples must not be negative"),
     (["lattice", "--p", "1", "--depth", "-1"], "depth must not be negative"),
+    (["--samples", "-5", "lattice", "--p", "1"], "samples must not be negative"),
+    (["--samples", "-5", "freegroup", "rewrite", "--rank", "2", "--w", "x1"],
+     "samples must not be negative"),
+    (["--samples", "1000000000", "freegroup", "verify-cyclic", "--n", "2"],
+     "samples 1000000000 exceeds the bound of 100000"),
 ])
 def test_out_of_range_argument_exit_2(capsys, argv, message):
     code, out, err = run(capsys, argv)
@@ -937,7 +971,7 @@ def test_rb_search_builds_each_brace_once(tmp_path, capsys, monkeypatch):
     assert code == 0
     operators = [tuple(op["map"]) for op in json.loads(out)["operators"]]
     assert len(operators) > 1
-    assert [args[1] for args in calls] == operators
+    assert [tuple(args[1]) for args in calls] == operators
 
 
 def test_rb_search_computes_the_center_once(tmp_path, capsys, monkeypatch):
@@ -966,7 +1000,7 @@ def test_rb_brace_classifies_once(tmp_path, capsys, monkeypatch):
     assert code == 0
     report = json.loads(out)
     assert report["symmetric"] == report["brace"]["classify"]["symmetric"]
-    circ = tuple(map(tuple, report["brace"]["circ"]))
+    circ = tuple(map(bytes, report["brace"]["circ"]))
     assert circ != s3.table
     symmetry_scans = [args for args in calls if args[0].table == circ]  # left_law_witness(circ, add)
     assert len(symmetry_scans) == 1

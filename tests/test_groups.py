@@ -134,8 +134,8 @@ def test_dicyclic_is_q8(q8):
 
 def test_automorphisms_z3(z3):
     auts = automorphism_group(z3)
-    assert list(auts) == [(0, 1, 2), (0, 2, 1)]
-    assert auts[0] == tuple(range(3))  # identity first
+    assert list(auts) == [bytes((0, 1, 2)), bytes((0, 2, 1))]
+    assert auts[0] == bytes(range(3))  # identity first
 
 
 def test_automorphisms_trivial():
@@ -162,7 +162,7 @@ def test_automorphisms_s3_all_inner(s3):
 ])
 def test_automorphisms_match_brute_force(maker):
     g = maker()
-    auts = list(automorphism_group(g))
+    auts = [tuple(f) for f in automorphism_group(g)]
     assert auts == brute_force_automorphisms(g)
 
 
@@ -184,7 +184,7 @@ def test_identity_read_off_a_raw_table():
     # Z3 with identity 2: 2 + 2 = 2 and 0 + 1 = 2
     g = groups.FiniteGroup([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
     assert g.identity == 2
-    assert g.inverse == (1, 0, 2)
+    assert g.inverse == bytes((1, 0, 2))
     assert groups.cyclic_group(5).identity == 0
 
 
@@ -206,7 +206,7 @@ def test_endomorphism_enumeration(z4, s3):
     from skewbrace.groups import endomorphisms
 
     z4_endos = endomorphisms(z4)
-    assert z4_endos == sorted(tuple((k * x) % 4 for x in range(4)) for k in range(4))
+    assert z4_endos == sorted(bytes((k * x) % 4 for x in range(4)) for k in range(4))
     # S3: six automorphisms, three sign maps onto transposition subgroups, one trivial
     assert len(endomorphisms(s3)) == 10
 
@@ -293,6 +293,13 @@ def test_holomorph_cap(z4, monkeypatch):
         build_holomorph(z4)
 
 
+def test_holomorph_table_bound():
+    z2 = groups.cyclic_group(2)
+    cube = groups.direct_product(groups.direct_product(z2, z2), z2)
+    with pytest.raises(OrderCapExceeded, match="holomorph order 1344 exceeds the table bound of 256"):
+        build_holomorph(cube)
+
+
 def test_subgroup_closure_cases(z4):
     hol = build_holomorph(z4)
     assert subgroup_closure_in(hol.group, ()) == (0,)
@@ -315,7 +322,7 @@ def test_translation_subgroup_regular():
 def test_regularity_affine_examples(z4):
     # inside Hol(Z4): automorphisms are id and inversion (index 1); (f, a) is f * 4 + a
     hol = build_holomorph(z4)
-    inv_idx = hol.automorphisms.index((0, 3, 2, 1))
+    inv_idx = hol.automorphisms.index(bytes((0, 3, 2, 1)))
     # {x, x+2, 3x, 3x+2}: second coordinates repeat
     s1 = subgroup_closure_in(hol.group, (2, inv_idx * 4))
     assert sorted(hol.second(i) for i in s1) == [0, 0, 2, 2]
@@ -364,7 +371,7 @@ def test_group_from_json_generators():
 def test_group_from_json_table_normalizes():
     # Z2 written with identity at label 1
     g = group_from_json({"name": "swapped", "order": 2, "table": [[0, 1], [1, 0]]})
-    assert g.table == ((0, 1), (1, 0))
+    assert g.table == (bytes((0, 1)), bytes((1, 0)))
 
 
 def test_group_from_json_rejects_garbage():
@@ -406,9 +413,9 @@ def test_subgroup_closure_in_plain_group(s3):
 
 
 def test_self_map_flags(z4, s3):
-    inv = (0, 3, 2, 1)
+    inv = bytes((0, 3, 2, 1))
     assert is_multiplicative(z4, z4.table, inv) and len(set(inv)) == 4    # an automorphism
-    assert is_multiplicative(z4, tuple(zip(*z4.table)), inv)              # and anti-homomorphic
-    conj_inv = tuple(s3.conj(s3.inverse[1], x) for x in range(6))
+    assert is_multiplicative(z4, z4.columns, inv)                         # and anti-homomorphic
+    conj_inv = bytes(s3.conj(s3.inverse[1], x) for x in range(6))
     assert is_multiplicative(s3, s3.table, conj_inv) and len(set(conj_inv)) == 6
-    assert not is_multiplicative(z4, z4.table, (0, 1, 1, 1))               # not an endomorphism
+    assert not is_multiplicative(z4, z4.table, bytes((0, 1, 1, 1)))        # not an endomorphism

@@ -116,7 +116,10 @@ def test_failing_operator_report_bytes_are_pinned(tmp_path, capsys, seed):
 # stdlib's indented JSON encoder. A brace is named by its group and its index
 # in enumerate_circ_ops; the braces chosen cover the homomorphic,
 # anti-homomorphic, natural and neither classes. The two braces of order 16
-# run the largest automorphism searches of the table commands.
+# run the largest automorphism searches of the table commands. The entries
+# after the first verify-brace pair were pinned on the tables of int tuples,
+# before they became bytes rows; the "shuffled" files have their identity at
+# label 5, and the linear system is the one _linear_files writes.
 
 TABLE_GROUPS = {
     "Z2xZ2xZ2": lambda: groups.direct_product(
@@ -132,7 +135,13 @@ TABLE_GROUPS = {
     "Z4xZ2xZ2": lambda: groups.direct_product(
         groups.direct_product(groups.cyclic_group(4), groups.cyclic_group(2)),
         groups.cyclic_group(2), name="Z4xZ2xZ2"),
+    "Z8": lambda: groups.cyclic_group(8),
+    "Z4xZ4": lambda: groups.direct_product(groups.cyclic_group(4), groups.cyclic_group(4)),
 }
+
+# Moves the identity of an order-8 table to label 5, so that the reports of
+# verify-brace and classify show how the raw labels are read and normalized.
+SHUFFLE_8 = (5, 3, 0, 7, 1, 6, 2, 4)
 
 
 def _homomorphic_z4xz2xz2():
@@ -176,6 +185,38 @@ def _law_breaking_file(tmp_path):
     return str(path)
 
 
+def _shuffled(table):
+    """The table relabeled along SHUFFLE_8, as int lists."""
+    out = [[0] * 8 for _ in range(8)]
+    for a in range(8):
+        for b in range(8):
+            out[SHUFFLE_8[a]][SHUFFLE_8[b]] = SHUFFLE_8[table[a][b]]
+    return out
+
+
+def _shuffled_file(tmp_path, name, index):
+    """A brace file with its identity at label 5; index "law-breaking" is _law_breaking_file's pair."""
+    if index == "law-breaking":
+        add = TABLE_GROUPS["D8"]().table
+        circ = groups.direct_product(groups.cyclic_group(4), groups.cyclic_group(2)).table
+    else:
+        brace = enumerate_circ_ops(TABLE_GROUPS[name]())[index]
+        add, circ = brace.add.table, brace.circ.table
+    path = tmp_path / f"{name}-{index}-shuffled.json"
+    path.write_text(json.dumps({"order": 8, "add": _shuffled(add), "circ": _shuffled(circ)}))
+    return str(path)
+
+
+def _linear_files(tmp_path, name):
+    """A group file of Z4xZ4 and lambda_(x,y)(u, v) = (u, v + x u), a linear-system input."""
+    group = TABLE_GROUPS[name]()
+    maps = [[(b // 4) * 4 + (b % 4 + (a // 4) * (b // 4)) % 4 for b in range(16)]
+            for a in range(16)]
+    lam = tmp_path / f"{name}-lambda.json"
+    lam.write_text(json.dumps({"maps": maps}))
+    return _group_file(tmp_path, name), str(lam)
+
+
 TABLE_REPORT_SHA256 = [
     (("enumerate", "Z2xZ2xZ2"), 0,
      "ddfd76b5a6630c5ecec56acfc0cc28f36befac1bcabe4a2829a342f2e3f04b78"),
@@ -217,6 +258,18 @@ TABLE_REPORT_SHA256 = [
      "316afd98ea82c45a02df3025576d240b25d8e3aeedfbeb1b33127b97a80d2f29"),
     (("verify-brace", "law-breaking"), 1,
      "26bdfb213a7e992c40444338ba50b101a1ff915937013e27d31f04b098ea73d5"),
+    (("enumerate", "Z8"), 0,
+     "c849760a25012b805699e74057fb43dd3ebad25ec08b097d613634159cb65e3b"),
+    (("structure", "Z8", 3), 0,
+     "c8c7f92a023f5f00822cf727f9564fcacc69cb0df0850c6018aa75e3100c8448"),
+    (("verify-brace", "D8", 14, "shuffled"), 0,
+     "316afd98ea82c45a02df3025576d240b25d8e3aeedfbeb1b33127b97a80d2f29"),
+    (("verify-brace", "D8", "law-breaking", "shuffled"), 1,
+     "b947722ccaf4d8f9fb977c1eaf20deef797e3db915e653eb51ddfb9fa9008d6d"),
+    (("classify", "Q8", 19, "shuffled"), 0,
+     "552ea1f0c00c00b449b7ff676237b40420ba0db5effb99e0ea5f7e710e413fca"),
+    (("system", "linear", "Z4xZ4"), 0,
+     "031edf4249cce238700cbbb819e6ddea065fefec62104da88317fa9e3461c36a"),
     (("rb", "search", "S3"), 0,
      "578156d588b9d10072637365027e2c1ad94b210d888b800ef373c27c925b5d22"),
     (("rb", "search", "D8"), 0,
@@ -229,6 +282,11 @@ def _table_argv(tmp_path, case):
         return ["enumerate", "--in", _group_file(tmp_path, case[1])]
     if case[0] == "rb":
         return ["rb", "search", "--group", _group_file(tmp_path, case[2])]
+    if case[0] == "system":
+        group, lam = _linear_files(tmp_path, case[2])
+        return ["system", "--kind", "linear", "--group", group, "--lambda", lam]
+    if case[-1] == "shuffled":
+        return [case[0], "--in", _shuffled_file(tmp_path, case[1], case[2])]
     if case[1] == "law-breaking":
         return [case[0], "--in", _law_breaking_file(tmp_path)]
     return [case[0], "--in", _brace_file(tmp_path, case[1], case[2])]

@@ -1,6 +1,6 @@
 import pytest
 
-from skewbrace import groups
+from skewbrace import groups, rota
 from skewbrace.braces import classify, op_brace
 from skewbrace.config import SampleConfig
 from skewbrace.errors import CriterionMismatch, NotRotaBaxter, PreconditionFails
@@ -72,6 +72,13 @@ def test_derived_rejects_non_rb(s3):
 
 def test_rb_brace_inversion_equals_op_brace(s3):
     assert rb_brace(s3, inversion_operator(s3)) == op_brace(s3)
+
+
+def test_rb_brace_cross_checks_lambda_against_conjugation(monkeypatch, s3):
+    # with the operation left undeformed, lambda is trivial but conjugation by B is not
+    monkeypatch.setattr(rota, "derived_group", lambda group, b_map: group)
+    with pytest.raises(CriterionMismatch, match="conjugation by B"):
+        rb_brace(s3, inversion_operator(s3))
 
 
 def test_rb_brace_endomorphism_example(d4):

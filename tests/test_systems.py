@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from oracles import linear_level_by_recomposing
+from oracles import linear_level_by_recomposing, tuples
 from skewbrace import groups, systems
 from skewbrace.braces import SkewBrace, classify, enumerate_circ_ops, left_law_witness
 from skewbrace.errors import (
@@ -27,15 +27,15 @@ from skewbrace.systems import (
 
 
 def inversion_lambda(z4):
-    inv = (0, 3, 2, 1)
-    return [tuple(range(4)) if a % 2 == 0 else inv for a in range(4)]
+    inv = bytes((0, 3, 2, 1))
+    return [bytes(range(4)) if a % 2 == 0 else inv for a in range(4)]
 
 
 def z2xz4_central_lambda(g):
     """Order-2 automorphism (u, v) -> (u, v + 2u), graded by v mod 2."""
     # packed index = u * 4 + v
-    phi = tuple((x // 4) * 4 + ((x % 4) + 2 * (x // 4)) % 4 for x in range(8))
-    return [phi if (x % 4) % 2 else tuple(range(8)) for x in range(8)]
+    phi = bytes((x // 4) * 4 + ((x % 4) + 2 * (x // 4)) % 4 for x in range(8))
+    return [phi if (x % 4) % 2 else bytes(range(8)) for x in range(8)]
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +89,7 @@ def test_closed_form_matches_iteration(z4):
     tables = [z4.table]
     for _ in range(3):
         prev = tables[-1]
-        tables.append(tuple(tuple(prev[a][lam[a][b]] for b in range(4)) for a in range(4)))
+        tables.append(tuple(bytes(prev[a][lam[a][b]] for b in range(4)) for a in range(4)))
     for i, table in enumerate(tables):
         assert system.vertices[system.label_map[i]].table == table
 
@@ -109,7 +109,7 @@ def test_levels_match_recomposing_from_identity(m, k, c):
     system = build_linear_system(group, lam, depth=depth, include_negative=True)
     assert sorted(system.label_map) == list(range(-depth, depth + 1))
     for i in range(-depth, depth + 1):
-        assert system.vertices[system.label_map[i]].table == \
+        assert tuple(tuples(system.vertices[system.label_map[i]].table)) == \
             linear_level_by_recomposing(group, lam, i)
     assert system.vertex_count() == exponent
 

@@ -28,6 +28,8 @@ from oracles import (
     right_law_first_witness,
     subgroup_closure_all_pairs,
     switched_cyclic_loop,
+    trivial_quotient_by_all_pairs,
+    tuples,
     verify_group_by_full_scan,
 )
 from skewbrace.braces import (
@@ -51,7 +53,13 @@ from skewbrace.groups import (
     subgroup_closure_in,
     verify_group,
 )
-from skewbrace.structure import all_ideals, all_subgroups, brace_automorphisms, is_ideal
+from skewbrace.structure import (
+    all_ideals,
+    all_subgroups,
+    brace_automorphisms,
+    is_ideal,
+    trivial_quotient,
+)
 
 CATALOG = small_group_catalog(12)
 
@@ -185,9 +193,9 @@ def maps(draw):
     n = group.order
     images = draw(st.one_of(
         st.sampled_from(endomorphisms(group)),
-        st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple),
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(bytes),
     ))
-    dst = draw(st.sampled_from([group.table, tuple(zip(*group.table))]))
+    dst = draw(st.sampled_from([group.table, group.columns]))
     return group, dst, images
 
 
@@ -213,8 +221,8 @@ def test_all_subgroups_matches_all_pairs_closure(group):
 @pytest.mark.parametrize("group", [g for g in CATALOG if g.order <= 6], ids=lambda g: g.name)
 def test_homomorphism_search_matches_all_self_maps(group):
     brute = endomorphisms_by_brute_force(group.table)
-    assert endomorphisms(group) == brute
-    assert list(automorphism_group(group)) == \
+    assert tuples(endomorphisms(group)) == brute
+    assert tuples(automorphism_group(group)) == \
         [m for m in brute if len(set(m)) == group.order]
 
 
@@ -231,13 +239,13 @@ ORDER_16 = [
 
 @pytest.mark.parametrize("group", CATALOG + ORDER_16, ids=lambda g: g.name)
 def test_homomorphism_search_matches_extension_by_closure(group):
-    assert endomorphisms(group) == homomorphisms_by_extension(group, group, False)
-    assert group_isomorphisms(group, group) == homomorphisms_by_extension(group, group, True)
+    assert tuples(endomorphisms(group)) == homomorphisms_by_extension(group, group, False)
+    assert tuples(group_isomorphisms(group, group)) == homomorphisms_by_extension(group, group, True)
     # onto a copy relabeled by reversing the non-identity labels
     p = (0,) + tuple(range(group.order - 1, 0, -1))
     copy = FiniteGroup(relabeled(group.table, p))
-    assert group_isomorphisms(group, copy) == homomorphisms_by_extension(group, copy, True)
-    assert group_isomorphisms(copy, group) == homomorphisms_by_extension(copy, group, True)
+    assert tuples(group_isomorphisms(group, copy)) == homomorphisms_by_extension(group, copy, True)
+    assert tuples(group_isomorphisms(copy, group)) == homomorphisms_by_extension(copy, group, True)
 
 
 class Label(int):
@@ -343,12 +351,18 @@ def braces_over_order_16():
 
 def assert_structure_matches_oracles(brace):
     add, circ = brace.add, brace.circ.table
-    assert brace_automorphisms(brace) == [
+    assert tuples(brace_automorphisms(brace)) == [
         m for m in additive_automorphisms_by_extension(add)
         if multiplicative_by_full_scan(circ, circ, m)]
-    assert all_ideals(brace) == [
+    ideals = all_ideals(brace)
+    assert ideals == [
         s for s in additive_subgroups_by_all_pairs_closure(add)
         if is_ideal_by_full_scan(brace, s).is_ideal]
+    for small in ideals:
+        for big in ideals:
+            if set(small) < set(big):
+                assert trivial_quotient(brace, set(small), big) == \
+                    trivial_quotient_by_all_pairs(brace, set(small), big), (small, big)
 
 
 @pytest.mark.parametrize("i", range(len(CATALOG)), ids=lambda i: CATALOG[i].name)
