@@ -58,6 +58,8 @@ class LambdaMap:
 
     group: FiniteGroup
     maps: tuple                 # lambda_a per element a, an automorphism's image array
+    which: bytes                # which[a]: the index of lambda_a among the sorted distinct values
+    products: tuple             # products[i][j]: the index of value i after value j (_index_row)
     kernel: tuple               # sorted elements with lambda_a = id
     image_order: int
     image_exponent: int
@@ -99,15 +101,15 @@ class LambdaMap:
 
     @staticmethod
     def of_automorphisms(group: FiniteGroup, arrays) -> "LambdaMap":
-        """The facts of an assignment whose n values are known automorphisms, as image arrays."""
+        """The facts of an assignment of n automorphisms as image arrays, taken on trust."""
         n = group.order
         distinct = sorted(set(arrays))
         index = {img: i for i, img in enumerate(distinct)}
         which = bytes(index[img] for img in arrays)
-        products = [[compose(f, g) for g in distinct] for f in distinct]
-        prod = [[index.get(fg, -1) for fg in row] for row in products]
+        composites = [[compose(f, g) for g in distinct] for f in distinct]
+        prod = tuple(_index_row([index.get(fg, -1) for fg in row]) for row in composites)
         hom = _first_unequal_pair(group.table, which, prod)
-        anti = _first_unequal_pair(group.table, which, list(zip(*prod)))
+        anti = _first_unequal_pair(group.table, which, tuple(map(_index_row, zip(*prod))))
         orders = {permutation_order(img) for img in distinct}
         exponent = 1
         for o in orders:
@@ -116,12 +118,14 @@ class LambdaMap:
         return LambdaMap(
             group=group,
             maps=tuple(arrays),
+            which=which,
+            products=prod,
             kernel=tuple(a for a in range(n) if arrays[a] == ident),
             image_order=len(distinct),
             image_exponent=exponent,
             hom_witness=hom,
             anti_witness=anti,
-            image_abelian=all(products[i][j] == products[j][i]
+            image_abelian=all(composites[i][j] == composites[j][i]
                               for i in range(len(distinct)) for j in range(i)),
             image_cyclic=len(distinct) in orders,
         )
@@ -134,6 +138,11 @@ class LambdaMap:
                      if t[inv[b]][self.maps[a][b]] not in kernel), None)
 
 
+def _index_row(indices) -> bytes | tuple:
+    """A row of a product table of lambda values: bytes, or a tuple when it holds -1 for "none"."""
+    return tuple(indices) if -1 in indices else bytes(indices)
+
+
 def _first_unequal_pair(table, which: bytes, prod) -> tuple | None:
     """First (a, b) with which[a b] != prod[which[a]][which[b]], or None.
 
@@ -143,8 +152,8 @@ def _first_unequal_pair(table, which: bytes, prod) -> tuple | None:
     """
     n = len(table)
     rows = range(n)
-    if all(-1 not in row for row in prod):
-        lut, luts = _lut(which), [_lut(bytes(row)) for row in prod]
+    if all(type(row) is bytes for row in prod):
+        lut, luts = _lut(which), list(map(_lut, prod))
         rows = (a for a in rows if table[a].translate(lut) != which.translate(luts[which[a]]))
     return next(((a, b) for a in rows for b in range(n)
                  if which[table[a][b]] != prod[which[a]][which[b]]), None)
@@ -167,6 +176,42 @@ class SkewBrace:
         self._lam_images = arrays   # lambda_a per a, automorphisms by the left law just checked
         self._lam = None
         self._classification = None
+
+    @classmethod
+    def from_lambda(cls, lam: LambdaMap) -> "SkewBrace":
+        """The brace (G, ., o) with a o b = a . lambda_a(b), for the assignment ``lam`` on (G, .).
+
+        The one builder of a table from lambda values. It checks, exactly and
+        without verify_group: (1) lambda_{a o b} = lambda_a lambda_b for all
+        a, b, off lam's product table of its distinct values; (2) each value
+        is a bijection; (3) lambda_g is multiplicative at each generator g of
+        (G, o). Proof that then (G, o) is a group and the left law holds: for
+        n > 1, lambda_g(0) = 0 by (3), so g o 0 = g and lambda_g = lambda_g
+        lambda_0 by (1), hence lambda_0 = id by (2) and 0 is a left identity.
+        By (1) the a with lambda_a multiplicative are closed under o, and the
+        generator walk reaches every element from 0, so all lambda_a are
+        automorphisms. Then (a o b) o c = a . lambda_a(b) . lambda_a lambda_b(c)
+        = a o (b o c), a o 0 = a, a o lambda_a^-1(a^-1) = 0, and
+        a o (b . c) = (a o b) . a^-1 . (a o c). Conversely a brace passes all
+        three. A failure raises CriterionMismatch: the library passes only
+        assignments that must give braces.
+        """
+        add, maps, n = lam.group, lam.maps, lam.group.order
+        table = tuple(m.translate(_lut(row)) for m, row in zip(maps, add.table))
+        witness = _first_unequal_pair(table, lam.which, lam.products)
+        if witness is not None:
+            raise CriterionMismatch(f"lambda_(a o b) is not lambda_a lambda_b at {witness}")
+        bad = next((m for m in dict.fromkeys(maps) if len(set(m)) != n), None)
+        if bad is not None:
+            raise CriterionMismatch(f"lambda of element {maps.index(bad)} is not a bijection")
+        circ = FiniteGroup(table)
+        bad = next((g for g in circ.generators if not is_multiplicative(add, add.table, maps[g])), None)
+        if bad is not None:
+            raise CriterionMismatch(f"lambda of element {bad} is not multiplicative")
+        brace = cls.__new__(cls)
+        brace.add, brace.circ = add, circ
+        brace._lam_images, brace._lam, brace._classification = maps, lam, None
+        return brace
 
     @property
     def order(self) -> int:
@@ -381,23 +426,23 @@ def construct_from_lambda(group: FiniteGroup, lam, mode: str) -> SkewBrace:
         if facts.hom_witness is not None:
             raise NotHomomorphism(*facts.hom_witness)
         witness = facts.kernel_witness(facts.kernel)   # b^-1 lambda_a(b) in the kernel
-        if witness is not None:
-            raise KernelConditionFails(*witness)
     else:
         if facts.anti_witness is not None:
             raise NotAntiHomomorphism(*facts.anti_witness)
         kernel = set(facts.kernel)
-        for a in range(n):
-            for b in range(n):
-                probe = t[t[t[a][arrays[a][b]]][inv[a]]][inv[b]]  # a lambda_a(b) a^-1 b^-1
-                if probe not in kernel:
-                    raise KernelConditionFails(a, b)
-    circ = [img.translate(_lut(row)) for img, row in zip(arrays, t)]
-    return SkewBrace(group, group_from_table(circ))
+        witness = next(((a, b) for a in range(n) for b in range(n)     # a lambda_a(b) a^-1 b^-1
+                        if t[t[t[a][arrays[a][b]]][inv[a]]][inv[b]] not in kernel), None)
+    if witness is not None:
+        raise KernelConditionFails(*witness)
+    return SkewBrace.from_lambda(facts)
 
 
 def construct_exact_factorization(group: FiniteGroup, a_part, b_part) -> SkewBrace:
-    """Brace from an exact factorization G = A B: (a1 b1) o (a2 b2) = a1 a2 b2 b1."""
+    """Brace from an exact factorization G = A B: (a1 b1) o (a2 b2) = a1 a2 b2 b1.
+
+    It is built from lambda_(a1 b1) = conjugation x -> b1^-1 x b1, and its
+    table must be that closed form.
+    """
     A = tuple(sorted(a_part))
     B = tuple(sorted(b_part))
     n, t = group.order, group.table
@@ -411,18 +456,12 @@ def construct_exact_factorization(group: FiniteGroup, a_part, b_part) -> SkewBra
         raise NotExactFactorization("|A| * |B| must equal |G|")
     # a1 b1 = a2 b2 gives a2^-1 a1 = b2 b1^-1 in A & B = {0}: each g is one a b
     decomp = {t[a][b]: (a, b) for a in A for b in B}
-    circ = [[0] * n for _ in range(n)]
-    for g1 in range(n):
-        a1, b1 = decomp[g1]
-        for g2 in range(n):
-            a2, b2 = decomp[g2]
-            circ[g1][g2] = t[t[t[a1][a2]][b2]][b1]
-    brace = SkewBrace(group, group_from_table(circ))
-    for z in range(n):
-        b1 = decomp[z][1]
-        conj = t[group.inverse[b1]].translate(_lut(group.columns[b1]))
-        if brace.lam.maps[z] != conj:
-            raise CriterionMismatch("lambda of factorization brace is not conjugation by the B part")
+    parts = [decomp[g] for g in range(n)]
+    conj = [t[group.inverse[b1]].translate(_lut(group.columns[b1])) for _, b1 in parts]  # b1^-1 x b1
+    brace = SkewBrace.from_lambda(LambdaMap.of_automorphisms(group, conj))
+    closed = tuple(bytes(t[t[t[a1][a2]][b2]][b1] for a2, b2 in parts) for a1, b1 in parts)
+    if brace.circ.table != closed:
+        raise CriterionMismatch("the table built from conjugation by the B part is not a1 a2 b2 b1")
     return brace
 
 
@@ -593,30 +632,23 @@ def cross_compatibility_check(add: FiniteGroup, circ_i_table, circ_j_table) -> d
     """
     brace_i = SkewBrace(add, group_from_table(circ_i_table))
     brace_j = SkewBrace(add, group_from_table(circ_j_table))
-    lam = brace_i.lam
-    mu = brace_j.lam
+    lam, mu = brace_i.lam, brace_j.lam
     n = add.order
     t, inv = add.table, add.inverse
-    condition = True
-    for a in range(n):
-        mu_a = mu.maps[a]
-        lam_a_inv = invert_permutation(lam.maps[a])
-        ai = lam_a_inv[inv[a]]                      # inverse of a in (G, o_i)
-        for b in range(n):
-            s = t[a][mu_a[b]]                       # a . mu_a(b)
-            u = lam.maps[s][ai]                     # lambda_s(a^{o_i(-1)})
-            v = t[s][u]
-            lam_v, lam_b = lam.maps[v], lam.maps[b]
-            for c in range(n):
-                lhs = mu_a[lam_b[c]]
-                rhs = t[u][lam_v[t[a][mu_a[c]]]]
-                if lhs != rhs:
-                    condition = False
-                    break
-            if not condition:
-                break
-        if not condition:
-            break
+
+    def identity_holds():
+        for a in range(n):
+            mu_a = mu.maps[a]
+            ai = invert_permutation(lam.maps[a])[inv[a]]   # inverse of a in (G, o_i)
+            for b in range(n):
+                s = t[a][mu_a[b]]                       # a . mu_a(b)
+                u = lam.maps[s][ai]                     # lambda_s(a^{o_i(-1)})
+                lam_v, lam_b = lam.maps[t[s][u]], lam.maps[b]
+                if any(mu_a[lam_b[c]] != t[u][lam_v[t[a][mu_a[c]]]] for c in range(n)):
+                    return False
+        return True
+
+    condition = identity_holds()
     is_brace = left_law_witness(brace_i.circ, brace_j.circ) is None
     if condition and not is_brace:
         raise CriterionMismatch("compatibility identity held but the mixed law failed")
@@ -628,16 +660,17 @@ def cross_compatibility_check(add: FiniteGroup, circ_i_table, circ_j_table) -> d
 
 
 def regular_subgroups(base: FiniteGroup, automorphisms) -> list:
-    """All regular subgroups of Hol G = Aut G x| G, as sorted tuples of f_index * |G| + a.
+    """All regular subgroups of Hol G = Aut G x| G, as sorted lambda assignments.
 
     ``automorphisms`` are indexed as automorphism_group gives them, identity
     first.  A regular subgroup holds one pair (f_a, a) over each a in G, so
-    it is an assignment a -> f_a.  The walk takes the least unassigned a and
-    tries each f_a whose pair generates a cyclic subgroup meeting each
-    coordinate at most once, of order dividing |G|.  It closes the grown
-    subgroup by right multiplication with its generators and backtracks on a
-    repeated coordinate or an order not dividing |G|.  Each regular subgroup
-    is reached along exactly one path.  Automorphisms are composed on demand.
+    it is an assignment a -> f_a, given as the tuple of the f_a: the lambda
+    of its brace.  The walk takes the least unassigned a and tries each f_a
+    whose pair generates a cyclic subgroup meeting each coordinate at most
+    once, of order dividing |G|.  It closes the grown subgroup by right
+    multiplication with its generators and backtracks on a repeated
+    coordinate or an order not dividing |G|.  Each regular subgroup is
+    reached along exactly one path.  Automorphisms are composed on demand.
     """
     n, t, auts = base.order, base.table, automorphisms
     index = {img: i for i, img in enumerate(auts)}
@@ -659,7 +692,7 @@ def regular_subgroups(base: FiniteGroup, automorphisms) -> list:
 
     def walk(f_of, members, gens):
         if len(members) == n:
-            yield tuple(sorted(f * n + a for a, f in enumerate(f_of)))
+            yield tuple(auts[f] for f in f_of)
             return
         a = f_of.index(-1)
         for fa in candidates(a):
@@ -683,22 +716,15 @@ def regular_subgroups(base: FiniteGroup, automorphisms) -> list:
     return sorted(walk([0] + [-1] * (n - 1), [0], []))
 
 
-def brace_from_regular_subgroup(base: FiniteGroup, automorphisms, members) -> SkewBrace:
-    """The brace with a o b = a f(b), where (f, a) is the subgroup element over a."""
-    n = base.order
-    f_of = [None] * n
-    for idx in members:
-        fi, a = divmod(idx, n)
-        f_of[a] = automorphisms[fi]
-    circ = [f.translate(_lut(row)) for f, row in zip(f_of, base.table)]
-    return SkewBrace(base, group_from_table(circ))
+def brace_from_regular_subgroup(base: FiniteGroup, maps) -> SkewBrace:
+    """The brace with a o b = a f_a(b), for the regular subgroup with lambda assignment ``maps``."""
+    return SkewBrace.from_lambda(LambdaMap.of_automorphisms(base, maps))
 
 
 def enumerate_circ_ops(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> list:
     """One skew brace per regular subgroup of Hol G, sorted by multiplicative table."""
     auts = holomorph_automorphisms(group, max_order)
-    braces = [brace_from_regular_subgroup(group, auts, members)
-              for members in regular_subgroups(group, auts)]
+    braces = [brace_from_regular_subgroup(group, maps) for maps in regular_subgroups(group, auts)]
     return sorted(braces, key=lambda b: b.circ.table)
 
 

@@ -486,6 +486,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         args.sampling = SampleConfig(samples=args.samples, seed=args.seed)   # checked for every command
+        if args.max_order < 1:
+            raise ValueError(f"--max-order must be at least 1, not {args.max_order}")
         result, ok = args.handler(args)
     except CriterionMismatch as exc:
         failure = {"command": args.command, "error": type(exc).__name__, "message": str(exc)}

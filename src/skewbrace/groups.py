@@ -387,7 +387,7 @@ def group_from_permutations(generators, degree: int, name: str = "",
             for g in gens:
                 q = tuple(p[g[x]] for x in range(degree))
                 if q not in closure:
-                    if len(closure) == max_order:
+                    if len(closure) >= max_order:
                         raise OrderCapExceeded(
                             f"the generated group has order above the cap {max_order}")
                     closure.add(q)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .braces import SkewBrace
+from .braces import LambdaMap, SkewBrace
 from .config import DEFAULT_SAMPLING, SampleConfig
 from .errors import CriterionMismatch, NotRotaBaxter, PreconditionFails
 from .groups import (
@@ -18,7 +18,6 @@ from .groups import (
     FiniteGroup,
     _lut,
     endomorphisms,
-    group_from_table,
     is_multiplicative,
     is_self_map,
     json_field,
@@ -70,31 +69,32 @@ def derived_table(group: FiniteGroup, b_map) -> list:
     return [t[row[bg]].translate(_lut(cols[inv[bg]])) for row, bg in zip(t, b)]
 
 
-def derived_group(group: FiniteGroup, b_map) -> FiniteGroup:
-    """The group (G, o) with g o h = g B(g) h B(g)^-1.
+def rb_brace(group: FiniteGroup, b_map) -> SkewBrace:
+    """The skew brace (G, ., o) of a Rota-Baxter operator, built from lambda_g = conjugation by B(g).
 
-    Asserts the two structural facts this operation carries: B is again
-    Rota-Baxter on (G, o), and B is a homomorphism (G, o) -> (G, .).
+    Asserts the facts this operation carries: its table is the closed form
+    g o h = g B(g) h B(g)^-1 of derived_table, B is again Rota-Baxter on
+    (G, o), and B is a homomorphism (G, o) -> (G, .).
     """
     check = is_rb(group, b_map)
     if not check.ok:
         raise NotRotaBaxter(check.witness)
-    derived = group_from_table(derived_table(group, b_map))
-    if not is_rb(derived, b_map).ok:
-        raise CriterionMismatch("operator is not Rota-Baxter on the derived group")
-    if not is_multiplicative(derived, group.table, bytes(b_map)):
-        raise CriterionMismatch("operator is not a homomorphism out of the derived group")
-    return derived
-
-
-def rb_brace(group: FiniteGroup, b_map) -> SkewBrace:
-    """The skew brace (G, ., o) of a Rota-Baxter operator; lambda is conjugation by B."""
-    brace = SkewBrace(group, derived_group(group, b_map))
+    b = bytes(b_map)
     t, inv, cols = group.table, group.inverse, group.columns
-    for lam_a, ba in zip(brace.lam.maps, bytes(b_map)):
-        if lam_a != t[ba].translate(_lut(cols[inv[ba]])):
-            raise CriterionMismatch("lambda of a Rota-Baxter brace must be conjugation by B")
+    conj = [t[bg].translate(_lut(cols[inv[bg]])) for bg in b]     # h -> B(g) h B(g)^-1
+    brace = SkewBrace.from_lambda(LambdaMap.of_automorphisms(group, conj))
+    if brace.circ.table != tuple(derived_table(group, b)):
+        raise CriterionMismatch("the table built from conjugation by B is not g B(g) h B(g)^-1")
+    if not is_rb(brace.circ, b).ok:
+        raise CriterionMismatch("operator is not Rota-Baxter on the derived group")
+    if not is_multiplicative(brace.circ, t, b):
+        raise CriterionMismatch("operator is not a homomorphism out of the derived group")
     return brace
+
+
+def derived_group(group: FiniteGroup, b_map) -> FiniteGroup:
+    """The group (G, o) with g o h = g B(g) h B(g)^-1, with the checks of rb_brace."""
+    return rb_brace(group, b_map).circ
 
 
 def _center_cosets(group: FiniteGroup) -> bytes:
@@ -239,36 +239,22 @@ def circ2_expansion_report(group: FiniteGroup, b_map) -> dict:
     with x B(x)^2 B(B(x)) y B(y) ... (the printed flat form); any mismatch is
     reported rather than assumed away.
     """
-    check = is_rb(group, b_map)
-    if not check.ok:
-        raise NotRotaBaxter(check.witness)
+    circ1 = derived_group(group, b_map)
     b = tuple(b_map)
-    t, inv = group.table, group.inverse
-    circ1 = group_from_table(derived_table(group, b_map))
+    n, t, inv = group.order, group.table, group.inverse
     c1, i1 = circ1.table, circ1.inverse
 
     def circ2(x, y):
         return c1[c1[c1[x][b[x]]][y]][i1[b[x]]]
 
-    witness = None
-    for x in range(group.order):
+    def flat(x, y):
         bx, b2x = b[x], b[b[x]]
-        for y in range(group.order):
-            flat = t[x][t[bx][bx]]
-            flat = t[flat][b2x]
-            flat = t[flat][y]
-            flat = t[flat][b[y]]
-            flat = t[flat][inv[b2x]]
-            flat = t[flat][inv[bx]]
-            flat = t[flat][b2x]
-            flat = t[flat][inv[b[y]]]
-            flat = t[flat][inv[b2x]]
-            flat = t[flat][inv[bx]]
-            if flat != circ2(x, y):
-                witness = (x, y)
-                break
-        if witness:
-            break
+        out = x
+        for v in (bx, bx, b2x, y, b[y], inv[b2x], inv[bx], b2x, inv[b[y]], inv[b2x], inv[bx]):
+            out = t[out][v]
+        return out
+
+    witness = next(((x, y) for x in range(n) for y in range(n) if flat(x, y) != circ2(x, y)), None)
     return {"matches_printed": witness is None, "witness": witness}
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .braces import LambdaMap, left_law_witness, link_conditions
+from .braces import LambdaMap, SkewBrace, left_law_witness, link_conditions
 from .errors import (
     BaseMismatch,
     CarrierMismatch,
@@ -21,15 +21,8 @@ from .errors import (
     PreconditionFails,
     UnsupportedFormat,
 )
-from .groups import (
-    FiniteGroup,
-    _lut,
-    compose,
-    group_from_table,
-    identity_map,
-    invert_permutation,
-)
-from .rota import derived_table, is_rb
+from .groups import FiniteGroup, compose, identity_map, invert_permutation
+from .rota import derived_group, is_rb
 
 MAX_TOWER_HEIGHT = 1000
 """The tallest operator tower ``build_rb_multibrace`` builds: it derives and keeps every level."""
@@ -65,32 +58,21 @@ class BraceSystemGraph:
 
 
 def _verify_all_pairs(vertices) -> dict:
-    edges = {}
-    for u, gu in enumerate(vertices):
-        for v, gv in enumerate(vertices):
-            if u == v:
-                continue
-            edges[(u, v)] = "verified" if left_law_witness(gu, gv) is None else "failed"
-    return edges
+    return {(u, v): "verified" if left_law_witness(gu, gv) is None else "failed"
+            for u, gu in enumerate(vertices) for v, gv in enumerate(vertices) if u != v}
 
 
-def _dedupe(tables_by_label):
-    """Keep first occurrence of each table, in the given label order."""
-    vertices = []
-    labels = []
-    label_map = {}
-    seen = {}
-    for label, table in tables_by_label:
-        if table in seen:
-            label_map[label] = seen[table]
-            continue
-        if len(vertices) >= MAX_SYSTEM_VERTICES:
-            raise OrderCapExceeded(f"system would exceed {MAX_SYSTEM_VERTICES} vertices")
-        idx = len(vertices)
-        seen[table] = idx
-        vertices.append(group_from_table(table))
-        labels.append(f"circ_{label}")
-        label_map[label] = idx
+def _dedupe(groups_by_label):
+    """Keep the first group with each table, in the given label order."""
+    vertices, labels, label_map, seen = [], [], {}, {}
+    for label, group in groups_by_label:
+        if group.table not in seen:
+            if len(vertices) >= MAX_SYSTEM_VERTICES:
+                raise OrderCapExceeded(f"system would exceed {MAX_SYSTEM_VERTICES} vertices")
+            seen[group.table] = len(vertices)
+            vertices.append(group)
+            labels.append(f"circ_{label}")
+        label_map[label] = seen[group.table]
     return tuple(vertices), tuple(labels), label_map
 
 
@@ -121,9 +103,10 @@ def build_linear_system(group: FiniteGroup, lam, depth: int | None = None,
 
     ``depth`` defaults to the exponent of the image, so the whole period is
     built; negative levels use the inverse automorphisms. Each level's
-    lambda_a^i is one composition from the level before it. A depth above
-    MAX_TOWER_HEIGHT raises ValueError before any level is built. Every
-    ordered pair of distinct vertices is verified and must pass.
+    lambda_a^i is one composition from the level before it, and each distinct
+    level is one SkewBrace.from_lambda. A depth above MAX_TOWER_HEIGHT raises
+    ValueError before any level is built. Every ordered pair of distinct
+    vertices is verified and must pass.
     """
     facts = check_linear_preconditions(group, lam)
     if depth is None:
@@ -132,18 +115,21 @@ def build_linear_system(group: FiniteGroup, lam, depth: int | None = None,
         raise ValueError("depth must be non-negative")
     if depth > MAX_TOWER_HEIGHT:
         raise ValueError(f"depth {depth} exceeds the bound of {MAX_TOWER_HEIGHT}")
-    n, t = group.order, group.table
+    n = group.order
+    built = {identity_map(n) * n: group}   # level groups by their joined powers; all id is level 0
 
     def levels(steps, sign):
-        """(sign * i, table of level sign * i) for i = 1..depth, from the powers steps[a]^i."""
+        """(sign * i, group of level sign * i) for i = 1..depth, from the powers steps[a]^i."""
         powers = [identity_map(n)] * n
         for i in range(1, depth + 1):
             powers = [compose(step, power) for step, power in zip(steps, powers)]
-            yield sign * i, tuple(power.translate(_lut(row)) for row, power in zip(t, powers))
+            key = b"".join(powers)
+            if key not in built:
+                built[key] = SkewBrace.from_lambda(LambdaMap.of_automorphisms(group, powers)).circ
+            yield sign * i, built[key]
 
     negative = levels([invert_permutation(m) for m in facts.maps], -1) if include_negative else ()
-    tables = chain([(0, t)], levels(facts.maps, 1), negative)
-    vertices, labels, label_map = _dedupe(tables)
+    vertices, labels, label_map = _dedupe(chain([(0, group)], levels(facts.maps, 1), negative))
     edges = _verify_all_pairs(vertices)
     if any(status == "failed" for status in edges.values()):
         raise CriterionMismatch("a pair of iterated operations failed the brace law")
@@ -192,9 +178,9 @@ def union_systems(sys1: BraceSystemGraph, sys2: BraceSystemGraph) -> BraceSystem
     if sys1.lam is not None and sys2.lam is not None:
         hypotheses_met = all(link_conditions(sys1.lam, sys2.lam))
 
-    tables = [(("a", lbl), g.table) for lbl, g in zip(sys1.labels, sys1.vertices)]
-    tables += [(("b", lbl), g.table) for lbl, g in zip(sys2.labels, sys2.vertices)]
-    vertices, _, _ = _dedupe(tables)
+    tagged = [(("a", lbl), g) for lbl, g in zip(sys1.labels, sys1.vertices)]
+    tagged += [(("b", lbl), g) for lbl, g in zip(sys2.labels, sys2.vertices)]
+    vertices, _, _ = _dedupe(tagged)
     edges = _verify_all_pairs(vertices)
     if hypotheses_met and any(status == "failed" for status in edges.values()):
         raise CriterionMismatch("union hypotheses held but a cross pair failed")
@@ -230,22 +216,20 @@ def build_rb_multibrace(group: FiniteGroup, b_map, k: int) -> BraceSystemGraph:
         raise ValueError("tower height must be non-negative")
     if k > MAX_TOWER_HEIGHT:
         raise ValueError(f"tower height {k} exceeds the bound of {MAX_TOWER_HEIGHT}")
-    b = bytes(b_map)
-    n = group.order
-    level_tables = [group.table]
-    current = group
+    levels, derived = [group], {}
     for _ in range(k):
-        nxt = group_from_table(derived_table(current, b))
-        level_tables.append(nxt.table)
-        current = nxt
-    vertices, labels, label_map = _dedupe(list(enumerate(level_tables)))
+        current = levels[-1]
+        if current.table not in derived:     # a repeated level repeats the tower from there
+            derived[current.table] = derived_group(current, b_map)
+        levels.append(derived[current.table])
+    vertices, labels, label_map = _dedupe(enumerate(levels))
     edges = _verify_all_pairs(vertices)
     for i in range(1, k + 1):
         u, v = label_map[i - 1], label_map[i]
         if u != v and edges[(u, v)] != "verified":
             raise CriterionMismatch(f"consecutive pair ({i - 1}, {i}) failed the mixed law")
     return BraceSystemGraph(
-        carrier_order=n,
+        carrier_order=group.order,
         vertices=vertices,
         labels=labels,
         edges=edges,
@@ -256,8 +240,7 @@ def build_rb_multibrace(group: FiniteGroup, b_map, k: int) -> BraceSystemGraph:
 
 def build_rooted_system(base: FiniteGroup, circ_groups) -> BraceSystemGraph:
     """Root vertex plus one vertex per operation, with root -> vertex edges."""
-    tables = [("root", base.table)] + [(i, g.table) for i, g in enumerate(circ_groups)]
-    vertices, _, label_map = _dedupe(tables)
+    vertices, _, label_map = _dedupe([("root", base)] + list(enumerate(circ_groups)))
     labels = ("circ_root",) + tuple(f"circ_{i}" for i in range(1, len(vertices)))
     root = label_map["root"]
     edges = {}

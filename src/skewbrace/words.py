@@ -455,8 +455,9 @@ def verify_cyclic1(n: int) -> dict:
             record("conj_zjk", {"j": j, "k": k}, conj(z(j, k)), rhs)
 
     # n-th power of s = (cycle, x1): automorphism part collapses, word part folds
-    assert all(theta.apply(FreeWord.generator(n, i), n) == FreeWord.generator(n, i)
-               for i in range(1, n + 1))
+    if any(theta.apply(FreeWord.generator(n, i), n) != FreeWord.generator(n, i)
+           for i in range(1, n + 1)):
+        raise CriterionMismatch(f"theta^{n} is not the identity on the generators")
     s_power = _product(n, [theta.apply(x1, i) for i in range(n)])
     s_power_rhs = _product(n, [z(j + 1, j) for j in range(1, n - 1)] + [y(n)])
     record("s_power", {"n": n}, s_power, s_power_rhs)

@@ -314,6 +314,13 @@ def holomorph_table(group):
                  for fi, f in enumerate(auts) for a in range(n))
 
 
+def holomorph_members(assignments, automorphisms):
+    """Each lambda assignment a -> f_a as its regular subgroup: the sorted f_index * |G| + a, sorted."""
+    index = {tuple(f): i for i, f in enumerate(automorphisms)}
+    return sorted(tuple(sorted(index[tuple(f)] * len(maps) + a for a, f in enumerate(maps)))
+                  for maps in assignments)
+
+
 @lru_cache(maxsize=None)
 def regular_subgroups_by_closure(group):
     """All regular subgroups of Hol G, a sorted tuple of sorted f_index * |G| + a tuples.

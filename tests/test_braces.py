@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -5,12 +6,14 @@ import pytest
 from oracles import (
     brute_force_circ_tables,
     classification_by_scan,
+    compose_by_index,
+    holomorph_members,
     isomorphism_classes_by_orbit,
     regular_subgroup_count_by_lambda_walk,
     regular_subgroups_by_closure,
     tuples,
 )
-from skewbrace import braces, groups
+from skewbrace import braces, groups, rota, systems
 from skewbrace.braces import (
     SkewBrace,
     brace_from_json,
@@ -269,6 +272,18 @@ def test_factorization_s3(s3):
     assert max(brace.circ.element_order(x) for x in range(6)) == 6
 
 
+def test_factorization_cross_checks_the_closed_form(monkeypatch, s3):
+    # with every lambda value the identity, the trivial table is not a1 a2 b2 b1
+    of = braces.LambdaMap.of_automorphisms
+    identity = [groups.identity_map(6)] * 6
+    monkeypatch.setattr(braces.LambdaMap, "of_automorphisms",
+                        staticmethod(lambda group, arrays: of(group, identity)))
+    a3 = groups.structure_subgroups(s3).derived_subgroup
+    transposition = next(x for x in range(6) if s3.element_order(x) == 2)
+    with pytest.raises(CriterionMismatch, match="conjugation by the B part"):
+        construct_exact_factorization(s3, a3, (0, transposition))
+
+
 def test_factorization_z6_everything_commutes():
     z6 = groups.cyclic_group(6)
     brace = construct_exact_factorization(z6, (0, 2, 4), (0, 3))
@@ -508,7 +523,8 @@ def test_enumerate_all_verify(s3):
 
 def test_enumerate_matches_lambda_walk_small():
     for g in groups.small_group_catalog(12):
-        found = braces.regular_subgroups(g, groups.automorphism_group(g))
+        auts = groups.automorphism_group(g)
+        found = holomorph_members(braces.regular_subgroups(g, auts), auts)
         assert found == list(regular_subgroups_by_closure(g)), g.name
         if g.order <= 6:
             assert len(enumerate_circ_ops(g)) == regular_subgroup_count_by_lambda_walk(g)
@@ -573,6 +589,102 @@ def test_lambda_facts_equal_those_of_a_validated_assignment():
         for brace in enumerate_circ_ops(group):
             arrays = [[t[inv[a]][c] for c in brace.circ.table[a]] for a in range(n)]
             assert brace.lam == braces.LambdaMap.of(group, arrays)
+
+
+# --- SkewBrace.from_lambda ----------------------------------------------------------
+
+
+def table_by_index(group, maps):
+    """a o b = a . lambda_a(b), one subscript at a time."""
+    n = group.order
+    return tuple(tuple(group.table[a][maps[a][b]] for b in range(n)) for a in range(n))
+
+
+def seeded_assignments(group, rng, count):
+    """Assignments of automorphisms: random ones, braces' lambdas and their perturbations.
+
+    Besides the constant ones, four in five come from a brace's lambda: as
+    is, moved by a relabeling along an automorphism (again a brace), with
+    one value replaced, or composed after one automorphism, which moves
+    lambda_0 off the identity.
+    """
+    auts = groups.automorphism_group(group)
+    found = braces.regular_subgroups(group, auts)
+    n = group.order
+    out = [[auts[0]] * n, [rng.choice(auts)] * n]
+    while len(out) < count:
+        kind = rng.randrange(5)
+        maps = list(rng.choice(found))
+        phi = rng.choice(auts)
+        if kind == 0:
+            maps = [rng.choice(auts) for _ in range(n)]
+        elif kind == 1:
+            phi_inv = invert_permutation(phi)
+            maps = [compose(phi, compose(maps[phi_inv[a]], phi_inv)) for a in range(n)]
+        elif kind == 2:
+            maps[rng.randrange(n)] = phi
+        elif kind == 3:
+            maps = [compose(phi, m) for m in maps]
+        out.append(maps)
+    return out
+
+
+@pytest.mark.parametrize("group", groups.small_group_catalog(12), ids=lambda g: g.name or "1")
+def test_from_lambda_agrees_with_verify_group(group):
+    rng = random.Random(f"{group.name}:from_lambda")
+    n = group.order
+    for maps in seeded_assignments(group, rng, 200):
+        table = table_by_index(group, maps)
+        ref = tuples(maps)
+        first = next(((a, b) for a in range(n) for b in range(n)
+                      if ref[table[a][b]] != compose_by_index(ref[a], ref[b])), None)
+        check = groups.verify_group(table)
+        try:
+            brace = SkewBrace.from_lambda(braces.LambdaMap.of_automorphisms(group, maps))
+        except CriterionMismatch as exc:
+            assert not check.ok, ref
+            assert str(exc) == f"lambda_(a o b) is not lambda_a lambda_b at {first}"
+        else:
+            assert first is None and check.ok and check.relabeling == tuple(range(n)), ref
+            assert tuples(brace.circ.table) == list(table)
+            assert verify_brace(group.table, table).left_ok
+
+
+@pytest.mark.parametrize("group", [groups.cyclic_group(4), groups.symmetric_group(3)],
+                         ids=lambda g: g.name)
+def test_from_lambda_rejects_trivial_endomorphisms_by_bijectivity(group):
+    # lambda_(a o b) = 0 = lambda_a lambda_b holds, yet a o b = a is no group
+    maps = [bytes(group.order)] * group.order
+    assert not groups.verify_group(table_by_index(group, maps)).ok
+    with pytest.raises(CriterionMismatch, match="lambda of element 0 is not a bijection"):
+        SkewBrace.from_lambda(braces.LambdaMap.of_automorphisms(group, maps))
+
+
+def test_from_lambda_rejects_bijections_that_are_not_multiplicative(z4):
+    # x -> x + 2 at the odd elements: lambda is a homomorphism out of o, o is no group
+    shift = bytes((x + 2) % 4 for x in range(4))
+    maps = [bytes(range(4)), shift, bytes(range(4)), shift]
+    assert not groups.verify_group(table_by_index(z4, maps)).ok
+    with pytest.raises(CriterionMismatch, match="is not multiplicative"):
+        SkewBrace.from_lambda(braces.LambdaMap.of_automorphisms(z4, maps))
+
+
+def test_no_table_built_from_lambda_or_an_operator_reaches_verify_group(monkeypatch, d4, s3):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_group called on a derived table")
+
+    monkeypatch.setattr(groups, "verify_group", refuse)
+    monkeypatch.setattr(braces, "verify_group", refuse)
+    assert len(enumerate_circ_ops(d4)) == len(regular_subgroups_by_closure(d4))
+    construct_exact_factorization(s3, groups.structure_subgroups(s3).derived_subgroup, (0, 1))
+    conj = [[s3.conj(s3.inverse[a], x) for x in range(6)] for a in range(6)]
+    assert construct_from_lambda(s3, conj, "anti_homomorphic") == op_brace(s3)
+    rota.rb_brace(s3, rota.inversion_operator(s3))
+    systems.build_rb_multibrace(s3, rota.inversion_operator(s3), 3)
+    z = groups.cyclic_group(9)
+    triple = [bytes(x * (1 + 3 * a) % 9 for x in range(9)) for a in range(9)]
+    linear = systems.build_linear_system(z, triple, include_negative=True)
+    assert systems.union_systems(linear, linear).vertex_count() == linear.vertex_count() == 3
 
 
 # --- isomorphism -----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -270,6 +271,25 @@ def test_criterion_mismatch_exits_3_with_invariant_report(tmp_path, capsys, monk
     assert json.loads(err) == {"invariant_failure": {
         "command": "structure", "error": "CriterionMismatch",
         "message": "lambda values must be brace automorphisms here"}}
+
+
+def test_derived_table_failure_exits_3_not_2(tmp_path, capsys, monkeypatch):
+    # a product table that matches no lambda value fails the check of SkewBrace.from_lambda
+    of = braces.LambdaMap.of
+
+    def corrupted(group, lam):
+        facts = of(group, lam)
+        return dataclasses.replace(facts, products=tuple((-1,) * len(row) for row in facts.products))
+
+    monkeypatch.setattr(braces.LambdaMap, "of", staticmethod(corrupted))
+    lam = write(tmp_path, "lam.json", {"maps": [[0, 1, 2, 3]] * 4})
+    code, out, err = run(capsys, ["construct", "--kind", "from-lambda", "--group", z4_file(tmp_path),
+                                  "--lambda", lam])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {"invariant_failure": {
+        "command": "construct", "error": "CriterionMismatch",
+        "message": "lambda_(a o b) is not lambda_a lambda_b at (0, 0)"}}
 
 
 @pytest.mark.parametrize("maps,message", [
@@ -670,6 +690,11 @@ def test_missing_file_argument_exit_2(tmp_path, capsys, argv, what):
      "samples must not be negative"),
     (["--samples", "1000000000", "freegroup", "verify-cyclic", "--n", "2"],
      "samples 1000000000 exceeds the bound of 100000"),
+    (["--max-order", "0", "verify-group", "--in", "group.json"], "--max-order must be at least 1"),
+    (["--max-order", "-3", "enumerate", "--in", "group.json"], "--max-order must be at least 1"),
+    (["--max-order", "0", "structure", "--in", "brace.json"], "--max-order must be at least 1"),
+    (["--max-order", "0", "rb", "search", "--group", "group.json"], "--max-order must be at least 1"),
+    (["--max-order", "0", "freegroup", "verify-cyclic", "--n", "2"], "--max-order must be at least 1"),
 ])
 def test_out_of_range_argument_exit_2(capsys, argv, message):
     code, out, err = run(capsys, argv)

@@ -360,6 +360,14 @@ def test_group_from_permutations_stops_at_the_order_cap():
     assert group_from_json(s5, max_order=120).order == 120
 
 
+def test_group_from_permutations_cap_below_one_still_stops():
+    # a cap the closure has passed before its first check must still stop it
+    s4 = [groups.parse_cycles("(1 2)", 4), groups.parse_cycles("(1 2 3 4)", 4)]
+    for cap in (0, -5):
+        with pytest.raises(OrderCapExceeded):
+            group_from_permutations(s4, 4, max_order=cap)
+
+
 def test_group_from_json_generators():
     g = group_from_json({"name": "V", "degree": 4,
                          "generators": ["(1 2)(3 4)", "(1 3)(2 4)"]})

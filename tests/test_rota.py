@@ -75,8 +75,8 @@ def test_rb_brace_inversion_equals_op_brace(s3):
 
 
 def test_rb_brace_cross_checks_lambda_against_conjugation(monkeypatch, s3):
-    # with the operation left undeformed, lambda is trivial but conjugation by B is not
-    monkeypatch.setattr(rota, "derived_group", lambda group, b_map: group)
+    # with the closed form left undeformed, it is not the table built from conjugation by B
+    monkeypatch.setattr(rota, "derived_table", lambda group, b_map: group.table)
     with pytest.raises(CriterionMismatch, match="conjugation by B"):
         rb_brace(s3, inversion_operator(s3))
 

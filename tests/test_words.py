@@ -5,7 +5,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from skewbrace.config import SampleConfig
-from skewbrace.errors import NotInKernel, RankMismatch, WindowTooSmall
+from skewbrace.errors import CriterionMismatch, NotInKernel, RankMismatch, WindowTooSmall
 from skewbrace.rng import Lcg
 from skewbrace.words import (
     FreeWord,
@@ -452,6 +452,18 @@ def test_cyclic_rejects_out_of_range():
         verify_cyclic1(1)
     with pytest.raises(ValueError):
         verify_cyclic1(9)
+
+
+def test_cyclic_raises_when_theta_to_the_n_is_not_the_identity(monkeypatch):
+    # the check stays under python -O: it raises, it does not assert
+    apply = GeneratorCycle.apply
+
+    def off_by_one(self, word, k=1):
+        return apply(self, word, k + 1 if k == self.rank else k)
+
+    monkeypatch.setattr(GeneratorCycle, "apply", off_by_one)
+    with pytest.raises(CriterionMismatch, match="theta\\^3 is not the identity"):
+        verify_cyclic1(3)
 
 
 # --- conjugation-graded verification ----------------------------------------------
