@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .braces import LambdaMap, SkewBrace
 from .config import DEFAULT_SAMPLING, SampleConfig
-from .errors import CriterionMismatch, NotRotaBaxter, PreconditionFails
+from .errors import CriterionMismatch, NotRotaBaxter, PreconditionFails, RankMismatch
 from .groups import (
     MAX_GROUP_ORDER,
     FiniteGroup,
@@ -23,7 +23,18 @@ from .groups import (
     json_field,
 )
 from .rng import Lcg
-from .words import MAX_EXPONENT, MAX_SYLLABLES, FreeWord, sample_word, word_from_text, word_to_text
+from .words import (
+    MAX_EXPONENT,
+    MAX_SYLLABLES,
+    FreeWord,
+    exp_sum,
+    inv_syllables,
+    mul_syllables,
+    pow_syllables,
+    sample_word,
+    syllables_to_text,
+    word_from_text,
+)
 
 
 @dataclass(frozen=True)
@@ -316,70 +327,86 @@ class FreeRb:
     rank: int
     images: tuple  # FreeWord per generator
 
+    def __post_init__(self):
+        if any(w.rank != self.rank for w in self.images):
+            raise RankMismatch(f"an image's rank differs from the operator rank {self.rank}")
+
+    def action(self):
+        """B as a map of reduced syllable tuples of this rank: the product of the images' powers."""
+        images = (None,) + tuple(w.syllables for w in self.images)
+
+        def image(syllables):
+            out = ()
+            for g, e in syllables:
+                out = mul_syllables(out, pow_syllables(images[g], e))
+            return out
+        return image
+
     def apply(self, w: FreeWord) -> FreeWord:
-        out = FreeWord(self.rank)
-        for g, e in w.syllables:
-            out = out.mul(self.images[g - 1].pow(e))
-        return out
+        if w.rank != self.rank:
+            raise RankMismatch(f"word rank {w.rank} != operator rank {self.rank}")
+        return FreeWord._reduced(self.rank, self.action()(w.syllables))
+
+
+def _rb_identity_holds(b, g, h):
+    """B(g) B(h) = B(g B(g) h B(g)^-1) for an operator ``b`` on syllable tuples."""
+    b_g = b(g)
+    return mul_syllables(b_g, b(h)) == b(
+        mul_syllables(mul_syllables(mul_syllables(g, b_g), h), inv_syllables(b_g)))
 
 
 def free_is_rb(op: FreeRb, sampling: SampleConfig = DEFAULT_SAMPLING) -> dict:
-    """Sampled Rota-Baxter identity check for a free-group operator."""
+    """Sampled Rota-Baxter identity check for a free-group operator, on syllable tuples."""
+    rank = op.rank
+    b = op.action()
     rng = Lcg(sampling.seed)
     failures = []
     for trial in range(sampling.samples):
-        g = sample_word(rng, op.rank, MAX_SYLLABLES, MAX_EXPONENT)
-        h = sample_word(rng, op.rank, MAX_SYLLABLES, MAX_EXPONENT)
-        b_g = op.apply(g)
-        lhs = b_g.mul(op.apply(h))
-        rhs = op.apply(g.mul(b_g).mul(h).mul(b_g.inv()))
-        if lhs != rhs:
-            failures.append({"trial": trial, "g": word_to_text(g), "h": word_to_text(h)})
-    return {"rank": op.rank, "samples": sampling.samples, "seed": sampling.seed,
+        g = sample_word(rng, rank, MAX_SYLLABLES, MAX_EXPONENT)
+        h = sample_word(rng, rank, MAX_SYLLABLES, MAX_EXPONENT)
+        if not _rb_identity_holds(b, g, h):
+            failures.append({"trial": trial, "g": syllables_to_text(rank, g),
+                             "h": syllables_to_text(rank, h)})
+    return {"rank": rank, "samples": sampling.samples, "seed": sampling.seed,
             "failure_count": len(failures), "failures": failures}
 
 
-_X1 = FreeWord.generator(2, 1)
+def _level_mul(a, k, b):
+    """a x1^k b x1^-k on syllable tuples: the level-m product of the rank-2 example when k = m l(a).
 
-
-def free_rb_example(m: int, a: FreeWord, b: FreeWord) -> FreeWord:
-    """Level-m multiplication of the rank-2 example: a x1^{m l(a)} b x1^{-m l(a)}."""
-    if a.rank != 2 or b.rank != 2:
-        raise ValueError("the example lives on the free group of rank 2")
-    k = m * a.exp_sum()
-    return a.mul(_X1.pow(k)).mul(b).mul(_X1.pow(-k))
-
+    With a empty and k = -m l(g), b = g^-1 gives x1^-k g^-1 x1^k, the level-m inverse of g.
+    """
+    if not k:
+        return mul_syllables(a, b)
+    return mul_syllables(mul_syllables(mul_syllables(a, ((1, k),)), b), ((1, -k),))
 
 def free_rb_report(m: int, sampling: SampleConfig = DEFAULT_SAMPLING) -> dict:
     """Sampled checks for the rank-2 operator x -> x, y -> x.
 
     Verifies the Rota-Baxter identity for B(w) = x1^{l(w)} and the
-    consecutive tower condition between levels m and m+1.
+    consecutive tower condition between levels m and m+1, where level i
+    multiplies a o_i b = a x1^{i l(a)} b x1^{-i l(a)}. The words are syllable
+    tuples throughout, and l of each drawn word is computed once per trial.
     """
-    op = FreeRb(2, (FreeWord.generator(2, 1), FreeWord.generator(2, 1)))
+    x1 = FreeWord.generator(2, 1)
+    b = FreeRb(2, (x1, x1)).action()
     rng = Lcg(sampling.seed)
     failures = []
-
-    def level_inv(i, a):
-        k = i * a.exp_sum()
-        return _X1.pow(-k).mul(a.inv()).mul(_X1.pow(k))
-
     for trial in range(sampling.samples):
         g, h, c = (sample_word(rng, 2, MAX_SYLLABLES, MAX_EXPONENT) for _ in range(3))
-        b_g = op.apply(g)
-        lhs = b_g.mul(op.apply(h))
-        rhs = op.apply(g.mul(b_g).mul(h).mul(b_g.inv()))
-        if lhs != rhs:
-            failures.append({"trial": trial, "kind": "rb_identity", "g": word_to_text(g)})
-        left = free_rb_example(m + 1, g, free_rb_example(m, h, c))
-        right = free_rb_example(
-            m,
-            free_rb_example(m, free_rb_example(m + 1, g, h), level_inv(m, g)),
-            free_rb_example(m + 1, g, c),
-        )
+        if not _rb_identity_holds(b, g, h):
+            failures.append({"trial": trial, "kind": "rb_identity",
+                             "g": syllables_to_text(2, g), "h": syllables_to_text(2, h)})
+        lg = exp_sum(g)
+        up = (m + 1) * lg
+        g_h = _level_mul(g, up, h)
+        left = _level_mul(g, up, _level_mul(h, m * exp_sum(h), c))
+        right_a = _level_mul(g_h, m * exp_sum(g_h), _level_mul((), -m * lg, inv_syllables(g)))
+        right = _level_mul(right_a, m * exp_sum(right_a), _level_mul(g, up, c))
         if left != right:
             failures.append({"trial": trial, "kind": "tower_condition",
-                             "g": word_to_text(g), "h": word_to_text(h), "c": word_to_text(c)})
+                             "g": syllables_to_text(2, g), "h": syllables_to_text(2, h),
+                             "c": syllables_to_text(2, c)})
     return {
         "m": m,
         "samples": sampling.samples,

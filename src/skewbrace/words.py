@@ -11,12 +11,16 @@ they meet, so ``mul`` reduces at the seam alone, and inverting a word,
 relabelling its generators by a permutation or scaling a one-syllable word
 keep it reduced. The sampler merges each drawn syllable into the stack as it
 draws it, so its words are reduced too.
+The reduction is written once, on plain syllable tuples: ``FreeWord`` and the
+automorphisms wrap it with their rank checks, and the samplers run it on the
+tuples they draw and build a ``FreeWord`` only to print a failure witness.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 
 from .config import DEFAULT_SAMPLING, SampleConfig
 from .errors import CriterionMismatch, NotInKernel, RankMismatch, WindowTooSmall
@@ -33,6 +37,48 @@ MAX_SYLLABLES = 8
 
 MAX_EXPONENT = 3
 """The largest exponent of a syllable the samplers draw (``sample_word``'s ``max_exp``)."""
+
+
+def mul_syllables(left: tuple, right: tuple) -> tuple:
+    """The product of two reduced syllable tuples: only syllables meeting at the seam cancel or merge."""
+    if not left:
+        return right
+    if not right:
+        return left
+    i, j = len(left), 0
+    while i and j < len(right) and left[i - 1][0] == right[j][0]:
+        gen, merged = right[j][0], left[i - 1][1] + right[j][1]
+        if merged:
+            return left[:i - 1] + ((gen, merged),) + right[j + 1:]
+        i -= 1
+        j += 1
+    return left[:i] + right[j:]
+
+
+def inv_syllables(syllables: tuple) -> tuple:
+    """The inverse of a reduced syllable tuple, which is reduced too."""
+    return tuple([(g, -e) for g, e in reversed(syllables)])
+
+
+def pow_syllables(syllables: tuple, k: int) -> tuple:
+    """The k-th power of a reduced syllable tuple, by repeated squaring; k < 0 inverts first."""
+    if len(syllables) == 1:
+        gen, exp = syllables[0]
+        return ((gen, exp * k),) if k else ()
+    if k < 0:
+        syllables, k = inv_syllables(syllables), -k
+    out = ()
+    while k:
+        if k & 1:
+            out = mul_syllables(out, syllables)
+        syllables = mul_syllables(syllables, syllables)
+        k >>= 1
+    return out
+
+
+def exp_sum(syllables: tuple) -> int:
+    """The exponent sum l of a syllable tuple, the grading of the free group onto Z."""
+    return sum([e for _, e in syllables])
 
 
 class FreeWord:
@@ -68,10 +114,6 @@ class FreeWord:
         return w
 
     @staticmethod
-    def identity(rank: int) -> "FreeWord":
-        return FreeWord(rank)
-
-    @staticmethod
     def generator(rank: int, i: int, exp: int = 1) -> "FreeWord":
         return FreeWord(rank, ((i, exp),))
 
@@ -82,41 +124,16 @@ class FreeWord:
     def mul(self, other: "FreeWord") -> "FreeWord":
         if self.rank != other.rank:
             raise RankMismatch(f"ranks {self.rank} and {other.rank} differ")
-        # both operands are reduced: only syllables meeting at the seam cancel or merge
-        left, right = self.syllables, other.syllables
-        if not left:
-            return other
-        if not right:
-            return self
-        i, j = len(left), 0
-        while i and j < len(right) and left[i - 1][0] == right[j][0]:
-            gen, merged = right[j][0], left[i - 1][1] + right[j][1]
-            if merged:
-                return FreeWord._reduced(self.rank, left[:i - 1] + ((gen, merged),) + right[j + 1:])
-            i -= 1
-            j += 1
-        return FreeWord._reduced(self.rank, left[:i] + right[j:])
+        return FreeWord._reduced(self.rank, mul_syllables(self.syllables, other.syllables))
 
     def inv(self) -> "FreeWord":
-        return FreeWord._reduced(self.rank, tuple((g, -e) for g, e in reversed(self.syllables)))
+        return FreeWord._reduced(self.rank, inv_syllables(self.syllables))
 
     def pow(self, k: int) -> "FreeWord":
-        if len(self.syllables) == 1:
-            gen, exp = self.syllables[0]
-            return FreeWord._reduced(self.rank, ((gen, exp * k),) if k else ())
-        if k < 0:
-            return self.inv().pow(-k)
-        out = FreeWord(self.rank)
-        base = self
-        while k:
-            if k & 1:
-                out = out.mul(base)
-            base = base.mul(base)
-            k >>= 1
-        return out
+        return FreeWord._reduced(self.rank, pow_syllables(self.syllables, k))
 
     def exp_sum(self) -> int:
-        return sum(e for _, e in self.syllables)
+        return exp_sum(self.syllables)
 
     def length(self) -> int:
         return sum(abs(e) for _, e in self.syllables)
@@ -184,15 +201,21 @@ class GeneratorCycle:
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
 
-    def apply(self, w: FreeWord, k: int = 1) -> FreeWord:
-        """The k-th power of the cycle applied to ``w``; k < 0 applies the inverse."""
+    def action(self, k: int = 1):
+        """The k-th power of the cycle as a map of reduced syllable tuples of this rank."""
         rank = self.rank
-        if w.rank != rank:
-            raise RankMismatch(f"word rank {w.rank} != automorphism rank {rank}")
         s = self.shift * k % rank
         if not s:
-            return w
-        return FreeWord._reduced(rank, tuple(((g - 1 + s) % rank + 1, e) for g, e in w.syllables))
+            return lambda syllables: syllables
+        image = (0,) + tuple((g - 1 + s) % rank + 1 for g in range(1, rank + 1))
+        return lambda syllables: tuple([(image[g], e) for g, e in syllables])
+
+    def apply(self, w: FreeWord, k: int = 1) -> FreeWord:
+        """The k-th power of the cycle applied to ``w``; k < 0 applies the inverse."""
+        if w.rank != self.rank:
+            raise RankMismatch(f"word rank {w.rank} != automorphism rank {self.rank}")
+        image = self.action(k)(w.syllables)
+        return w if image is w.syllables else FreeWord._reduced(self.rank, image)
 
 
 @dataclass(frozen=True)
@@ -205,25 +228,25 @@ class Inner:
     def rank(self) -> int:
         return self.word.rank
 
+    def action(self, k: int = 1):
+        """Conjugation by word^k as a map of reduced syllable tuples: u -> word^k u word^-k."""
+        w = pow_syllables(self.word.syllables, k)
+        w_inv = inv_syllables(w)
+        return lambda u: mul_syllables(mul_syllables(w, u), w_inv)
+
     def apply(self, u: FreeWord, k: int = 1) -> FreeWord:
         """Conjugation by word^k: u -> word^k u word^-k."""
         if u.rank != self.rank:
             raise RankMismatch(f"word rank {u.rank} != automorphism rank {self.rank}")
-        w = self.word.pow(k)
-        return w.mul(u).mul(w.inv())
-
-
-def circ_eval(a: FreeWord, b: FreeWord, theta: GeneratorCycle | Inner) -> FreeWord:
-    """a o b = a . theta^{l(a)}(b): the multiplication graded by exponent sum."""
-    return a.mul(theta.apply(b, a.exp_sum()))
+        return FreeWord._reduced(self.rank, self.action(k)(u.syllables))
 
 
 # ---------------------------------------------------------------------------
 # Sampling
 
 
-def sample_word(rng: Lcg, rank: int, max_syllables: int, max_exp: int) -> FreeWord:
-    """A random reduced word: up to ``max_syllables`` draws x_g^{+-e}, 1 <= e <= max_exp.
+def sample_word(rng: Lcg, rank: int, max_syllables: int, max_exp: int) -> tuple:
+    """A random reduced syllable tuple: up to ``max_syllables`` draws x_g^{+-e}, 1 <= e <= max_exp.
 
     Makes the draws ``rng.next_int``/``next_in`` would make, in the same order
     (the syllable count, then generator, exponent and sign per syllable), on
@@ -251,35 +274,41 @@ def sample_word(rng: Lcg, rank: int, max_syllables: int, max_exp: int) -> FreeWo
         else:
             stack.append((g, e))
     rng.state = state
-    return FreeWord._reduced(rank, tuple(stack))
+    return tuple(stack)
+
+
+def syllables_to_text(rank: int, syllables: tuple) -> str:
+    """The CLI text of a reduced syllable tuple, for a failure witness."""
+    return word_to_text(FreeWord._reduced(rank, syllables))
 
 
 def sampled_brace_check(theta: GeneratorCycle | Inner,
                         sampling: SampleConfig = DEFAULT_SAMPLING) -> dict:
     """Check the left brace law and the symmetry criterion on sampled word triples.
 
-    Both sides of the law are reduced to normal form and compared; the
-    symmetry criterion is checked by letting the two graded powers of theta
-    act on a fourth sampled word.
+    a o b = a . theta^{l(a)}(b). Both sides of the law are reduced to normal
+    form and compared; the symmetry criterion is checked by letting the two
+    graded powers of theta act on a fourth sampled word.
     """
     if not isinstance(theta, (GeneratorCycle, Inner)):
         raise ValueError("sampled check needs a GeneratorCycle or Inner automorphism")
     rng = Lcg(sampling.seed)
     rank = theta.rank
+    theta_pow = cache(theta.action)     # theta^k on syllable tuples, built once per k in this call
+    mul, text = mul_syllables, syllables_to_text
     failures = []
     for trial in range(sampling.samples):
         a, b, c, probe = (sample_word(rng, rank, MAX_SYLLABLES, MAX_EXPONENT) for _ in range(4))
-        a_b = circ_eval(a, b, theta)
-        lhs = circ_eval(a, b.mul(c), theta)
-        rhs = a_b.mul(a.inv()).mul(circ_eval(a, c, theta))
+        theta_a = theta_pow(exp_sum(a))
+        a_b = mul(a, theta_a(b))
+        lhs = mul(a, theta_a(mul(b, c)))
+        rhs = mul(mul(a_b, inv_syllables(a)), mul(a, theta_a(c)))
         if lhs != rhs:
             failures.append({"trial": trial, "kind": "left_law",
-                             "a": word_to_text(a), "b": word_to_text(b), "c": word_to_text(c)})
-        left_pow = a_b.exp_sum()
-        right_pow = b.mul(a).exp_sum()
-        if theta.apply(probe, left_pow) != theta.apply(probe, right_pow):
+                             "a": text(rank, a), "b": text(rank, b), "c": text(rank, c)})
+        if theta_pow(exp_sum(a_b))(probe) != theta_pow(exp_sum(mul(b, a)))(probe):
             failures.append({"trial": trial, "kind": "symmetry_criterion",
-                             "a": word_to_text(a), "b": word_to_text(b)})
+                             "a": text(rank, a), "b": text(rank, b), "probe": text(rank, probe)})
     return {
         "rank": rank,
         "samples": sampling.samples,

@@ -17,7 +17,9 @@ from skewbrace.groups import (
     Violation,
     automorphism_group,
 )
+from skewbrace.lattice import grading, lattice_lambda, mat_vec, vec_add
 from skewbrace.structure import IdealReport
+from skewbrace.words import FreeWord, GeneratorCycle
 
 
 def tuples(maps) -> list:
@@ -650,3 +652,72 @@ def linear_level_by_recomposing(group, maps, i):
             power = tuple(step[x] for x in power)
         table.append(tuple(group.table[a][power[b]] for b in range(n)))
     return tuple(table)
+
+
+# --- free words, reduced by FreeWord's validating reducer ------------------
+# The samplers multiply reduced syllable tuples at the seam (words.mul_syllables);
+# these formulas reduce whole concatenations letter run by letter run instead.
+
+
+def word_product(*words):
+    """The product of free words of one rank, the concatenation reduced by FreeWord's validating reducer."""
+    return FreeWord(words[0].rank, [syllable for w in words for syllable in w.syllables])
+
+
+def word_power(w, k):
+    """w^k as |k| copies of w, or of its inverse when k < 0, reduced once."""
+    step = w.syllables if k >= 0 else [(g, -e) for g, e in reversed(w.syllables)]
+    return FreeWord(w.rank, list(step) * abs(k))
+
+
+def exponent_sum(w):
+    return sum(e for _, e in w.syllables)
+
+
+def theta_power(theta, u, k):
+    """theta^k(u): a GeneratorCycle relabels every letter, an Inner conjugates by its word^k."""
+    if isinstance(theta, GeneratorCycle):
+        shift = theta.shift * k
+        return FreeWord(u.rank, [((g - 1 + shift) % u.rank + 1, e) for g, e in u.syllables])
+    conjugator = word_power(theta.word, k)
+    return word_product(conjugator, u, word_power(conjugator, -1))
+
+
+def circ_eval(a, b, theta):
+    """a o b = a . theta^{l(a)}(b): the multiplication graded by exponent sum."""
+    return word_product(a, theta_power(theta, b, exponent_sum(a)))
+
+
+def free_rb_example(m, a, b):
+    """Level-m multiplication of the rank-2 example: a x1^{m l(a)} b x1^{-m l(a)}."""
+    if a.rank != 2 or b.rank != 2:
+        raise ValueError("the example lives on the free group of rank 2")
+    k = m * exponent_sum(a)
+    return word_product(a, FreeWord(2, [(1, k)]), b, FreeWord(2, [(1, -k)]))
+
+
+def free_rb_level_inverse(m, a):
+    """The level-m inverse x1^{-m l(a)} a^-1 x1^{m l(a)} of a in the rank-2 example."""
+    k = m * exponent_sum(a)
+    return word_product(FreeWord(2, [(1, -k)]), word_power(a, -1), FreeWord(2, [(1, k)]))
+
+
+# --- the lattice levels, one formula per call ----------------------------
+
+
+def lattice_circ(a, b, p, level=1):
+    """a o_i b = a + M^{i s(a)} b, the level-i multiplication."""
+    if level < 0:
+        raise ValueError("level must be non-negative")
+    return lattice_lambda(p).circ(a, b, level)
+
+
+def lattice_circ_inverse(a, p, level=1):
+    return lattice_lambda(p).circ_inverse(a, level)
+
+
+def lattice_circ_iterated(a, b, auto, level):
+    """The same multiplication through the recursion o_{i+1}(a, b) = o_i(a, M^{s(a)} b)."""
+    for _ in range(level):
+        b = mat_vec(auto.power(grading(a)), b)
+    return vec_add(a, b)

@@ -1,9 +1,10 @@
 import pytest
+from oracles import free_rb_example, free_rb_level_inverse, word_power, word_product
 
 from skewbrace import groups, rota
 from skewbrace.braces import classify, op_brace
 from skewbrace.config import SampleConfig
-from skewbrace.errors import CriterionMismatch, NotRotaBaxter, PreconditionFails
+from skewbrace.errors import CriterionMismatch, NotRotaBaxter, PreconditionFails, RankMismatch
 from skewbrace.rng import Lcg
 from skewbrace.rota import (
     FreeRb,
@@ -12,7 +13,6 @@ from skewbrace.rota import (
     constant_operator,
     derived_group,
     free_circ_word_expand,
-    free_rb_example,
     free_rb_report,
     inversion_operator,
     is_rb,
@@ -24,7 +24,7 @@ from skewbrace.rota import (
     rb_self_maps,
     rb_symmetry_check,
 )
-from skewbrace.words import FreeWord, word_from_text
+from skewbrace.words import MAX_EXPONENT, MAX_SYLLABLES, FreeWord, exp_sum, inv_syllables, sample_word, word_from_text
 
 
 # --- the identity ----------------------------------------------------------
@@ -247,6 +247,44 @@ def test_free_rb_report_clean():
     for m in (0, 1, 2):
         rep = free_rb_report(m, SampleConfig(samples=200))
         assert rep["failure_count"] == 0
+
+
+def test_free_rb_kernels_match_the_oracles():
+    # the level product, the level inverse and B on syllable tuples, against the FreeWord-level formulas
+    rng = Lcg(18)
+    op = FreeRb(2, (word_from_text(2, "x2"), word_from_text(2, "x1 x2^-1 x1")))
+    b = op.action()
+    for m in (-1, 0, 1, 2):
+        for _ in range(200):
+            a, c = (sample_word(rng, 2, MAX_SYLLABLES, MAX_EXPONENT) for _ in range(2))
+            u, v = FreeWord(2, a), FreeWord(2, c)
+            k = m * exp_sum(a)
+            assert rota._level_mul(a, k, c) == free_rb_example(m, u, v).syllables
+            assert rota._level_mul((), -k, inv_syllables(a)) == free_rb_level_inverse(m, u).syllables
+            assert free_rb_example(m, u, free_rb_level_inverse(m, u)).is_identity
+            images = [word_power(op.images[g - 1], e) for g, e in u.syllables]
+            assert b(a) == word_product(FreeWord(2), *images).syllables
+
+
+def test_free_rb_keeps_its_rank_checks():
+    x1 = word_from_text(2, "x1")
+    with pytest.raises(RankMismatch):
+        FreeRb(2, (x1, word_from_text(3, "x3")))
+    with pytest.raises(RankMismatch):
+        FreeRb(2, (x1, x1)).apply(word_from_text(3, "x1"))
+
+
+def test_free_rb_report_rb_identity_witness_reproduces(monkeypatch):
+    bad = FreeRb(2, (word_from_text(2, "x2"), word_from_text(2, "x1 x2")))
+    action = FreeRb.action
+    monkeypatch.setattr(FreeRb, "action", lambda self: action(bad))
+    report = free_rb_report(0, SampleConfig(samples=40, seed=11))
+    records = [f for f in report["failures"] if f["kind"] == "rb_identity"]
+    assert records
+    for f in records:
+        g, h = word_from_text(2, f["g"]), word_from_text(2, f["h"])
+        b_g = bad.apply(g)
+        assert b_g.mul(bad.apply(h)) != bad.apply(g.mul(b_g).mul(h).mul(b_g.inv()))
 
 
 def test_free_circ_word_expand():

@@ -3,16 +3,22 @@ import json
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from oracles import circ_eval, exponent_sum, theta_power, word_power, word_product
 
 from skewbrace.config import SampleConfig
 from skewbrace.errors import CriterionMismatch, NotInKernel, RankMismatch, WindowTooSmall
 from skewbrace.rng import Lcg
 from skewbrace.words import (
+    MAX_EXPONENT,
+    MAX_SYLLABLES,
     FreeWord,
     GeneratorCycle,
     Inner,
     SchreierRewriter,
-    circ_eval,
+    exp_sum,
+    inv_syllables,
+    mul_syllables,
+    pow_syllables,
     sample_word,
     sampled_brace_check,
     verify_cyclic1,
@@ -93,9 +99,14 @@ def test_pow_matches_repeated_mul(u, k):
 def test_exp_sum_additive_seeded_samples():
     rng = Lcg(0)
     for _ in range(500):
-        u = sample_word(rng, 2, 8, 3)
-        v = sample_word(rng, 2, 8, 3)
+        u = drawn_word(rng, 2, 8, 3)
+        v = drawn_word(rng, 2, 8, 3)
         assert u.mul(v).exp_sum() == u.exp_sum() + v.exp_sum()
+
+
+def drawn_word(rng, rank, max_syllables, max_exp):
+    """sample_word's syllable tuple as a FreeWord, not reduced again."""
+    return FreeWord._reduced(rank, sample_word(rng, rank, max_syllables, max_exp))
 
 
 def reference_sample_word(rng, rank, max_syllables, max_exp):
@@ -118,7 +129,7 @@ def test_sample_word_draws_like_the_reference(rank, max_syllables, max_exp):
     for seed in range(40):
         rng, ref = Lcg(seed), Lcg(seed)
         for _ in range(25):
-            u = sample_word(rng, rank, max_syllables, max_exp)
+            u = drawn_word(rng, rank, max_syllables, max_exp)
             expected, count = reference_sample_word(ref, rank, max_syllables, max_exp)
             assert u == expected and is_normal(u)
             assert rng.state == ref.state
@@ -133,7 +144,7 @@ def test_sample_word_merges_runs_of_two_generators():
     rng, ref = Lcg(3), Lcg(3)
     merged = 0
     for _ in range(2000):
-        u = sample_word(rng, 2, 8, 1)
+        u = drawn_word(rng, 2, 8, 1)
         expected, count = reference_sample_word(ref, 2, 8, 1)
         assert u == expected and rng.state == ref.state
         merged += len(u.syllables) < count
@@ -284,7 +295,7 @@ def test_cycle_apply_power_matches_repeated_application(rank):
         theta, inverse = GeneratorCycle(rank, shift), GeneratorCycle(rank, -shift)
         for k in range(-7, 8):
             for _ in range(6):
-                u = sample_word(rng, rank, 6, 3)
+                u = drawn_word(rng, rank, 6, 3)
                 image = theta.apply(u, k)
                 assert image == repeated_application(theta, inverse, u, k)
                 assert is_normal(image)
@@ -299,7 +310,7 @@ def test_inner_apply_power_matches_repeated_application(text):
     inverse = Inner(theta.word.inv())
     for k in range(-7, 8):
         for _ in range(6):
-            u = sample_word(rng, 3, 6, 3)
+            u = drawn_word(rng, 3, 6, 3)
             image = theta.apply(u, k)
             assert image == repeated_application(theta, inverse, u, k)
             assert is_normal(image)
@@ -330,9 +341,50 @@ def test_circ_inverse_identity_seeded():
     rng = Lcg(1)
     for theta in (GeneratorCycle(2), Inner(w(2, "x1 x2"))):
         for _ in range(200):
-            a = sample_word(rng, 2, 6, 3)
+            a = drawn_word(rng, 2, 6, 3)
             inverse = theta.apply(a.inv(), -a.exp_sum())    # theta^{-l(a)}(a^-1)
             assert circ_eval(a, inverse, theta).is_identity
+
+
+@pytest.mark.parametrize("theta", [GeneratorCycle(3), GeneratorCycle(3, 2), GeneratorCycle(3, 0),
+                                   Inner(w(3, "x1 x2")), Inner(w(3, "x2^-1 x3^2 x1"))])
+def test_sampler_kernel_products_match_the_oracles(theta):
+    # each product the sampler forms on syllable tuples, against the FreeWord-level formula
+    rng = Lcg(18)
+    for _ in range(200):
+        a, b = (sample_word(rng, 3, MAX_SYLLABLES, MAX_EXPONENT) for _ in range(2))
+        u, v = FreeWord(3, a), FreeWord(3, b)
+        k = exp_sum(a)
+        assert k == exponent_sum(u)
+        assert mul_syllables(a, b) == word_product(u, v).syllables
+        assert inv_syllables(a) == word_power(u, -1).syllables
+        for j in (-3, 0, 1, 2):
+            assert pow_syllables(a, j) == word_power(u, j).syllables
+        assert theta.action(k)(b) == theta_power(theta, v, k).syllables
+        assert mul_syllables(a, theta.action(k)(b)) == circ_eval(u, v, theta).syllables
+
+
+class AppendPower(GeneratorCycle):
+    """u -> u x1^k for the k-th power: not a homomorphism, and it moves the exponent sum."""
+
+    def action(self, k=1):
+        return lambda u: mul_syllables(u, ((1, k),) if k else ())
+
+
+def test_sampled_brace_check_witnesses_reproduce_the_failures():
+    theta = AppendPower(2)
+    report = sampled_brace_check(theta, SampleConfig(samples=60, seed=5))
+    assert {f["kind"] for f in report["failures"]} == {"left_law", "symmetry_criterion"}
+    for f in report["failures"]:
+        a, b = w(2, f["a"]), w(2, f["b"])
+        k = a.exp_sum()
+        a_b = a.mul(theta.apply(b, k))
+        if f["kind"] == "left_law":
+            c = w(2, f["c"])
+            assert a.mul(theta.apply(b.mul(c), k)) != a_b.mul(a.inv()).mul(a.mul(theta.apply(c, k)))
+        else:
+            probe = w(2, f["probe"])
+            assert theta.apply(probe, a_b.exp_sum()) != theta.apply(probe, b.mul(a).exp_sum())
 
 
 def test_sampled_brace_check_identity_theta():
@@ -387,7 +439,7 @@ def test_rewrite_roundtrip_seeded():
     for modulus in (2, 3, None):
         rw = SchreierRewriter(3, modulus)
         for _ in range(200):
-            u = sample_word(rng, 3, 6, 3)
+            u = drawn_word(rng, 3, 6, 3)
             total = u.exp_sum()
             # project into the kernel by appending a power of x1
             if modulus is None:
