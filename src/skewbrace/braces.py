@@ -34,7 +34,7 @@ from .groups import (
     FiniteGroup,
     _lut,
     compose,
-    group_from_table,
+    coset_labels,
     group_isomorphisms,
     holomorph_automorphisms,
     identity_map,
@@ -42,6 +42,7 @@ from .groups import (
     is_multiplicative,
     is_self_map,
     permutation_order,
+    relabeled,
     structure_subgroups,
     subgroup_closure_in,
     table_field,
@@ -130,12 +131,23 @@ class LambdaMap:
             image_cyclic=len(distinct) in orders,
         )
 
-    def kernel_witness(self, kernel) -> tuple | None:
-        """First (a, b) with b^-1 . lambda_a(b) outside ``kernel``, or None."""
-        kernel = set(kernel)
-        n, t, inv = self.group.order, self.group.table, self.group.inverse
-        return next(((a, b) for a in range(n) for b in range(n)
-                     if t[inv[b]][self.maps[a][b]] not in kernel), None)
+    def kernel_witness(self, kernel, conjugated: bool = False) -> tuple | None:
+        """First (a, b) with b^-1 . lambda_a(b) outside the subgroup K = ``kernel``, or None.
+
+        b^-1 x is in K iff x is in b K, iff x and b share a coset_labels(G, K)
+        label, so each a is one row compare. ``conjugated`` tests
+        a . lambda_a(b) . a^-1 . b^-1 instead, for a normal K: with c_a the
+        conjugation by a, it is in K iff c_a lambda_a(b) is in K b = b K. A row
+        that fails is scanned for its first b, so the witness is the first in order.
+        """
+        labels = coset_labels(self.group, kernel)
+        lut, t, cols, inv = _lut(labels), self.group.table, self.group.columns, self.group.inverse
+        for a, images in enumerate(self.maps):
+            if conjugated:     # c_a: t[a] then right multiplication by a^-1
+                images = images.translate(_lut(t[a].translate(_lut(cols[inv[a]]))))
+            if images.translate(lut) != labels:
+                return a, next(b for b, x in enumerate(images) if lut[x] != labels[b])
+        return None
 
 
 def _index_row(indices) -> bytes | tuple:
@@ -418,20 +430,14 @@ def construct_from_lambda(group: FiniteGroup, lam, mode: str) -> SkewBrace:
     """
     if mode not in ("homomorphic", "anti_homomorphic"):
         raise ValueError(f"unknown mode {mode!r}")
-    n = group.order
     facts = LambdaMap.of(group, lam)
-    arrays = facts.maps
-    t, inv = group.table, group.inverse
-    if mode == "homomorphic":
-        if facts.hom_witness is not None:
-            raise NotHomomorphism(*facts.hom_witness)
-        witness = facts.kernel_witness(facts.kernel)   # b^-1 lambda_a(b) in the kernel
-    else:
-        if facts.anti_witness is not None:
-            raise NotAntiHomomorphism(*facts.anti_witness)
-        kernel = set(facts.kernel)
-        witness = next(((a, b) for a in range(n) for b in range(n)     # a lambda_a(b) a^-1 b^-1
-                        if t[t[t[a][arrays[a][b]]][inv[a]]][inv[b]] not in kernel), None)
+    anti = mode == "anti_homomorphic"
+    if not anti and facts.hom_witness is not None:
+        raise NotHomomorphism(*facts.hom_witness)
+    if anti and facts.anti_witness is not None:
+        raise NotAntiHomomorphism(*facts.anti_witness)
+    # Ker lambda is a subgroup, normal when lambda is an anti-homomorphism
+    witness = facts.kernel_witness(facts.kernel, conjugated=anti)
     if witness is not None:
         raise KernelConditionFails(*witness)
     return SkewBrace.from_lambda(facts)
@@ -482,22 +488,23 @@ def construct_unification(group: FiniteGroup, f_images, alpha, epsilon: int = 1)
     if not (isinstance(alpha, (list, tuple)) and len(alpha) == n
             and all(is_self_map(row, n) for row in alpha)):
         raise ValueError(f'"alpha" must be a {n}x{n} table of elements in 0..{n - 1}')
-    f = tuple(f_images)
+    f = bytes(f_images)
     alpha = tuple(tuple(row) for row in alpha)
     info = structure_subgroups(group)
     center = set(info.center)
-    t, inv = group.table, group.inverse
+    t, inv, q = group.table, group.inverse, _lut(coset_labels(group, info.center))
 
     a_part = subgroup_closure_in(group, tuple(f) + tuple(center))
     for u in a_part:
         for v in a_part:
             if group.commutator(u, v) not in center:
                 raise ImageNotAbelianModCenter(f"[{u}, {v}] is not central")
-    for a in range(n):
-        for b in range(n):
-            defect = t[f[t[a][b]]][inv[t[f[a]][f[b]]]]
-            if defect not in center:
-                raise NotEndomorphismModCenter(f"f fails at pair ({a}, {b})")
+    f_labels = _lut(f.translate(q))     # f(a b) (f(a) f(b))^-1 is central iff f(a b) Z = f(a) f(b) Z
+    for a, row in enumerate(t):
+        lhs, rhs = row.translate(f_labels), f.translate(_lut(t[f[a]])).translate(q)
+        if lhs != rhs:
+            b = next(b for b in range(n) if lhs[b] != rhs[b])
+            raise NotEndomorphismModCenter(f"f fails at pair ({a}, {b})")
 
     for a in range(n):
         for b in range(n):
@@ -573,17 +580,6 @@ class LinkReport:
     hypothesis_met: bool
     advisory: str | None = None
 
-    def as_report(self) -> dict:
-        return {
-            "is_brace": self.is_brace,
-            "is_symmetric": self.is_symmetric,
-            "cond_i": self.cond_i,
-            "cond_ii": self.cond_ii,
-            "images_commute": self.images_commute,
-            "hypothesis_met": self.hypothesis_met,
-            "advisory": self.advisory,
-        }
-
 
 def link_conditions(lam1: LambdaMap, lam2: LambdaMap) -> tuple:
     """(images_commute, cond_i, cond_ii) for two assignments on one group.
@@ -630,8 +626,8 @@ def cross_compatibility_check(add: FiniteGroup, circ_i_table, circ_j_table) -> d
     (G, o_i, o_j) through the two lambda maps, and independently verifies the
     law itself; the identity must imply the law.
     """
-    brace_i = SkewBrace(add, group_from_table(circ_i_table))
-    brace_j = SkewBrace(add, group_from_table(circ_j_table))
+    brace_i = SkewBrace(add, verify_group(circ_i_table).or_raise().group)
+    brace_j = SkewBrace(add, verify_group(circ_j_table).or_raise().group)
     lam, mu = brace_i.lam, brace_j.lam
     n = add.order
     t, inv = add.table, add.inverse
@@ -760,12 +756,14 @@ def brace_isomorphic(brace1: SkewBrace, brace2: SkewBrace,
 
 
 def pushforward(brace: SkewBrace, perm) -> SkewBrace:
-    """Relabel a brace along a permutation of the carrier fixing 0."""
+    """Relabel a brace along a permutation of the carrier fixing 0: x becomes perm[x].
+
+    ValueError unless ``perm`` is a permutation of 0..n-1 with perm[0] = 0.
+    """
     n = brace.order
-    inv = invert_permutation(perm)
-    add = [[perm[brace.add.table[inv[a]][inv[b]]] for b in range(n)] for a in range(n)]
-    circ = [[perm[brace.circ.table[inv[a]][inv[b]]] for b in range(n)] for a in range(n)]
-    return SkewBrace(group_from_table(add), group_from_table(circ))
+    if not (is_self_map(perm, n) and len(set(perm)) == n and perm[0] == 0):
+        raise ValueError(f"pushforward needs a permutation of 0..{n - 1} that fixes 0")
+    return SkewBrace(*(FiniteGroup(relabeled(g.table, bytes(perm))) for g in (brace.add, brace.circ)))
 
 
 # ---------------------------------------------------------------------------

@@ -274,11 +274,6 @@ def relabeled(table, relabel: bytes) -> list:
     return [bytes(map(table[a].__getitem__, old)).translate(lut) for a in old]
 
 
-def group_from_table(table, name: str = "") -> FiniteGroup:
-    """verify_group that raises on failure; for trusted-but-checked construction."""
-    return verify_group(table, name=name).or_raise().group
-
-
 # ---------------------------------------------------------------------------
 # Constructors
 
@@ -336,10 +331,11 @@ def dicyclic_group(n: int) -> FiniteGroup:
 
 
 def _perm_group_from(perms, name: str) -> FiniteGroup:
+    """The group of a set of permutations closed under composition; the identity sorts first, as 0."""
     elems = sorted(perms)
     index = {p: i for i, p in enumerate(elems)}
-    table = [[index[tuple(p[q[x]] for x in range(len(p)))] for q in elems] for p in elems]
-    return group_from_table(table, name=name)
+    return FiniteGroup([bytes(index[tuple(map(p.__getitem__, q))] for q in elems) for p in elems],
+                       name=name)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -468,6 +464,19 @@ def _right_closure(table, identity, seeds) -> tuple:
 def subgroup_closure_in(group: FiniteGroup, seeds) -> tuple:
     """Subgroup generated by the seed elements, as a sorted index tuple."""
     return tuple(sorted(_right_closure(group.table, 0, seeds)[0]))
+
+
+def coset_labels(group: FiniteGroup, subgroup) -> bytes:
+    """labels[x] = the least element of the left coset x K: x^-1 y is in K iff labels[x] = labels[y].
+
+    Cosets are met in increasing order, so each x not yet labeled is the least of its coset.
+    """
+    labels = [None] * group.order
+    for x, row in enumerate(group.table):
+        if labels[x] is None:
+            for y in map(row.__getitem__, subgroup):
+                labels[y] = x
+    return bytes(labels)
 
 
 def structure_subgroups(group: FiniteGroup) -> StructureInfo:

@@ -17,6 +17,7 @@ from .groups import (
     MAX_GROUP_ORDER,
     FiniteGroup,
     _lut,
+    coset_labels,
     endomorphisms,
     is_multiplicative,
     is_self_map,
@@ -108,19 +109,6 @@ def derived_group(group: FiniteGroup, b_map) -> FiniteGroup:
     return rb_brace(group, b_map).circ
 
 
-def _center_cosets(group: FiniteGroup) -> bytes:
-    """q with q[x] = q[y] iff x Z(G) = y Z(G): the least element of each coset labels it."""
-    q = bytearray(group.order)
-    seen = set()
-    for x, row in enumerate(group.table):
-        if x not in seen:
-            coset = [row[z] for z in group.center]
-            seen.update(coset)
-            for y in coset:
-                q[y] = x
-    return bytes(q)
-
-
 def rb_symmetry_check(brace: SkewBrace, b_map) -> dict:
     """Symmetry of the brace rb_brace(G, B) versus centrality of the anti-homomorphism defect.
 
@@ -131,7 +119,7 @@ def rb_symmetry_check(brace: SkewBrace, b_map) -> dict:
     group = brace.add
     symmetric = brace.classification.symmetric
     b = bytes(b_map)
-    t, cols, q = group.table, group.columns, _lut(_center_cosets(group))
+    t, cols, q = group.table, group.columns, _lut(coset_labels(group, group.center))
     lut = _lut(b)
     center_condition = all(
         cols[a].translate(lut).translate(q) == b.translate(_lut(t[ba])).translate(q)
@@ -150,7 +138,7 @@ def rb_lambda_hom_check(brace: SkewBrace, b_map) -> dict:
     group = brace.add
     lam_hom = brace.lam.homomorphic_on_add
     b = bytes(b_map)
-    t, q = group.table, _lut(_center_cosets(group))
+    t, q = group.table, _lut(coset_labels(group, group.center))
     lut = _lut(b)
     center_condition = all(
         row.translate(lut).translate(q) == b.translate(_lut(t[ba])).translate(q)
@@ -328,6 +316,8 @@ class FreeRb:
     images: tuple  # FreeWord per generator
 
     def __post_init__(self):
+        if self.rank < 1:
+            raise ValueError("rank must be at least 1")
         if any(w.rank != self.rank for w in self.images):
             raise RankMismatch(f"an image's rank differs from the operator rank {self.rank}")
 

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braces import SkewBrace
-from .errors import CriterionMismatch, NotAnIdeal, NotAntiHomomorphism, OrderCapExceeded
+from .braces import LambdaMap, SkewBrace
+from .errors import CriterionMismatch, NotAnIdeal, NotAntiHomomorphism, NotASubgroup, OrderCapExceeded
 from .groups import (
     MAX_GROUP_ORDER,
     FiniteGroup,
     _homomorphisms,
+    _lut,
     _right_closure,
-    group_from_table,
+    coset_labels,
     subgroup_closure_in,
 )
 
@@ -92,46 +93,46 @@ def kernel_ideal(brace: SkewBrace) -> IdealReport:
 
 
 def sub_brace(brace: SkewBrace, elements) -> SkewBrace:
-    """Restriction of both operations to a subgroup closed under both."""
+    """The restriction of both operations to a set closed under both; NotASubgroup otherwise.
+
+    As a o b = a . lambda_a(b), a set closed under . is closed under o iff each lambda_a keeps it.
+    """
     members = tuple(sorted(set(elements)))
-    index = {x: i for i, x in enumerate(members)}
-    n = len(members)
-    add = [[index[brace.add.table[a][b]] for b in members] for a in members]
-    circ = [[index[brace.circ.table[a][b]] for b in members] for a in members]
-    return SkewBrace(group_from_table(add), group_from_table(circ))
+    tables = (brace.add.table, brace.lam.maps)
+    if not members or not set(members).issubset(range(brace.order)) or any(
+            table[a][b] not in members for table in tables for a in members for b in members):
+        raise NotASubgroup(f"{list(members)} is not closed under both operations")
+    add, lam = ([bytes(members.index(table[a][b]) for b in members) for a in members]
+                for table in tables)
+    return SkewBrace.from_lambda(LambdaMap.of_automorphisms(FiniteGroup(add), lam))
 
 
 def quotient_brace(brace: SkewBrace, ideal) -> SkewBrace:
-    """The brace on cosets of an ideal, indexed by minimal coset representative."""
+    """The brace on the cosets of an ideal I, indexed by their least elements in increasing order.
+
+    The cosets are those of coset_labels(G, I), with [a] . [b] = [a . b]. For
+    k in I, a . k = a o k' with k' = lambda_a^-1(k) in I, and lambda_k'(b) =
+    k'^-1 . (k' o b) is in b I, I being normal in both groups; with
+    lambda_a(I) = I, lambda-bar_[a]([b]) = [lambda_a(b)] is well defined and
+    gives [a] o [b] = [a . lambda_a(b)] = [a o b]. As a cross-check each
+    element's rows of both operations, taken to cosets, must be its coset's.
+    """
     members = set(ideal.elements if isinstance(ideal, IdealReport) else ideal)
     report = is_ideal(brace, members)
     if not report.is_ideal:
         raise NotAnIdeal(f"{sorted(members)} fails {report.witness}")
-    n = brace.order
-    coset_of = {}
-    reps = []
-    for a in range(n):
-        if a in coset_of:
-            continue
-        coset = sorted(brace.add.table[a][x] for x in members)
-        for y in coset:
-            coset_of[y] = len(reps)
-        reps.append(coset[0])
-    k = len(reps)
-    add = [[0] * k for _ in range(k)]
-    circ = [[0] * k for _ in range(k)]
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            add[i][j] = coset_of[brace.add.table[a][b]]
-            circ[i][j] = coset_of[brace.circ.table[a][b]]
-    # well-definedness: any representatives give the same cosets
-    for a in range(n):
-        for b in range(n):
-            i, j = coset_of[a], coset_of[b]
-            if coset_of[brace.add.table[a][b]] != add[i][j] \
-                    or coset_of[brace.circ.table[a][b]] != circ[i][j]:
-                raise CriterionMismatch("quotient operations are not well-defined")
-    return SkewBrace(group_from_table(add), group_from_table(circ))
+    labels = coset_labels(brace.add, members)
+    reps = sorted(set(labels))
+    coset = bytes(map(reps.index, labels))       # coset[x]: the index of the coset of x
+    to_cosets = _lut(coset)
+    add, lam = ([bytes(map(table[a].__getitem__, reps)).translate(to_cosets) for a in reps]
+                for table in (brace.add.table, brace.lam.maps))
+    quotient = SkewBrace.from_lambda(LambdaMap.of_automorphisms(FiniteGroup(add), lam))
+    for big, small in ((brace.add, quotient.add), (brace.circ, quotient.circ)):
+        if any(row.translate(to_cosets) != coset.translate(_lut(small.table[coset[a]]))
+               for a, row in enumerate(big.table)):
+            raise CriterionMismatch("quotient operations are not well-defined")
+    return quotient
 
 
 # ---------------------------------------------------------------------------
@@ -232,23 +233,22 @@ class TrivialityChain:
     chain: tuple   # ascending ideals, starting at {0}, ending at the carrier
     step: int
 
-    def as_report(self) -> dict:
-        return {"step": self.step, "chain": [list(part) for part in self.chain]}
 
-
-def trivial_quotient(brace: SkewBrace, small: set, big) -> bool:
+def trivial_quotient(brace: SkewBrace, small, big, labels: bytes | None = None) -> bool:
     """True iff a . b and a o b agree modulo the ideal ``small`` for all a, b in the ideal ``big``.
 
     (a . b)^-1 (a o b) = b^-1 lambda_a(b). At a fixed a the b where it lies
     in ``small`` form a subgroup of (big, .), as ``small`` is normal in
     (G, .); the a where it does for every b are closed under o, as ``big``
     is lambda-invariant. So a runs over generators of (big, o) and b over
-    generators of (big, .).
+    generators of (big, .). b^-1 lambda_a(b) is in ``small`` iff lambda_a(b)
+    and b share a label of ``labels``, coset_labels(G, small) if not given.
     """
-    t, inv, maps = brace.add.table, brace.add.inverse, brace.lam.maps
-    add_gens = _right_closure(t, 0, big)[1]
+    if labels is None:
+        labels = coset_labels(brace.add, small)
+    add_gens = _right_closure(brace.add.table, 0, big)[1]
     circ_gens = _right_closure(brace.circ.table, 0, big)[1]
-    return all(t[inv[b]][maps[a][b]] in small for a in circ_gens for b in add_gens)
+    return all(labels[brace.lam.maps[a][b]] == labels[b] for a in circ_gens for b in add_gens)
 
 
 def triviality_step(brace: SkewBrace, ideals) -> TrivialityChain | None:
@@ -256,7 +256,7 @@ def triviality_step(brace: SkewBrace, ideals) -> TrivialityChain | None:
 
     ``ideals`` is the list from all_ideals(brace). Breadth-first over ideals:
     a step from I to J > I is allowed when every pair from J multiplies the
-    same way under both operations modulo I (trivial_quotient).
+    same way under both operations modulo I (trivial_quotient, on I's coset labels).
     """
     everything = tuple(range(brace.order))
     if brace.order == 1:
@@ -268,12 +268,13 @@ def triviality_step(brace: SkewBrace, ideals) -> TrivialityChain | None:
         nxt = []
         for current in layer:
             cset = set(current)
+            labels = coset_labels(brace.add, current)
             for candidate in ideals:
                 if candidate == current or not cset < set(candidate):
                     continue
                 if candidate in parents:
                     continue
-                if trivial_quotient(brace, cset, candidate):
+                if trivial_quotient(brace, cset, candidate, labels):
                     parents[candidate] = current
                     if candidate == everything:
                         chain = [candidate]

@@ -10,12 +10,13 @@ comparison.
 from functools import lru_cache
 from itertools import permutations, product
 
-from skewbrace.braces import Classification
+from skewbrace.braces import Classification, SkewBrace
 from skewbrace.groups import (
     FiniteGroup,
     GroupCheck,
     Violation,
     automorphism_group,
+    verify_group,
 )
 from skewbrace.lattice import grading, lattice_lambda, mat_vec, vec_add
 from skewbrace.structure import IdealReport
@@ -481,6 +482,65 @@ def trivial_quotient_by_all_pairs(brace, small, big):
     add, circ = brace.add.table, brace.circ.table
     inv = _inverses(add)
     return all(add[inv[add[a][b]]][circ[a][b]] in small for a in big for b in big)
+
+
+def kernel_witness_by_scan(table, maps, kernel):
+    """First (a, b) in order with b^-1 . lambda_a(b) outside ``kernel``: LambdaMap.kernel_witness's reference."""
+    inv, kernel, n = _inverses(table), set(kernel), len(table)
+    return next(((a, b) for a in range(n) for b in range(n)
+                 if table[inv[b]][maps[a][b]] not in kernel), None)
+
+
+def anti_kernel_witness_by_scan(table, maps, kernel):
+    """First (a, b) in order with a . lambda_a(b) . a^-1 . b^-1 outside ``kernel``.
+
+    The reference for the anti-homomorphic kernel condition of
+    construct_from_lambda, LambdaMap.kernel_witness with ``conjugated``.
+    """
+    inv, kernel, n = _inverses(table), set(kernel), len(table)
+    return next(((a, b) for a in range(n) for b in range(n)
+                 if table[table[table[a][maps[a][b]]][inv[a]]][inv[b]] not in kernel), None)
+
+
+def endomorphism_mod_center_failure_by_scan(table, center, f):
+    """First (a, b) in order with f(a b) (f(a) f(b))^-1 outside ``center``: construct_unification's check."""
+    inv, center, n = _inverses(table), set(center), len(table)
+    return next(((a, b) for a in range(n) for b in range(n)
+                 if table[f[table[a][b]]][inv[table[f[a]][f[b]]]] not in center), None)
+
+
+def sub_brace_by_verify_group(brace, elements):
+    """Both tables restricted to ``elements``, each checked by verify_group, then by SkewBrace."""
+    members = sorted(set(elements))
+    index = {x: i for i, x in enumerate(members)}
+    add = [[index[brace.add.table[a][b]] for b in members] for a in members]
+    circ = [[index[brace.circ.table[a][b]] for b in members] for a in members]
+    return SkewBrace(verify_group(add).or_raise().group, verify_group(circ).or_raise().group)
+
+
+def quotient_brace_by_verify_group(brace, ideal):
+    """Both operations on the cosets of ``ideal``, each indexed by its least element.
+
+    Each coset is listed from its least element, every pair of elements is
+    checked to give the same product coset, and both tables go through
+    verify_group and SkewBrace.
+    """
+    n, members = brace.order, set(ideal)
+    coset_of, reps = {}, []
+    for a in range(n):
+        if a not in coset_of:
+            for y in (brace.add.table[a][x] for x in members):
+                coset_of[y] = len(reps)
+            reps.append(a)
+    add = [[coset_of[brace.add.table[a][b]] for b in reps] for a in reps]
+    circ = [[coset_of[brace.circ.table[a][b]] for b in reps] for a in reps]
+    for a in range(n):
+        for b in range(n):
+            i, j = coset_of[a], coset_of[b]
+            if coset_of[brace.add.table[a][b]] != add[i][j] \
+                    or coset_of[brace.circ.table[a][b]] != circ[i][j]:
+                raise ValueError("quotient operations are not well-defined")
+    return SkewBrace(verify_group(add).or_raise().group, verify_group(circ).or_raise().group)
 
 
 def _permutation_order(p):

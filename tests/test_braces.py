@@ -13,7 +13,7 @@ from oracles import (
     regular_subgroups_by_closure,
     tuples,
 )
-from skewbrace import braces, groups, rota, systems
+from skewbrace import braces, groups, rota, structure, systems
 from skewbrace.braces import (
     SkewBrace,
     brace_from_json,
@@ -104,8 +104,8 @@ def test_lambda_is_circ_homomorphism(z4_inversion, s3):
 
 def test_bad_tables_raise(z4):
     # Z4 relabeled through the non-automorphism (0,2,1,3): the law fails
-    twisted = groups.group_from_table(
-        [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1]])
+    twisted = groups.verify_group(
+        [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1]]).or_raise().group
     with pytest.raises(LambdaNotAutomorphism):
         SkewBrace(z4, twisted)
 
@@ -685,6 +685,11 @@ def test_no_table_built_from_lambda_or_an_operator_reaches_verify_group(monkeypa
     triple = [bytes(x * (1 + 3 * a) % 9 for x in range(9)) for a in range(9)]
     linear = systems.build_linear_system(z, triple, include_negative=True)
     assert systems.union_systems(linear, linear).vertex_count() == linear.vertex_count() == 3
+    a3 = groups.structure_subgroups(s3).derived_subgroup
+    assert structure.quotient_brace(op_brace(s3), a3).order == 2
+    assert structure.sub_brace(op_brace(s3), a3).order == 3
+    assert pushforward(op_brace(s3), (0, 2, 1, 3, 4, 5)).order == 6
+    assert groups.symmetric_group(4).order == 24
 
 
 # --- isomorphism -----------------------------------------------------------------
@@ -698,6 +703,12 @@ def test_isomorphic_to_self(z4_inversion):
 
 def test_not_isomorphic_different_circ(z4, z4_inversion):
     assert brace_isomorphic(trivial_brace(z4), z4_inversion) is None
+
+
+@pytest.mark.parametrize("perm", [(1, 0, 2, 3), (0, 1, 1, 3), (0, 1, 2), (0, 1, 2, 4), (0, 3, 2, 1.0)])
+def test_pushforward_rejects_what_is_not_a_permutation_fixing_0(z4_inversion, perm):
+    with pytest.raises(ValueError, match="a permutation of 0..3 that fixes 0"):
+        pushforward(z4_inversion, perm)
 
 
 def test_isomorphic_pushforward(z4_inversion):

@@ -695,9 +695,12 @@ def test_missing_file_argument_exit_2(tmp_path, capsys, argv, what):
     (["--max-order", "0", "structure", "--in", "brace.json"], "--max-order must be at least 1"),
     (["--max-order", "0", "rb", "search", "--group", "group.json"], "--max-order must be at least 1"),
     (["--max-order", "0", "freegroup", "verify-cyclic", "--n", "2"], "--max-order must be at least 1"),
+    (["--samples", "0", "rb", "check", "--rb", "{rank0}"], "rank must be at least 1"),
+    (["rb", "check", "--rb", "{rank0}"], "rank must be at least 1"),
 ])
-def test_out_of_range_argument_exit_2(capsys, argv, message):
-    code, out, err = run(capsys, argv)
+def test_out_of_range_argument_exit_2(tmp_path, capsys, argv, message):
+    rank0 = write(tmp_path, "rank0.json", {"rank": 0, "images": []})
+    code, out, err = run(capsys, [arg.format(rank0=rank0) for arg in argv])
     assert code == 2 and out == ""
     assert err.startswith(f"error: {message}")
 
@@ -978,6 +981,27 @@ def test_structure_closes_one_ideal_per_element(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert subgroups == []
     assert sorted(seed for _, seed in closures) == list(range(1, 8))
+
+
+def test_structure_verifies_only_the_tables_of_its_file(tmp_path, capsys, monkeypatch):
+    # the quotient by Ker lambda, taken for naturality, is built from lambda, not checked again
+    s3 = groups.symmetric_group(3)
+    a3 = groups.structure_subgroups(s3).derived_subgroup
+    brace = braces.construct_exact_factorization(s3, a3, (0, 1))   # 1 is a transposition
+    path = write(tmp_path, "brace.json", brace_to_json(brace))
+    calls = count_calls(monkeypatch, groups.verify_group)
+    code, out, _ = run(capsys, ["structure", "--in", path])
+    assert code == 0
+    assert json.loads(out)["naturality"] == {"is_natural": False, "quotient_natural": True}
+    assert len(calls) == 2
+
+
+def test_generator_group_file_is_not_verified_as_a_table(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "s3.json", {"name": "S3", "degree": 3, "generators": ["(1 2)", "(1 2 3)"]})
+    calls = count_calls(monkeypatch, groups.verify_group)
+    code, out, _ = run(capsys, ["verify-group", "--in", path])
+    assert code == 0 and json.loads(out)["order"] == 6
+    assert calls == []
 
 
 @pytest.mark.parametrize("command", ["classify", "verify-brace"])

@@ -1,6 +1,6 @@
 import pytest
 
-from skewbrace import groups
+from skewbrace import groups, structure
 from skewbrace.braces import (
     classify,
     construct_exact_factorization,
@@ -9,7 +9,7 @@ from skewbrace.braces import (
     op_brace,
     trivial_brace,
 )
-from skewbrace.errors import NotAnIdeal, NotAntiHomomorphism, OrderCapExceeded
+from skewbrace.errors import NotAnIdeal, NotAntiHomomorphism, NotASubgroup, OrderCapExceeded
 from skewbrace.groups import compose, invert_permutation
 from skewbrace.structure import (
     all_ideals,
@@ -148,6 +148,25 @@ def test_sub_brace_restriction(s3):
     part = sub_brace(brace, a3)
     assert part.order == 3
     assert part.is_trivial  # A3 is abelian, so the opposite agrees
+
+
+@pytest.mark.parametrize("elements", [(), (0, 3), (1, 2), (0, 6), (0, -1)])
+def test_sub_brace_refuses_a_set_not_closed_under_both_operations(s3, elements):
+    with pytest.raises(NotASubgroup, match="is not closed under both operations"):
+        sub_brace(op_brace(s3), elements)
+
+
+def test_sub_brace_takes_exactly_the_subgroups_of_both_operations(d4):
+    refused = 0
+    for brace in enumerate_circ_ops(d4):
+        for members in structure.all_subgroups(brace.add):
+            if groups.subgroup_closure_in(brace.circ, members) == members:
+                assert sub_brace(brace, members).order == len(members)
+            else:
+                refused += 1
+                with pytest.raises(NotASubgroup):
+                    sub_brace(brace, members)
+    assert refused > 0
 
 
 # --- triviality chains -----------------------------------------------------------
