@@ -33,6 +33,7 @@ from .groups import (
     MAX_GROUP_ORDER,
     FiniteGroup,
     _lut,
+    _regular_assignments,
     compose,
     coset_labels,
     group_isomorphisms,
@@ -624,10 +625,13 @@ def cross_compatibility_check(add: FiniteGroup, circ_i_table, circ_j_table) -> d
 
     Checks the pointwise identity expressing the mixed brace law of
     (G, o_i, o_j) through the two lambda maps, and independently verifies the
-    law itself; the identity must imply the law.
+    law itself; the identity must imply the law. A circ table whose
+    identity is not 0, the identity of ``add``, raises InvalidGroup.
     """
-    brace_i = SkewBrace(add, verify_group(circ_i_table).or_raise().group)
-    brace_j = SkewBrace(add, verify_group(circ_j_table).or_raise().group)
+    checks = [verify_group(table).or_raise() for table in (circ_i_table, circ_j_table)]
+    if any(check.relabeling[0] for check in checks):   # verify_group moved the identity to 0
+        raise InvalidGroup(("identities of the two operations differ",))
+    brace_i, brace_j = (SkewBrace(add, check.group) for check in checks)
     lam, mu = brace_i.lam, brace_j.lam
     n = add.order
     t, inv = add.table, add.inverse
@@ -659,57 +663,19 @@ def regular_subgroups(base: FiniteGroup, automorphisms) -> list:
     """All regular subgroups of Hol G = Aut G x| G, as sorted lambda assignments.
 
     ``automorphisms`` are indexed as automorphism_group gives them, identity
-    first.  A regular subgroup holds one pair (f_a, a) over each a in G, so
+    first. A regular subgroup holds one pair (f_a, a) over each a in G, so
     it is an assignment a -> f_a, given as the tuple of the f_a: the lambda
-    of its brace.  The walk takes the least unassigned a and tries each f_a
-    whose pair generates a cyclic subgroup meeting each coordinate at most
-    once, of order dividing |G|.  It closes the grown subgroup by right
-    multiplication with its generators and backtracks on a repeated
-    coordinate or an order not dividing |G|.  Each regular subgroup is
-    reached along exactly one path.  Automorphisms are composed on demand.
+    of its brace. groups._regular_assignments walks them with S = Aut G
+    acting by evaluation; automorphisms are composed on demand.
     """
-    n, t, auts = base.order, base.table, automorphisms
+    auts = automorphisms
     index = {img: i for i, img in enumerate(auts)}
 
     @cache
     def comp(f, g):
         return index[compose(auts[f], auts[g])]
 
-    def cyclic_ok(f, a):
-        coords, h, c = set(), f, a
-        while c != 0 and c not in coords:    # (h, c) = (f, a)^k, k = |coords| + 1
-            coords.add(c)
-            h, c = comp(h, f), t[c][auts[h][a]]
-        return c == 0 and h == 0 and n % (len(coords) + 1) == 0
-
-    @cache
-    def candidates(a):
-        return [f for f in range(len(auts)) if cyclic_ok(f, a)]
-
-    def walk(f_of, members, gens):
-        if len(members) == n:
-            yield tuple(auts[f] for f in f_of)
-            return
-        a = f_of.index(-1)
-        for fa in candidates(a):
-            grown, new, gens_now = f_of[:], [a], gens + [(fa, a)]
-            grown[a] = fa
-            queue = [(s, fa, a) for s in members] + [(a, g, b) for g, b in gens_now]
-            while queue:
-                x, g, b = queue.pop()        # the product (f_x, x)(g, b)
-                fx = grown[x]
-                fy, y = comp(fx, g), t[x][auts[fx][b]]
-                if grown[y] == -1:
-                    grown[y] = fy
-                    new.append(y)
-                    queue.extend((y, h, c) for h, c in gens_now)
-                elif grown[y] != fy:
-                    break
-            else:
-                if n % (len(members) + len(new)) == 0:
-                    yield from walk(grown, members + new, gens_now)
-
-    return sorted(walk([0] + [-1] * (n - 1), [0], []))
+    return sorted(tuple(auts[f] for f in found) for found in _regular_assignments(base, auts, comp))
 
 
 def brace_from_regular_subgroup(base: FiniteGroup, maps) -> SkewBrace:

@@ -370,7 +370,7 @@ def _cmd_rb(args):
         report.update(rota.rb_symmetry_check(brace, op))
         return report, True
     if args.action == "search":
-        if group.order <= 6:
+        if group.order <= rota.MAX_SELF_MAP_ORDER:
             found = rota.rb_self_maps(group)
             scope = "self-maps"
         else:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 
 from .errors import InvalidGroup, NotASubgroup, OrderCapExceeded
@@ -568,6 +569,59 @@ def _homomorphisms(src: FiniteGroup, dst: FiniteGroup, bijective: bool,
 
     extend(0)
     return sorted(found)
+
+
+def _regular_assignments(base: FiniteGroup, action, mult) -> list:
+    """All regular subgroups of G x| S, as sorted tuples of S-indices, for G = ``base``.
+
+    S is {0, ..., len(action) - 1} with identity 0 and product ``mult(s, u)``.
+    It acts on G through ``action[s]``, an image array (``action[0]`` is the
+    identity map), and (s, x)(u, y) = (s u, x . action[s](y)). A regular
+    subgroup holds one pair (s_a, a) over each a in G, so it is the
+    assignment a -> s_a, given as the tuple of the s_a. The walk takes the
+    least unassigned a and tries each s_a whose pair generates a cyclic
+    subgroup meeting each G-coordinate at most once, of order dividing |G|.
+    It closes the grown subgroup by right multiplication with its generators
+    and backtracks on a repeated coordinate or an order not dividing |G|.
+    Each regular subgroup is reached along exactly one path.
+    """
+    n, t = base.order, base.table
+
+    def cyclic_ok(s, a):
+        coords, h, c = set(), s, a
+        while c != 0 and c not in coords:    # (h, c) = (s, a)^k, k = |coords| + 1
+            coords.add(c)
+            h, c = mult(h, s), t[c][action[h][a]]
+        return c == 0 and h == 0 and n % (len(coords) + 1) == 0
+
+    @cache
+    def candidates(a):
+        return [s for s in range(len(action)) if cyclic_ok(s, a)]
+
+    def walk(s_of, members, gens):
+        if len(members) == n:
+            yield tuple(s_of)
+            return
+        a = s_of.index(-1)
+        for sa in candidates(a):
+            grown, new, gens_now = s_of[:], [a], gens + [(sa, a)]
+            grown[a] = sa
+            queue = [(x, sa, a) for x in members] + [(a, u, y) for u, y in gens_now]
+            while queue:
+                x, u, y = queue.pop()        # the product (s_x, x)(u, y)
+                sx = grown[x]
+                sz, z = mult(sx, u), t[x][action[sx][y]]
+                if grown[z] == -1:
+                    grown[z] = sz
+                    new.append(z)
+                    queue.extend((z, v, w) for v, w in gens_now)
+                elif grown[z] != sz:
+                    break
+            else:
+                if n % (len(members) + len(new)) == 0:
+                    yield from walk(grown, members + new, gens_now)
+
+    return sorted(walk([0] + [-1] * (n - 1), [0], []))
 
 
 def group_isomorphisms(src: FiniteGroup, dst: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> list:

@@ -17,6 +17,7 @@ from .groups import (
     MAX_GROUP_ORDER,
     FiniteGroup,
     _lut,
+    _regular_assignments,
     coset_labels,
     endomorphisms,
     is_multiplicative,
@@ -261,42 +262,28 @@ def circ2_expansion_report(group: FiniteGroup, b_map) -> dict:
 # Searches
 
 
+MAX_SELF_MAP_ORDER = 6
+"""The largest group whose Rota-Baxter self-maps ``rb_self_maps`` lists; ``rb search`` lists endomorphisms above it."""
+
+
 def rb_self_maps(group: FiniteGroup) -> list:
     """All Rota-Baxter operators among the self-maps of a small group, in lexicographic order.
 
-    B(e) = e is forced by the identity at the pair (e, e). The other values
-    are chosen in order, B(1), B(2), ..., and a choice is dropped as soon as
-    the identity fails at a pair (g, h) whose three values B(g), B(h) and
-    B(g B(g) h B(g)^-1) are all chosen; each pair is checked once, when the
-    last of them is. A full map has passed every pair, as is_rb asks. Keep
-    carriers at order <= 6.
+    They are the regular subgroups of G x| G, with x acting by conjugation:
+    (x, g)(y, h) = (x y, g x h x^-1). If B is Rota-Baxter, then
+    (B(g), g)(B(h), h) = (B(g) B(h), g B(g) h B(g)^-1) = (B(g o h), g o h),
+    so the pairs (B(g), g) are closed and, one over each g, regular.
+    Conversely a regular subgroup gives B(g) = the S-part over g, and its
+    closure is exactly the identity B(g) B(h) = B(g B(g) h B(g)^-1). So the
+    operators are the assignments groups._regular_assignments walks, with
+    S = G. Keep carriers at order <= MAX_SELF_MAP_ORDER.
     """
-    if group.order > 6:
-        raise PreconditionFails("exhaustive self-map search is capped at order 6")
-    n, t, inv = group.order, group.table, group.inverse
-    b = [0] * n
-    found = []
-
-    def holds_through(k):
-        for g in range(k + 1):
-            bg, row = b[g], t[t[g][b[g]]]
-            for h in range(k + 1):
-                p = t[row[h]][inv[bg]]
-                if p <= k and k in (g, h, p) and t[bg][b[h]] != b[p]:
-                    return False
-        return True
-
-    def extend(k):
-        if k == n:
-            found.append(bytes(b))
-            return
-        for value in range(n):
-            b[k] = value
-            if holds_through(k):
-                extend(k + 1)
-
-    extend(1)
-    return found
+    if group.order > MAX_SELF_MAP_ORDER:
+        raise PreconditionFails(
+            f"exhaustive self-map search is capped at order {MAX_SELF_MAP_ORDER}")
+    t, inv, cols = group.table, group.inverse, group.columns
+    conj = [row.translate(_lut(cols[inv[x]])) for x, row in enumerate(t)]   # b -> x b x^-1
+    return [bytes(b) for b in _regular_assignments(group, conj, lambda x, y: t[x][y])]
 
 
 def rb_endomorphisms(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> list:

@@ -294,7 +294,7 @@ def triviality_step(brace: SkewBrace, ideals) -> TrivialityChain | None:
 def naturality_report(brace: SkewBrace) -> dict:
     """For anti-homomorphic braces: either the brace or its kernel quotient is natural."""
     if not brace.lam.anti_homomorphic_on_add:
-        raise NotAntiHomomorphism(-1, -1)
+        raise NotAntiHomomorphism(*brace.lam.anti_witness)
     is_natural = brace.is_natural
     quotient_natural = quotient_brace(brace, kernel_ideal(brace)).is_natural
     if not (is_natural or quotient_natural):

@@ -55,6 +55,16 @@ def mul_syllables(left: tuple, right: tuple) -> tuple:
     return left[:i] + right[j:]
 
 
+def _push(stack: list, key, e: int) -> None:
+    """Push the syllable (key, e), e != 0, onto a reduced stack: merge it with the top, or cancel both."""
+    if stack and stack[-1][0] == key:
+        merged = stack.pop()[1] + e
+        if merged:
+            stack.append((key, merged))
+    else:
+        stack.append((key, e))
+
+
 def inv_syllables(syllables: tuple) -> tuple:
     """The inverse of a reduced syllable tuple, which is reduced too."""
     return tuple([(g, -e) for g, e in reversed(syllables)])
@@ -93,15 +103,8 @@ class FreeWord:
         for gen, exp in syllables:
             if not (1 <= gen <= rank):
                 raise RankMismatch(f"generator x{gen} outside rank {rank}")
-            if exp == 0:
-                continue
-            if stack and stack[-1][0] == gen:
-                merged = stack[-1][1] + exp
-                stack.pop()
-                if merged:
-                    stack.append((gen, merged))
-            else:
-                stack.append((gen, exp))
+            if exp:
+                _push(stack, gen, exp)
         self.rank = rank
         self.syllables = tuple(stack)
 
@@ -267,12 +270,7 @@ def sample_word(rng: Lcg, rank: int, max_syllables: int, max_exp: int) -> tuple:
         state = (state * MULT + INC) & MASK
         if (state >> 33) & 1:
             e = -e
-        if stack and stack[-1][0] == g:
-            merged = stack.pop()[1] + e
-            if merged:
-                stack.append((g, merged))
-        else:
-            stack.append((g, e))
+        _push(stack, g, e)
     rng.state = state
     return tuple(stack)
 
@@ -381,15 +379,8 @@ class SchreierRewriter:
         out = []
 
         def emit(token, e):
-            if token is None:
-                return
-            if out and out[-1][0] == token:
-                merged = out[-1][1] + e
-                out.pop()
-                if merged:
-                    out.append((token, merged))
-            else:
-                out.append((token, e))
+            if token is not None:
+                _push(out, token, e)
 
         k = 0
         for gen, step in w.letters():

@@ -16,10 +16,11 @@ from skewbrace.groups import (
     GroupCheck,
     Violation,
     automorphism_group,
+    direct_product,
     verify_group,
 )
 from skewbrace.lattice import grading, lattice_lambda, mat_vec, vec_add
-from skewbrace.structure import IdealReport
+from skewbrace.structure import IdealReport, all_subgroups
 from skewbrace.words import FreeWord, GeneratorCycle
 
 
@@ -54,6 +55,30 @@ def rb_first_failure_by_index(table, b):
     inv = [list(table[a]).index(0) for a in range(n)]
     return next(((g, h) for g in range(n) for h in range(n)
                  if table[b[g]][b[h]] != b[table[table[table[g][b[g]]][h]][inv[b[g]]]]), None)
+
+
+def rb_operators_by_graph_subgroups(group):
+    """Every Rota-Baxter operator of the group, as sorted int tuples, read off subgroups of G x G.
+
+    B is Rota-Baxter iff the pairs (B(g), g B(g)) form a subgroup of the
+    direct product G x G (Guo-Lang-Sheng), and a subgroup of order |G| is
+    such a graph iff (x, y) -> y x^-1 is a bijection onto G; then
+    B(y x^-1) = x. The subgroups come from structure.all_subgroups on
+    direct_product(G, G), with (x, y) at x |G| + y, so nothing is shared
+    with the walk of the semidirect product G x| G.
+    """
+    n, t, inv = group.order, group.table, group.inverse
+    found = []
+    for members in all_subgroups(direct_product(group, group)):
+        if len(members) != n:
+            continue
+        b = [None] * n
+        for p in members:
+            x, y = divmod(p, n)
+            b[t[y][inv[x]]] = x
+        if None not in b:
+            found.append(tuple(b))
+    return sorted(found)
 
 
 def rb_center_conditions_by_scan(table, b):

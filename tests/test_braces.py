@@ -471,6 +471,10 @@ def test_link_d16_twisted_conjugation(d16):
 def test_cross_compatibility_trivial(z4):
     rep = cross_compatibility_check(z4, z4.table, z4.table)
     assert rep["condition_holds"] and rep["is_brace"]
+    moved = [[1, 3, 0, 2], [3, 2, 1, 0], [0, 1, 2, 3], [2, 0, 3, 1]]   # Z4 with identity 2
+    for tables in ((z4.table, moved), (moved, z4.table)):
+        with pytest.raises(InvalidGroup, match="identities of the two operations differ"):
+            cross_compatibility_check(z4, *tables)
 
 
 def test_cross_compatibility_z4(z4, z4_inversion):

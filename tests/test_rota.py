@@ -1,5 +1,12 @@
 import pytest
-from oracles import free_rb_example, free_rb_level_inverse, word_power, word_product
+from oracles import (
+    free_rb_example,
+    free_rb_level_inverse,
+    rb_operators_by_graph_subgroups,
+    tuples,
+    word_power,
+    word_product,
+)
 
 from skewbrace import groups, rota
 from skewbrace.braces import classify, op_brace
@@ -165,6 +172,17 @@ def test_endomorphism_search_order_8(d4, q8):
             brace = rb_brace(g, b)
             rb_symmetry_check(brace, b)
             rb_lambda_hom_check(brace, b)
+
+
+@pytest.mark.parametrize("group", groups.small_group_catalog(12), ids=lambda g: g.name)
+def test_walker_finds_every_rota_baxter_operator_past_the_cap(group):
+    # the walk rb_self_maps runs, on groups it refuses, against subgroups of G x G
+    n, t = group.order, group.table
+    conj = [bytes(group.conj(x, b) for b in range(n)) for x in range(n)]
+    found = groups._regular_assignments(group, conj, lambda x, y: t[x][y])
+    assert found == rb_operators_by_graph_subgroups(group)
+    assert all(is_rb(group, b).ok for b in found)
+    assert set(tuples(rb_endomorphisms(group))) <= set(found)
 
 
 def test_self_map_cap(d4):

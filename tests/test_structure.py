@@ -244,8 +244,13 @@ def test_naturality_requires_anti(d4):
     non_anti = next(
         b for b in enumerate_circ_ops(d4) if not classify(b).lambda_anti_homomorphic
     )
-    with pytest.raises(NotAntiHomomorphism):
+    t, inv, circ = d4.table, d4.inverse, non_anti.circ.table
+    lam = [bytes(t[inv[a]][circ[a][b]] for b in range(8)) for a in range(8)]   # a^-1 (a o b)
+    first = next((a, b) for a in range(8) for b in range(8)
+                 if lam[t[a][b]] != compose(lam[b], lam[a]))
+    with pytest.raises(NotAntiHomomorphism) as info:
         naturality_report(non_anti)
+    assert info.value.witness == first
 
 
 # --- brace automorphisms --------------------------------------------------------------
