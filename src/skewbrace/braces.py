@@ -108,7 +108,7 @@ class LambdaMap:
         distinct = sorted(set(arrays))
         index = {img: i for i, img in enumerate(distinct)}
         which = bytes(index[img] for img in arrays)
-        composites = [[compose(f, g) for g in distinct] for f in distinct]
+        composites = [[g.translate(lut) for g in distinct] for lut in map(_lut, distinct)]   # f after g
         prod = tuple(_index_row([index.get(fg, -1) for fg in row]) for row in composites)
         hom = _first_unequal_pair(group.table, which, prod)
         anti = _first_unequal_pair(group.table, which, tuple(map(_index_row, zip(*prod))))
@@ -493,7 +493,7 @@ def construct_unification(group: FiniteGroup, f_images, alpha, epsilon: int = 1)
     alpha = tuple(tuple(row) for row in alpha)
     info = structure_subgroups(group)
     center = set(info.center)
-    t, inv, q = group.table, group.inverse, _lut(coset_labels(group, info.center))
+    t, inv, q = group.table, group.inverse, _lut(group.center_labels)
 
     a_part = subgroup_closure_in(group, tuple(f) + tuple(center))
     for u in a_part:

@@ -79,29 +79,65 @@ def _json_lines(texts, indent: str) -> str:
     return "[" + inner + body + "\n" + indent + "]" if body else "[]"
 
 
-def _json_flat(value, indent: str) -> str | None:
-    """The text of a scalar, a list of scalars or a table (a list of int lists); None otherwise."""
+class _RowTexts(dict):
+    """The JSON texts of bytes rows of tables at one indent, each written on first use.
+
+    A row's text is one str.translate of its bytes read as latin-1: each
+    label x becomes "x," and the newline and indent of the next item.
+    """
+
+    def __init__(self, indent: str):
+        super().__init__()
+        inner = "\n" + indent + "    "
+        self.labels = tuple(f"{x},{inner}" for x in range(256))
+        self.head, self.tail, self.cut = "[" + inner, "\n" + indent + "  ]", 1 + len(inner)
+
+    def __missing__(self, row: bytes) -> str:
+        text = "[]"
+        if row:
+            text = self.head + row.decode("latin-1").translate(self.labels)[:-self.cut] + self.tail
+        self[row] = text
+        return text
+
+
+class _RowMemo(dict):
+    """The row texts of one report, by the indent of their table."""
+
+    def __missing__(self, indent: str) -> _RowTexts:
+        texts = self[indent] = _RowTexts(indent)
+        return texts
+
+
+def _json_flat(value, indent: str, rows: _RowMemo) -> str | None:
+    """The text of a scalar, a list of scalars or a table; None otherwise.
+
+    A table is a list or tuple of int lists or tuples, or a tuple of bytes
+    rows, which is written as the lists of their bytes through ``rows``.
+    """
     if isinstance(value, (list, tuple)):
         if all(type(x) in _SCALARS for x in value):
             return _json_lines(map(_json_scalar, value), indent)
+        if type(value) is tuple and all(type(row) is bytes for row in value):
+            return _json_lines(map(rows[indent].__getitem__, value), indent)
         if (all(type(row) in _ROWS for row in value)
                 and all(type(x) is int for row in value for x in row)):
             inner = indent + "  "
-            rows = [_json_lines(map(int.__repr__, row), inner) for row in value]
-            return _json_lines(rows, indent)
+            texts = [_json_lines(map(int.__repr__, row), inner) for row in value]
+            return _json_lines(texts, indent)
         return None
     if isinstance(value, dict):
         return None if value else "{}"
     return _json_scalar(value)
 
 
-def _json_chunks(value, indent: str = ""):
+def _json_chunks(value, indent: str, rows: _RowMemo):
     """json.dumps(value, indent=2, sort_keys=True) in chunks; ``value`` starts a line at ``indent``.
 
     A scalar, a list of scalars and a table are one chunk each; dicts and
-    other lists recurse, one chunk per item at least.
+    other lists recurse, one chunk per item at least. ``rows`` holds the
+    texts of the bytes rows written so far.
     """
-    text = _json_flat(value, indent)
+    text = _json_flat(value, indent, rows)
     if text is not None:
         yield text
         return
@@ -114,10 +150,10 @@ def _json_chunks(value, indent: str = ""):
         opening, closing = "[", "]"
     separator = opening + "\n" + inner
     for head, item in items:
-        text = _json_flat(item, inner)
+        text = _json_flat(item, inner, rows)
         if text is None:
             yield separator + head
-            yield from _json_chunks(item, inner)
+            yield from _json_chunks(item, inner, rows)
         else:
             yield separator + head + text
         separator = ",\n" + inner
@@ -125,9 +161,13 @@ def _json_chunks(value, indent: str = ""):
 
 
 def _emit_json(report: dict, streams) -> int:
-    """Write json.dumps(report, indent=2, sort_keys=True) and a newline, ~_BATCH chars a write."""
+    """Write json.dumps(report, indent=2, sort_keys=True) and a newline, ~_BATCH chars a write.
+
+    A tuple of bytes rows is written as the table of their bytes. The texts
+    of its rows are kept for this report only.
+    """
     written, batch, size = 0, [], 0
-    for chunk in _json_chunks(report):
+    for chunk in _json_chunks(report, "", _RowMemo()):
         batch.append(chunk)
         size += len(chunk)
         if size >= _BATCH:
@@ -261,7 +301,7 @@ def _cmd_enumerate(args):
     return {
         "order": group.order,
         "count": len(found),
-        "braces": [{"circ": [list(r) for r in b.circ.table],
+        "braces": [{"circ": b.circ.table,
                     "classify": b.classification.as_dict()} for b in found],
     }, True
 

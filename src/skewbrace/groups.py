@@ -47,7 +47,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("order", "table", "identity", "inverse", "name",
-                 "_columns", "_generators", "_center")
+                 "_columns", "_generators", "_center", "_center_labels")
 
     def __init__(self, table, name: str = ""):
         self.table = tuple(map(bytes, table))
@@ -58,6 +58,7 @@ class FiniteGroup:
         self._columns = None
         self._generators = None
         self._center = None
+        self._center_labels = None
 
     def conj(self, g: int, x: int) -> int:
         """Inner action g x g^-1."""
@@ -104,6 +105,13 @@ class FiniteGroup:
             self._center = tuple(a for a, (row, col) in enumerate(zip(self.table, self.columns))
                                  if row == col)
         return self._center
+
+    @property
+    def center_labels(self) -> bytes:
+        """coset_labels(self, self.center): a and b share a label iff they lie in one coset of the center."""
+        if self._center_labels is None:
+            self._center_labels = coset_labels(self, self.center)
+        return self._center_labels
 
     def opposite(self) -> "FiniteGroup":
         """The opposite group: a *op b = b * a (same carrier, same inverses)."""
@@ -614,7 +622,7 @@ def _regular_assignments(base: FiniteGroup, action, mult) -> list:
                 if grown[z] == -1:
                     grown[z] = sz
                     new.append(z)
-                    queue.extend((z, v, w) for v, w in gens_now)
+                    queue += [(z, v, w) for v, w in gens_now]
                 elif grown[z] != sz:
                     break
             else:

@@ -18,7 +18,6 @@ from .groups import (
     FiniteGroup,
     _lut,
     _regular_assignments,
-    coset_labels,
     endomorphisms,
     is_multiplicative,
     is_self_map,
@@ -120,7 +119,7 @@ def rb_symmetry_check(brace: SkewBrace, b_map) -> dict:
     group = brace.add
     symmetric = brace.classification.symmetric
     b = bytes(b_map)
-    t, cols, q = group.table, group.columns, _lut(coset_labels(group, group.center))
+    t, cols, q = group.table, group.columns, _lut(group.center_labels)
     lut = _lut(b)
     center_condition = all(
         cols[a].translate(lut).translate(q) == b.translate(_lut(t[ba])).translate(q)
@@ -139,7 +138,7 @@ def rb_lambda_hom_check(brace: SkewBrace, b_map) -> dict:
     group = brace.add
     lam_hom = brace.lam.homomorphic_on_add
     b = bytes(b_map)
-    t, q = group.table, _lut(coset_labels(group, group.center))
+    t, q = group.table, _lut(group.center_labels)
     lut = _lut(b)
     center_condition = all(
         row.translate(lut).translate(q) == b.translate(_lut(t[ba])).translate(q)

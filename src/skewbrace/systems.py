@@ -82,7 +82,19 @@ def _dedupe(groups_by_label):
 
 def check_linear_preconditions(group: FiniteGroup, lam) -> LambdaMap:
     """The assignment must be a homomorphism with abelian image whose
-    commutator values land in its kernel; each value an automorphism."""
+    commutator values land in its kernel; each value an automorphism.
+
+    The lambda of every lambda-homomorphic symmetric skew brace passes. Each
+    lambda_a is an automorphism of (G, .). In any brace
+    lambda_{a o b} = lambda_a lambda_b and a o b = a . lambda_a(b). If lambda
+    is also a homomorphism of (G, .), then
+    lambda_a lambda_b = lambda_{a . lambda_a(b)} = lambda_a lambda_{lambda_a(b)},
+    so lambda_{lambda_a(b)} = lambda_b and
+    lambda_{b^-1 . lambda_a(b)} = lambda_b^-1 lambda_b = id: b^-1 . lambda_a(b)
+    lies in Ker lambda. A symmetric brace has lambda anti-homomorphic on
+    (G, .) as well, so lambda_a lambda_b = lambda_{a . b} = lambda_b lambda_a,
+    and the image is abelian.
+    """
     try:
         facts = LambdaMap.of(group, lam)
     except NotAutomorphism as exc:

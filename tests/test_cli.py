@@ -2,7 +2,7 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from skewbrace import braces, cli, config, groups, rng, rota, structure, systems, words
@@ -804,6 +804,100 @@ def test_emit_writes_what_json_dumps_writes(value):
     first, second = io.StringIO(), io.StringIO()
     assert len(emit(value, "json", [first, second])) == len(expected)
     assert first.getvalue() == second.getvalue() == expected
+
+
+def _rows_as_lists(value):
+    """The value with each tuple of bytes rows turned into a list of int lists, for json.dumps."""
+    if isinstance(value, dict):
+        return {key: _rows_as_lists(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        if type(value) is tuple and value and all(type(row) is bytes for row in value):
+            return [list(row) for row in value]
+        return [_rows_as_lists(item) for item in value]
+    return value
+
+
+_BYTES_TABLES = st.lists(st.binary(max_size=6), max_size=5).map(tuple)   # the empty table and empty rows too
+_MIXED_VALUES = st.recursive(
+    _JSON_SCALARS | _INT_TABLES | _BYTES_TABLES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=20)
+
+
+def _bytes_table_at(depth):
+    """Values with a bytes table ``depth`` containers below the top, beside other JSON values."""
+    if depth == 0:
+        return _BYTES_TABLES
+    inner = _bytes_table_at(depth - 1)
+    return (st.tuples(inner, st.lists(_MIXED_VALUES, max_size=2), st.integers(0, 2))
+            .map(lambda t: t[1][:t[2]] + [t[0]] + t[1][t[2]:])
+            | st.tuples(st.text(), inner, st.dictionaries(st.text(), _MIXED_VALUES, max_size=2))
+            .map(lambda t: {**t[2], t[0]: t[1]}))
+
+
+@given(st.integers(0, 3).flatmap(_bytes_table_at) | _MIXED_VALUES)
+@example(())
+@example((b"",))
+@example((b"\x00\xff", b"", b"\xff\x00"))
+@example({"a": [(b"\x00",), 1], "b": {"c": [[(b"\xff", b"\xff")]]}})
+def test_emit_writes_bytes_tables_as_json_dumps_writes_their_lists(value):
+    import io
+
+    from skewbrace.cli import emit
+
+    expected = json.dumps(_rows_as_lists(value), indent=2, sort_keys=True) + "\n"
+    assert emit(value) == expected
+    first, second = io.StringIO(), io.StringIO()
+    assert len(emit(value, "json", [first, second])) == len(expected)
+    assert first.getvalue() == second.getvalue() == expected
+
+
+def test_emit_writes_each_distinct_row_once_per_report(monkeypatch):
+    written = []
+    missing = cli._RowTexts.__missing__
+
+    def counted(texts, row):
+        written.append(row)
+        return missing(texts, row)
+
+    monkeypatch.setattr(cli._RowTexts, "__missing__", counted)
+    rows = [bytes((a + k) % 5 for k in range(5)) for a in range(5)]
+    report = {"tables": [tuple(rows[(a + i) % 5] for a in range(5)) for i in range(7)]}
+    expected = json.dumps(_rows_as_lists(report), indent=2, sort_keys=True) + "\n"
+    for _ in range(2):   # a second report starts with no rows written
+        written.clear()
+        assert cli.emit(report) == expected
+        assert sorted(written) == sorted(rows)
+
+
+def test_emit_streams_bytes_tables_without_holding_them():
+    import io
+    import tracemalloc
+
+    from skewbrace.cli import emit
+
+    # like a census report: the rows of circ tables over Z16 are the 128 maps x -> v + u x of Hol(Z16)
+    pool = [bytes((v + u * x) % 16 for x in range(16)) for u in range(1, 16, 2) for v in range(16)]
+    report = {"braces": [{"circ": tuple(pool[(i * 7 + a * (i % 5 + 1)) % 128] for a in range(16)), "i": i}
+                         for i in range(600)]}
+    expected = json.dumps(_rows_as_lists(report), indent=2, sort_keys=True) + "\n"
+    assert emit(report) == expected
+    first, second = io.StringIO(), io.StringIO()
+    assert len(emit(report, "json", [first, second])) == len(expected)
+    assert first.getvalue() == second.getvalue() == expected
+
+    class Sink:
+        def write(self, text):
+            pass
+
+    tracemalloc.start()
+    try:
+        emit(report, "json", [Sink()])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(expected) // 4
 
 
 def test_emit_batches_are_bounded_by_size():

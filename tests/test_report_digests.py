@@ -119,7 +119,10 @@ def test_failing_operator_report_bytes_are_pinned(tmp_path, capsys, seed):
 # run the largest automorphism searches of the table commands. The entries
 # after the first verify-brace pair were pinned on the tables of int tuples,
 # before they became bytes rows; the "shuffled" files have their identity at
-# label 5, and the linear system is the one _linear_files writes.
+# label 5, and the linear system is the one _linear_files writes. The four
+# enumerate reports of order 16 at the end, the order-16 groups of the
+# enumerate benchmark, were pinned on the emitter that wrote every table
+# entry as an int, before tables were written from their bytes rows.
 
 TABLE_GROUPS = {
     "Z2xZ2xZ2": lambda: groups.direct_product(
@@ -137,6 +140,9 @@ TABLE_GROUPS = {
         groups.cyclic_group(2), name="Z4xZ2xZ2"),
     "Z8": lambda: groups.cyclic_group(8),
     "Z4xZ4": lambda: groups.direct_product(groups.cyclic_group(4), groups.cyclic_group(4)),
+    "Z16": lambda: groups.cyclic_group(16),
+    "Z8xZ2": lambda: groups.direct_product(groups.cyclic_group(8), groups.cyclic_group(2)),
+    "Q16": lambda: groups.dicyclic_group(4),
 }
 
 # Moves the identity of an order-8 table to label 5, so that the reports of
@@ -274,6 +280,14 @@ TABLE_REPORT_SHA256 = [
      "578156d588b9d10072637365027e2c1ad94b210d888b800ef373c27c925b5d22"),
     (("rb", "search", "D8"), 0,
      "8b303f443e5902e40cd8495381d630c7337e9a3aedb86969badeb76e53531bda"),
+    (("enumerate", "Z16"), 0,
+     "a6e5dfb903cb990fcf6b88850739f9655947dea705f0c63a6083a424842d7fc6"),
+    (("enumerate", "Z8xZ2"), 0,
+     "c9eb65832238a10cc0a86941eb3b8c41d07701c5ba77b395e4267cbc0e6efa13"),
+    (("enumerate", "D16"), 0,
+     "e72a70d3c22cc94d2c8f1e0b9075cac664a2c7e1f613c442945a53b1ba691319"),
+    (("enumerate", "Q16"), 0,
+     "727e11b621c415ea613c51fe131f635bcb43c5d33468dcf007f3c9ac7358e1ea"),
 ]
 
 

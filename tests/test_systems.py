@@ -17,6 +17,7 @@ from skewbrace.groups import compose, identity_map, is_multiplicative
 from skewbrace.rota import inversion_operator
 from skewbrace.systems import (
     build_linear_system,
+    check_linear_preconditions,
     build_rb_multibrace,
     build_rooted_system,
     detect_period,
@@ -173,6 +174,27 @@ def test_precondition_errors(s3, z4):
         build_linear_system(s3, anti, depth=1)  # not a homomorphism
     with pytest.raises(PreconditionFails):
         build_linear_system(z4, [(0, 1, 1, 1)] * 4, depth=1)
+
+
+def test_every_homomorphic_symmetric_brace_meets_the_linear_preconditions():
+    """The proof in check_linear_preconditions, over every labeled brace of the census groups.
+
+    Each such brace is also level 1 of the linear system of its own lambda.
+    """
+    z8xz2 = groups.direct_product(groups.cyclic_group(8), groups.cyclic_group(2))
+    bench16 = [groups.cyclic_group(16), z8xz2, groups.dihedral_group(8), groups.dicyclic_group(4)]
+    seen = nontrivial = 0
+    for g in groups.small_group_catalog(12) + bench16:
+        for brace in enumerate_circ_ops(g):
+            flags = brace.classification
+            if flags.lambda_homomorphic and flags.symmetric:
+                facts = check_linear_preconditions(g, list(brace.lam.maps))
+                assert facts.maps == brace.lam.maps and facts.image_abelian, g.name
+                level1 = build_linear_system(g, facts.maps, depth=1)
+                assert level1.vertices[level1.label_map[1]].table == brace.circ.table, g.name
+                seen += 1
+                nontrivial += facts.image_order > 1 and not g.is_abelian
+    assert (seen, nontrivial) == (563, 304)
 
 
 def test_vertex_cap(z4, monkeypatch):
