@@ -683,10 +683,92 @@ def brace_from_regular_subgroup(base: FiniteGroup, maps) -> SkewBrace:
     return SkewBrace.from_lambda(LambdaMap.of_automorphisms(base, maps))
 
 
+def _generating_maps(elements) -> list:
+    """Some of ``elements``, a group of image arrays listed identity first, that generate it.
+
+    Taken by decreasing order, each one kept is the first element outside
+    the subgroup H that those kept before it generate; the grown subgroup is
+    H times the new one, closed under every one kept.
+    """
+    gens, closure = [], {elements[0]}
+    for f in sorted(elements, key=permutation_order, reverse=True):
+        if len(closure) == len(elements):
+            break
+        if f not in closure:
+            gens.append(f)
+            queue = [compose(x, f) for x in closure]
+            for y in queue:
+                if y not in closure:
+                    closure.add(y)
+                    queue += [compose(y, g) for g in gens]
+    return gens
+
+
+def assignment_orbits(automorphisms, assignments) -> list:
+    """The sorted lambda assignments of ``regular_subgroups`` split into Aut(G)-orbits.
+
+    psi in Aut G moves an assignment f to psi.f, with (psi.f)_{psi(a)} =
+    psi f_a psi^-1: the lambda of f's brace relabeled along psi, so the orbits
+    are the isomorphism classes (Guarnieri-Vendramin). Each orbit is a list
+    led by its least member, the first assignment no earlier orbit holds; the
+    rest follow breadth first under a generating set of Aut G, conjugating
+    through one memo of |gens| |Aut| entries. Every image must be one of
+    ``assignments``, else CriterionMismatch: they are then Aut(G)-stable, and
+    the orbits partition them.
+    """
+    members = set(assignments)
+    moves = []
+    for psi in _generating_maps(automorphisms):
+        psi_inv = invert_permutation(psi)
+        moves.append((psi_inv, {f: compose(psi, compose(f, psi_inv)) for f in automorphisms}))
+    seen, orbits = set(), []
+    for rep in assignments:
+        if rep in seen:
+            continue
+        seen.add(rep)
+        orbit = [rep]
+        for maps in orbit:
+            for psi_inv, conj in moves:
+                image = tuple(map(conj.__getitem__, map(maps.__getitem__, psi_inv)))
+                if image not in seen:
+                    if image not in members:
+                        raise CriterionMismatch(f"regular subgroup {assignments.index(maps)} has "
+                                                "an Aut(G)-conjugate that the walk did not find")
+                    seen.add(image)
+                    orbit.append(image)
+        orbits.append(orbit)
+    return orbits
+
+
+def _carried_brace(add: FiniteGroup, pads, maps, flags: Classification) -> SkewBrace:
+    """The brace a o b = a . maps[a](b), an automorphic image of a checked brace with flags ``flags``.
+
+    ``pads[a]`` is _lut(add.table[a]); lambda stays lazy.
+    """
+    brace = SkewBrace.__new__(SkewBrace)
+    brace.add, brace.circ = add, FiniteGroup(tuple(map(bytes.translate, maps, pads)))
+    brace._lam_images, brace._lam, brace._classification = maps, None, flags
+    return brace
+
+
 def enumerate_circ_ops(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> list:
-    """One skew brace per regular subgroup of Hol G, sorted by multiplicative table."""
+    """One skew brace per regular subgroup of Hol G, sorted by multiplicative table.
+
+    One brace per Aut(G)-orbit of assignment_orbits, its representative, is
+    built and checked exactly by brace_from_regular_subgroup and classified.
+    The rest of the orbit is carried over by automorphism, under
+    assignment_orbits' closure invariant: each other member is that brace
+    relabeled along an automorphism, its table built from its own lambda,
+    with the representative's flags, all five of which are isomorphism
+    invariants.
+    """
     auts = holomorph_automorphisms(group, max_order)
-    braces = [brace_from_regular_subgroup(group, maps) for maps in regular_subgroups(group, auts)]
+    pads = [_lut(row) for row in group.table]
+    braces = []
+    for rep, *others in assignment_orbits(auts, regular_subgroups(group, auts)):
+        brace = brace_from_regular_subgroup(group, rep)
+        flags = brace.classification
+        braces += [brace] + [_carried_brace(group, pads, maps, flags) for maps in others]
     return sorted(braces, key=lambda b: b.circ.table)
 
 

@@ -186,6 +186,29 @@ def isomorphism_classes_by_orbit(braces):
     return classes
 
 
+def circ_orbits_by_relabeling(group, circ_tables):
+    """The circ tables of labeled braces over ``group`` split into Aut(G)-orbits, as sets.
+
+    Two labeled braces over one addition are isomorphic iff an automorphism
+    psi of the addition relabels one circ table into the other, psi(a) o'
+    psi(b) = psi(a o b). Each orbit is every relabeling of the least table
+    not yet placed, with the automorphisms found by homomorphisms_by_extension.
+    """
+    n = group.order
+    auts = homomorphisms_by_extension(group, group, True)
+    unseen = {tuple(tuples(t)) for t in circ_tables}
+    orbits = []
+    while unseen:
+        circ = min(unseen)
+        orbit = set()
+        for phi in auts:
+            inv = invert_by_index(phi)
+            orbit.add(tuple(tuple(phi[circ[inv[a]][inv[b]]] for b in range(n)) for a in range(n)))
+        orbits.append(orbit)
+        unseen -= orbit
+    return orbits
+
+
 def regular_subgroup_count_by_lambda_walk(group):
     """Count regular subgroups of Hol G by assigning an automorphism to each element.
 

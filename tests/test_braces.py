@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     brute_force_circ_tables,
+    circ_orbits_by_relabeling,
     classification_by_scan,
     compose_by_index,
     holomorph_members,
@@ -560,6 +561,46 @@ def test_enumerate_builds_no_holomorph_table(monkeypatch):
     found = enumerate_circ_ops(cube)
     assert len(found) == expected
     assert built and max(built) == 8
+
+
+# --- Aut(G)-orbits ----------------------------------------------------------------
+
+ORBIT_GROUPS = groups.small_group_catalog(12)[1:] + [
+    groups.cyclic_group(16),
+    groups.direct_product(groups.cyclic_group(8), groups.cyclic_group(2), name="Z8xZ2"),
+    groups.dihedral_group(8),
+    groups.dicyclic_group(4),
+]
+# the four order-16 groups of the enumerate benchmark: D16 and Q16 are named D8 and Dic4 here
+ORDER_16_ORBITS = {"Z16": 8, "Z8xZ2": 66, "D8": 80, "Dic4": 80}
+
+
+def test_every_enumerated_brace_equals_its_rebuild_by_the_left_law():
+    # one brace per orbit is checked; the others are carried over by automorphism
+    for g in ORBIT_GROUPS:
+        for brace in enumerate_circ_ops(g):
+            rebuilt = SkewBrace(brace.add, brace.circ)
+            assert rebuilt.lam.maps == brace.lam.maps, g.name
+            assert classify(rebuilt) == brace.classification, g.name
+
+
+@pytest.mark.parametrize("group", ORBIT_GROUPS, ids=lambda g: g.name)
+def test_orbits_partition_the_census_as_relabeling_does(group):
+    n, t = group.order, group.table
+    auts = groups.automorphism_group(group)
+    found = braces.regular_subgroups(group, auts)
+    orbits = braces.assignment_orbits(auts, found)
+    assert sorted(m for orbit in orbits for m in orbit) == found
+    assert all(len(auts) % len(orbit) == 0 for orbit in orbits)     # orbit-stabilizer
+    assert [orbit[0] for orbit in orbits] == sorted(min(orbit) for orbit in orbits)
+
+    def circ(maps):
+        return tuple(tuple(t[a][maps[a][b]] for b in range(n)) for a in range(n))
+
+    by_relabeling = circ_orbits_by_relabeling(group, [circ(m) for m in found])
+    assert {frozenset(map(circ, orbit)) for orbit in orbits} == set(map(frozenset, by_relabeling))
+    if n == 16:
+        assert len(orbits) == ORDER_16_ORBITS[group.name]
 
 
 # --- one lambda pass per brace ---------------------------------------------------

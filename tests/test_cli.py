@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 from hypothesis import example, given
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from skewbrace import braces, cli, config, groups, rng, rota, structure, systems, words
 from skewbrace.braces import brace_to_json, op_brace, trivial_brace
 from skewbrace.cli import main
+from skewbrace.errors import CriterionMismatch
 
 
 def write(tmp_path, name, payload):
@@ -290,6 +292,25 @@ def test_derived_table_failure_exits_3_not_2(tmp_path, capsys, monkeypatch):
     assert json.loads(err) == {"invariant_failure": {
         "command": "construct", "error": "CriterionMismatch",
         "message": "lambda_(a o b) is not lambda_a lambda_b at (0, 0)"}}
+
+
+def test_census_missing_a_conjugate_exits_3(tmp_path, capsys, monkeypatch):
+    # the walk's output must be Aut(G)-stable: drop one member of an orbit of Q8
+    q8 = groups.dicyclic_group(2)
+    auts = groups.automorphism_group(q8)
+    walk = braces.regular_subgroups
+    orbit = next(o for o in braces.assignment_orbits(auts, walk(q8, auts)) if len(o) > 1)
+    kept = [maps for maps in walk(q8, auts) if maps != orbit[1]]
+    monkeypatch.setattr(braces, "regular_subgroups", lambda base, automorphisms: kept)
+    message = r"regular subgroup (\d+) has an Aut\(G\)-conjugate that the walk did not find"
+    with pytest.raises(CriterionMismatch, match=message) as raised:
+        braces.enumerate_circ_ops(q8)
+    assert kept[int(re.match(message, str(raised.value))[1])] in orbit
+    code, out, err = run(capsys, ["enumerate", "--in", write(tmp_path, "q8.json", groups.group_to_json(q8))])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {"invariant_failure": {
+        "command": "enumerate", "error": "CriterionMismatch", "message": str(raised.value)}}
 
 
 @pytest.mark.parametrize("maps,message", [

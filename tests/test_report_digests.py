@@ -122,7 +122,10 @@ def test_failing_operator_report_bytes_are_pinned(tmp_path, capsys, seed):
 # label 5, and the linear system is the one _linear_files writes. The four
 # enumerate reports of order 16 at the end, the order-16 groups of the
 # enumerate benchmark, were pinned on the emitter that wrote every table
-# entry as an int, before tables were written from their bytes rows.
+# entry as an int, before tables were written from their bytes rows. The
+# rooted systems of D8, Q8 and A4 (20, 28 and 42 vertices), the other report
+# built from enumerate_circ_ops, were pinned on the enumeration that built and
+# checked every labeled brace, before it checked one per Aut(G)-orbit.
 
 TABLE_GROUPS = {
     "Z2xZ2xZ2": lambda: groups.direct_product(
@@ -288,6 +291,12 @@ TABLE_REPORT_SHA256 = [
      "e72a70d3c22cc94d2c8f1e0b9075cac664a2c7e1f613c442945a53b1ba691319"),
     (("enumerate", "Q16"), 0,
      "727e11b621c415ea613c51fe131f635bcb43c5d33468dcf007f3c9ac7358e1ea"),
+    (("system", "rooted", "D8"), 0,
+     "eeab746603c1c736aff64b55dffd58a89ce76242c68fd7c77d5a991d82dacd2f"),
+    (("system", "rooted", "Q8"), 0,
+     "2d0c7fd6db5ec5bad872a525c96c4c27271e9873de6512662581b9c53a77be68"),
+    (("system", "rooted", "A4"), 0,
+     "b57f5ad07de23ba6f09d3219133bd17490ed3d71f44d7f0963c3923ffc9ab4b0"),
 ]
 
 
@@ -296,6 +305,8 @@ def _table_argv(tmp_path, case):
         return ["enumerate", "--in", _group_file(tmp_path, case[1])]
     if case[0] == "rb":
         return ["rb", "search", "--group", _group_file(tmp_path, case[2])]
+    if case[:2] == ("system", "rooted"):
+        return ["system", "--kind", "rooted", "--group", _group_file(tmp_path, case[2])]
     if case[0] == "system":
         group, lam = _linear_files(tmp_path, case[2])
         return ["system", "--kind", "linear", "--group", group, "--lambda", lam]
