@@ -37,6 +37,7 @@ from .groups import (
     compose,
     coset_labels,
     group_isomorphisms,
+    hom_witness,
     holomorph_automorphisms,
     identity_map,
     invert_permutation,
@@ -47,6 +48,7 @@ from .groups import (
     structure_subgroups,
     subgroup_closure_in,
     table_field,
+    transpose,
     verify_group,
 )
 
@@ -82,17 +84,17 @@ class LambdaMap:
     def of(group: FiniteGroup, lam) -> "LambdaMap":
         """The facts of an untrusted assignment given per element as an image array.
 
-        Raises ValueError when ``lam`` is not a list of at least n maps or a
+        Raises ValueError when ``lam`` is not a list of exactly n maps or a
         map is not a list of n images in 0..n-1, and NotAutomorphism for the first
         element whose value is not an automorphism of the group.
         """
         n = group.order
         if not isinstance(lam, (list, tuple)):
             raise ValueError("lambda must be a list of maps")
-        if len(lam) < n:
+        if len(lam) != n:
             raise ValueError(f"lambda has {len(lam)} maps, the group has {n} elements")
         arrays = []
-        for a, img in enumerate(lam[:n]):
+        for a, img in enumerate(lam):
             if not is_self_map(img, n):
                 raise ValueError(f"lambda map of element {a} must list {n} images in 0..{n - 1}")
             img = bytes(img)
@@ -157,18 +159,15 @@ def _index_row(indices) -> bytes | tuple:
 
 
 def _first_unequal_pair(table, which: bytes, prod) -> tuple | None:
-    """First (a, b) with which[a b] != prod[which[a]][which[b]], or None.
+    """First (a, b) with which[a b] != prod[which[a]][which[b]], or None: hom_witness(table, prod, which).
 
-    ``prod`` holds -1 where a product of two lambda values is none of them.
-    When it holds none, each row a is one translate and one compare; only a
-    row that differs, or every row otherwise, is scanned for the first b.
+    A row of ``prod`` that holds -1, a product of lambda values that is none of
+    them, is a tuple; then every pair is scanned.
     """
-    n = len(table)
-    rows = range(n)
     if all(type(row) is bytes for row in prod):
-        lut, luts = _lut(which), list(map(_lut, prod))
-        rows = (a for a in rows if table[a].translate(lut) != which.translate(luts[which[a]]))
-    return next(((a, b) for a in rows for b in range(n)
+        return hom_witness(table, prod, which)
+    n = len(table)
+    return next(((a, b) for a in range(n) for b in range(n)
                  if which[table[a][b]] != prod[which[a]][which[b]]), None)
 
 
@@ -284,24 +283,15 @@ def _lambda_arrays(add: FiniteGroup, circ: FiniteGroup) -> tuple:
     (a o b) . lambda_a lambda_b(x), so lambda_{a o b} = lambda_a lambda_b is
     too: the a where the law holds are closed under o, hence all of the
     finite G once they hold the generators of (G, o), with no shared identity
-    needed. Only when a generator fails is every a tried in order, and the
-    first that fails is scanned over all (b, c) for its witness.
+    needed. Only when a generator fails is every a tried in order, and
+    hom_witness gives the first (b, c) of the first a that fails.
     """
-    n = add.order
-    at, ct, ainv = add.table, circ.table, add.inverse
-    arrays = [row.translate(_lut(at[ainv[a]])) for a, row in enumerate(ct)]
+    at = add.table
+    arrays = [row.translate(_lut(at[add.inverse[a]])) for a, row in enumerate(circ.table)]
     if all(is_multiplicative(add, at, arrays[a]) for a in circ.generators):
         return arrays, None
-    for a in range(n):
-        if not is_multiplicative(add, at, arrays[a]):
-            ca, ia = ct[a], ainv[a]
-            for b in range(n):
-                left_ab = at[ca[b]][ia]
-                ab = at[b]
-                for c in range(n):
-                    if ca[ab[c]] != at[left_ab][ca[c]]:
-                        return None, (a, b, c)
-    return arrays, None
+    a = next(a for a, images in enumerate(arrays) if not is_multiplicative(add, at, images))
+    return None, (a, *hom_witness(at, at, arrays[a]))
 
 
 def left_law_witness(add: FiniteGroup, circ: FiniteGroup) -> tuple | None:
@@ -315,23 +305,25 @@ def right_law_witness(add: FiniteGroup, circ: FiniteGroup) -> tuple | None:
     At a fixed c the law says rho_c(x) = (x o c) . c^-1 is multiplicative.
     As for the left law, x o (c o d) = rho_d rho_c(x) . (c o d) gives
     rho_{c o d} = rho_d rho_c, so the c where the law holds are closed under
-    o and it is checked only for the generators c of (G, o); only when one
-    fails there are all triples scanned for the first witness.
+    o and it is checked only for the generators c of (G, o). When one fails, the
+    witness is the least (a, b, c) over all c, (a, b) from rho_c's hom_witness.
     """
-    n = add.order
-    at, ct, ainv = add.table, circ.table, add.inverse
-    ccols, acols = circ.columns, add.columns
-    if all(is_multiplicative(add, at, ccols[c].translate(_lut(acols[ainv[c]])))
-           for c in circ.generators):
+    at, ccols, acols, ainv = add.table, circ.columns, add.columns, add.inverse
+
+    def rho(c):
+        return ccols[c].translate(_lut(acols[ainv[c]]))
+
+    if all(is_multiplicative(add, at, rho(c)) for c in circ.generators):
         return None
-    for a in range(n):
-        for b in range(n):
-            ab = at[a][b]
-            for c in range(n):
-                rhs = at[at[ct[a][c]][ainv[c]]][ct[b][c]]
-                if ct[ab][c] != rhs:
-                    return (a, b, c)
-    return None
+    first = None
+    for c in range(add.order):
+        # a later c gives a lesser triple only at a lesser pair, in the rows up to first's a
+        witness = hom_witness(at, at, rho(c), range(first[0] + 1) if first else None)
+        if witness is not None:
+            first = min(first or (add.order,), (*witness, c))
+            if first[:2] == (0, 0):
+                break
+    return first
 
 
 @dataclass(frozen=True)
@@ -490,34 +482,33 @@ def construct_unification(group: FiniteGroup, f_images, alpha, epsilon: int = 1)
             and all(is_self_map(row, n) for row in alpha)):
         raise ValueError(f'"alpha" must be a {n}x{n} table of elements in 0..{n - 1}')
     f = bytes(f_images)
-    alpha = tuple(tuple(row) for row in alpha)
+    alpha = tuple(map(bytes, alpha))
     info = structure_subgroups(group)
     center = set(info.center)
-    t, inv, q = group.table, group.inverse, _lut(group.center_labels)
+    t, inv = group.table, group.inverse
 
     a_part = subgroup_closure_in(group, tuple(f) + tuple(center))
     for u in a_part:
         for v in a_part:
             if group.commutator(u, v) not in center:
                 raise ImageNotAbelianModCenter(f"[{u}, {v}] is not central")
-    f_labels = _lut(f.translate(q))     # f(a b) (f(a) f(b))^-1 is central iff f(a b) Z = f(a) f(b) Z
-    for a, row in enumerate(t):
-        lhs, rhs = row.translate(f_labels), f.translate(_lut(t[f[a]])).translate(q)
-        if lhs != rhs:
-            b = next(b for b in range(n) if lhs[b] != rhs[b])
-            raise NotEndomorphismModCenter(f"f fails at pair ({a}, {b})")
+    # f(a b) (f(a) f(b))^-1 is central iff f(a b) Z = f(a) f(b) Z
+    witness = hom_witness(t, t, f, labels=group.center_labels)
+    if witness is not None:
+        raise NotEndomorphismModCenter(f"f fails at pair {witness}")
 
     for a in range(n):
         for b in range(n):
             if alpha[a][b] not in center:
                 raise NotBilinear(f"alpha({a},{b}) is not central")
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if alpha[t[a][b]][c] != t[alpha[a][c]][alpha[b][c]]:
-                    raise NotBilinear(f"alpha not additive on the left at ({a},{b},{c})")
-                if alpha[a][t[b][c]] != t[alpha[a][b]][alpha[a][c]]:
-                    raise NotBilinear(f"alpha not additive on the right at ({a},{b},{c})")
+    # additive on the left at (a, b, c) iff alpha(., c) is multiplicative at (a, b)
+    left = min(((*w, c) for c, col in enumerate(transpose(alpha)) if (w := hom_witness(t, t, col))),
+               default=None)
+    right = next(((a, *w) for a, row in enumerate(alpha) if (w := hom_witness(t, t, row))), None)
+    if left and (right is None or left <= right):
+        raise NotBilinear("alpha not additive on the left at ({},{},{})".format(*left))
+    if right:
+        raise NotBilinear("alpha not additive on the right at ({},{},{})".format(*right))
     for z in center:
         for b in range(n):
             if alpha[z][b] != 0 or alpha[b][z] != 0:

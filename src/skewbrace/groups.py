@@ -128,18 +128,32 @@ class FiniteGroup:
         return f"FiniteGroup({label})"
 
 
+def hom_witness(src, dst, images: bytes, rows=None, labels: bytes | None = None) -> tuple | None:
+    """First (a, b) with images[src[a][b]] != dst[images[a]][images[b]], a over ``rows``, or None.
+
+    ``rows`` defaults to every row of src. Each a is one row compare, the row of
+    a mapped through the images against the images mapped through the row of
+    images[a], and only a row that differs is scanned for its b. Compared through
+    ``labels = coset_labels(G, K)``, it tests images[a b] in images[a] images[b] K.
+    """
+    lut = _lut(images)
+    if labels is not None:      # both sides taken to their labels
+        to_labels = _lut(labels)
+        lut, dst = lut.translate(to_labels), [row.translate(to_labels) for row in dst]
+    for a in range(len(src)) if rows is None else rows:
+        lhs, rhs = src[a].translate(lut), images.translate(_lut(dst[images[a]]))
+        if lhs != rhs:
+            return a, next(b for b, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+    return None
+
+
 def is_multiplicative(src: FiniteGroup, dst_table, images: bytes) -> bool:
     """True iff images[a b] = images[a] images[b] for all a, b, with the right side in dst_table.
 
-    Checked for each generator a of src against every b (at a = 0 for the
-    trivial group, which has none), one row at a time: the row of a mapped
-    through the images against the images mapped through the row of
-    images[a]. The a where it holds are closed under products, so when both
-    operations are associative it holds everywhere.
+    hom_witness on the generator rows of src (row 0 for the trivial group): the a
+    where it holds are closed under products, so in groups it then holds everywhere.
     """
-    lut = _lut(images)
-    return all(src.table[a].translate(lut) == images.translate(_lut(dst_table[images[a]]))
-               for a in src.generators or (0,))
+    return hom_witness(src.table, dst_table, images, src.generators or (0,)) is None
 
 
 def is_self_map(values, n: int) -> bool:
@@ -786,9 +800,10 @@ def group_check_from_json(data, max_order: int = MAX_GROUP_ORDER) -> GroupCheck:
     """The check of a group file, the one reader of the JSON group format.
 
     Either {"name", "order", "table"} with an arbitrary labeling, checked by
-    verify_group (which moves the identity to 0), or {"name", "degree",
-    "generators"} with cycle notation on points 1..degree. A declared "order"
-    that is not the table's integer size, a misshapen field, a degree above
+    verify_group (which moves the identity to 0), or {"name", "order",
+    "degree", "generators"} with cycle notation on points 1..degree. A
+    declared "order" that is not the integer size of the table or of the
+    generated group, a misshapen field, a degree above
     MAX_PERMUTATION_DEGREE, generators of a group above ``max_order``
     or neither form raises.
     """
@@ -798,10 +813,8 @@ def group_check_from_json(data, max_order: int = MAX_GROUP_ORDER) -> GroupCheck:
     name = data.get("name", "")
     if "table" in data:
         table = table_field(data, "table")
-        if "order" in data and (type(data["order"]) is not int or data["order"] != len(table)):
-            raise InvalidGroup((Violation("not_square", (data["order"],)),))
-        return verify_group(table, name=name)
-    if "generators" in data:
+        order = len(table)
+    elif "generators" in data:
         degree = json_field(data, "degree", "group file")
         if type(degree) is not int or degree < 1:
             raise ValueError('"degree" must be a positive integer')
@@ -811,8 +824,13 @@ def group_check_from_json(data, max_order: int = MAX_GROUP_ORDER) -> GroupCheck:
         if not isinstance(texts, list) or not all(isinstance(g, str) for g in texts):
             raise ValueError('"generators" must be a list of permutations, each a string')
         gens = [parse_cycles(g, degree) for g in texts]
-        return GroupCheck(True, group_from_permutations(gens, degree, name, max_order), None, ())
-    raise InvalidGroup((Violation("no_identity", ()),))
+        group = group_from_permutations(gens, degree, name, max_order)
+        order = group.order
+    else:
+        raise InvalidGroup((Violation("no_identity", ()),))
+    if "order" in data and (type(data["order"]) is not int or data["order"] != order):
+        raise InvalidGroup((Violation("not_square", (data["order"],)),))
+    return verify_group(table, name=name) if "table" in data else GroupCheck(True, group, None, ())
 
 
 def group_from_json(data, max_order: int = MAX_GROUP_ORDER) -> FiniteGroup:

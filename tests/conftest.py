@@ -1,7 +1,10 @@
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 settings.register_profile("ci", derandomize=True, max_examples=60, deadline=None)
+# "ci" without shrinking: a failing property test reports its first failing example at once
+settings.register_profile("ci-no-shrink", settings.get_profile("ci"),
+                          phases=[phase for phase in Phase if phase is not Phase.shrink])
 settings.load_profile("ci")
 
 

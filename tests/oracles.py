@@ -633,6 +633,32 @@ def multiplicative_by_full_scan(src, dst, images):
                for a in range(n) for b in range(n))
 
 
+def hom_witness_by_full_scan(src, dst, images, rows=None, labels=None):
+    """First (a, b), a over ``rows`` (all rows by default), with images[a b] != images[a] images[b].
+
+    Products are read in the tables src and dst, one subscript at a time;
+    with ``labels`` the two sides are compared by their labels.
+    """
+    n = len(src)
+    label = (lambda x: x) if labels is None else labels.__getitem__
+    return next(((a, b) for a in (range(n) if rows is None else rows) for b in range(n)
+                 if label(images[src[a][b]]) != label(dst[images[a]][images[b]])), None)
+
+
+def bilinearity_failure_by_scan(table, alpha):
+    """((left, right), (a, b, c)) at the first triple where alpha is not additive on a side, or None.
+
+    Left: alpha(a b, c) = alpha(a, c) alpha(b, c); right: alpha(a, b c) = alpha(a, b) alpha(a, c).
+    """
+    n = len(table)
+    for a, b, c in product(range(n), repeat=3):
+        sides = (alpha[table[a][b]][c] != table[alpha[a][c]][alpha[b][c]],
+                 alpha[a][table[b][c]] != table[alpha[a][b]][alpha[a][c]])
+        if any(sides):
+            return sides, (a, b, c)
+    return None
+
+
 def subgroup_closure_all_pairs(table, seeds):
     """Close {0} and the seeds under every product of two members, both ways round."""
     members = {0} | set(seeds)

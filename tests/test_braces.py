@@ -4,6 +4,7 @@ import re
 import pytest
 
 from oracles import (
+    bilinearity_failure_by_scan,
     brute_force_circ_tables,
     circ_orbits_by_relabeling,
     classification_by_scan,
@@ -373,6 +374,28 @@ def test_unification_rejects_bad_alpha(d4):
     broken = [[2 if (a == 1 and b == 4) else 0 for b in range(8)] for a in range(8)]
     with pytest.raises(NotBilinear):
         construct_unification(d4, [0] * 8, broken, 1)
+
+
+def test_unification_names_the_first_triple_where_alpha_is_not_additive():
+    # central values at random places; where both sides fail first at one triple, the left is named
+    rng = random.Random("alpha")
+    kinds = set()
+    for group in groups.small_group_catalog(8)[1:]:
+        n = group.order
+        for _ in range(60):
+            alpha = [[0] * n for _ in range(n)]
+            for _ in range(rng.randrange(1, 4)):
+                alpha[rng.randrange(1, n)][rng.randrange(1, n)] = rng.choice(group.center)
+            failure = bilinearity_failure_by_scan(tuples(group.table), alpha)
+            if failure is None:
+                continue
+            sides, (a, b, c) = failure
+            kinds.add(sides)
+            with pytest.raises(NotBilinear) as raised:
+                construct_unification(group, [0] * n, alpha, 1)
+            side = "left" if sides[0] else "right"
+            assert str(raised.value) == f"alpha not additive on the {side} at ({a},{b},{c})"
+    assert kinds == {(True, False), (False, True), (True, True)}
 
 
 def test_unification_rejects_bad_f(d4, s3):

@@ -324,6 +324,8 @@ def test_census_missing_a_conjugate_exits_3(tmp_path, capsys, monkeypatch):
      "lambda map of element 1 must list 4 images in 0..3"),
     ([[0, 1, 2, 3], [0, -1, 2, 1], [0, 1, 2, 3], [0, 3, 2, 1]],
      "lambda map of element 1 must list 4 images in 0..3"),
+    ([[0, 1, 2, 3], [0, 3, 2, 1], [0, 1, 2, 3], [0, 3, 2, 1], "junk"],
+     "lambda has 5 maps, the group has 4 elements"),
 ])
 @pytest.mark.parametrize("command", [["system", "--kind", "linear"],
                                      ["construct", "--kind", "from-lambda"]])

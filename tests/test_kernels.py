@@ -12,6 +12,7 @@ import pytest
 from oracles import (
     compose_by_index,
     derived_table_by_index,
+    hom_witness_by_full_scan,
     invert_by_index,
     lambda_by_index,
     multiplicative_by_full_scan,
@@ -24,14 +25,17 @@ from skewbrace.groups import (
     MAX_TABLE_ORDER,
     automorphism_group,
     compose,
+    coset_labels,
     cyclic_group,
     dicyclic_group,
     dihedral_group,
     direct_product,
     endomorphisms,
+    hom_witness,
     invert_permutation,
     is_multiplicative,
     small_group_catalog,
+    subgroup_closure_in,
 )
 from skewbrace.rota import (
     derived_table,
@@ -89,6 +93,40 @@ def test_is_multiplicative_matches_the_full_scan(group):
         for images in maps + perms + known_homomorphisms(group):
             assert is_multiplicative(group, dst, images) == \
                 multiplicative_by_full_scan(tuples(group.table), tuples(dst), tuple(images))
+
+
+def non_normal_subgroup(group):
+    """A cyclic subgroup that some element does not conjugate into itself; <1> if there is none."""
+    cyclic = [subgroup_closure_in(group, (g,)) for g in range(1, group.order)] or [(0,)]
+    return next((k for k in cyclic if any(group.conj(g, x) not in k for g in range(group.order)
+                                          for x in k)), cyclic[0])
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
+def test_hom_witness_matches_the_full_scan(group):
+    rng = random.Random(f"{group.name}:witness")
+    n, t = group.order, group.table
+    k = non_normal_subgroup(group)
+    maps, perms = random_maps(group, 4, "witness")
+    homs = known_homomorphisms(group)[:12]
+    # homomorphisms moved within cosets: multiplicative modulo Z(G) or modulo K, not always exactly
+    by_center = [bytes(t[h[x]][rng.choice(group.center)] for x in range(n)) for h in homs]
+    by_k = [bytes(t[h[x]][rng.choice(k)] for x in range(n)) for h in homs]
+    src = tuples(t)
+    found = set()
+    for labels in (None, group.center_labels, coset_labels(group, k)):
+        for rows in (None, group.generators or (0,)):
+            for dst in (group.table, group.columns):
+                for images in maps + perms + homs + by_center + by_k:
+                    witness = hom_witness(t, dst, images, rows, labels)
+                    assert witness == hom_witness_by_full_scan(src, tuples(dst), tuple(images),
+                                                               rows, labels)
+                    found.add((labels is None, witness is None))
+    # exact and modulo tests each both pass and fail, where the group allows it
+    assert {(True, True), (False, True)} <= found
+    assert ((True, False) in found) == (n > 1)
+    if not group.is_abelian:
+        assert (False, False) in found
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)

@@ -190,11 +190,14 @@ PINNED = [
                "circ": [[0, 1, 2], [1, 2, -3], [2, -3, 1]]},
      "entry_out_of_range', witness=(1, 2)"),
     ("group", {"order": 5, "table": [[0, 1], [1, 0]]}, "not_square', witness=(5,)"),
+    ("group", {"degree": 3, "generators": ["(1 2)", "(1 2 3)"], "order": 5},
+     "not_square', witness=(5,)"),
 ]
 
 
 @pytest.mark.parametrize("argv,slot,payload,violation", [
-    pytest.param(argv, slot, payload, violation, id=f"{name}-{violation.split(chr(39))[0]}")
+    pytest.param(argv, slot, payload, violation, id=f"{name}-{violation.split(chr(39))[0]}"
+                 + ("-generators" if "generators" in payload else ""))
     for slot, payload, violation in PINNED
     for (_, argv), name in zip(COMMANDS, IDS) if "{" + slot + "}" in argv])
 def test_pinned_non_groups_exit_2_naming_the_violation(valid_paths, argv, slot, payload,
