@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
 from math import gcd
 
 from .errors import (
@@ -33,6 +32,7 @@ from .groups import (
     MAX_GROUP_ORDER,
     FiniteGroup,
     _lut,
+    _permutation_closure,
     _regular_assignments,
     compose,
     coset_labels,
@@ -144,10 +144,10 @@ class LambdaMap:
         that fails is scanned for its first b, so the witness is the first in order.
         """
         labels = coset_labels(self.group, kernel)
-        lut, t, cols, inv = _lut(labels), self.group.table, self.group.columns, self.group.inverse
+        lut, inner = _lut(labels), self.group.inner
         for a, images in enumerate(self.maps):
-            if conjugated:     # c_a: t[a] then right multiplication by a^-1
-                images = images.translate(_lut(t[a].translate(_lut(cols[inv[a]]))))
+            if conjugated:
+                images = images.translate(_lut(inner[a]))
             if images.translate(lut) != labels:
                 return a, next(b for b, x in enumerate(images) if lut[x] != labels[b])
         return None
@@ -456,7 +456,7 @@ def construct_exact_factorization(group: FiniteGroup, a_part, b_part) -> SkewBra
     # a1 b1 = a2 b2 gives a2^-1 a1 = b2 b1^-1 in A & B = {0}: each g is one a b
     decomp = {t[a][b]: (a, b) for a in A for b in B}
     parts = [decomp[g] for g in range(n)]
-    conj = [t[group.inverse[b1]].translate(_lut(group.columns[b1])) for _, b1 in parts]  # b1^-1 x b1
+    conj = [group.inner[group.inverse[b1]] for _, b1 in parts]     # x -> b1^-1 x b1
     brace = SkewBrace.from_lambda(LambdaMap.of_automorphisms(group, conj))
     closed = tuple(bytes(t[t[t[a1][a2]][b2]][b1] for a2, b2 in parts) for a1, b1 in parts)
     if brace.circ.table != closed:
@@ -657,42 +657,22 @@ def regular_subgroups(base: FiniteGroup, automorphisms) -> list:
     first. A regular subgroup holds one pair (f_a, a) over each a in G, so
     it is an assignment a -> f_a, given as the tuple of the f_a: the lambda
     of its brace. groups._regular_assignments walks them with S = Aut G
-    acting by evaluation; automorphisms are composed on demand.
+    acting by evaluation. An automorphism is fixed by its images of the
+    generators of G, its key, so f g is the automorphism whose key is g's key
+    mapped through f.
     """
     auts = automorphisms
-    index = {img: i for i, img in enumerate(auts)}
-
-    @cache
-    def comp(f, g):
-        return index[compose(auts[f], auts[g])]
-
-    return sorted(tuple(auts[f] for f in found) for found in _regular_assignments(base, auts, comp))
+    gens = bytes(base.generators)
+    luts = [_lut(f) for f in auts]
+    keys = [gens.translate(lut) for lut in luts]
+    index = {key: i for i, key in enumerate(keys)}
+    return sorted(tuple(auts[f] for f in found) for found in
+                  _regular_assignments(base, auts, lambda f, g: index[keys[g].translate(luts[f])]))
 
 
 def brace_from_regular_subgroup(base: FiniteGroup, maps) -> SkewBrace:
     """The brace with a o b = a f_a(b), for the regular subgroup with lambda assignment ``maps``."""
     return SkewBrace.from_lambda(LambdaMap.of_automorphisms(base, maps))
-
-
-def _generating_maps(elements) -> list:
-    """Some of ``elements``, a group of image arrays listed identity first, that generate it.
-
-    Taken by decreasing order, each one kept is the first element outside
-    the subgroup H that those kept before it generate; the grown subgroup is
-    H times the new one, closed under every one kept.
-    """
-    gens, closure = [], {elements[0]}
-    for f in sorted(elements, key=permutation_order, reverse=True):
-        if len(closure) == len(elements):
-            break
-        if f not in closure:
-            gens.append(f)
-            queue = [compose(x, f) for x in closure]
-            for y in queue:
-                if y not in closure:
-                    closure.add(y)
-                    queue += [compose(y, g) for g in gens]
-    return gens
 
 
 def assignment_orbits(automorphisms, assignments) -> list:
@@ -702,14 +682,16 @@ def assignment_orbits(automorphisms, assignments) -> list:
     psi f_a psi^-1: the lambda of f's brace relabeled along psi, so the orbits
     are the isomorphism classes (Guarnieri-Vendramin). Each orbit is a list
     led by its least member, the first assignment no earlier orbit holds; the
-    rest follow breadth first under a generating set of Aut G, conjugating
-    through one memo of |gens| |Aut| entries. Every image must be one of
+    rest follow breadth first under a generating set of Aut G, the seeds that
+    groups._permutation_closure keeps from Aut G by decreasing order,
+    conjugating through one memo of |gens| |Aut| entries. Every image must be one of
     ``assignments``, else CriterionMismatch: they are then Aut(G)-stable, and
     the orbits partition them.
     """
     members = set(assignments)
+    by_order = sorted(automorphisms, key=permutation_order, reverse=True)
     moves = []
-    for psi in _generating_maps(automorphisms):
+    for psi in _permutation_closure(automorphisms[0], by_order)[1]:
         psi_inv = invert_permutation(psi)
         moves.append((psi_inv, {f: compose(psi, compose(f, psi_inv)) for f in automorphisms}))
     seen, orbits = set(), []

@@ -16,7 +16,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cache
-from math import gcd
+from math import gcd, inf
 
 from .errors import InvalidGroup, NotASubgroup, OrderCapExceeded
 
@@ -47,7 +47,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("order", "table", "identity", "inverse", "name",
-                 "_columns", "_generators", "_center", "_center_labels")
+                 "_columns", "_generators", "_center", "_center_labels", "_inner")
 
     def __init__(self, table, name: str = ""):
         self.table = tuple(map(bytes, table))
@@ -59,10 +59,11 @@ class FiniteGroup:
         self._generators = None
         self._center = None
         self._center_labels = None
+        self._inner = None
 
     def conj(self, g: int, x: int) -> int:
         """Inner action g x g^-1."""
-        return self.table[self.table[g][x]][self.inverse[g]]
+        return self.inner[g][x]
 
     def commutator(self, a: int, b: int) -> int:
         """[a, b] = a^-1 b^-1 a b."""
@@ -82,6 +83,14 @@ class FiniteGroup:
         if self._columns is None:
             self._columns = transpose(self.table)
         return self._columns
+
+    @property
+    def inner(self) -> tuple:
+        """``inner[g]`` is the image array of the conjugation x -> g x g^-1."""
+        if self._inner is None:
+            cols, inv = self.columns, self.inverse
+            self._inner = tuple(row.translate(_lut(cols[inv[g]])) for g, row in enumerate(self.table))
+        return self._inner
 
     @property
     def is_abelian(self) -> bool:
@@ -354,17 +363,16 @@ def dicyclic_group(n: int) -> FiniteGroup:
 
 
 def _perm_group_from(perms, name: str) -> FiniteGroup:
-    """The group of a set of permutations closed under composition; the identity sorts first, as 0."""
+    """The group of a set of bytes permutations closed under composition; the identity sorts first, as 0."""
     elems = sorted(perms)
     index = {p: i for i, p in enumerate(elems)}
-    return FiniteGroup([bytes(index[tuple(map(p.__getitem__, q))] for q in elems) for p in elems],
-                       name=name)
+    return FiniteGroup([bytes(index[compose(p, q)] for q in elems) for p in elems], name=name)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
     from itertools import permutations
 
-    return _perm_group_from(list(permutations(range(n))), name=f"S{n}")
+    return _perm_group_from(map(bytes, permutations(range(n))), name=f"S{n}")
 
 
 def alternating_group(n: int) -> FiniteGroup:
@@ -378,11 +386,44 @@ def alternating_group(n: int) -> FiniteGroup:
                     s = -s
         return s
 
-    return _perm_group_from([p for p in permutations(range(n)) if sign(p) == 1], name=f"A{n}")
+    return _perm_group_from([bytes(p) for p in permutations(range(n)) if sign(p) == 1], name=f"A{n}")
 
 
 MAX_GROUP_ORDER = 24
 """The default ``max_order``: the largest group the closure and homomorphism searches take."""
+
+MAX_PERMUTATION_DEGREE = MAX_TABLE_ORDER
+"""The largest degree of a permutation group: a point is one byte of a ``bytes`` permutation."""
+
+
+def _checked_degree(degree: int) -> int:
+    """``degree``, or ValueError when it exceeds MAX_PERMUTATION_DEGREE."""
+    if degree > MAX_PERMUTATION_DEGREE:
+        raise ValueError(f'"degree" {degree} exceeds the bound of {MAX_PERMUTATION_DEGREE} points')
+    return degree
+
+
+def _permutation_closure(identity: bytes, seeds, max_order: float = inf) -> tuple:
+    """(members, kept seeds) of the group that the bytes permutations ``seeds`` generate.
+
+    _right_closure's walk, in the same order, on image arrays with x s =
+    compose(x, s); the kept seeds generate the group. OrderCapExceeded at
+    the first member past ``max_order``.
+    """
+    reached, members, gens = {identity}, [identity], []
+    for s in seeds:
+        if s in reached:
+            continue
+        gens.append(s)
+        queue = [(x, s) for x in members]
+        for x, g in queue:
+            if (y := compose(x, g)) not in reached:
+                if len(members) >= max_order:
+                    raise OrderCapExceeded(f"the generated group has order above the cap {max_order}")
+                reached.add(y)
+                members.append(y)
+                queue += [(y, h) for h in gens]
+    return members, gens
 
 
 def group_from_permutations(generators, degree: int, name: str = "",
@@ -391,28 +432,15 @@ def group_from_permutations(generators, degree: int, name: str = "",
 
     The closure stops with OrderCapExceeded as soon as it holds more than
     ``max_order`` elements, or MAX_TABLE_ORDER if that is less, before any
-    table is built.
+    table is built. A degree above MAX_PERMUTATION_DEGREE is a ValueError.
     """
+    identity = bytes(range(_checked_degree(degree)))
     gens = [tuple(g) for g in generators]
     for g in gens:
-        if sorted(g) != list(range(degree)):
-            raise InvalidGroup((Violation("entry_out_of_range", tuple(g)),))
-    max_order = min(max_order, MAX_TABLE_ORDER)
-    closure = {tuple(range(degree))}
-    frontier = list(closure)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = tuple(p[g[x]] for x in range(degree))
-                if q not in closure:
-                    if len(closure) >= max_order:
-                        raise OrderCapExceeded(
-                            f"the generated group has order above the cap {max_order}")
-                    closure.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return _perm_group_from(closure, name=name)
+        if sorted(g) != list(identity):
+            raise InvalidGroup((Violation("entry_out_of_range", g),))
+    members = _permutation_closure(identity, map(bytes, gens), min(max_order, MAX_TABLE_ORDER))[0]
+    return _perm_group_from(members, name=name)
 
 
 def small_group_catalog(max_order: int) -> list:
@@ -506,9 +534,7 @@ def structure_subgroups(group: FiniteGroup) -> StructureInfo:
     n = group.order
     commutators = {group.commutator(a, b) for a in range(n) for b in range(n)}
     derived = subgroup_closure_in(group, commutators)
-    cols, inv = group.columns, group.inverse
-    inner = dict.fromkeys(row.translate(_lut(cols[inv[g]])) for g, row in enumerate(group.table))
-    return StructureInfo(group.center, derived, tuple(inner))
+    return StructureInfo(group.center, derived, tuple(dict.fromkeys(group.inner)))
 
 
 def nilpotency_class(group: FiniteGroup) -> int | None:
@@ -532,7 +558,7 @@ def nilpotency_class(group: FiniteGroup) -> int | None:
 
 
 def _homomorphisms(src: FiniteGroup, dst: FiniteGroup, bijective: bool,
-                   circ: FiniteGroup | None = None) -> list:
+                   circ: FiniteGroup | None = None, limit: float = inf) -> list:
     """Homomorphisms src -> dst (only the bijective ones if asked), as sorted image arrays.
 
     Backtracks over images of the generators of src, in the order of the
@@ -549,7 +575,7 @@ def _homomorphisms(src: FiniteGroup, dst: FiniteGroup, bijective: bool,
     With ``circ``, a second group on the carrier of src = dst (for
     bijections), only maps that are also automorphisms of circ are kept:
     every image keeps its o-order, checked at each level, and a full map is
-    kept iff it is multiplicative for circ.
+    kept iff it is multiplicative for circ. The search stops at ``limit`` maps.
     """
     members, gens, steps = _right_closure(src.table, 0, range(src.order))
     n, st, dt = src.order, src.table, dst.table
@@ -578,6 +604,8 @@ def _homomorphisms(src: FiniteGroup, dst: FiniteGroup, bijective: bool,
             return
         g, choices, walk, checks, new = levels[level]
         for h in choices:
+            if len(found) >= limit:
+                return
             images[g] = h
             for y, x, s in walk:
                 images[y] = dt[images[x]][images[s]]
@@ -646,18 +674,20 @@ def _regular_assignments(base: FiniteGroup, action, mult) -> list:
     return sorted(walk([0] + [-1] * (n - 1), [0], []))
 
 
-def group_isomorphisms(src: FiniteGroup, dst: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> list:
-    """All isomorphisms src -> dst as image arrays, sorted lexicographically."""
+def group_isomorphisms(src: FiniteGroup, dst: FiniteGroup, max_order: int = MAX_GROUP_ORDER,
+                       limit: float = inf) -> list:
+    """All isomorphisms src -> dst as image arrays, sorted lexicographically; at most ``limit`` of them."""
     if src.order != dst.order:
         return []
     if src.order > max_order:
         raise OrderCapExceeded(f"order {src.order} exceeds automorphism cap {max_order}")
-    return _homomorphisms(src, dst, True)
+    return _homomorphisms(src, dst, True, limit=limit)
 
 
-def automorphism_group(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> tuple:
-    """All automorphisms as image arrays, identity first, in lexicographic order."""
-    return tuple(group_isomorphisms(group, group, max_order))
+def automorphism_group(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER,
+                       limit: float = inf) -> tuple:
+    """All automorphisms as image arrays, identity first, in lexicographic order; at most ``limit``."""
+    return tuple(group_isomorphisms(group, group, max_order, limit))
 
 
 def endomorphisms(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> list:
@@ -691,11 +721,12 @@ MAX_HOLOMORPH_ORDER = 10000
 
 
 def holomorph_automorphisms(base: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> tuple:
-    """automorphism_group(base), after checking |Hol G| = |Aut G| * |G| against the cap."""
-    auts = automorphism_group(base, max_order)
-    total = len(auts) * base.order
-    if total > MAX_HOLOMORPH_ORDER:
-        raise OrderCapExceeded(f"holomorph order {total} exceeds cap {MAX_HOLOMORPH_ORDER}")
+    """automorphism_group(base), stopped at the first automorphism that puts |Aut G| |G| over the cap."""
+    most = MAX_HOLOMORPH_ORDER // base.order
+    auts = automorphism_group(base, max_order, most + 1)
+    if len(auts) > most:
+        raise OrderCapExceeded(f"holomorph order exceeds cap {MAX_HOLOMORPH_ORDER}: "
+                               f"Aut(G) has more than {most} automorphisms")
     return auts
 
 
@@ -742,10 +773,6 @@ def is_regular_subgroup(hol: Holomorph, members) -> bool:
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
-
-MAX_PERMUTATION_DEGREE = 256
-"""The largest "degree" a generator-format group file may declare."""
-
 
 def parse_cycles(text: str, degree: int) -> tuple:
     """Parse cycle notation like "(1 2)(3 4)" on points 1..degree into a 0-based permutation."""
@@ -818,8 +845,7 @@ def group_check_from_json(data, max_order: int = MAX_GROUP_ORDER) -> GroupCheck:
         degree = json_field(data, "degree", "group file")
         if type(degree) is not int or degree < 1:
             raise ValueError('"degree" must be a positive integer')
-        if degree > MAX_PERMUTATION_DEGREE:
-            raise ValueError(f'"degree" {degree} exceeds the bound of {MAX_PERMUTATION_DEGREE} points')
+        _checked_degree(degree)
         texts = data["generators"]
         if not isinstance(texts, list) or not all(isinstance(g, str) for g in texts):
             raise ValueError('"generators" must be a list of permutations, each a string')

@@ -88,14 +88,13 @@ def rb_brace(group: FiniteGroup, b_map) -> SkewBrace:
     if not check.ok:
         raise NotRotaBaxter(check.witness)
     b = bytes(b_map)
-    t, inv, cols = group.table, group.inverse, group.columns
-    conj = [t[bg].translate(_lut(cols[inv[bg]])) for bg in b]     # h -> B(g) h B(g)^-1
+    conj = list(map(group.inner.__getitem__, b))     # h -> B(g) h B(g)^-1
     brace = SkewBrace.from_lambda(LambdaMap.of_automorphisms(group, conj))
     if brace.circ.table != tuple(derived_table(group, b)):
         raise CriterionMismatch("the table built from conjugation by B is not g B(g) h B(g)^-1")
     if not is_rb(brace.circ, b).ok:
         raise CriterionMismatch("operator is not Rota-Baxter on the derived group")
-    if not is_multiplicative(brace.circ, t, b):
+    if not is_multiplicative(brace.circ, group.table, b):
         raise CriterionMismatch("operator is not a homomorphism out of the derived group")
     return brace
 
@@ -268,9 +267,8 @@ def rb_self_maps(group: FiniteGroup) -> list:
     if group.order > MAX_SELF_MAP_ORDER:
         raise PreconditionFails(
             f"exhaustive self-map search is capped at order {MAX_SELF_MAP_ORDER}")
-    t, inv, cols = group.table, group.inverse, group.columns
-    conj = [row.translate(_lut(cols[inv[x]])) for x, row in enumerate(t)]   # b -> x b x^-1
-    return [bytes(b) for b in _regular_assignments(group, conj, lambda x, y: t[x][y])]
+    t = group.table
+    return [bytes(b) for b in _regular_assignments(group, group.inner, lambda x, y: t[x][y])]
 
 
 def rb_endomorphisms(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> list:

@@ -178,18 +178,15 @@ def _ideal_closure(brace: SkewBrace, seed: int) -> tuple:
     and lambda_a are automorphisms of (G, .), so they are applied to the
     walk's generators only; o-conjugation once to each member.
     """
-    t, ct, maps = brace.add.table, brace.circ.table, brace.lam.maps
-    inv, cinv = brace.add.inverse, brace.circ.inverse
-    add_gens, circ_gens = brace.add.generators, brace.circ.generators
+    t, circ_gens = brace.add.table, brace.circ.generators
+    add_autos = [brace.add.inner[g] for g in brace.add.generators] + [brace.lam.maps[a] for a in circ_gens]
+    circ_inner = [brace.circ.inner[a] for a in circ_gens]
     members, gens, _ = _right_closure(t, 0, (seed,))
     done_gens = done = 0
     while True:
         reached = set(members)
-        new = [y for x in gens[done_gens:] for y in
-               [t[t[g][x]][inv[g]] for g in add_gens] + [maps[a][x] for a in circ_gens]
-               if y not in reached]
-        new += [y for x in members[done:] for a in circ_gens
-                if (y := ct[ct[a][x]][cinv[a]]) not in reached]
+        new = [y for x in gens[done_gens:] for f in add_autos if (y := f[x]) not in reached]
+        new += [y for x in members[done:] for c in circ_inner if (y := c[x]) not in reached]
         if not new:
             return tuple(sorted(members))
         done_gens, done = len(gens), len(members)

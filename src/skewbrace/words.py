@@ -38,6 +38,9 @@ MAX_SYLLABLES = 8
 MAX_EXPONENT = 3
 """The largest exponent of a syllable the samplers draw (``sample_word``'s ``max_exp``)."""
 
+MAX_RANK = 1000
+"""The largest rank of a ``GeneratorCycle``, whose action builds an image of rank + 1 entries per power."""
+
 
 def mul_syllables(left: tuple, right: tuple) -> tuple:
     """The product of two reduced syllable tuples: only syllables meeting at the seam cancel or merge."""
@@ -203,6 +206,8 @@ class GeneratorCycle:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
+        if self.rank > MAX_RANK:
+            raise ValueError(f"rank {self.rank} exceeds the bound of {MAX_RANK}")
 
     def action(self, k: int = 1):
         """The k-th power of the cycle as a map of reduced syllable tuples of this rank."""

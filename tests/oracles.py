@@ -675,6 +675,26 @@ def subgroup_closure_all_pairs(table, seeds):
     return tuple(sorted(members))
 
 
+@lru_cache(maxsize=None)
+def _symmetric_group_by_index(degree):
+    """Every permutation of {0..degree-1}, identity first, their index and the table of p after q."""
+    perms = list(permutations(range(degree)))
+    index = {p: i for i, p in enumerate(perms)}
+    return perms, index, [[index[tuple(p[x] for x in q)] for q in perms] for p in perms]
+
+
+def permutation_closure_all_products(seeds, degree):
+    """The sorted tuples of the group that ``seeds`` generate, by all-pairs closure in S_degree."""
+    perms, index, table = _symmetric_group_by_index(degree)
+    return [perms[i] for i in subgroup_closure_all_pairs(table, [index[tuple(s)] for s in seeds])]
+
+
+def conjugation_by_index(table, g):
+    """The tuple x -> g x g^-1 in a group table with identity 0, one subscript at a time."""
+    g_inv = list(table[g]).index(0)
+    return tuple(table[table[g][x]][g_inv] for x in range(len(table)))
+
+
 def all_subgroups_by_all_pairs_closure(table):
     """Every subgroup: each one found is extended by every element outside it."""
     seen = {(0,)}

@@ -566,7 +566,8 @@ def test_enumerate_cap_matches_holomorph_cap(monkeypatch):
         groups.build_holomorph(cube)
     with pytest.raises(OrderCapExceeded) as from_walk:
         enumerate_circ_ops(cube)
-    assert str(from_walk.value) == str(from_table.value) == "holomorph order 1344 exceeds cap 1000"
+    assert str(from_walk.value) == str(from_table.value) == (
+        "holomorph order exceeds cap 1000: Aut(G) has more than 125 automorphisms")
 
 
 def test_enumerate_builds_no_holomorph_table(monkeypatch):

@@ -28,6 +28,21 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def assert_same_text(actual: str, expected: str) -> None:
+    """actual == expected, reported by both lengths and 80 characters around the first difference.
+
+    pytest's own report of a failed == diffs the two texts whole, which takes
+    minutes on a report of about 1 MB.
+    """
+    if actual == expected:
+        return
+    at = next((i for i, (x, y) in enumerate(zip(actual, expected)) if x != y),
+              min(len(actual), len(expected)))
+    window = slice(max(0, at - 40), at + 40)
+    pytest.fail(f"texts differ: lengths {len(actual)} and {len(expected)}, first at offset {at}\n"
+                f"  actual:   {actual[window]!r}\n  expected: {expected[window]!r}", pytrace=False)
+
+
 def test_verify_group_ok(tmp_path, capsys):
     code, out, _ = run(capsys, ["verify-group", "--in", z4_file(tmp_path)])
     assert code == 0
@@ -720,6 +735,7 @@ def test_missing_file_argument_exit_2(tmp_path, capsys, argv, what):
     (["--max-order", "0", "freegroup", "verify-cyclic", "--n", "2"], "--max-order must be at least 1"),
     (["--samples", "0", "rb", "check", "--rb", "{rank0}"], "rank must be at least 1"),
     (["rb", "check", "--rb", "{rank0}"], "rank must be at least 1"),
+    (["freegroup", "check", "--rank", "1001"], "rank 1001 exceeds the bound of 1000"),
 ])
 def test_out_of_range_argument_exit_2(tmp_path, capsys, argv, message):
     rank0 = write(tmp_path, "rank0.json", {"rank": 0, "images": []})
@@ -787,10 +803,11 @@ def test_emit_streams_the_same_bytes_without_holding_them():
 
     report = {"rows": [[i, {"k": [i] * 20, "s": "x" * (i % 7)}] for i in range(2000)]}
     expected = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    assert emit(report) == expected
+    assert_same_text(emit(report), expected)
     first, second = io.StringIO(), io.StringIO()
     assert len(emit(report, "json", [first, second])) == len(expected)
-    assert first.getvalue() == second.getvalue() == expected
+    assert_same_text(first.getvalue(), expected)
+    assert_same_text(second.getvalue(), expected)
 
     class Sink:
         def write(self, text):
@@ -823,10 +840,11 @@ def test_emit_writes_what_json_dumps_writes(value):
     from skewbrace.cli import emit
 
     expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
-    assert emit(value) == expected
+    assert_same_text(emit(value), expected)
     first, second = io.StringIO(), io.StringIO()
     assert len(emit(value, "json", [first, second])) == len(expected)
-    assert first.getvalue() == second.getvalue() == expected
+    assert_same_text(first.getvalue(), expected)
+    assert_same_text(second.getvalue(), expected)
 
 
 def _rows_as_lists(value):
@@ -870,10 +888,11 @@ def test_emit_writes_bytes_tables_as_json_dumps_writes_their_lists(value):
     from skewbrace.cli import emit
 
     expected = json.dumps(_rows_as_lists(value), indent=2, sort_keys=True) + "\n"
-    assert emit(value) == expected
+    assert_same_text(emit(value), expected)
     first, second = io.StringIO(), io.StringIO()
     assert len(emit(value, "json", [first, second])) == len(expected)
-    assert first.getvalue() == second.getvalue() == expected
+    assert_same_text(first.getvalue(), expected)
+    assert_same_text(second.getvalue(), expected)
 
 
 def test_emit_writes_each_distinct_row_once_per_report(monkeypatch):
@@ -890,7 +909,7 @@ def test_emit_writes_each_distinct_row_once_per_report(monkeypatch):
     expected = json.dumps(_rows_as_lists(report), indent=2, sort_keys=True) + "\n"
     for _ in range(2):   # a second report starts with no rows written
         written.clear()
-        assert cli.emit(report) == expected
+        assert_same_text(cli.emit(report), expected)
         assert sorted(written) == sorted(rows)
 
 
@@ -905,10 +924,11 @@ def test_emit_streams_bytes_tables_without_holding_them():
     report = {"braces": [{"circ": tuple(pool[(i * 7 + a * (i % 5 + 1)) % 128] for a in range(16)), "i": i}
                          for i in range(600)]}
     expected = json.dumps(_rows_as_lists(report), indent=2, sort_keys=True) + "\n"
-    assert emit(report) == expected
+    assert_same_text(emit(report), expected)
     first, second = io.StringIO(), io.StringIO()
     assert len(emit(report, "json", [first, second])) == len(expected)
-    assert first.getvalue() == second.getvalue() == expected
+    assert_same_text(first.getvalue(), expected)
+    assert_same_text(second.getvalue(), expected)
 
     class Sink:
         def write(self, text):
@@ -948,24 +968,41 @@ def test_byte_identical_runs(tmp_path, capsys):
     assert out1 == out2
 
 
-def test_byte_identical_across_processes(tmp_path):
+def run_process(argv, timeout=None):
+    """The CLI run on ``argv`` in a child process that imports the package from where this one did."""
     import os
     import subprocess
     import sys
 
     import skewbrace
 
-    path = z4_file(tmp_path)
-    argv = [sys.executable, "-m", "skewbrace.cli", "enumerate", "--in", path]
-    # the children import the package from where this process found it
     package_root = os.path.dirname(os.path.dirname(skewbrace.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    first = subprocess.run(argv, capture_output=True, env=env)
-    second = subprocess.run(argv, capture_output=True, env=env)
+    return subprocess.run([sys.executable, "-m", "skewbrace.cli", *argv], capture_output=True,
+                          env=env, timeout=timeout)
+
+
+def test_byte_identical_across_processes(tmp_path):
+    argv = ["enumerate", "--in", z4_file(tmp_path)]
+    first = run_process(argv)
+    second = run_process(argv)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout  # not empty
+
+
+@pytest.mark.parametrize("rank,flags,most", [(4, [], 625), (5, ["--max-order", "32"], 312)])
+def test_enumerate_over_the_holomorph_cap_exits_2_before_listing_aut(tmp_path, rank, flags, most):
+    # |Aut(Z2^5)| is 9,999,360: the automorphism search must stop at the cap, not list them all
+    group = groups.cyclic_group(2)
+    for _ in range(rank - 1):
+        group = groups.direct_product(group, groups.cyclic_group(2))
+    path = write(tmp_path, "elementary.json", groups.group_to_json(group))
+    done = run_process(flags + ["enumerate", "--in", path], timeout=60)
+    assert done.returncode == 2 and done.stdout == b""
+    assert done.stderr.decode() == (
+        f"error: holomorph order exceeds cap 10000: Aut(G) has more than {most} automorphisms\n")
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

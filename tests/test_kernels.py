@@ -8,21 +8,28 @@ from a seeded generator.
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import (
     compose_by_index,
+    conjugation_by_index,
     derived_table_by_index,
     hom_witness_by_full_scan,
     invert_by_index,
     lambda_by_index,
     multiplicative_by_full_scan,
+    permutation_closure_all_products,
     rb_center_conditions_by_scan,
     rb_first_failure_by_index,
     tuples,
 )
 from skewbrace.braces import LambdaMap, SkewBrace, enumerate_circ_ops
+from skewbrace.errors import OrderCapExceeded
 from skewbrace.groups import (
+    MAX_PERMUTATION_DEGREE,
     MAX_TABLE_ORDER,
+    _permutation_closure,
     automorphism_group,
     compose,
     coset_labels,
@@ -31,6 +38,7 @@ from skewbrace.groups import (
     dihedral_group,
     direct_product,
     endomorphisms,
+    group_from_permutations,
     hom_witness,
     invert_permutation,
     is_multiplicative,
@@ -93,6 +101,44 @@ def test_is_multiplicative_matches_the_full_scan(group):
         for images in maps + perms + known_homomorphisms(group):
             assert is_multiplicative(group, dst, images) == \
                 multiplicative_by_full_scan(tuples(group.table), tuples(dst), tuple(images))
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
+def test_inner_and_conj_match_the_reference(group):
+    table = tuples(group.table)
+    for g, images in enumerate(group.inner):
+        expected = conjugation_by_index(table, g)
+        assert tuple(images) == expected
+        assert tuple(group.conj(g, x) for x in range(group.order)) == expected
+
+
+PERMUTATION_SETS = st.integers(1, 6).flatmap(
+    lambda degree: st.tuples(st.just(degree), st.lists(st.permutations(range(degree)), max_size=4)))
+
+
+@given(PERMUTATION_SETS)
+def test_permutation_closure_matches_the_all_products_closure(drawn):
+    degree, seeds = drawn
+    identity, seeds = bytes(range(degree)), [bytes(s) for s in seeds]
+    members, gens = _permutation_closure(identity, seeds)
+    expected = permutation_closure_all_products(seeds, degree)
+    assert len(members) == len(set(members)) and sorted(map(tuple, members)) == expected
+    # the kept seeds are a subsequence of the seeds and generate the same group
+    rest = iter(seeds)
+    assert all(g in rest for g in gens)
+    assert permutation_closure_all_products(gens, degree) == expected
+    # a cap of the group's order passes, one below it stops the walk
+    assert len(_permutation_closure(identity, seeds, len(expected))[0]) == len(expected)
+    if len(expected) > 1:
+        with pytest.raises(OrderCapExceeded):
+            _permutation_closure(identity, seeds, len(expected) - 1)
+
+
+def test_group_from_permutations_refuses_a_degree_bytes_cannot_hold():
+    degree = MAX_PERMUTATION_DEGREE + 1
+    with pytest.raises(ValueError, match=f'"degree" {degree} exceeds the bound of '
+                                         f"{MAX_PERMUTATION_DEGREE} points"):
+        group_from_permutations([tuple(range(1, degree)) + (0,)], degree)
 
 
 def non_normal_subgroup(group):

@@ -10,6 +10,7 @@ from skewbrace.errors import CriterionMismatch, NotInKernel, RankMismatch, Windo
 from skewbrace.rng import Lcg
 from skewbrace.words import (
     MAX_EXPONENT,
+    MAX_RANK,
     MAX_SYLLABLES,
     FreeWord,
     GeneratorCycle,
@@ -155,6 +156,12 @@ def test_sample_word_merges_runs_of_two_generators():
 def test_sample_word_needs_positive_rank(max_syllables):
     with pytest.raises(ValueError, match="rank must be at least 1"):
         sample_word(Lcg(0), 0, max_syllables, 3)
+
+
+def test_generator_cycle_rank_is_bounded():
+    assert GeneratorCycle(MAX_RANK).apply(w(MAX_RANK, f"x{MAX_RANK}")) == w(MAX_RANK, "x1")
+    with pytest.raises(ValueError, match=f"rank {MAX_RANK + 1} exceeds the bound of {MAX_RANK}"):
+        GeneratorCycle(MAX_RANK + 1)
 
 
 @pytest.mark.parametrize("max_exp", [0, -2])
