@@ -32,8 +32,8 @@ from .groups import (
     MAX_GROUP_ORDER,
     FiniteGroup,
     _lut,
-    _permutation_closure,
     _regular_assignments,
+    automorphism_orbits,
     compose,
     coset_labels,
     group_isomorphisms,
@@ -680,37 +680,17 @@ def assignment_orbits(automorphisms, assignments) -> list:
 
     psi in Aut G moves an assignment f to psi.f, with (psi.f)_{psi(a)} =
     psi f_a psi^-1: the lambda of f's brace relabeled along psi, so the orbits
-    are the isomorphism classes (Guarnieri-Vendramin). Each orbit is a list
-    led by its least member, the first assignment no earlier orbit holds; the
-    rest follow breadth first under a generating set of Aut G, the seeds that
-    groups._permutation_closure keeps from Aut G by decreasing order,
-    conjugating through one memo of |gens| |Aut| entries. Every image must be one of
-    ``assignments``, else CriterionMismatch: they are then Aut(G)-stable, and
-    the orbits partition them.
+    are the isomorphism classes (Guarnieri-Vendramin). groups.automorphism_orbits
+    walks them, each psi conjugating through one memo of |Aut| entries, and
+    its closure invariant holds the walk's output to be Aut(G)-stable.
     """
-    members = set(assignments)
-    by_order = sorted(automorphisms, key=permutation_order, reverse=True)
-    moves = []
-    for psi in _permutation_closure(automorphisms[0], by_order)[1]:
+    def action(psi):
         psi_inv = invert_permutation(psi)
-        moves.append((psi_inv, {f: compose(psi, compose(f, psi_inv)) for f in automorphisms}))
-    seen, orbits = set(), []
-    for rep in assignments:
-        if rep in seen:
-            continue
-        seen.add(rep)
-        orbit = [rep]
-        for maps in orbit:
-            for psi_inv, conj in moves:
-                image = tuple(map(conj.__getitem__, map(maps.__getitem__, psi_inv)))
-                if image not in seen:
-                    if image not in members:
-                        raise CriterionMismatch(f"regular subgroup {assignments.index(maps)} has "
-                                                "an Aut(G)-conjugate that the walk did not find")
-                    seen.add(image)
-                    orbit.append(image)
-        orbits.append(orbit)
-    return orbits
+        conj = {f: compose(psi, compose(f, psi_inv)) for f in automorphisms}
+        return lambda maps: tuple(map(conj.__getitem__, map(maps.__getitem__, psi_inv)))
+
+    return automorphism_orbits(automorphisms, action, assignments, "regular subgroup {} has "
+                               "an Aut(G)-conjugate that the walk did not find")
 
 
 def _carried_brace(add: FiniteGroup, pads, maps, flags: Classification) -> SkewBrace:

@@ -410,21 +410,7 @@ def _cmd_rb(args):
         report.update(rota.rb_symmetry_check(brace, op))
         return report, True
     if args.action == "search":
-        if group.order <= rota.MAX_SELF_MAP_ORDER:
-            found = rota.rb_self_maps(group)
-            scope = "self-maps"
-        else:
-            found = rota.rb_endomorphisms(group, args.max_order)
-            scope = "endomorphisms"
-        rows = []
-        for op in found:
-            brace = rota.rb_brace(group, op)
-            sym = rota.rb_symmetry_check(brace, op)
-            hom = rota.rb_lambda_hom_check(brace, op)
-            rows.append({"map": list(op), "symmetric": sym["symmetric"],
-                         "lambda_homomorphic": hom["lambda_homomorphic"]})
-        return {"order": group.order, "scope": scope,
-                "count": len(found), "operators": rows}, True
+        return rota.rb_search(group, args.max_order), True
     # free
     report = rota.free_rb_report(args.m, args.sampling)
     return report, report["failure_count"] == 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import gcd, inf
 
-from .errors import InvalidGroup, NotASubgroup, OrderCapExceeded
+from .errors import CriterionMismatch, InvalidGroup, NotASubgroup, OrderCapExceeded
 
 
 MAX_TABLE_ORDER = 256
@@ -293,7 +293,9 @@ def verify_group(table, name: str = "") -> GroupCheck:
         return GroupCheck(False, None, None, tuple(violations))
 
     if identity == 0:
-        return GroupCheck(True, FiniteGroup(rows, name=name), tuple(labels), ())
+        group = FiniteGroup(rows, name=name)
+        group._columns = cols
+        return GroupCheck(True, group, tuple(labels), ())
     old_order = bytes([identity]) + labels.replace(bytes([identity]), b"")
     relabel = invert_permutation(old_order)
     return GroupCheck(True, FiniteGroup(relabeled(rows, relabel), name=name), tuple(relabel), ())
@@ -424,6 +426,37 @@ def _permutation_closure(identity: bytes, seeds, max_order: float = inf) -> tupl
                 members.append(y)
                 queue += [(y, h) for h in gens]
     return members, gens
+
+
+def automorphism_orbits(automorphisms, action, members, missing: str) -> list:
+    """The sorted list ``members`` split into orbits of the group ``automorphisms``, identity first.
+
+    ``action(psi)`` is the map x -> psi.x of one automorphism psi on members.
+    Each orbit is a list led by its least member, the first member no
+    earlier orbit holds; the rest follow breadth first under a generating
+    set, the seeds _permutation_closure keeps from the automorphisms by
+    decreasing order. Every image must be one of ``members``, else
+    CriterionMismatch with ``missing`` formatted with the index of the
+    member it came from: the members are then stable, and the orbits
+    partition them.
+    """
+    by_order = sorted(automorphisms, key=permutation_order, reverse=True)
+    moves = list(map(action, _permutation_closure(automorphisms[0], by_order)[1]))
+    found, seen, orbits = set(members), set(), []
+    for rep in members:
+        if rep in seen:
+            continue
+        seen.add(rep)
+        orbit = [rep]
+        for x in orbit:
+            for move in moves:
+                if (image := move(x)) not in seen:
+                    if image not in found:
+                        raise CriterionMismatch(missing.format(members.index(x)))
+                    seen.add(image)
+                    orbit.append(image)
+        orbits.append(orbit)
+    return orbits
 
 
 def group_from_permutations(generators, degree: int, name: str = "",

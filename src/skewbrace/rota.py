@@ -18,8 +18,11 @@ from .groups import (
     FiniteGroup,
     _lut,
     _regular_assignments,
+    automorphism_group,
+    automorphism_orbits,
     endomorphisms,
     hom_witness,
+    invert_permutation,
     is_multiplicative,
     is_self_map,
     json_field,
@@ -59,15 +62,6 @@ def is_rb(group: FiniteGroup, b_map) -> RbCheck:
     derived = [t[row[bg]].translate(_lut(cols[inv[bg]])) for row, bg in zip(t, b)]
     witness = hom_witness(derived, t, b)
     return RbCheck(witness is None, witness)
-
-
-def inversion_operator(group: FiniteGroup) -> bytes:
-    """g -> g^-1, a Rota-Baxter operator on every group."""
-    return group.inverse
-
-
-def constant_operator(group: FiniteGroup) -> bytes:
-    return bytes(group.order)
 
 
 def derived_table(group: FiniteGroup, b_map) -> list:
@@ -133,23 +127,6 @@ def rb_lambda_hom_check(brace: SkewBrace, b_map) -> dict:
     if lam_hom != center_condition:
         raise CriterionMismatch("lambda-homomorphy and the defect condition must agree")
     return {"lambda_homomorphic": lam_hom, "center_condition": center_condition}
-
-
-def rb_anti_hom_lemma_check(group: FiniteGroup, b_map) -> bool:
-    """For anti-homomorphic Rota-Baxter operators: [B(b), B(B(a)) B(a)] is trivial."""
-    check = is_rb(group, b_map)
-    if not check.ok:
-        raise NotRotaBaxter(check.witness)
-    b = bytes(b_map)
-    t = group.table
-    if not is_multiplicative(group, group.columns, b):    # B(g h) = B(h) B(g)
-        raise PreconditionFails("operator must be an anti-homomorphism")
-    for a in range(group.order):
-        u = t[b[b[a]]][b[a]]
-        for x in range(group.order):
-            if t[b[x]][u] != t[u][b[x]]:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +251,46 @@ def rb_self_maps(group: FiniteGroup) -> list:
 def rb_endomorphisms(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> list:
     """Endomorphisms of the group that satisfy the Rota-Baxter identity."""
     return [e for e in endomorphisms(group, max_order) if is_rb(group, e).ok]
+
+
+def rb_orbits(automorphisms, operators) -> list:
+    """The sorted operators of a search split into Aut(G)-orbits under B -> psi B psi^-1.
+
+    psi B psi^-1 is again Rota-Baxter, and psi is an isomorphism from the
+    brace of B onto the brace of psi B psi^-1 (Bardakov-Gubarev 2022).
+    groups.automorphism_orbits walks the orbits, least operator first, and
+    its closure invariant holds the search's output to be Aut(G)-stable.
+    """
+    def action(psi):
+        psi_inv, lut = invert_permutation(psi), _lut(psi)
+        return lambda b: psi_inv.translate(_lut(b)).translate(lut)
+
+    return automorphism_orbits(automorphisms, action, operators, "Rota-Baxter operator {} has "
+                               "an Aut(G)-conjugate that the search did not find")
+
+
+def rb_search(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> dict:
+    """Every Rota-Baxter operator with the symmetric and lambda_homomorphic flags of its brace.
+
+    The self-maps up to MAX_SELF_MAP_ORDER, the endomorphisms under
+    ``max_order`` above it. Both flags are isomorphism invariants of the
+    brace, so only the least operator of each Aut(G)-orbit of rb_orbits
+    goes through rb_brace and both checks, and the rest of its orbit gets
+    its flags. Aut(G) is searched under the larger of ``max_order`` and
+    MAX_GROUP_ORDER, so it never stops a search that ``max_order`` lets run.
+    """
+    if group.order <= MAX_SELF_MAP_ORDER:
+        found, scope = rb_self_maps(group), "self-maps"
+    else:
+        found, scope = rb_endomorphisms(group, max_order), "endomorphisms"
+    flags = {}
+    for orbit in rb_orbits(automorphism_group(group, max(max_order, MAX_GROUP_ORDER)), found):
+        brace = rb_brace(group, orbit[0])
+        row = {"symmetric": rb_symmetry_check(brace, orbit[0])["symmetric"],
+               "lambda_homomorphic": rb_lambda_hom_check(brace, orbit[0])["lambda_homomorphic"]}
+        flags.update(dict.fromkeys(orbit, row))
+    return {"order": group.order, "scope": scope, "count": len(found),
+            "operators": [{"map": list(op), **flags[op]} for op in found]}
 
 
 # ---------------------------------------------------------------------------

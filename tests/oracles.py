@@ -11,7 +11,9 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from skewbrace.braces import Classification, SkewBrace
+from skewbrace.errors import NotRotaBaxter, PreconditionFails
 from skewbrace.groups import (
+    MAX_GROUP_ORDER,
     FiniteGroup,
     GroupCheck,
     Violation,
@@ -20,6 +22,14 @@ from skewbrace.groups import (
     verify_group,
 )
 from skewbrace.lattice import grading, lattice_lambda, mat_vec, vec_add
+from skewbrace.rota import (
+    MAX_SELF_MAP_ORDER,
+    rb_brace,
+    rb_endomorphisms,
+    rb_lambda_hom_check,
+    rb_self_maps,
+    rb_symmetry_check,
+)
 from skewbrace.structure import IdealReport, all_subgroups
 from skewbrace.words import FreeWord, GeneratorCycle
 
@@ -79,6 +89,49 @@ def rb_operators_by_graph_subgroups(group):
         if None not in b:
             found.append(tuple(b))
     return sorted(found)
+
+
+def inversion_operator(group) -> bytes:
+    """g -> g^-1, a Rota-Baxter operator on every group, read off each row's identity."""
+    return bytes(row.index(0) for row in group.table)
+
+
+def constant_operator(group) -> bytes:
+    """g -> e, a Rota-Baxter operator on every group."""
+    return bytes(group.order)
+
+
+def rb_anti_hom_lemma_check(group, b_map) -> bool:
+    """For an anti-homomorphic Rota-Baxter operator B: [B(b), B(B(a)) B(a)] is trivial for all a, b.
+
+    NotRotaBaxter at the first pair where the identity fails, and
+    PreconditionFails unless B(g h) = B(h) B(g) for all g, h.
+    """
+    t, b = group.table, tuple(b_map)
+    n = len(t)
+    witness = rb_first_failure_by_index(t, b)
+    if witness is not None:
+        raise NotRotaBaxter(witness)
+    if any(b[t[g][h]] != t[b[h]][b[g]] for g in range(n) for h in range(n)):
+        raise PreconditionFails("operator must be an anti-homomorphism")
+    return all(t[b[x]][u] == t[u][b[x]] for u in (t[b[b[a]]][b[a]] for a in range(n))
+               for x in range(n))
+
+
+def rb_search_rows_by_operator(group, max_order=MAX_GROUP_ORDER):
+    """The "operators" rows of rb search, with one rb_brace and both checks for every operator.
+
+    The search lists self-maps up to MAX_SELF_MAP_ORDER and endomorphisms
+    under ``max_order`` above it, as rb search does; nothing is carried over
+    between operators.
+    """
+    found = rb_self_maps(group) if group.order <= MAX_SELF_MAP_ORDER else rb_endomorphisms(group, max_order)
+    rows = []
+    for op in found:
+        brace = rb_brace(group, op)
+        rows.append({"map": list(op), "symmetric": rb_symmetry_check(brace, op)["symmetric"],
+                     "lambda_homomorphic": rb_lambda_hom_check(brace, op)["lambda_homomorphic"]})
+    return rows
 
 
 def rb_center_conditions_by_scan(table, b):

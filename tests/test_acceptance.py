@@ -11,6 +11,7 @@ from oracles import (
     brute_force_circ_tables,
     circ_orbits_by_relabeling,
     holomorph_members,
+    inversion_operator,
     regular_subgroup_count_by_lambda_walk,
     regular_subgroups_by_closure,
     tuples,
@@ -30,7 +31,6 @@ from skewbrace.lattice import lattice_system_check
 from skewbrace.rota import (
     circ_word_expand,
     derived_group,
-    inversion_operator,
     is_rb,
     rb_brace,
     rb_endomorphisms,

@@ -10,6 +10,7 @@ from oracles import (
     classification_by_scan,
     compose_by_index,
     holomorph_members,
+    inversion_operator,
     isomorphism_classes_by_orbit,
     regular_subgroup_count_by_lambda_walk,
     regular_subgroups_by_closure,
@@ -748,8 +749,8 @@ def test_no_table_built_from_lambda_or_an_operator_reaches_verify_group(monkeypa
     construct_exact_factorization(s3, groups.structure_subgroups(s3).derived_subgroup, (0, 1))
     conj = [[s3.conj(s3.inverse[a], x) for x in range(6)] for a in range(6)]
     assert construct_from_lambda(s3, conj, "anti_homomorphic") == op_brace(s3)
-    rota.rb_brace(s3, rota.inversion_operator(s3))
-    systems.build_rb_multibrace(s3, rota.inversion_operator(s3), 3)
+    rota.rb_brace(s3, inversion_operator(s3))
+    systems.build_rb_multibrace(s3, inversion_operator(s3), 3)
     z = groups.cyclic_group(9)
     triple = [bytes(x * (1 + 3 * a) % 9 for x in range(9)) for a in range(9)]
     linear = systems.build_linear_system(z, triple, include_negative=True)

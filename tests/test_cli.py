@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from oracles import compose_by_index, invert_by_index, rb_search_rows_by_operator, tuples
 
 from skewbrace import braces, cli, config, groups, rng, rota, structure, systems, words
 from skewbrace.braces import brace_to_json, op_brace, trivial_brace
@@ -326,6 +327,35 @@ def test_census_missing_a_conjugate_exits_3(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert json.loads(err) == {"invariant_failure": {
         "command": "enumerate", "error": "CriterionMismatch", "message": str(raised.value)}}
+
+
+def test_rb_search_missing_a_conjugate_exits_3(tmp_path, capsys, monkeypatch):
+    # the search's output must be Aut(G)-stable: drop one member of an orbit of S3
+    s3 = groups.symmetric_group(3)
+    search = rota.rb_self_maps
+    orbit = next(o for o in rota.rb_orbits(groups.automorphism_group(s3), search(s3)) if len(o) > 1)
+    kept = [b for b in search(s3) if b != orbit[1]]
+    monkeypatch.setattr(rota, "rb_self_maps", lambda group: kept)
+    message = r"Rota-Baxter operator (\d+) has an Aut\(G\)-conjugate that the search did not find"
+    with pytest.raises(CriterionMismatch, match=message) as raised:
+        rota.rb_search(s3)
+    assert kept[int(re.match(message, str(raised.value))[1])] in orbit
+    code, out, err = run(capsys, ["rb", "search", "--group", write(tmp_path, "s3.json", groups.group_to_json(s3))])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {"invariant_failure": {
+        "command": "rb", "error": "CriterionMismatch", "message": str(raised.value)}}
+
+
+def test_rb_search_takes_aut_under_a_max_order_above_the_default(tmp_path, capsys):
+    # Aut(G) is searched under the larger of --max-order and MAX_GROUP_ORDER
+    z32 = groups.cyclic_group(32)
+    path = write(tmp_path, "z32.json", groups.group_to_json(z32))
+    code, out, err = run(capsys, ["rb", "search", "--group", path])
+    assert code == 2 and out == "" and "order 32 exceeds cap 24" in err
+    code, out, _ = run(capsys, ["--max-order", "32", "rb", "search", "--group", path])
+    assert code == 0
+    assert json.loads(out)["operators"] == rb_search_rows_by_operator(z32, 32)
 
 
 @pytest.mark.parametrize("maps,message", [
@@ -1168,13 +1198,36 @@ def test_brace_tables_verified_once(tmp_path, capsys, monkeypatch, command):
 
 
 def test_rb_search_builds_each_brace_once(tmp_path, capsys, monkeypatch):
-    path = write(tmp_path, "d4.json", groups.group_to_json(groups.dihedral_group(4)))
+    # one brace per Aut(G)-orbit under B -> psi B psi^-1: the calls are the orbit leaders, in order
+    d4 = groups.dihedral_group(4)
+    path = write(tmp_path, "d4.json", groups.group_to_json(d4))
     calls = count_calls(monkeypatch, rota.rb_brace)
     code, out, _ = run(capsys, ["rb", "search", "--group", path])
     assert code == 0
     operators = [tuple(op["map"]) for op in json.loads(out)["operators"]]
     assert len(operators) > 1
-    assert [tuple(args[1]) for args in calls] == operators
+    auts = tuples(groups.automorphism_group(d4))
+    leaders = [b for b in operators
+               if b == min(compose_by_index(psi, compose_by_index(b, invert_by_index(psi)))
+                           for psi in auts)]
+    built = [tuple(args[1]) for args in calls]
+    assert built == leaders
+    assert len(set(built)) == len(built) < len(operators)
+
+
+RB_ORACLE_GROUPS = [g for g in groups.small_group_catalog(12) if g.order >= 6] + [
+    groups.direct_product(groups.direct_product(groups.cyclic_group(4), groups.cyclic_group(2)),
+                          groups.cyclic_group(2), name="Z4xZ2xZ2"),
+    groups.dicyclic_group(4),
+]
+
+
+@pytest.mark.parametrize("group", RB_ORACLE_GROUPS, ids=lambda g: g.name or str(g.order))
+def test_rb_search_rows_match_the_search_that_checks_every_operator(tmp_path, capsys, group):
+    path = write(tmp_path, "group.json", groups.group_to_json(group))
+    code, out, _ = run(capsys, ["rb", "search", "--group", path])
+    assert code == 0
+    assert json.loads(out)["operators"] == rb_search_rows_by_operator(group)
 
 
 def test_rb_search_computes_the_center_once(tmp_path, capsys, monkeypatch):

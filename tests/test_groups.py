@@ -93,6 +93,23 @@ def test_identity_relabeled_to_zero(z3):
     assert check.relabeling[2] == 0
 
 
+@pytest.mark.parametrize("identity", [0, 5])
+def test_verified_group_columns_are_its_transpose(monkeypatch, identity):
+    # with the identity at 0, verify_group hands the columns it checked to the group
+    d8 = groups.dihedral_group(4)
+    swap = list(range(8))
+    swap[0], swap[identity] = identity, 0
+    table = [[swap[d8.table[swap[a]][swap[b]]] for b in range(8)] for a in range(8)]
+    check = verify_group(table)
+    transposed = []
+    transpose = groups.transpose
+    monkeypatch.setattr(groups, "transpose", lambda t: transposed.append(t) or transpose(t))
+    group = check.group
+    n = group.order
+    assert group.columns == tuple(bytes(group.table[a][b] for a in range(n)) for b in range(n))
+    assert len(transposed) == (identity != 0)
+
+
 def test_no_inverse_reported():
     check = verify_group([[0, 1], [1, 1]])
     assert not check.ok

@@ -17,6 +17,7 @@ from oracles import (
     derived_table_by_index,
     hom_witness_by_full_scan,
     invert_by_index,
+    inversion_operator,
     lambda_by_index,
     multiplicative_by_full_scan,
     permutation_closure_all_products,
@@ -47,7 +48,6 @@ from skewbrace.groups import (
 )
 from skewbrace.rota import (
     derived_table,
-    inversion_operator,
     is_rb,
     rb_brace,
     rb_endomorphisms,

@@ -125,7 +125,10 @@ def test_failing_operator_report_bytes_are_pinned(tmp_path, capsys, seed):
 # entry as an int, before tables were written from their bytes rows. The
 # rooted systems of D8, Q8 and A4 (20, 28 and 42 vertices), the other report
 # built from enumerate_circ_ops, were pinned on the enumeration that built and
-# checked every labeled brace, before it checked one per Aut(G)-orbit.
+# checked every labeled brace, before it checked one per Aut(G)-orbit. The
+# rb search reports after D8's (512 operators on Z2xZ2xZ2, and Q8, A4, Dic12
+# and Z12) were pinned on the search that built and checked the brace of every
+# operator, before it checked one per Aut(G)-orbit.
 
 TABLE_GROUPS = {
     "Z2xZ2xZ2": lambda: groups.direct_product(
@@ -283,6 +286,16 @@ TABLE_REPORT_SHA256 = [
      "578156d588b9d10072637365027e2c1ad94b210d888b800ef373c27c925b5d22"),
     (("rb", "search", "D8"), 0,
      "8b303f443e5902e40cd8495381d630c7337e9a3aedb86969badeb76e53531bda"),
+    (("rb", "search", "Z2xZ2xZ2"), 0,
+     "ccf3e63aae99ff44c569e273e00e00fb2c557f4fda36901c1f49dea7168b11ed"),
+    (("rb", "search", "Q8"), 0,
+     "38c9fed3c7fcaabe9cd28bc2b1bdd7bd5ace2af173ba341061c0f620d0a48fca"),
+    (("rb", "search", "A4"), 0,
+     "6513b32cf4195f6b6d0be2f6ce57de236d4f2cefe479c45ec41e16fa0e5a0209"),
+    (("rb", "search", "Dic12"), 0,
+     "f5b631da48d60898e8e14b818d6e50240841fc717f810c90212eca0118ebb5b9"),
+    (("rb", "search", "Z12"), 0,
+     "9aada93807af32f5185808512a95a75e91de08631c3e1b0078becdc7ce70d721"),
     (("enumerate", "Z16"), 0,
      "a6e5dfb903cb990fcf6b88850739f9655947dea705f0c63a6083a424842d7fc6"),
     (("enumerate", "Z8xZ2"), 0,
@@ -323,3 +336,13 @@ def test_table_report_bytes_are_pinned(tmp_path, capsys, case, code, digest):
     assert main(_table_argv(tmp_path, case)) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_rb_search_under_a_max_order_below_the_group_keeps_its_bytes(tmp_path, capsys):
+    # a table file is not capped by --max-order, and the self-map search of S3 takes no cap
+    argv = ["--max-order", "4", "rb", "search", "--group", _group_file(tmp_path, "S3")]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["count"] == 8
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9972ea28adb01227f687f9aeedbab75eb11c128b67ce2e7f70d8570cea12538b")

@@ -1,7 +1,10 @@
 import pytest
 from oracles import (
+    constant_operator,
     free_rb_example,
     free_rb_level_inverse,
+    inversion_operator,
+    rb_anti_hom_lemma_check,
     rb_operators_by_graph_subgroups,
     tuples,
     word_power,
@@ -17,13 +20,10 @@ from skewbrace.rota import (
     FreeRb,
     circ2_expansion_report,
     circ_word_expand,
-    constant_operator,
     derived_group,
     free_circ_word_expand,
     free_rb_report,
-    inversion_operator,
     is_rb,
-    rb_anti_hom_lemma_check,
     rb_brace,
     rb_endomorphisms,
     rb_from_json,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from oracles import linear_level_by_recomposing, tuples
+from oracles import inversion_operator, linear_level_by_recomposing, tuples
 from skewbrace import groups, systems
 from skewbrace.braces import SkewBrace, classify, enumerate_circ_ops, left_law_witness
 from skewbrace.errors import (
@@ -14,7 +14,6 @@ from skewbrace.errors import (
     UnsupportedFormat,
 )
 from skewbrace.groups import compose, identity_map, is_multiplicative
-from skewbrace.rota import inversion_operator
 from skewbrace.systems import (
     build_linear_system,
     check_linear_preconditions,
