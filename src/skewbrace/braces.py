@@ -10,7 +10,7 @@ separate operation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .errors import (
@@ -53,24 +53,22 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
-class LambdaMap:
-    """Facts about an assignment a -> lambda_a of automorphisms of (G, .), computed once.
+class LambdaMap(namedtuple("LambdaMap", "group maps which products kernel image_order image_exponent "
+                           "hom_witness anti_witness image_abelian image_cyclic")):
+    """Facts about an assignment a -> lambda_a of automorphisms of (G, .) = ``group``, computed once.
 
     For a brace, lambda_a(b) = a^-1 . (a o b).
+
+    maps          lambda_a per element a, an automorphism's image array
+    which         which[a]: the index of lambda_a among the sorted distinct values
+    products      products[i][j]: the index of value i after value j (_index_row)
+    kernel        sorted elements with lambda_a = id
+    hom_witness   first (a, b) with lambda_{a.b} != lambda_a lambda_b, or None
+    anti_witness  first (a, b) with lambda_{a.b} != lambda_b lambda_a, or None
+    image_cyclic  some lambda_a has order image_order
     """
 
-    group: FiniteGroup
-    maps: tuple                 # lambda_a per element a, an automorphism's image array
-    which: bytes                # which[a]: the index of lambda_a among the sorted distinct values
-    products: tuple             # products[i][j]: the index of value i after value j (_index_row)
-    kernel: tuple               # sorted elements with lambda_a = id
-    image_order: int
-    image_exponent: int
-    hom_witness: tuple | None   # first (a, b) with lambda_{a.b} != lambda_a lambda_b
-    anti_witness: tuple | None  # first (a, b) with lambda_{a.b} != lambda_b lambda_a
-    image_abelian: bool
-    image_cyclic: bool          # some lambda_a has order image_order
+    __slots__ = ()
 
     @property
     def homomorphic_on_add(self) -> bool:
@@ -89,7 +87,7 @@ class LambdaMap:
         element whose value is not an automorphism of the group.
         """
         n = group.order
-        if not isinstance(lam, (list, tuple)):
+        if type(lam) not in (list, tuple):
             raise ValueError("lambda must be a list of maps")
         if len(lam) != n:
             raise ValueError(f"lambda has {len(lam)} maps, the group has {n} elements")
@@ -326,14 +324,10 @@ def right_law_witness(add: FiniteGroup, circ: FiniteGroup) -> tuple | None:
     return first
 
 
-@dataclass(frozen=True)
-class BraceReport:
-    left_ok: bool
-    right_ok: bool
-    two_sided: bool
-    left_witness: tuple | None
-    right_witness: tuple | None
-    brace: SkewBrace | None     # the brace on the normalized labels, when the left law holds
+class BraceReport(namedtuple("BraceReport", "left_ok right_ok two_sided left_witness right_witness brace")):
+    """Both brace laws on a pair of tables; ``brace`` is on the normalized labels, when the left law holds."""
+
+    __slots__ = ()
 
     def as_report(self) -> dict:
         return {
@@ -374,22 +368,14 @@ def verify_brace(add_table, circ_table) -> BraceReport:
 # Lambda maps and classification
 
 
-@dataclass(frozen=True)
-class Classification:
-    lambda_homomorphic: bool
-    lambda_anti_homomorphic: bool
-    symmetric: bool
-    lambda_cyclic: bool
-    natural: bool
+class Classification(namedtuple("Classification", "lambda_homomorphic lambda_anti_homomorphic "
+                                 "symmetric lambda_cyclic natural")):
+    """The five structural flags of a brace, all isomorphism invariants."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
-        return {
-            "lambda_homomorphic": self.lambda_homomorphic,
-            "lambda_anti_homomorphic": self.lambda_anti_homomorphic,
-            "symmetric": self.symmetric,
-            "lambda_cyclic": self.lambda_cyclic,
-            "natural": self.natural,
-        }
+        return self._asdict()
 
 
 def classify(brace: SkewBrace) -> Classification:
@@ -478,7 +464,7 @@ def construct_unification(group: FiniteGroup, f_images, alpha, epsilon: int = 1)
     n = group.order
     if not is_self_map(f_images, n):
         raise ValueError(f'"f" must list {n} elements in 0..{n - 1}')
-    if not (isinstance(alpha, (list, tuple)) and len(alpha) == n
+    if not (type(alpha) in (list, tuple) and len(alpha) == n
             and all(is_self_map(row, n) for row in alpha)):
         raise ValueError(f'"alpha" must be a {n}x{n} table of elements in 0..{n - 1}')
     f = bytes(f_images)
@@ -562,15 +548,11 @@ def opposite_symmetry_check(brace: SkewBrace) -> dict:
 # Linking two braces over one additive group
 
 
-@dataclass(frozen=True)
-class LinkReport:
-    is_brace: bool
-    is_symmetric: bool
-    cond_i: bool
-    cond_ii: bool
-    images_commute: bool
-    hypothesis_met: bool
-    advisory: str | None = None
+class LinkReport(namedtuple("LinkReport", "is_brace is_symmetric cond_i cond_ii images_commute "
+                             "hypothesis_met advisory", defaults=(None,))):
+    """The verdicts of link_check; ``advisory`` says why the criterion was not applied, if it was not."""
+
+    __slots__ = ()
 
 
 def link_conditions(lam1: LambdaMap, lam2: LambdaMap) -> tuple:

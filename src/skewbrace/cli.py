@@ -60,6 +60,8 @@ def _json_scalar(value) -> str:
         return "true" if value else "false"
     if value is None:
         return "null"
+    if isinstance(value, tuple):    # a record, a namedtuple, is not a list of values
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     return _ENCODER.encode(value)   # floats, subclasses; a TypeError for what JSON cannot hold
 
 
@@ -114,7 +116,7 @@ def _json_flat(value, indent: str, rows: _RowMemo) -> str | None:
     A table is a list or tuple of int lists or tuples, or a tuple of bytes
     rows, which is written as the lists of their bytes through ``rows``.
     """
-    if isinstance(value, (list, tuple)):
+    if type(value) in _ROWS:
         if all(type(x) in _SCALARS for x in value):
             return _json_lines(map(_json_scalar, value), indent)
         if type(value) is tuple and all(type(row) is bytes for row in value):

@@ -6,24 +6,24 @@ tunable cap, the group-order cap, is a ``max_order`` argument of the
 functions that read it and the CLI's ``--max-order``.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 MAX_SAMPLES = 100_000
 """The most samples a sampler draws: each one builds and compares a few words or vectors."""
 
 
-@dataclass(frozen=True)
-class SampleConfig:
-    samples: int = 500
-    seed: int = 0
+class SampleConfig(namedtuple("SampleConfig", "samples seed", defaults=(500, 0))):
+    """How many samples a sampler draws, at most MAX_SAMPLES, and the seed of its LCG."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.samples < 0:
             raise ValueError("samples must not be negative")
         if self.samples > MAX_SAMPLES:
             raise ValueError(f"samples {self.samples} exceeds the bound of {MAX_SAMPLES}")
+        return self
 
 
 DEFAULT_SAMPLING = SampleConfig()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from math import gcd, inf
 
@@ -166,8 +166,8 @@ def is_multiplicative(src: FiniteGroup, dst_table, images: bytes) -> bool:
 
 
 def is_self_map(values, n: int) -> bool:
-    """True iff ``values`` is an image array, list or tuple of n integers in 0..n-1 (booleans excluded)."""
-    return (isinstance(values, (bytes, list, tuple)) and len(values) == n
+    """True iff ``values`` is exactly a bytes, list or tuple (no record) of n ints in 0..n-1 (no bools)."""
+    return (type(values) in (bytes, list, tuple) and len(values) == n
             and all(type(x) is int and 0 <= x < n for x in values))
 
 
@@ -203,18 +203,18 @@ def permutation_order(p) -> int:
 # Validation
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str            # not_square | entry_out_of_range | not_latin_square |
-    witness: tuple       # no_identity | no_inverse | not_associative
+class Violation(namedtuple("Violation", "code witness")):
+    """A failed axiom and its witness; ``code`` is one of not_square, entry_out_of_range,
+    not_latin_square, no_identity, no_inverse and not_associative.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GroupCheck:
-    ok: bool
-    group: FiniteGroup | None
-    relabeling: tuple | None   # relabeling[old_label] = new_label
-    violations: tuple
+class GroupCheck(namedtuple("GroupCheck", "ok group relabeling violations")):
+    """verify_group's verdict: the relabeled group, relabeling[old_label] = new_label, or the violations."""
+
+    __slots__ = ()
 
     def as_report(self) -> dict:
         return {
@@ -498,11 +498,10 @@ def small_group_catalog(max_order: int) -> list:
 # Structure: center, derived subgroup, inner automorphisms
 
 
-@dataclass(frozen=True)
-class StructureInfo:
-    center: tuple
-    derived_subgroup: tuple
-    inner_automorphisms: tuple  # image arrays, one per coset of G/Z
+class StructureInfo(namedtuple("StructureInfo", "center derived_subgroup inner_automorphisms")):
+    """The center, the derived subgroup and the inner automorphisms, image arrays one per coset of G/Z."""
+
+    __slots__ = ()
 
 
 def _right_closure(table, identity, seeds) -> tuple:
@@ -832,7 +831,7 @@ def table_field(data, key: str):
     """
     table = data[key]
     lists = (list, tuple)
-    if not isinstance(table, lists) or not all(isinstance(row, lists) for row in table):
+    if type(table) not in lists or not all(type(row) in lists for row in table):
         raise ValueError(f'"{key}" must be a list of rows, each a list of integers')
     return table
 

@@ -10,7 +10,7 @@ identities hold on the nose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .config import DEFAULT_SAMPLING, SampleConfig
@@ -48,11 +48,11 @@ def grading(v: Vec) -> int:
     return v[0] + v[1]
 
 
-@dataclass(frozen=True)
-class LatticeAuto:
-    """A 2x2 integer matrix of determinant +-1 with (M - I)^2 = 0."""
+class LatticeAuto(namedtuple("LatticeAuto", "matrix")):
+    """A 2x2 integer ``matrix`` M of determinant +-1 with (M - I)^2 = 0.
 
-    matrix: Mat
+    It keeps an instance __dict__, no __slots__, for its cached_property values.
+    """
 
     def power(self, k: int) -> Mat:
         m = self.matrix

@@ -8,7 +8,7 @@ group operation ``g o h = g B(g) h B(g)^-1`` and hence a skew brace.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .braces import LambdaMap, SkewBrace
 from .config import DEFAULT_SAMPLING, SampleConfig
@@ -42,10 +42,10 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class RbCheck:
-    ok: bool
-    witness: tuple | None
+class RbCheck(namedtuple("RbCheck", "ok witness")):
+    """Whether a map is Rota-Baxter, and the first failing pair when it is not; true when it is."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -248,9 +248,11 @@ def rb_self_maps(group: FiniteGroup) -> list:
     return [bytes(b) for b in _regular_assignments(group, group.inner, lambda x, y: t[x][y])]
 
 
-def rb_endomorphisms(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> list:
-    """Endomorphisms of the group that satisfy the Rota-Baxter identity."""
-    return [e for e in endomorphisms(group, max_order) if is_rb(group, e).ok]
+def rb_endomorphisms(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER, endos=None) -> list:
+    """Endomorphisms of the group that satisfy the Rota-Baxter identity, among ``endos`` when given."""
+    if endos is None:
+        endos = endomorphisms(group, max_order)
+    return [e for e in endos if is_rb(group, e).ok]
 
 
 def rb_orbits(automorphisms, operators) -> list:
@@ -276,15 +278,20 @@ def rb_search(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> dict:
     ``max_order`` above it. Both flags are isomorphism invariants of the
     brace, so only the least operator of each Aut(G)-orbit of rb_orbits
     goes through rb_brace and both checks, and the rest of its orbit gets
-    its flags. Aut(G) is searched under the larger of ``max_order`` and
-    MAX_GROUP_ORDER, so it never stops a search that ``max_order`` lets run.
+    its flags. Above MAX_SELF_MAP_ORDER Aut(G) is the bijective endomorphisms,
+    in the sorted order of automorphism_group; up to it Aut(G) is searched
+    under the larger of ``max_order`` and MAX_GROUP_ORDER, so it never stops
+    a search that ``max_order`` lets run.
     """
     if group.order <= MAX_SELF_MAP_ORDER:
         found, scope = rb_self_maps(group), "self-maps"
+        auts = automorphism_group(group, max(max_order, MAX_GROUP_ORDER))
     else:
-        found, scope = rb_endomorphisms(group, max_order), "endomorphisms"
+        endos = endomorphisms(group, max_order)
+        found, scope = rb_endomorphisms(group, max_order, endos), "endomorphisms"
+        auts = [e for e in endos if len(set(e)) == group.order]
     flags = {}
-    for orbit in rb_orbits(automorphism_group(group, max(max_order, MAX_GROUP_ORDER)), found):
+    for orbit in rb_orbits(auts, found):
         brace = rb_brace(group, orbit[0])
         row = {"symmetric": rb_symmetry_check(brace, orbit[0])["symmetric"],
                "lambda_homomorphic": rb_lambda_hom_check(brace, orbit[0])["lambda_homomorphic"]}
@@ -297,18 +304,18 @@ def rb_search(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> dict:
 # The free-group operator B(w) = x1^{exp_sum(w)}
 
 
-@dataclass(frozen=True)
-class FreeRb:
-    """A homomorphic operator on a free group, given by generator images."""
+class FreeRb(namedtuple("FreeRb", "rank images")):
+    """A homomorphic operator on a free group, given by generator images: ``images``, a FreeWord per generator."""
 
-    rank: int
-    images: tuple  # FreeWord per generator
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
         if any(w.rank != self.rank for w in self.images):
             raise RankMismatch(f"an image's rank differs from the operator rank {self.rank}")
+        return self
 
     def action(self):
         """B as a map of reduced syllable tuples of this rank: the product of the images' powers."""

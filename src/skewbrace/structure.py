@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .braces import LambdaMap, SkewBrace
 from .errors import CriterionMismatch, NotAnIdeal, NotAntiHomomorphism, NotASubgroup, OrderCapExceeded
@@ -18,13 +18,11 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
-class IdealReport:
-    elements: tuple
-    lambda_invariant: bool
-    normal_add: bool
-    normal_circ: bool
-    witness: tuple | None = None
+class IdealReport(namedtuple("IdealReport", "elements lambda_invariant normal_add normal_circ witness",
+                              defaults=(None,))):
+    """The three ideal conditions on the sorted ``elements``, and the witness of the first that fails."""
+
+    __slots__ = ()
 
     @property
     def is_ideal(self) -> bool:
@@ -117,11 +115,13 @@ def quotient_brace(brace: SkewBrace, ideal) -> SkewBrace:
     lambda_a(I) = I, lambda-bar_[a]([b]) = [lambda_a(b)] is well defined and
     gives [a] o [b] = [a . lambda_a(b)] = [a o b]. As a cross-check the map
     to cosets must be multiplicative for both operations (hom_witness).
+    An IdealReport whose is_ideal holds is taken on trust; other member sets are checked by is_ideal.
     """
     members = set(ideal.elements if isinstance(ideal, IdealReport) else ideal)
-    report = is_ideal(brace, members)
-    if not report.is_ideal:
-        raise NotAnIdeal(f"{sorted(members)} fails {report.witness}")
+    if not (isinstance(ideal, IdealReport) and ideal.is_ideal):
+        report = is_ideal(brace, members)
+        if not report.is_ideal:
+            raise NotAnIdeal(f"{sorted(members)} fails {report.witness}")
     labels = coset_labels(brace.add, members)
     reps = sorted(set(labels))
     coset = bytes(map(reps.index, labels))       # coset[x]: the index of the coset of x
@@ -225,10 +225,10 @@ def all_ideals(brace: SkewBrace) -> list:
     return sorted(seen, key=lambda s: (len(s), s))
 
 
-@dataclass(frozen=True)
-class TrivialityChain:
-    chain: tuple   # ascending ideals, starting at {0}, ending at the carrier
-    step: int
+class TrivialityChain(namedtuple("TrivialityChain", "chain step")):
+    """A ``chain`` of ascending ideals from {0} to the carrier, of ``step`` steps."""
+
+    __slots__ = ()
 
 
 def trivial_quotient(brace: SkewBrace, small, big, labels: bytes | None = None) -> bool:

@@ -7,8 +7,9 @@ deduplicated by exact table equality, keeping the label closest to the base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import chain
+from types import MappingProxyType
 
 from .braces import LambdaMap, SkewBrace, left_law_witness, link_conditions
 from .errors import (
@@ -31,16 +32,21 @@ MAX_SYSTEM_VERTICES = 64
 """The most distinct operations a system keeps: every ordered pair of them is checked."""
 
 
-@dataclass
-class BraceSystemGraph:
-    carrier_order: int
-    vertices: tuple              # FiniteGroup per vertex
-    labels: tuple                # display label per vertex (str)
-    edges: dict                  # (u, v) -> "verified" | "failed"
-    kind: str                    # general | symmetric | full_symmetric | linear | rooted
-    label_map: dict = field(default_factory=dict)   # built level -> vertex index
-    lam: LambdaMap | None = None                    # level-0 assignment, when built from one
-    hypotheses_met: bool | None = None              # union linking hypotheses, when evaluated
+class BraceSystemGraph(namedtuple("BraceSystemGraph", "carrier_order vertices labels edges kind "
+                                   "label_map lam hypotheses_met",
+                                   defaults=(MappingProxyType({}), None, None))):
+    """A brace system as a labeled graph.
+
+    vertices        FiniteGroup per vertex
+    labels          display label per vertex (str)
+    edges           (u, v) -> "verified" | "failed"
+    kind            general | symmetric | full_symmetric | linear | rooted
+    label_map       built level -> vertex index; an empty read-only mapping when not given
+    lam             level-0 assignment, when built from one
+    hypotheses_met  union linking hypotheses, when evaluated
+    """
+
+    __slots__ = ()
 
     @property
     def image_exponent(self) -> int | None:
@@ -206,7 +212,7 @@ def union_systems(sys1: BraceSystemGraph, sys2: BraceSystemGraph) -> BraceSystem
         hypotheses_met=hypotheses_met,
     )
     if not hypotheses_met and graph.is_edge_symmetric():
-        graph.kind = "symmetric"
+        return graph._replace(kind="symmetric")
     return graph
 
 

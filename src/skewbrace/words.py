@@ -19,7 +19,7 @@ tuples they draw and build a ``FreeWord`` only to print a failure witness.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .config import DEFAULT_SAMPLING, SampleConfig
@@ -196,18 +196,18 @@ def word_to_text(w: FreeWord) -> str:
 # Automorphisms
 
 
-@dataclass(frozen=True)
-class GeneratorCycle:
+class GeneratorCycle(namedtuple("GeneratorCycle", "rank shift", defaults=(1,))):
     """x1 -> x2 -> ... -> xn -> x1, optionally shifted several steps."""
 
-    rank: int
-    shift: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
         if self.rank > MAX_RANK:
             raise ValueError(f"rank {self.rank} exceeds the bound of {MAX_RANK}")
+        return self
 
     def action(self, k: int = 1):
         """The k-th power of the cycle as a map of reduced syllable tuples of this rank."""
@@ -226,11 +226,10 @@ class GeneratorCycle:
         return w if image is w.syllables else FreeWord._reduced(self.rank, image)
 
 
-@dataclass(frozen=True)
-class Inner:
-    """Conjugation u -> w u w^-1."""
+class Inner(namedtuple("Inner", "word")):
+    """Conjugation u -> w u w^-1 by the FreeWord w = ``word``."""
 
-    word: FreeWord
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -327,20 +326,20 @@ def sampled_brace_check(theta: GeneratorCycle | Inner,
 # Schreier rewriting for the exponent-sum kernel
 
 
-@dataclass(frozen=True)
-class SchreierRewriter:
+class SchreierRewriter(namedtuple("SchreierRewriter", "rank modulus")):
     """Rewrites kernel words over the transversal {x1^k} of the exponent-sum map.
 
     ``modulus`` is the order of the grading image: a positive integer for the
     generator-cycle multiplication, None for the infinite-order case.
     """
 
-    rank: int
-    modulus: int | None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.modulus is not None and self.modulus < 1:
             raise ValueError("modulus must be at least 1, or None for the infinite case")
+        return self
 
     def token(self, coset: int, gen: int):
         """Schreier generator for (coset representative x1^coset, generator), or None."""

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 
@@ -297,7 +296,7 @@ def test_derived_table_failure_exits_3_not_2(tmp_path, capsys, monkeypatch):
 
     def corrupted(group, lam):
         facts = of(group, lam)
-        return dataclasses.replace(facts, products=tuple((-1,) * len(row) for row in facts.products))
+        return facts._replace(products=tuple((-1,) * len(row) for row in facts.products))
 
     monkeypatch.setattr(braces.LambdaMap, "of", staticmethod(corrupted))
     lam = write(tmp_path, "lam.json", {"maps": [[0, 1, 2, 3]] * 4})
@@ -1213,6 +1212,18 @@ def test_rb_search_builds_each_brace_once(tmp_path, capsys, monkeypatch):
     built = [tuple(args[1]) for args in calls]
     assert built == leaders
     assert len(set(built)) == len(built) < len(operators)
+
+
+def test_rb_search_above_the_self_map_order_runs_one_backtrack(tmp_path, capsys, monkeypatch):
+    # Aut(G) is read off the endomorphisms the search lists, not searched for again
+    path = write(tmp_path, "q8.json", groups.group_to_json(groups.dicyclic_group(2)))
+    _, expected, _ = run(capsys, ["rb", "search", "--group", path])
+    calls = count_calls(monkeypatch, groups._homomorphisms)
+    code, out, _ = run(capsys, ["rb", "search", "--group", path])
+    assert code == 0
+    assert out == expected
+    assert json.loads(out)["count"] > 1
+    assert [args[2] for args in calls] == [False]     # the one endomorphism search
 
 
 RB_ORACLE_GROUPS = [g for g in groups.small_group_catalog(12) if g.order >= 6] + [

@@ -219,6 +219,14 @@ def test_automorphism_cap():
         automorphism_group(groups.cyclic_group(30))
 
 
+@pytest.mark.parametrize("group", [g for g in groups.small_group_catalog(12) if g.order > 6],
+                         ids=lambda g: g.name)
+def test_automorphisms_are_the_bijective_endomorphisms(group):
+    # rota.rb_search takes Aut(G) so above the self-map order: same maps, same order, identity first
+    endos = groups.endomorphisms(group)
+    assert [e for e in endos if len(set(e)) == group.order] == list(groups.automorphism_group(group))
+
+
 def test_endomorphism_enumeration(z4, s3):
     from skewbrace.groups import endomorphisms
 

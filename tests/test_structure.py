@@ -235,6 +235,27 @@ def test_factorization_brace_quotient_natural(s3):
     assert quotient_brace(brace, kernel_ideal(brace)).order == 2
 
 
+def test_naturality_report_checks_the_kernel_once(s3, monkeypatch):
+    # quotient_brace takes the IdealReport of kernel_ideal as it is
+    brace = s3_factorization_brace(s3)
+    expected = naturality_report(brace)
+    calls = []
+    checked = structure.is_ideal
+    monkeypatch.setattr(structure, "is_ideal", lambda b, elements: calls.append(elements) or checked(b, elements))
+    assert naturality_report(brace) == expected
+    assert calls == [brace.lam.kernel]
+
+
+def test_quotient_checks_a_failing_report_and_raw_members(s3):
+    brace = op_brace(s3)
+    transposition = next(x for x in range(6) if s3.element_order(x) == 2)
+    failing = is_ideal(brace, (0, transposition))
+    assert not failing.is_ideal
+    for ideal in (failing, (0, transposition)):
+        with pytest.raises(NotAnIdeal):
+            quotient_brace(brace, ideal)
+
+
 def test_trivial_abelian_natural(z4):
     report = naturality_report(trivial_brace(z4))
     assert report["is_natural"]
