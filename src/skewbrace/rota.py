@@ -11,7 +11,7 @@ import json
 from collections import namedtuple
 
 from .braces import LambdaMap, SkewBrace
-from .config import DEFAULT_SAMPLING, SampleConfig
+from .config import DEFAULT_SAMPLING, CheckedRecord, SampleConfig
 from .errors import CriterionMismatch, NotRotaBaxter, PreconditionFails, RankMismatch
 from .groups import (
     MAX_GROUP_ORDER,
@@ -130,98 +130,6 @@ def rb_lambda_hom_check(brace: SkewBrace, b_map) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Word expansion
-
-
-def _fold_vs_formula(mul, invert, identity, b_of, letters):
-    """Evaluate a product of circle-powers two ways and insist they agree.
-
-    Fold: repeated derived products g o h = g B(g) h B(g)^-1, with the
-    circle inverse B(a)^-1 a^-1 B(a).  Formula: the closed rewriting
-    prod (a_i B(a_i))^{k_i} . prod_reversed B(a_i)^{-k_i}.
-    """
-    def circ(g, h):
-        bg = b_of(g)
-        return mul(mul(mul(g, bg), h), invert(bg))
-
-    def circ_inv(a):
-        ba = b_of(a)
-        out = mul(mul(invert(ba), invert(a)), ba)
-        if circ(a, out) != identity or circ(out, a) != identity:
-            raise CriterionMismatch("closed-form circle inverse failed")
-        return out
-
-    def gpow(x, k):
-        out = identity
-        step = x if k >= 0 else invert(x)
-        for _ in range(abs(k)):
-            out = mul(out, step)
-        return out
-
-    def circ_pow(a, k):
-        out = identity
-        step = a if k >= 0 else circ_inv(a)
-        for _ in range(abs(k)):
-            out = circ(out, step)
-        return out
-
-    folded = identity
-    for a, k in letters:
-        folded = circ(folded, circ_pow(a, k))
-
-    formula = identity
-    for a, k in letters:
-        formula = mul(formula, gpow(mul(a, b_of(a)), k))
-    for a, k in reversed(letters):
-        formula = mul(formula, gpow(b_of(a), -k))
-
-    if folded != formula:
-        raise CriterionMismatch(f"fold {folded!r} differs from closed form {formula!r}")
-    return folded
-
-
-def circ_word_expand(group: FiniteGroup, b_map, letters):
-    """Evaluate a circle-operation word on a finite carrier, fold vs closed form."""
-    check = is_rb(group, b_map)
-    if not check.ok:
-        raise NotRotaBaxter(check.witness)
-    b = tuple(b_map)
-    return _fold_vs_formula(
-        lambda x, y: group.table[x][y],
-        lambda x: group.inverse[x],
-        0,
-        lambda x: b[x],
-        list(letters),
-    )
-
-
-def circ2_expansion_report(group: FiniteGroup, b_map) -> dict:
-    """Check the stated flat expansion of the second derived operation.
-
-    The second operation of the operator-built tower is compared entrywise
-    with x B(x)^2 B(B(x)) y B(y) ... (the printed flat form); any mismatch is
-    reported rather than assumed away.
-    """
-    circ1 = derived_group(group, b_map)
-    b = tuple(b_map)
-    n, t, inv = group.order, group.table, group.inverse
-    c1, i1 = circ1.table, circ1.inverse
-
-    def circ2(x, y):
-        return c1[c1[c1[x][b[x]]][y]][i1[b[x]]]
-
-    def flat(x, y):
-        bx, b2x = b[x], b[b[x]]
-        out = x
-        for v in (bx, bx, b2x, y, b[y], inv[b2x], inv[bx], b2x, inv[b[y]], inv[b2x], inv[bx]):
-            out = t[out][v]
-        return out
-
-    witness = next(((x, y) for x in range(n) for y in range(n) if flat(x, y) != circ2(x, y)), None)
-    return {"matches_printed": witness is None, "witness": witness}
-
-
-# ---------------------------------------------------------------------------
 # Searches
 
 
@@ -304,7 +212,7 @@ def rb_search(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> dict:
 # The free-group operator B(w) = x1^{exp_sum(w)}
 
 
-class FreeRb(namedtuple("FreeRb", "rank images")):
+class FreeRb(CheckedRecord, namedtuple("FreeRb", "rank images")):
     """A homomorphic operator on a free group, given by generator images: ``images``, a FreeWord per generator."""
 
     __slots__ = ()
@@ -327,11 +235,6 @@ class FreeRb(namedtuple("FreeRb", "rank images")):
                 out = mul_syllables(out, pow_syllables(images[g], e))
             return out
         return image
-
-    def apply(self, w: FreeWord) -> FreeWord:
-        if w.rank != self.rank:
-            raise RankMismatch(f"word rank {w.rank} != operator rank {self.rank}")
-        return FreeWord._reduced(self.rank, self.action()(w.syllables))
 
 
 def _rb_identity_holds(b, g, h):
@@ -400,17 +303,6 @@ def free_rb_report(m: int, sampling: SampleConfig = DEFAULT_SAMPLING) -> dict:
         "failure_count": len(failures),
         "failures": failures,
     }
-
-
-def free_circ_word_expand(op: FreeRb, letters):
-    """Fold-vs-formula evaluation of a circle word on a free carrier."""
-    return _fold_vs_formula(
-        lambda x, y: x.mul(y),
-        lambda x: x.inv(),
-        FreeWord(op.rank),
-        op.apply,
-        list(letters),
-    )
 
 
 # ---------------------------------------------------------------------------

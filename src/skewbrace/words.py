@@ -22,9 +22,9 @@ import re
 from collections import namedtuple
 from functools import cache
 
-from .config import DEFAULT_SAMPLING, SampleConfig
+from .config import DEFAULT_SAMPLING, CheckedRecord, SampleConfig
 from .errors import CriterionMismatch, NotInKernel, RankMismatch, WindowTooSmall
-from .rng import INC, MASK, MULT, Lcg
+from .rng import Lcg
 
 MAX_REWRITE_LENGTH = 100_000
 """The longest word, in letters, that ``SchreierRewriter.rewrite`` scans one letter at a time."""
@@ -196,7 +196,7 @@ def word_to_text(w: FreeWord) -> str:
 # Automorphisms
 
 
-class GeneratorCycle(namedtuple("GeneratorCycle", "rank shift", defaults=(1,))):
+class GeneratorCycle(CheckedRecord, namedtuple("GeneratorCycle", "rank shift", defaults=(1,))):
     """x1 -> x2 -> ... -> xn -> x1, optionally shifted several steps."""
 
     __slots__ = ()
@@ -241,12 +241,6 @@ class Inner(namedtuple("Inner", "word")):
         w_inv = inv_syllables(w)
         return lambda u: mul_syllables(mul_syllables(w, u), w_inv)
 
-    def apply(self, u: FreeWord, k: int = 1) -> FreeWord:
-        """Conjugation by word^k: u -> word^k u word^-k."""
-        if u.rank != self.rank:
-            raise RankMismatch(f"word rank {u.rank} != automorphism rank {self.rank}")
-        return FreeWord._reduced(self.rank, self.action(k)(u.syllables))
-
 
 # ---------------------------------------------------------------------------
 # Sampling
@@ -255,27 +249,20 @@ class Inner(namedtuple("Inner", "word")):
 def sample_word(rng: Lcg, rank: int, max_syllables: int, max_exp: int) -> tuple:
     """A random reduced syllable tuple: up to ``max_syllables`` draws x_g^{+-e}, 1 <= e <= max_exp.
 
-    Makes the draws ``rng.next_int``/``next_in`` would make, in the same order
-    (the syllable count, then generator, exponent and sign per syllable), on
-    the LCG state directly, and merges each syllable into the word as it is drawn.
+    Draws the syllable count, then takes generator, exponent and sign for
+    each syllable from one ``rng.take`` of the stream, and merges each
+    syllable into the word as it is drawn.
     """
     if rank < 1:
         raise ValueError("rank must be at least 1")
     if max_exp < 1:
         raise ValueError("max_exp must be at least 1")
-    state = (rng.state * MULT + INC) & MASK
-    count = (state >> 33) % (max_syllables + 1)
+    count = rng.next_int(max_syllables + 1)
+    draws, i = rng.take(3 * count)
     stack = []
-    for _ in range(count):
-        state = (state * MULT + INC) & MASK
-        g = 1 + (state >> 33) % rank
-        state = (state * MULT + INC) & MASK
-        e = 1 + (state >> 33) % max_exp
-        state = (state * MULT + INC) & MASK
-        if (state >> 33) & 1:
-            e = -e
-        _push(stack, g, e)
-    rng.state = state
+    for j in range(i, i + 3 * count, 3):
+        e = 1 + draws[j + 1] % max_exp
+        _push(stack, 1 + draws[j] % rank, -e if draws[j + 2] & 1 else e)
     return tuple(stack)
 
 
@@ -326,7 +313,7 @@ def sampled_brace_check(theta: GeneratorCycle | Inner,
 # Schreier rewriting for the exponent-sum kernel
 
 
-class SchreierRewriter(namedtuple("SchreierRewriter", "rank modulus")):
+class SchreierRewriter(CheckedRecord, namedtuple("SchreierRewriter", "rank modulus")):
     """Rewrites kernel words over the transversal {x1^k} of the exponent-sum map.
 
     ``modulus`` is the order of the grading image: a positive integer for the

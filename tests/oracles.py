@@ -4,14 +4,15 @@ Everything here deliberately avoids the code paths it is checking: tables
 are enumerated directly from the axioms. The library keeps tables as bytes
 rows and maps as bytes image arrays; the oracles work on int tuples, one
 subscript at a time, and ``tuples`` converts the library's values for a
-comparison.
+comparison. It also keeps, with their tests, the word expansions and the
+word-level operator applies that no command reaches.
 """
 
 from functools import lru_cache
 from itertools import permutations, product
 
 from skewbrace.braces import Classification, SkewBrace
-from skewbrace.errors import NotRotaBaxter, PreconditionFails
+from skewbrace.errors import CriterionMismatch, NotRotaBaxter, PreconditionFails, RankMismatch
 from skewbrace.groups import (
     MAX_GROUP_ORDER,
     FiniteGroup,
@@ -24,6 +25,8 @@ from skewbrace.groups import (
 from skewbrace.lattice import grading, lattice_lambda, mat_vec, vec_add
 from skewbrace.rota import (
     MAX_SELF_MAP_ORDER,
+    derived_group,
+    is_rb,
     rb_brace,
     rb_endomorphisms,
     rb_lambda_hom_check,
@@ -861,6 +864,21 @@ def linear_level_by_recomposing(group, maps, i):
     return tuple(table)
 
 
+# --- the sampling stream, one textbook LCG step per draw ------------------
+
+
+def lcg_draws_by_stepping(seed):
+    """Yield (draw, state) forever: state -> (state * a + c) mod 2^64, one step per draw, draw = state >> 33.
+
+    The multiplier and increment are Knuth's MMIX constants, written out here
+    rather than read from the library.
+    """
+    state = (seed ^ 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    while True:
+        state = (state * 6364136223846793005 + 1442695040888963407) & 0xFFFFFFFFFFFFFFFF
+        yield state >> 33, state
+
+
 # --- free words, reduced by FreeWord's validating reducer ------------------
 # The samplers multiply reduced syllable tuples at the seam (words.mul_syllables);
 # these formulas reduce whole concatenations letter run by letter run instead.
@@ -907,6 +925,124 @@ def free_rb_level_inverse(m, a):
     """The level-m inverse x1^{-m l(a)} a^-1 x1^{m l(a)} of a in the rank-2 example."""
     k = m * exponent_sum(a)
     return word_product(FreeWord(2, [(1, -k)]), word_power(a, -1), FreeWord(2, [(1, k)]))
+
+
+# --- word expansion, fold vs closed form, and words through operator actions ---
+# No command evaluates circle-words or applies an operator to a FreeWord: the
+# library acts on syllable tuples (``theta.action(k)``, ``FreeRb.action()``).
+
+
+def apply_power(theta, u, k=1):
+    """theta^k applied to the FreeWord u through ``theta.action(k)``; k < 0 applies the inverse."""
+    if u.rank != theta.rank:
+        raise RankMismatch(f"word rank {u.rank} != automorphism rank {theta.rank}")
+    return FreeWord._reduced(theta.rank, theta.action(k)(u.syllables))
+
+
+def free_rb_apply(op, w):
+    """The free operator ``op`` applied to the FreeWord w through ``op.action()``."""
+    if w.rank != op.rank:
+        raise RankMismatch(f"word rank {w.rank} != operator rank {op.rank}")
+    return FreeWord._reduced(op.rank, op.action()(w.syllables))
+
+
+def _fold_vs_formula(mul, invert, identity, b_of, letters):
+    """Evaluate a product of circle-powers two ways and insist they agree.
+
+    Fold: repeated derived products g o h = g B(g) h B(g)^-1, with the
+    circle inverse B(a)^-1 a^-1 B(a).  Formula: the closed rewriting
+    prod (a_i B(a_i))^{k_i} . prod_reversed B(a_i)^{-k_i}.
+    """
+    def circ(g, h):
+        bg = b_of(g)
+        return mul(mul(mul(g, bg), h), invert(bg))
+
+    def circ_inv(a):
+        ba = b_of(a)
+        out = mul(mul(invert(ba), invert(a)), ba)
+        if circ(a, out) != identity or circ(out, a) != identity:
+            raise CriterionMismatch("closed-form circle inverse failed")
+        return out
+
+    def gpow(x, k):
+        out = identity
+        step = x if k >= 0 else invert(x)
+        for _ in range(abs(k)):
+            out = mul(out, step)
+        return out
+
+    def circ_pow(a, k):
+        out = identity
+        step = a if k >= 0 else circ_inv(a)
+        for _ in range(abs(k)):
+            out = circ(out, step)
+        return out
+
+    folded = identity
+    for a, k in letters:
+        folded = circ(folded, circ_pow(a, k))
+
+    formula = identity
+    for a, k in letters:
+        formula = mul(formula, gpow(mul(a, b_of(a)), k))
+    for a, k in reversed(letters):
+        formula = mul(formula, gpow(b_of(a), -k))
+
+    if folded != formula:
+        raise CriterionMismatch(f"fold {folded!r} differs from closed form {formula!r}")
+    return folded
+
+
+def circ_word_expand(group, b_map, letters):
+    """Evaluate a circle-operation word on a finite carrier, fold vs closed form."""
+    check = is_rb(group, b_map)
+    if not check.ok:
+        raise NotRotaBaxter(check.witness)
+    b = tuple(b_map)
+    return _fold_vs_formula(
+        lambda x, y: group.table[x][y],
+        lambda x: group.inverse[x],
+        0,
+        lambda x: b[x],
+        list(letters),
+    )
+
+
+def circ2_expansion_report(group, b_map) -> dict:
+    """Check the stated flat expansion of the second derived operation.
+
+    The second operation of the operator-built tower is compared entrywise
+    with x B(x)^2 B(B(x)) y B(y) ... (the printed flat form); any mismatch is
+    reported rather than assumed away.
+    """
+    circ1 = derived_group(group, b_map)
+    b = tuple(b_map)
+    n, t, inv = group.order, group.table, group.inverse
+    c1, i1 = circ1.table, circ1.inverse
+
+    def circ2(x, y):
+        return c1[c1[c1[x][b[x]]][y]][i1[b[x]]]
+
+    def flat(x, y):
+        bx, b2x = b[x], b[b[x]]
+        out = x
+        for v in (bx, bx, b2x, y, b[y], inv[b2x], inv[bx], b2x, inv[b[y]], inv[b2x], inv[bx]):
+            out = t[out][v]
+        return out
+
+    witness = next(((x, y) for x in range(n) for y in range(n) if flat(x, y) != circ2(x, y)), None)
+    return {"matches_printed": witness is None, "witness": witness}
+
+
+def free_circ_word_expand(op, letters):
+    """Fold-vs-formula evaluation of a circle word on a free carrier."""
+    return _fold_vs_formula(
+        lambda x, y: x.mul(y),
+        lambda x: x.inv(),
+        FreeWord(op.rank),
+        lambda w: free_rb_apply(op, w),
+        list(letters),
+    )
 
 
 # --- the lattice levels, one formula per call ----------------------------

@@ -10,6 +10,7 @@ import time
 from oracles import (
     brute_force_circ_tables,
     circ_orbits_by_relabeling,
+    circ_word_expand,
     holomorph_members,
     inversion_operator,
     regular_subgroup_count_by_lambda_walk,
@@ -29,7 +30,6 @@ from skewbrace.braces import (
 from skewbrace.config import SampleConfig
 from skewbrace.lattice import lattice_system_check
 from skewbrace.rota import (
-    circ_word_expand,
     derived_group,
     is_rb,
     rb_brace,

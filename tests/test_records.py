@@ -76,6 +76,10 @@ RECORDS = {
 }
 
 
+# a new value that passes the checks of each record that checks its fields; the rest take "other"
+CHECKED_REPLACEMENTS = {"SampleConfig": ("samples", 8), "FreeRb": ("images", ()), "GeneratorCycle": ("rank", 4)}
+
+
 def test_every_record_is_listed():
     # every namedtuple subclass the library defines is a record of RECORDS
     defined = {name for module in (braces, config, groups, lattice, rota, structure, systems, words)
@@ -93,7 +97,8 @@ def test_record_is_an_immutable_value(name):
     assert record._fields == fields
     assert "count" not in fields and "index" not in fields
     assert record == again and not record != again
-    assert record._replace(**{fields[0]: "other"}) != record
+    field, value = CHECKED_REPLACEMENTS.get(name, (fields[0], "other"))
+    assert record._replace(**{field: value}) != record
     if hashable:
         assert hash(record) == hash(again)
         assert len({record, again}) == 1
@@ -136,6 +141,47 @@ def test_record_constructor_checks(make, error, message):
         make()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("cls, valid, bad, error, message", [
+    (config.SampleConfig, {}, {"samples": -1}, ValueError, "samples must not be negative"),
+    (config.SampleConfig, {}, {"samples": config.MAX_SAMPLES + 1}, ValueError,
+     f"samples {config.MAX_SAMPLES + 1} exceeds the bound of {config.MAX_SAMPLES}"),
+    (rota.FreeRb, {"rank": 2, "images": ()}, {"rank": 0}, ValueError, "rank must be at least 1"),
+    (rota.FreeRb, {"rank": 2, "images": ()}, {"images": (_word(3, (1, 1)),)}, RankMismatch,
+     "an image's rank differs from the operator rank 2"),
+    (words.GeneratorCycle, {"rank": 3}, {"rank": 0}, ValueError, "rank must be at least 1"),
+    (words.GeneratorCycle, {"rank": 3}, {"rank": words.MAX_RANK + 1, "shift": 2}, ValueError,
+     f"rank {words.MAX_RANK + 1} exceeds the bound of {words.MAX_RANK}"),
+    (words.SchreierRewriter, {"rank": 2, "modulus": 3}, {"modulus": 0}, ValueError,
+     "modulus must be at least 1, or None for the infinite case"),
+], ids=lambda value: value.__name__ if isinstance(value, type) else None)
+def test_record_checks_hold_through_replace_and_make(cls, valid, bad, error, message):
+    # namedtuple's _make, which _replace calls, would build the tuple without __new__'s checks
+    record = cls(**valid)
+    fields = [bad.get(field, value) for field, value in zip(cls._fields, record)]
+    for make in (lambda: cls(**{**record._asdict(), **bad}), lambda: record._replace(**bad),
+                 lambda: cls._make(fields), lambda: cls._make(iter(fields))):
+        with pytest.raises(error) as info:
+            make()
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("cls", [config.SampleConfig, rota.FreeRb, words.GeneratorCycle,
+                                 words.SchreierRewriter])
+def test_checked_make_keeps_its_arity_and_field_errors(cls):
+    record = {config.SampleConfig: config.SampleConfig(), rota.FreeRb: rota.FreeRb(1, ()),
+              words.GeneratorCycle: words.GeneratorCycle(2), words.SchreierRewriter: words.SchreierRewriter(2, 3)}[cls]
+    assert cls._make(record) == record == record._replace()
+    assert type(cls._make(record)) is cls
+    n = len(cls._fields)
+    with pytest.raises(TypeError, match=f"Expected {n} arguments, got {n - 1}"):
+        cls._make(tuple(record)[:-1])
+    with pytest.raises(TypeError, match=f"Expected {n} arguments, got {n + 1}"):
+        cls._make((*record, 0))
+    with pytest.raises(ValueError, match=r"Got unexpected field names: \['bogus'\]"):
+        record._replace(bogus=1)
 
 
 def test_checked_records_accept_their_bounds():
