@@ -3,8 +3,7 @@
 A pair of tables (add, circ) on {0..n-1} is a skew brace when
 ``a o (b . c) = (a o b) . a^-1 . (a o c)`` for all a, b, c, writing ``.`` for
 the additive and ``o`` for the multiplicative operation.  Braces are stored as
-labeled tables; equality is entrywise table equality, isomorphism is a
-separate operation.
+labeled tables; equality is entrywise table equality.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from collections import namedtuple
 from math import gcd
 
 from .errors import (
-    AdditiveTablesDiffer,
     CriterionMismatch,
     ImageNotAbelianModCenter,
     InvalidGroup,
@@ -26,7 +24,6 @@ from .errors import (
     NotEndomorphismModCenter,
     NotExactFactorization,
     NotHomomorphism,
-    PreconditionFails,
 )
 from .groups import (
     MAX_GROUP_ORDER,
@@ -36,7 +33,7 @@ from .groups import (
     automorphism_orbits,
     compose,
     coset_labels,
-    group_isomorphisms,
+    derived_subgroup,
     hom_witness,
     holomorph_automorphisms,
     identity_map,
@@ -44,8 +41,6 @@ from .groups import (
     is_multiplicative,
     is_self_map,
     permutation_order,
-    relabeled,
-    structure_subgroups,
     subgroup_closure_in,
     table_field,
     transpose,
@@ -374,9 +369,6 @@ class Classification(namedtuple("Classification", "lambda_homomorphic lambda_ant
 
     __slots__ = ()
 
-    def as_dict(self) -> dict:
-        return self._asdict()
-
 
 def classify(brace: SkewBrace) -> Classification:
     """Compute the five structural flags of a brace.
@@ -428,11 +420,15 @@ def construct_exact_factorization(group: FiniteGroup, a_part, b_part) -> SkewBra
     It is built from lambda_(a1 b1) = conjugation x -> b1^-1 x b1, and its
     table must be that closed form.
     """
-    A = tuple(sorted(a_part))
-    B = tuple(sorted(b_part))
+    A, B = tuple(a_part), tuple(b_part)
     n, t = group.order, group.table
     if not all(0 <= x < n for x in A + B):
         raise ValueError(f"the parts must list elements in 0..{n - 1}")
+    for name, part in (("A", A), ("B", B)):
+        repeated = [x for x in set(part) if part.count(x) > 1]
+        if repeated:
+            raise NotExactFactorization(f"{name} lists element {min(repeated)} more than once")
+    A, B = tuple(sorted(A)), tuple(sorted(B))
     if subgroup_closure_in(group, A) != A or subgroup_closure_in(group, B) != B:
         raise NotExactFactorization("A and B must be subgroups")
     if set(A) & set(B) != {0}:
@@ -469,8 +465,7 @@ def construct_unification(group: FiniteGroup, f_images, alpha, epsilon: int = 1)
         raise ValueError(f'"alpha" must be a {n}x{n} table of elements in 0..{n - 1}')
     f = bytes(f_images)
     alpha = tuple(map(bytes, alpha))
-    info = structure_subgroups(group)
-    center = set(info.center)
+    center = set(group.center)
     t, inv = group.table, group.inverse
 
     a_part = subgroup_closure_in(group, tuple(f) + tuple(center))
@@ -499,7 +494,7 @@ def construct_unification(group: FiniteGroup, f_images, alpha, epsilon: int = 1)
         for b in range(n):
             if alpha[z][b] != 0 or alpha[b][z] != 0:
                 raise NotBilinear(f"alpha must vanish on central arguments ({z},{b})")
-    for g in info.derived_subgroup:
+    for g in derived_subgroup(group):
         for b in range(n):
             if alpha[g][b] != 0 or alpha[b][g] != 0:
                 raise CriterionMismatch("bilinearity must force alpha to vanish on commutators")
@@ -521,38 +516,8 @@ def opposite(brace: SkewBrace) -> SkewBrace:
     return SkewBrace(brace.add.opposite(), brace.circ)
 
 
-def opposite_symmetry_check(brace: SkewBrace) -> dict:
-    """Compare symmetry of the opposite brace with the inner-centralizer condition.
-
-    Both booleans are computed independently; the proved direction
-    (centralizing inners force a symmetric opposite) is asserted, a failure
-    of the unproved converse is reported instead of assumed away.
-    """
-    lam = brace.lam
-    if not lam.homomorphic_on_add:
-        raise PreconditionFails("brace must be lambda-homomorphic")
-    op_sym = classify(opposite(brace)).symmetric
-    inner = structure_subgroups(brace.add).inner_automorphisms
-    distinct = set(lam.maps)
-    inn_cent = all(compose(i, l) == compose(l, i) for i in inner for l in distinct)
-    if inn_cent and not op_sym:
-        raise CriterionMismatch("inner automorphisms centralize lambda but opposite is not symmetric")
-    return {
-        "opposite_symmetric": op_sym,
-        "inn_centralizes_lambda": inn_cent,
-        "iff_holds": op_sym == inn_cent,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Linking two braces over one additive group
-
-
-class LinkReport(namedtuple("LinkReport", "is_brace is_symmetric cond_i cond_ii images_commute "
-                             "hypothesis_met advisory", defaults=(None,))):
-    """The verdicts of link_check; ``advisory`` says why the criterion was not applied, if it was not."""
-
-    __slots__ = ()
 
 
 def link_conditions(lam1: LambdaMap, lam2: LambdaMap) -> tuple:
@@ -565,67 +530,6 @@ def link_conditions(lam1: LambdaMap, lam2: LambdaMap) -> tuple:
     images_commute = all(compose(f, g) == compose(g, f) for f in d1 for g in d2)
     return (images_commute, lam2.kernel_witness(lam1.kernel) is None,
             lam1.kernel_witness(lam2.kernel) is None)
-
-
-def link_check(brace1: SkewBrace, brace2: SkewBrace) -> LinkReport:
-    """Decide whether (G, o, *) is a (symmetric) brace for two braces over one addition.
-
-    cond_i is [[G, lambda*(G)]] contained in Ker lambda-o, cond_ii the same
-    with the roles swapped.  Under the hypotheses (both anti-homomorphic,
-    commuting images) the direct verdicts must match the conditions; without
-    them the direct results are still returned, with an advisory.
-    """
-    if brace1.add.table != brace2.add.table:
-        raise AdditiveTablesDiffer("link check needs one shared additive table")
-    lam1, lam2 = brace1.lam, brace2.lam
-    images_commute, cond_i, cond_ii = link_conditions(lam1, lam2)
-    is_brace = left_law_witness(brace1.circ, brace2.circ) is None
-    is_symmetric = is_brace and left_law_witness(brace2.circ, brace1.circ) is None
-    hypothesis_met = (images_commute
-                      and lam1.anti_homomorphic_on_add and lam2.anti_homomorphic_on_add)
-    advisory = None
-    if hypothesis_met:
-        if is_brace != cond_i or is_symmetric != (cond_i and cond_ii):
-            raise CriterionMismatch("link criterion disagrees with direct verification")
-    else:
-        advisory = "hypotheses not met; direct results returned without the criterion"
-    return LinkReport(is_brace, is_symmetric, cond_i, cond_ii, images_commute,
-                      hypothesis_met, advisory)
-
-
-def cross_compatibility_check(add: FiniteGroup, circ_i_table, circ_j_table) -> dict:
-    """One-directional compatibility test between two braces over one addition.
-
-    Checks the pointwise identity expressing the mixed brace law of
-    (G, o_i, o_j) through the two lambda maps, and independently verifies the
-    law itself; the identity must imply the law. A circ table whose
-    identity is not 0, the identity of ``add``, raises InvalidGroup.
-    """
-    checks = [verify_group(table).or_raise() for table in (circ_i_table, circ_j_table)]
-    if any(check.relabeling[0] for check in checks):   # verify_group moved the identity to 0
-        raise InvalidGroup(("identities of the two operations differ",))
-    brace_i, brace_j = (SkewBrace(add, check.group) for check in checks)
-    lam, mu = brace_i.lam, brace_j.lam
-    n = add.order
-    t, inv = add.table, add.inverse
-
-    def identity_holds():
-        for a in range(n):
-            mu_a = mu.maps[a]
-            ai = invert_permutation(lam.maps[a])[inv[a]]   # inverse of a in (G, o_i)
-            for b in range(n):
-                s = t[a][mu_a[b]]                       # a . mu_a(b)
-                u = lam.maps[s][ai]                     # lambda_s(a^{o_i(-1)})
-                lam_v, lam_b = lam.maps[t[s][u]], lam.maps[b]
-                if any(mu_a[lam_b[c]] != t[u][lam_v[t[a][mu_a[c]]]] for c in range(n)):
-                    return False
-        return True
-
-    condition = identity_holds()
-    is_brace = left_law_witness(brace_i.circ, brace_j.circ) is None
-    if condition and not is_brace:
-        raise CriterionMismatch("compatibility identity held but the mixed law failed")
-    return {"condition_holds": condition, "is_brace": is_brace}
 
 
 # ---------------------------------------------------------------------------
@@ -705,48 +609,6 @@ def enumerate_circ_ops(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> 
         flags = brace.classification
         braces += [brace] + [_carried_brace(group, pads, maps, flags) for maps in others]
     return sorted(braces, key=lambda b: b.circ.table)
-
-
-# ---------------------------------------------------------------------------
-# Isomorphism
-
-
-def brace_isomorphic(brace1: SkewBrace, brace2: SkewBrace,
-                     max_order: int = MAX_GROUP_ORDER) -> tuple | None:
-    """The image array of a simultaneous isomorphism of both operations, or None.
-
-    Searches additive-group isomorphisms; for a pair of lambda-homomorphic
-    braces the conjugacy criterion phi lambda_a phi^-1 = mu_{phi(a)} filters
-    candidates and any accepted phi is re-checked as a multiplicative
-    isomorphism.
-    """
-    if brace1.order != brace2.order:
-        return None
-    isos = group_isomorphisms(brace1.add, brace2.add, max_order)
-    lam, mu = brace1.lam, brace2.lam
-    use_criterion = lam.homomorphic_on_add and mu.homomorphic_on_add
-    for phi in isos:
-        if use_criterion:
-            phi_inv = invert_permutation(phi)
-            if any(compose(phi, compose(lam.maps[a], phi_inv)) != mu.maps[phi[a]]
-                   for a in range(brace1.order)):
-                continue
-        if is_multiplicative(brace1.circ, brace2.circ.table, phi):
-            return phi
-        if use_criterion:
-            raise CriterionMismatch("conjugacy criterion accepted a non-isomorphism")
-    return None
-
-
-def pushforward(brace: SkewBrace, perm) -> SkewBrace:
-    """Relabel a brace along a permutation of the carrier fixing 0: x becomes perm[x].
-
-    ValueError unless ``perm`` is a permutation of 0..n-1 with perm[0] = 0.
-    """
-    n = brace.order
-    if not (is_self_map(perm, n) and len(set(perm)) == n and perm[0] == 0):
-        raise ValueError(f"pushforward needs a permutation of 0..{n - 1} that fixes 0")
-    return SkewBrace(*(FiniteGroup(relabeled(g.table, bytes(perm))) for g in (brace.add, brace.circ)))
 
 
 # ---------------------------------------------------------------------------

@@ -179,25 +179,19 @@ def _emit_json(report: dict, streams) -> int:
     return written + _write(streams, "".join(batch))
 
 
-def emit(report, fmt: str = "json", streams=None):
-    """Serialize a report deterministically; DOT is only valid for system graphs.
+def emit(report: dict, streams=None):
+    """Serialize a report as JSON, deterministically.
 
     Without ``streams`` the text is returned. With them it is written to each
-    stream, JSON one table or one line of scalars at a time and in batches
+    stream, one table or one line of scalars at a time and in batches
     bounded by size, so that the whole text is never held in memory, and an
     Emitted with its length is returned.
     """
     if streams is None:
         buffer = io.StringIO()
-        emit(report, fmt, [buffer])
+        emit(report, [buffer])
         return buffer.getvalue()
-    if fmt == "json":
-        return Emitted(_emit_json(report, streams))
-    if fmt == "dot":
-        if isinstance(report, systems.BraceSystemGraph):
-            return Emitted(_write(streams, systems.export_graph(report, "dot")))
-        raise AlgebraError("dot output is only available for system graphs")
-    raise AlgebraError(f"unsupported format {fmt!r}")
+    return Emitted(_emit_json(report, streams))
 
 
 def _load_json(path: str | None, what: str) -> dict:
@@ -240,12 +234,12 @@ def _parse_elements(text: str | None, flag: str) -> tuple:
 
 def _brace_payload(brace) -> dict:
     payload = braces.brace_to_json(brace)
-    payload["classify"] = brace.classification.as_dict()
+    payload["classify"] = brace.classification._asdict()
     return payload
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (report, ok) or (graph, ok) for systems
+# Command handlers: each returns (report, ok), or (graph, ok) for system with --format dot
 
 
 def _cmd_verify_group(args):
@@ -257,7 +251,7 @@ def _cmd_verify_brace(args):
     rep = braces.verify_brace(*braces.brace_tables(_load_json(args.infile, "brace file")))
     report = rep.as_report()
     if rep.left_ok:
-        report["classify"] = rep.brace.classification.as_dict()
+        report["classify"] = rep.brace.classification._asdict()
     return report, rep.left_ok
 
 
@@ -266,7 +260,7 @@ def _cmd_classify(args):
     rw = braces.right_law_witness(brace.add, brace.circ)
     report = braces.BraceReport(left_ok=True, right_ok=rw is None, two_sided=rw is None,
                                 left_witness=None, right_witness=rw, brace=brace).as_report()
-    report["classify"] = brace.classification.as_dict()
+    report["classify"] = brace.classification._asdict()
     return report, True
 
 
@@ -304,7 +298,7 @@ def _cmd_enumerate(args):
         "order": group.order,
         "count": len(found),
         "braces": [{"circ": b.circ.table,
-                    "classify": b.classification.as_dict()} for b in found],
+                    "classify": b.classification._asdict()} for b in found],
     }, True
 
 
@@ -516,6 +510,8 @@ def main(argv=None) -> int:
         args.sampling = SampleConfig(samples=args.samples, seed=args.seed)   # checked for every command
         if args.max_order < 1:
             raise ValueError(f"--max-order must be at least 1, not {args.max_order}")
+        if args.format == "dot" and args.command != "system":
+            raise ValueError("dot output is only available for system graphs")
         result, ok = args.handler(args)
     except CriterionMismatch as exc:
         failure = {"command": args.command, "error": type(exc).__name__, "message": str(exc)}
@@ -524,14 +520,6 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, KeyError, ValueError, AlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if isinstance(result, systems.BraceSystemGraph):
-        report, fmt = result, args.format
-    else:
-        if args.format == "dot":
-            print("error: dot output is only available for system graphs", file=sys.stderr)
-            return 2
-        report, fmt = {"config": _config_echo(args), "command": args.command}, "json"
-        report.update(result)
     with ExitStack() as stack:
         streams = [sys.stdout]
         if args.out:
@@ -540,7 +528,10 @@ def main(argv=None) -> int:
             except OSError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-        emit(report, fmt, streams)
+        if args.format == "dot":      # system returns its graph; main refused dot for the rest
+            _write(streams, systems.export_graph(result))
+        else:
+            emit({"config": _config_echo(args), "command": args.command, **result}, streams)
     return 0 if ok else 1
 
 

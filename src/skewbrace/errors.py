@@ -17,10 +17,6 @@ class InvalidGroup(AlgebraError):
         super().__init__(f"not a group: {violations}")
 
 
-class NotASubgroup(AlgebraError):
-    pass
-
-
 class LambdaNotAutomorphism(AlgebraError):
     """The two tables do not form a skew brace: some lambda map is not an automorphism."""
 
@@ -74,10 +70,6 @@ class ImageNotAbelianModCenter(AlgebraError):
     pass
 
 
-class AdditiveTablesDiffer(AlgebraError):
-    pass
-
-
 class CarrierMismatch(AlgebraError):
     pass
 
@@ -112,8 +104,4 @@ class NotInKernel(AlgebraError):
 
 
 class WindowTooSmall(AlgebraError):
-    pass
-
-
-class UnsupportedFormat(AlgebraError):
     pass

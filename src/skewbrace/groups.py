@@ -18,7 +18,7 @@ from collections import namedtuple
 from functools import cache
 from math import gcd, inf
 
-from .errors import CriterionMismatch, InvalidGroup, NotASubgroup, OrderCapExceeded
+from .errors import CriterionMismatch, InvalidGroup, OrderCapExceeded
 
 
 MAX_TABLE_ORDER = 256
@@ -61,10 +61,6 @@ class FiniteGroup:
         self._center_labels = None
         self._inner = None
 
-    def conj(self, g: int, x: int) -> int:
-        """Inner action g x g^-1."""
-        return self.inner[g][x]
-
     def commutator(self, a: int, b: int) -> int:
         """[a, b] = a^-1 b^-1 a b."""
         t = self.table
@@ -91,10 +87,6 @@ class FiniteGroup:
             cols, inv = self.columns, self.inverse
             self._inner = tuple(row.translate(_lut(cols[inv[g]])) for g, row in enumerate(self.table))
         return self._inner
-
-    @property
-    def is_abelian(self) -> bool:
-        return self.table == self.columns
 
     @property
     def generators(self) -> tuple:
@@ -495,13 +487,7 @@ def small_group_catalog(max_order: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Structure: center, derived subgroup, inner automorphisms
-
-
-class StructureInfo(namedtuple("StructureInfo", "center derived_subgroup inner_automorphisms")):
-    """The center, the derived subgroup and the inner automorphisms, image arrays one per coset of G/Z."""
-
-    __slots__ = ()
+# Subgroups: closure, cosets, the derived subgroup
 
 
 def _right_closure(table, identity, seeds) -> tuple:
@@ -562,27 +548,10 @@ def coset_labels(group: FiniteGroup, subgroup) -> bytes:
     return bytes(labels)
 
 
-def structure_subgroups(group: FiniteGroup) -> StructureInfo:
+def derived_subgroup(group: FiniteGroup) -> tuple:
+    """The subgroup the commutators generate, as a sorted index tuple."""
     n = group.order
-    commutators = {group.commutator(a, b) for a in range(n) for b in range(n)}
-    derived = subgroup_closure_in(group, commutators)
-    return StructureInfo(group.center, derived, tuple(dict.fromkeys(group.inner)))
-
-
-def nilpotency_class(group: FiniteGroup) -> int | None:
-    """Length of the lower central series, or None for non-nilpotent groups."""
-    current = tuple(range(group.order))
-    k = 0
-    while len(current) > 1:
-        step = {group.commutator(a, b) for a in range(group.order) for b in current}
-        nxt = subgroup_closure_in(group, step)
-        if nxt == current:
-            return None
-        current = nxt
-        k += 1
-        if k > group.order:
-            return None
-    return k
+    return subgroup_closure_in(group, {group.commutator(a, b) for a in range(n) for b in range(n)})
 
 
 # ---------------------------------------------------------------------------
@@ -744,9 +713,6 @@ class Holomorph:
         self.automorphisms = automorphisms
         self.group = group
 
-    def second(self, idx: int) -> int:
-        return idx % self.base.order
-
 
 MAX_HOLOMORPH_ORDER = 10000
 """The largest |Hol G| = |Aut G| |G| whose regular subgroups the census walks."""
@@ -782,22 +748,6 @@ def build_holomorph(base: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> Holo
                     row[gi * n + b] = block + arow[f[b]]
     hol = FiniteGroup(table, name=f"Hol({base.name})" if base.name else "Hol")
     return Holomorph(base, auts, hol)
-
-
-def is_regular_subgroup(hol: Holomorph, members) -> bool:
-    """True iff the subgroup acts freely and transitively on the base.
-
-    Since automorphisms fix the identity, the orbit of the identity is the
-    set of second coordinates, so regularity amounts to the second
-    coordinates being pairwise distinct and covering the base.
-    """
-    members = tuple(sorted(members))
-    if subgroup_closure_in(hol.group, members) != members:
-        raise NotASubgroup(f"{len(members)} elements do not form a subgroup")
-    if len(members) != hol.base.order:
-        return False
-    seconds = {hol.second(idx) for idx in members}
-    return len(seconds) == hol.base.order
 
 
 # ---------------------------------------------------------------------------
@@ -894,7 +844,3 @@ def group_check_from_json(data, max_order: int = MAX_GROUP_ORDER) -> GroupCheck:
 def group_from_json(data, max_order: int = MAX_GROUP_ORDER) -> FiniteGroup:
     """The group of a group file; InvalidGroup when group_check_from_json finds none."""
     return group_check_from_json(data, max_order).or_raise().group
-
-
-def group_to_json(group: FiniteGroup) -> dict:
-    return {"name": group.name, "order": group.order, "table": [list(r) for r in group.table]}

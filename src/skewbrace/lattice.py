@@ -40,9 +40,6 @@ def vec_neg(v: Vec) -> Vec:
     return (-v[0], -v[1])
 
 
-IDENTITY: Mat = ((1, 0), (0, 1))
-
-
 def grading(v: Vec) -> int:
     """The coordinate-sum homomorphism that powers the automorphism."""
     return v[0] + v[1]

@@ -93,11 +93,6 @@ def rb_brace(group: FiniteGroup, b_map) -> SkewBrace:
     return brace
 
 
-def derived_group(group: FiniteGroup, b_map) -> FiniteGroup:
-    """The group (G, o) with g o h = g B(g) h B(g)^-1, with the checks of rb_brace."""
-    return rb_brace(group, b_map).circ
-
-
 def rb_symmetry_check(brace: SkewBrace, b_map) -> dict:
     """Symmetry of the brace rb_brace(G, B) versus centrality of the anti-homomorphism defect.
 

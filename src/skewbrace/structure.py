@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .braces import LambdaMap, SkewBrace
-from .errors import CriterionMismatch, NotAnIdeal, NotAntiHomomorphism, NotASubgroup, OrderCapExceeded
+from .errors import CriterionMismatch, NotAnIdeal, NotAntiHomomorphism, OrderCapExceeded
 from .groups import (
     MAX_GROUP_ORDER,
     FiniteGroup,
@@ -36,8 +36,9 @@ def _is_normal_subgroup(group: FiniteGroup, members: set):
     generators alone, since the g with g H g^-1 in H are closed under
     products. Only a failure runs the scans that find the first witness.
     """
+    inner = group.inner
     if subgroup_closure_in(group, members) == tuple(sorted(members)) and all(
-            group.conj(g, a) in members for g in group.generators for a in members):
+            inner[g][a] in members for g in group.generators for a in members):
         return True, None
     for a in members:
         for b in members:
@@ -45,7 +46,7 @@ def _is_normal_subgroup(group: FiniteGroup, members: set):
                 return False, ("closure", a, b)
     for g in range(group.order):
         for a in members:
-            if group.conj(g, a) not in members:
+            if inner[g][a] not in members:
                 return False, ("conjugation", g, a)
     return True, None
 
@@ -89,21 +90,6 @@ def kernel_ideal(brace: SkewBrace) -> IdealReport:
     if pointwise != kernel:
         raise CriterionMismatch("kernel must equal the set where both products agree")
     return report
-
-
-def sub_brace(brace: SkewBrace, elements) -> SkewBrace:
-    """The restriction of both operations to a set closed under both; NotASubgroup otherwise.
-
-    As a o b = a . lambda_a(b), a set closed under . is closed under o iff each lambda_a keeps it.
-    """
-    members = tuple(sorted(set(elements)))
-    tables = (brace.add.table, brace.lam.maps)
-    if not members or not set(members).issubset(range(brace.order)) or any(
-            table[a][b] not in members for table in tables for a in members for b in members):
-        raise NotASubgroup(f"{list(members)} is not closed under both operations")
-    add, lam = ([bytes(members.index(table[a][b]) for b in members) for a in members]
-                for table in tables)
-    return SkewBrace.from_lambda(LambdaMap.of_automorphisms(FiniteGroup(add), lam))
 
 
 def quotient_brace(brace: SkewBrace, ideal) -> SkewBrace:

@@ -20,10 +20,9 @@ from .errors import (
     NotRotaBaxter,
     OrderCapExceeded,
     PreconditionFails,
-    UnsupportedFormat,
 )
 from .groups import FiniteGroup, compose, identity_map, invert_permutation
-from .rota import derived_group, is_rb
+from .rota import is_rb, rb_brace
 
 MAX_TOWER_HEIGHT = 1000
 """The tallest operator tower ``build_rb_multibrace`` builds: it derives and keeps every level."""
@@ -51,9 +50,6 @@ class BraceSystemGraph(namedtuple("BraceSystemGraph", "carrier_order vertices la
     @property
     def image_exponent(self) -> int | None:
         return self.lam.image_exponent if self.lam else None
-
-    def vertex_count(self) -> int:
-        return len(self.vertices)
 
     def verified_edges(self):
         return sorted(k for k, v in self.edges.items() if v == "verified")
@@ -238,7 +234,7 @@ def build_rb_multibrace(group: FiniteGroup, b_map, k: int) -> BraceSystemGraph:
     for _ in range(k):
         current = levels[-1]
         if current.table not in derived:     # a repeated level repeats the tower from there
-            derived[current.table] = derived_group(current, b_map)
+            derived[current.table] = rb_brace(current, b_map).circ
         levels.append(derived[current.table])
     vertices, labels, label_map = _dedupe(enumerate(levels))
     edges = _verify_all_pairs(vertices)
@@ -281,24 +277,18 @@ def build_rooted_system(base: FiniteGroup, circ_groups) -> BraceSystemGraph:
 # Export
 
 
-def export_graph(system: BraceSystemGraph, fmt: str = "dot") -> str:
-    if fmt == "dot":
-        lines = ["digraph brace_system {"]
-        for i, label in enumerate(system.labels):
-            lines.append(f'  v{i} [label="{label}"];')
-        for (u, v) in sorted(system.edges):
-            status = system.edges[(u, v)]
-            if status == "verified":
-                lines.append(f"  v{u} -> v{v};")
-            else:
-                lines.append(f'  v{u} -> v{v} [status="failed", style=dashed];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        import json
-
-        return json.dumps(system_to_json(system), indent=2, sort_keys=True) + "\n"
-    raise UnsupportedFormat(f"unknown export format {fmt!r}")
+def export_graph(system: BraceSystemGraph) -> str:
+    """The graph in DOT: one node per vertex, one arc per checked pair, a failed arc dashed."""
+    lines = ["digraph brace_system {"]
+    for i, label in enumerate(system.labels):
+        lines.append(f'  v{i} [label="{label}"];')
+    for (u, v) in sorted(system.edges):
+        if system.edges[(u, v)] == "verified":
+            lines.append(f"  v{u} -> v{v};")
+        else:
+            lines.append(f'  v{u} -> v{v} [status="failed", style=dashed];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def system_to_json(system: BraceSystemGraph) -> dict:

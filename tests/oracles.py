@@ -4,28 +4,51 @@ Everything here deliberately avoids the code paths it is checking: tables
 are enumerated directly from the axioms. The library keeps tables as bytes
 rows and maps as bytes image arrays; the oracles work on int tuples, one
 subscript at a time, and ``tuples`` converts the library's values for a
-comparison. It also keeps, with their tests, the word expansions and the
-word-level operator applies that no command reaches.
+comparison. It also keeps, with their tests, what no command reaches: the
+word expansions and the word-level operator applies, and the paper's lemma
+checks (opposite symmetry, linking, cross compatibility) with the brace
+isomorphism search, relabeling and group file writer their tests use.
 """
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import permutations, product
 
-from skewbrace.braces import Classification, SkewBrace
-from skewbrace.errors import CriterionMismatch, NotRotaBaxter, PreconditionFails, RankMismatch
+from skewbrace.braces import (
+    Classification,
+    SkewBrace,
+    classify,
+    left_law_witness,
+    link_conditions,
+    opposite,
+)
+from skewbrace.errors import (
+    AlgebraError,
+    CriterionMismatch,
+    InvalidGroup,
+    NotRotaBaxter,
+    PreconditionFails,
+    RankMismatch,
+)
 from skewbrace.groups import (
     MAX_GROUP_ORDER,
     FiniteGroup,
     GroupCheck,
     Violation,
     automorphism_group,
+    compose,
     direct_product,
+    group_isomorphisms,
+    invert_permutation,
+    is_multiplicative,
+    is_self_map,
+    relabeled,
+    subgroup_closure_in,
     verify_group,
 )
 from skewbrace.lattice import grading, lattice_lambda, mat_vec, vec_add
 from skewbrace.rota import (
     MAX_SELF_MAP_ORDER,
-    derived_group,
     is_rb,
     rb_brace,
     rb_endomorphisms,
@@ -1015,7 +1038,7 @@ def circ2_expansion_report(group, b_map) -> dict:
     with x B(x)^2 B(B(x)) y B(y) ... (the printed flat form); any mismatch is
     reported rather than assumed away.
     """
-    circ1 = derived_group(group, b_map)
+    circ1 = rb_brace(group, b_map).circ
     b = tuple(b_map)
     n, t, inv = group.order, group.table, group.inverse
     c1, i1 = circ1.table, circ1.inverse
@@ -1064,3 +1087,163 @@ def lattice_circ_iterated(a, b, auto, level):
     for _ in range(level):
         b = mat_vec(auto.power(grading(a)), b)
     return vec_add(a, b)
+
+
+# --- the paper's lemma checks and the helpers of their tests, which no command runs ---
+
+
+class AdditiveTablesDiffer(AlgebraError):
+    """link_check was given two braces over different additive tables."""
+
+
+def opposite_symmetry_check(brace: SkewBrace) -> dict:
+    """Compare symmetry of the opposite brace with the inner-centralizer condition.
+
+    Both booleans are computed independently; the proved direction
+    (centralizing inners force a symmetric opposite) is asserted, a failure
+    of the unproved converse is reported instead of assumed away.
+    """
+    lam = brace.lam
+    if not lam.homomorphic_on_add:
+        raise PreconditionFails("brace must be lambda-homomorphic")
+    op_sym = classify(opposite(brace)).symmetric
+    inner = set(brace.add.inner)
+    distinct = set(lam.maps)
+    inn_cent = all(compose(i, l) == compose(l, i) for i in inner for l in distinct)
+    if inn_cent and not op_sym:
+        raise CriterionMismatch("inner automorphisms centralize lambda but opposite is not symmetric")
+    return {
+        "opposite_symmetric": op_sym,
+        "inn_centralizes_lambda": inn_cent,
+        "iff_holds": op_sym == inn_cent,
+    }
+
+
+class LinkReport(namedtuple("LinkReport", "is_brace is_symmetric cond_i cond_ii images_commute "
+                             "hypothesis_met advisory", defaults=(None,))):
+    """The verdicts of link_check; ``advisory`` says why the criterion was not applied, if it was not."""
+
+    __slots__ = ()
+
+
+def link_check(brace1: SkewBrace, brace2: SkewBrace) -> LinkReport:
+    """Decide whether (G, o, *) is a (symmetric) brace for two braces over one addition.
+
+    cond_i is [[G, lambda*(G)]] contained in Ker lambda-o, cond_ii the same
+    with the roles swapped.  Under the hypotheses (both anti-homomorphic,
+    commuting images) the direct verdicts must match the conditions; without
+    them the direct results are still returned, with an advisory.
+    """
+    if brace1.add.table != brace2.add.table:
+        raise AdditiveTablesDiffer("link check needs one shared additive table")
+    lam1, lam2 = brace1.lam, brace2.lam
+    images_commute, cond_i, cond_ii = link_conditions(lam1, lam2)
+    is_brace = left_law_witness(brace1.circ, brace2.circ) is None
+    is_symmetric = is_brace and left_law_witness(brace2.circ, brace1.circ) is None
+    hypothesis_met = (images_commute
+                      and lam1.anti_homomorphic_on_add and lam2.anti_homomorphic_on_add)
+    advisory = None
+    if hypothesis_met:
+        if is_brace != cond_i or is_symmetric != (cond_i and cond_ii):
+            raise CriterionMismatch("link criterion disagrees with direct verification")
+    else:
+        advisory = "hypotheses not met; direct results returned without the criterion"
+    return LinkReport(is_brace, is_symmetric, cond_i, cond_ii, images_commute,
+                      hypothesis_met, advisory)
+
+
+def cross_compatibility_check(add: FiniteGroup, circ_i_table, circ_j_table) -> dict:
+    """One-directional compatibility test between two braces over one addition.
+
+    Checks the pointwise identity expressing the mixed brace law of
+    (G, o_i, o_j) through the two lambda maps, and independently verifies the
+    law itself; the identity must imply the law. A circ table whose
+    identity is not 0, the identity of ``add``, raises InvalidGroup.
+    """
+    checks = [verify_group(table).or_raise() for table in (circ_i_table, circ_j_table)]
+    if any(check.relabeling[0] for check in checks):   # verify_group moved the identity to 0
+        raise InvalidGroup(("identities of the two operations differ",))
+    brace_i, brace_j = (SkewBrace(add, check.group) for check in checks)
+    lam, mu = brace_i.lam, brace_j.lam
+    n = add.order
+    t, inv = add.table, add.inverse
+
+    def identity_holds():
+        for a in range(n):
+            mu_a = mu.maps[a]
+            ai = invert_permutation(lam.maps[a])[inv[a]]   # inverse of a in (G, o_i)
+            for b in range(n):
+                s = t[a][mu_a[b]]                       # a . mu_a(b)
+                u = lam.maps[s][ai]                     # lambda_s(a^{o_i(-1)})
+                lam_v, lam_b = lam.maps[t[s][u]], lam.maps[b]
+                if any(mu_a[lam_b[c]] != t[u][lam_v[t[a][mu_a[c]]]] for c in range(n)):
+                    return False
+        return True
+
+    condition = identity_holds()
+    is_brace = left_law_witness(brace_i.circ, brace_j.circ) is None
+    if condition and not is_brace:
+        raise CriterionMismatch("compatibility identity held but the mixed law failed")
+    return {"condition_holds": condition, "is_brace": is_brace}
+
+
+def brace_isomorphic(brace1: SkewBrace, brace2: SkewBrace,
+                     max_order: int = MAX_GROUP_ORDER) -> tuple | None:
+    """The image array of a simultaneous isomorphism of both operations, or None.
+
+    Searches additive-group isomorphisms; for a pair of lambda-homomorphic
+    braces the conjugacy criterion phi lambda_a phi^-1 = mu_{phi(a)} filters
+    candidates and any accepted phi is re-checked as a multiplicative
+    isomorphism.
+    """
+    if brace1.order != brace2.order:
+        return None
+    isos = group_isomorphisms(brace1.add, brace2.add, max_order)
+    lam, mu = brace1.lam, brace2.lam
+    use_criterion = lam.homomorphic_on_add and mu.homomorphic_on_add
+    for phi in isos:
+        if use_criterion:
+            phi_inv = invert_permutation(phi)
+            if any(compose(phi, compose(lam.maps[a], phi_inv)) != mu.maps[phi[a]]
+                   for a in range(brace1.order)):
+                continue
+        if is_multiplicative(brace1.circ, brace2.circ.table, phi):
+            return phi
+        if use_criterion:
+            raise CriterionMismatch("conjugacy criterion accepted a non-isomorphism")
+    return None
+
+
+def pushforward(brace: SkewBrace, perm) -> SkewBrace:
+    """Relabel a brace along a permutation of the carrier fixing 0: x becomes perm[x].
+
+    ValueError unless ``perm`` is a permutation of 0..n-1 with perm[0] = 0.
+    """
+    n = brace.order
+    if not (is_self_map(perm, n) and len(set(perm)) == n and perm[0] == 0):
+        raise ValueError(f"pushforward needs a permutation of 0..{n - 1} that fixes 0")
+    return SkewBrace(*(FiniteGroup(relabeled(g.table, bytes(perm))) for g in (brace.add, brace.circ)))
+
+
+def nilpotency_class(group: FiniteGroup) -> int | None:
+    """Length of the lower central series, or None for non-nilpotent groups."""
+    current = tuple(range(group.order))
+    k = 0
+    while len(current) > 1:
+        step = {group.commutator(a, b) for a in range(group.order) for b in current}
+        nxt = subgroup_closure_in(group, step)
+        if nxt == current:
+            return None
+        current = nxt
+        k += 1
+        if k > group.order:
+            return None
+    return k
+
+
+def group_to_json(group: FiniteGroup) -> dict:
+    return {"name": group.name, "order": group.order, "table": [list(r) for r in group.table]}
+
+
+IDENTITY = ((1, 0), (0, 1))
+"""The 2x2 identity matrix, the automorphism of lattice level 0."""

@@ -30,7 +30,6 @@ from skewbrace.braces import (
 from skewbrace.config import SampleConfig
 from skewbrace.lattice import lattice_system_check
 from skewbrace.rota import (
-    derived_group,
     is_rb,
     rb_brace,
     rb_endomorphisms,
@@ -234,15 +233,13 @@ def test_criterion_7_rota_baxter_suite():
     # derived-group facts and both iff-criteria over the exhaustive search
     for g in groups.small_group_catalog(6):
         for b in rb_self_maps(g):
-            derived_group(g, b)        # raises if the derived-group facts fail
-            brace = rb_brace(g, b)
+            brace = rb_brace(g, b)         # raises if the derived-group facts fail
             rb_symmetry_check(brace, b)    # raises if the booleans disagree
             rb_lambda_hom_check(brace, b)
     for g in groups.small_group_catalog(12):
         if g.order < 7:
             continue
         for b in rb_endomorphisms(g):
-            derived_group(g, b)
             brace = rb_brace(g, b)
             rb_symmetry_check(brace, b)
             rb_lambda_hom_check(brace, b)
@@ -269,7 +266,7 @@ def test_criterion_8_structure_suite():
     s3 = groups.symmetric_group(3)
     brace = op_brace(s3)
     found = triviality_step(brace, all_ideals(brace))
-    a3 = groups.structure_subgroups(s3).derived_subgroup
+    a3 = groups.derived_subgroup(s3)
     if found.step != 2 or found.chain != ((0,), a3, tuple(range(6))):
         problems.append(f"s3 chain: {found}")
     brace = trivial_brace(groups.cyclic_group(4))
@@ -345,7 +342,7 @@ def test_census_orbits_match_guarnieri_vendramin():
     for g in groups.small_group_catalog(12)[1:]:
         orbits = len(circ_orbits_by_relabeling(g, [b.circ.table for b in enumerate_circ_ops(g)]))
         skew[g.order] += orbits
-        classical[g.order] += orbits if g.is_abelian else 0
+        classical[g.order] += orbits if g.table == g.columns else 0
     assert skew[2:] == [1, 1, 4, 1, 6, 1, 47, 4, 6, 1, 38]
     assert classical[2:] == [1, 1, 4, 1, 2, 1, 27, 4, 2, 1, 10]
 
@@ -375,7 +372,7 @@ def test_opposite_symmetry_iff_empirical():
     # the opposite-symmetry criterion is only proved in one direction; check
     # the full equivalence over every homomorphic brace in the census and
     # surface any counterexample instead of assuming the converse
-    from skewbrace.braces import opposite_symmetry_check
+    from oracles import opposite_symmetry_check
 
     counterexamples = []
     for g, brace, flags in census():
@@ -391,7 +388,7 @@ def test_link_and_cross_compatibility_lemmas_over_census():
     # both linking criteria carry internal assertions (criterion vs direct
     # verification); drive them across every ordered pair of braces sharing
     # an additive group of order <= 6
-    from skewbrace.braces import cross_compatibility_check, link_check
+    from oracles import cross_compatibility_check, link_check
 
     for g in groups.small_group_catalog(6):
         found = enumerate_circ_ops(g)
@@ -405,7 +402,7 @@ def test_link_and_cross_compatibility_lemmas_over_census():
 def test_link_criterion_assertions_at_order_8():
     # at order 8 many brace pairs satisfy the linking hypotheses, engaging
     # the internal iff assertions for real
-    from skewbrace.braces import link_check
+    from oracles import link_check
 
     engaged = 0
     for g in groups.small_group_catalog(8):

@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import compose_by_index, invert_by_index, rb_search_rows_by_operator, tuples
+from oracles import compose_by_index, group_to_json, invert_by_index, rb_search_rows_by_operator, tuples
 
 from skewbrace import braces, cli, config, groups, rng, rota, structure, systems, words
 from skewbrace.braces import brace_to_json, op_brace, trivial_brace
@@ -19,7 +19,7 @@ def write(tmp_path, name, payload):
 
 
 def z4_file(tmp_path):
-    return write(tmp_path, "z4.json", groups.group_to_json(groups.cyclic_group(4)))
+    return write(tmp_path, "z4.json", group_to_json(groups.cyclic_group(4)))
 
 
 def run(capsys, argv):
@@ -52,7 +52,7 @@ def test_verify_group_ok(tmp_path, capsys):
 
 
 def test_verify_group_failure_exit_1(tmp_path, capsys):
-    bad = groups.group_to_json(groups.cyclic_group(4))
+    bad = group_to_json(groups.cyclic_group(4))
     bad["table"][1][1] = 1
     path = write(tmp_path, "bad.json", bad)
     code, out, _ = run(capsys, ["verify-group", "--in", path])
@@ -185,7 +185,7 @@ def test_enumerate_z4(tmp_path, capsys):
 
 def test_construct_op(tmp_path, capsys):
     s3 = groups.symmetric_group(3)
-    path = write(tmp_path, "s3.json", groups.group_to_json(s3))
+    path = write(tmp_path, "s3.json", group_to_json(s3))
     code, out, _ = run(capsys, ["construct", "--kind", "op", "--group", path])
     assert code == 0
     report = json.loads(out)
@@ -204,8 +204,8 @@ def test_construct_from_lambda(tmp_path, capsys):
 
 def test_construct_exact_factorization(tmp_path, capsys):
     s3 = groups.symmetric_group(3)
-    path = write(tmp_path, "s3.json", groups.group_to_json(s3))
-    a3 = groups.structure_subgroups(s3).derived_subgroup
+    path = write(tmp_path, "s3.json", group_to_json(s3))
+    a3 = groups.derived_subgroup(s3)
     transposition = next(x for x in range(6) if s3.element_order(x) == 2)
     code, out, _ = run(capsys, ["construct", "--kind", "exact-factorization",
                                "--group", path,
@@ -229,7 +229,7 @@ def test_construct_trivial_and_opposite(tmp_path, capsys):
 
 def test_construct_unification(tmp_path, capsys):
     d4 = groups.dihedral_group(4)
-    gpath = write(tmp_path, "d4.json", groups.group_to_json(d4))
+    gpath = write(tmp_path, "d4.json", group_to_json(d4))
     chi1 = [i % 2 for i in range(4)] + [i % 2 for i in range(4)]
     chi2 = [0] * 4 + [1] * 4
     alpha = [[2 if chi1[a] * chi2[b] else 0 for b in range(8)] for a in range(8)]
@@ -244,11 +244,18 @@ def test_construct_unification(tmp_path, capsys):
 
 def test_construct_bad_input_exit_2(tmp_path, capsys):
     s3 = groups.symmetric_group(3)
-    path = write(tmp_path, "s3.json", groups.group_to_json(s3))
+    path = write(tmp_path, "s3.json", group_to_json(s3))
     code, _, err = run(capsys, ["construct", "--kind", "exact-factorization",
                                "--group", path, "--a", "0,1", "--b", "0,2"])
     assert code == 2
     assert "error" in err
+    # a repeated label is named as such, not as a set that is no subgroup
+    argv = ["construct", "--kind", "exact-factorization", "--group", z4_file(tmp_path)]
+    code, out, err = run(capsys, argv + ["--a", "0,0,1,2,3", "--b", "0"])
+    assert code == 2 and out == ""
+    assert err == "error: A lists element 0 more than once\n"
+    code, _, _ = run(capsys, argv + ["--a", "0,1,2,3", "--b", "0"])
+    assert code == 0
 
 
 def test_system_linear_json(tmp_path, capsys):
@@ -321,7 +328,7 @@ def test_census_missing_a_conjugate_exits_3(tmp_path, capsys, monkeypatch):
     with pytest.raises(CriterionMismatch, match=message) as raised:
         braces.enumerate_circ_ops(q8)
     assert kept[int(re.match(message, str(raised.value))[1])] in orbit
-    code, out, err = run(capsys, ["enumerate", "--in", write(tmp_path, "q8.json", groups.group_to_json(q8))])
+    code, out, err = run(capsys, ["enumerate", "--in", write(tmp_path, "q8.json", group_to_json(q8))])
     assert code == 3
     assert out == ""
     assert json.loads(err) == {"invariant_failure": {
@@ -339,7 +346,7 @@ def test_rb_search_missing_a_conjugate_exits_3(tmp_path, capsys, monkeypatch):
     with pytest.raises(CriterionMismatch, match=message) as raised:
         rota.rb_search(s3)
     assert kept[int(re.match(message, str(raised.value))[1])] in orbit
-    code, out, err = run(capsys, ["rb", "search", "--group", write(tmp_path, "s3.json", groups.group_to_json(s3))])
+    code, out, err = run(capsys, ["rb", "search", "--group", write(tmp_path, "s3.json", group_to_json(s3))])
     assert code == 3
     assert out == ""
     assert json.loads(err) == {"invariant_failure": {
@@ -349,7 +356,7 @@ def test_rb_search_missing_a_conjugate_exits_3(tmp_path, capsys, monkeypatch):
 def test_rb_search_takes_aut_under_a_max_order_above_the_default(tmp_path, capsys):
     # Aut(G) is searched under the larger of --max-order and MAX_GROUP_ORDER
     z32 = groups.cyclic_group(32)
-    path = write(tmp_path, "z32.json", groups.group_to_json(z32))
+    path = write(tmp_path, "z32.json", group_to_json(z32))
     code, out, err = run(capsys, ["rb", "search", "--group", path])
     assert code == 2 and out == "" and "order 32 exceeds cap 24" in err
     code, out, _ = run(capsys, ["--max-order", "32", "rb", "search", "--group", path])
@@ -504,7 +511,7 @@ def test_table_of_the_bound_order_is_accepted(tmp_path, capsys):
         group = groups.direct_product(group, z2)
     assert group.order == groups.MAX_TABLE_ORDER == 256
     code, out, _ = run(capsys, ["verify-group", "--in", write(
-        tmp_path, "z2-8.json", groups.group_to_json(group))])
+        tmp_path, "z2-8.json", group_to_json(group))])
     assert code == 0
     report = json.loads(out)
     assert report["group_ok"] and report["order"] == 256
@@ -555,7 +562,7 @@ def test_system_rooted(tmp_path, capsys):
 
 def test_system_rb(tmp_path, capsys):
     s3 = groups.symmetric_group(3)
-    gpath = write(tmp_path, "s3.json", groups.group_to_json(s3))
+    gpath = write(tmp_path, "s3.json", group_to_json(s3))
     rbpath = write(tmp_path, "inv.json", {"order": 6, "map": list(s3.inverse)})
     code, out, _ = run(capsys, ["system", "--kind", "rb", "--group", gpath,
                                "--rb", rbpath, "--k", "2"])
@@ -568,6 +575,21 @@ def test_dot_rejected_for_non_system(tmp_path, capsys):
     code, _, err = run(capsys, ["--format", "dot", "enumerate", "--in", z4_file(tmp_path)])
     assert code == 2
     assert "dot" in err
+
+
+def test_dot_is_refused_before_the_command_runs(tmp_path, capsys, monkeypatch):
+    def refuse(args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "_cmd_enumerate", refuse)
+    monkeypatch.setattr(cli, "_cmd_verify_group", refuse)
+    parser = cli.build_parser()     # binds the handlers above
+    monkeypatch.setattr(cli, "_parser", lambda: parser)
+    for argv in (["enumerate", "--in", z4_file(tmp_path)],
+                 ["verify-group", "--in", str(tmp_path / "nonexistent.json")]):
+        code, out, err = run(capsys, ["--format", "dot"] + argv)
+        assert code == 2 and out == ""
+        assert err == "error: dot output is only available for system graphs\n"
 
 
 def test_structure_command(tmp_path, capsys):
@@ -661,7 +683,7 @@ def test_t4_window_bound_exit_2(capsys):
 def test_rb_tower_height_bound_exit_2(tmp_path, capsys):
     bound = systems.MAX_TOWER_HEIGHT
     s3 = groups.symmetric_group(3)
-    argv = ["system", "--kind", "rb", "--group", write(tmp_path, "s3.json", groups.group_to_json(s3)),
+    argv = ["system", "--kind", "rb", "--group", write(tmp_path, "s3.json", group_to_json(s3)),
             "--rb", write(tmp_path, "inv.json", {"map": list(s3.inverse)}), "--k"]
     code, out, _ = run(capsys, argv + [str(bound)])
     assert code == 0 and json.loads(out)["kind"] == "linear"
@@ -783,7 +805,7 @@ def test_exact_factorization_element_outside_the_group_exit_2(tmp_path, capsys):
 
 def test_rb_check(tmp_path, capsys):
     s3 = groups.symmetric_group(3)
-    gpath = write(tmp_path, "s3.json", groups.group_to_json(s3))
+    gpath = write(tmp_path, "s3.json", group_to_json(s3))
     rbpath = write(tmp_path, "inv.json", {"order": 6, "map": list(s3.inverse)})
     code, out, _ = run(capsys, ["rb", "check", "--group", gpath, "--rb", rbpath])
     assert code == 0
@@ -799,7 +821,7 @@ def test_rb_check_free(tmp_path, capsys):
 
 def test_rb_search(tmp_path, capsys):
     s3 = groups.symmetric_group(3)
-    gpath = write(tmp_path, "s3.json", groups.group_to_json(s3))
+    gpath = write(tmp_path, "s3.json", group_to_json(s3))
     code, out, _ = run(capsys, ["rb", "search", "--group", gpath])
     assert code == 0
     report = json.loads(out)
@@ -814,14 +836,9 @@ def test_rb_free_report(capsys):
 
 def test_emit_contract():
     from skewbrace.cli import emit
-    from skewbrace.errors import AlgebraError
 
     assert emit({}) == "{}\n"
     assert emit({"b": 1, "a": 2}) == '{\n  "a": 2,\n  "b": 1\n}\n'
-    with pytest.raises(AlgebraError):
-        emit({}, "dot")
-    with pytest.raises(AlgebraError):
-        emit({}, "yaml")
 
 
 def test_emit_streams_the_same_bytes_without_holding_them():
@@ -834,7 +851,7 @@ def test_emit_streams_the_same_bytes_without_holding_them():
     expected = json.dumps(report, indent=2, sort_keys=True) + "\n"
     assert_same_text(emit(report), expected)
     first, second = io.StringIO(), io.StringIO()
-    assert len(emit(report, "json", [first, second])) == len(expected)
+    assert len(emit(report, [first, second])) == len(expected)
     assert_same_text(first.getvalue(), expected)
     assert_same_text(second.getvalue(), expected)
 
@@ -844,7 +861,7 @@ def test_emit_streams_the_same_bytes_without_holding_them():
 
     tracemalloc.start()
     try:
-        emit(report, "json", [Sink()])
+        emit(report, [Sink()])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -871,7 +888,7 @@ def test_emit_writes_what_json_dumps_writes(value):
     expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
     assert_same_text(emit(value), expected)
     first, second = io.StringIO(), io.StringIO()
-    assert len(emit(value, "json", [first, second])) == len(expected)
+    assert len(emit(value, [first, second])) == len(expected)
     assert_same_text(first.getvalue(), expected)
     assert_same_text(second.getvalue(), expected)
 
@@ -919,7 +936,7 @@ def test_emit_writes_bytes_tables_as_json_dumps_writes_their_lists(value):
     expected = json.dumps(_rows_as_lists(value), indent=2, sort_keys=True) + "\n"
     assert_same_text(emit(value), expected)
     first, second = io.StringIO(), io.StringIO()
-    assert len(emit(value, "json", [first, second])) == len(expected)
+    assert len(emit(value, [first, second])) == len(expected)
     assert_same_text(first.getvalue(), expected)
     assert_same_text(second.getvalue(), expected)
 
@@ -955,7 +972,7 @@ def test_emit_streams_bytes_tables_without_holding_them():
     expected = json.dumps(_rows_as_lists(report), indent=2, sort_keys=True) + "\n"
     assert_same_text(emit(report), expected)
     first, second = io.StringIO(), io.StringIO()
-    assert len(emit(report, "json", [first, second])) == len(expected)
+    assert len(emit(report, [first, second])) == len(expected)
     assert_same_text(first.getvalue(), expected)
     assert_same_text(second.getvalue(), expected)
 
@@ -965,7 +982,7 @@ def test_emit_streams_bytes_tables_without_holding_them():
 
     tracemalloc.start()
     try:
-        emit(report, "json", [Sink()])
+        emit(report, [Sink()])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -984,7 +1001,7 @@ def test_emit_batches_are_bounded_by_size():
         def write(self, text):
             writes.append(len(text))
 
-    emitted = emit(report, "json", [Sink()])
+    emitted = emit(report, [Sink()])
     assert len(emitted) == sum(writes) == len(json.dumps(report, indent=2, sort_keys=True)) + 1
     assert len(writes) > 1
     assert max(writes) < _BATCH + one_table
@@ -1027,7 +1044,7 @@ def test_enumerate_over_the_holomorph_cap_exits_2_before_listing_aut(tmp_path, r
     group = groups.cyclic_group(2)
     for _ in range(rank - 1):
         group = groups.direct_product(group, groups.cyclic_group(2))
-    path = write(tmp_path, "elementary.json", groups.group_to_json(group))
+    path = write(tmp_path, "elementary.json", group_to_json(group))
     done = run_process(flags + ["enumerate", "--in", path], timeout=60)
     assert done.returncode == 2 and done.stdout == b""
     assert done.stderr.decode() == (
@@ -1169,7 +1186,7 @@ def test_structure_closes_one_ideal_per_element(tmp_path, capsys, monkeypatch):
 def test_structure_verifies_only_the_tables_of_its_file(tmp_path, capsys, monkeypatch):
     # the quotient by Ker lambda, taken for naturality, is built from lambda, not checked again
     s3 = groups.symmetric_group(3)
-    a3 = groups.structure_subgroups(s3).derived_subgroup
+    a3 = groups.derived_subgroup(s3)
     brace = braces.construct_exact_factorization(s3, a3, (0, 1))   # 1 is a transposition
     path = write(tmp_path, "brace.json", brace_to_json(brace))
     calls = count_calls(monkeypatch, groups.verify_group)
@@ -1199,7 +1216,7 @@ def test_brace_tables_verified_once(tmp_path, capsys, monkeypatch, command):
 def test_rb_search_builds_each_brace_once(tmp_path, capsys, monkeypatch):
     # one brace per Aut(G)-orbit under B -> psi B psi^-1: the calls are the orbit leaders, in order
     d4 = groups.dihedral_group(4)
-    path = write(tmp_path, "d4.json", groups.group_to_json(d4))
+    path = write(tmp_path, "d4.json", group_to_json(d4))
     calls = count_calls(monkeypatch, rota.rb_brace)
     code, out, _ = run(capsys, ["rb", "search", "--group", path])
     assert code == 0
@@ -1216,7 +1233,7 @@ def test_rb_search_builds_each_brace_once(tmp_path, capsys, monkeypatch):
 
 def test_rb_search_above_the_self_map_order_runs_one_backtrack(tmp_path, capsys, monkeypatch):
     # Aut(G) is read off the endomorphisms the search lists, not searched for again
-    path = write(tmp_path, "q8.json", groups.group_to_json(groups.dicyclic_group(2)))
+    path = write(tmp_path, "q8.json", group_to_json(groups.dicyclic_group(2)))
     _, expected, _ = run(capsys, ["rb", "search", "--group", path])
     calls = count_calls(monkeypatch, groups._homomorphisms)
     code, out, _ = run(capsys, ["rb", "search", "--group", path])
@@ -1235,14 +1252,14 @@ RB_ORACLE_GROUPS = [g for g in groups.small_group_catalog(12) if g.order >= 6] +
 
 @pytest.mark.parametrize("group", RB_ORACLE_GROUPS, ids=lambda g: g.name or str(g.order))
 def test_rb_search_rows_match_the_search_that_checks_every_operator(tmp_path, capsys, group):
-    path = write(tmp_path, "group.json", groups.group_to_json(group))
+    path = write(tmp_path, "group.json", group_to_json(group))
     code, out, _ = run(capsys, ["rb", "search", "--group", path])
     assert code == 0
     assert json.loads(out)["operators"] == rb_search_rows_by_operator(group)
 
 
 def test_rb_search_computes_the_center_once(tmp_path, capsys, monkeypatch):
-    path = write(tmp_path, "d4.json", groups.group_to_json(groups.dihedral_group(4)))
+    path = write(tmp_path, "d4.json", group_to_json(groups.dihedral_group(4)))
     center = groups.FiniteGroup.center
     computed = []
 
@@ -1260,7 +1277,7 @@ def test_rb_search_computes_the_center_once(tmp_path, capsys, monkeypatch):
 
 def test_rb_brace_classifies_once(tmp_path, capsys, monkeypatch):
     s3 = groups.symmetric_group(3)
-    gpath = write(tmp_path, "s3.json", groups.group_to_json(s3))
+    gpath = write(tmp_path, "s3.json", group_to_json(s3))
     rbpath = write(tmp_path, "inv.json", {"order": 6, "map": list(s3.inverse)})
     calls = count_calls(monkeypatch, braces.left_law_witness)
     code, out, _ = run(capsys, ["rb", "brace", "--group", gpath, "--rb", rbpath])

@@ -2,20 +2,19 @@ from itertools import permutations
 
 import pytest
 
+from oracles import nilpotency_class, regular_subgroups_by_closure
 from skewbrace import groups
-from skewbrace.errors import InvalidGroup, NotASubgroup, OrderCapExceeded
+from skewbrace.errors import InvalidGroup, OrderCapExceeded
 from skewbrace.groups import (
     automorphism_group,
     build_holomorph,
     compose,
+    derived_subgroup,
     group_from_json,
     group_from_permutations,
     group_isomorphisms,
     is_multiplicative,
-    is_regular_subgroup,
-    nilpotency_class,
     small_group_catalog,
-    structure_subgroups,
     subgroup_closure_in,
     verify_group,
 )
@@ -163,7 +162,7 @@ def test_automorphisms_trivial():
 def test_automorphisms_s3_all_inner(s3):
     auts = automorphism_group(s3)
     assert len(auts) == 6
-    inner = set(structure_subgroups(s3).inner_automorphisms)
+    inner = set(s3.inner)
     assert set(auts) == inner
 
 
@@ -240,29 +239,25 @@ def test_endomorphism_enumeration(z4, s3):
 
 
 def test_structure_s3(s3):
-    info = structure_subgroups(s3)
-    assert info.center == (0,)
-    assert len(info.derived_subgroup) == 3
-    assert len(info.inner_automorphisms) == 6
+    assert s3.center == (0,)
+    assert len(derived_subgroup(s3)) == 3
+    assert len(set(s3.inner)) == 6
 
 
 def test_structure_z4(z4):
-    info = structure_subgroups(z4)
-    assert info.center == (0, 1, 2, 3)
-    assert info.derived_subgroup == (0,)
+    assert z4.center == (0, 1, 2, 3)
+    assert derived_subgroup(z4) == (0,)
 
 
 def test_structure_d4(d4):
-    info = structure_subgroups(d4)
-    assert len(info.center) == 2
-    assert len(info.derived_subgroup) == 2
-    assert set(info.derived_subgroup) <= set(info.center)
+    assert len(d4.center) == 2
+    assert len(derived_subgroup(d4)) == 2
+    assert set(derived_subgroup(d4)) <= set(d4.center)
 
 
 def test_inner_count_is_index_of_center():
     for g in small_group_catalog(12):
-        info = structure_subgroups(g)
-        assert len(info.inner_automorphisms) == g.order // len(info.center)
+        assert len(set(g.inner)) == g.order // len(g.center)
 
 
 def test_nilpotency_class(d4, d16, s3, z4):
@@ -279,7 +274,7 @@ def test_holomorph_z3(z3):
     hol = build_holomorph(z3)
     assert hol.group.order == 6
     assert verify_group(hol.group.table).ok
-    assert not hol.group.is_abelian
+    assert hol.group.table != hol.group.columns
 
 
 def test_holomorph_trivial():
@@ -341,7 +336,7 @@ def test_translation_subgroup_regular():
         hol = build_holomorph(g)
         trans = subgroup_closure_in(hol.group, tuple(range(g.order)))  # the pairs (id, a)
         assert trans == tuple(range(g.order))
-        assert is_regular_subgroup(hol, trans)
+        assert trans in regular_subgroups_by_closure(g)
 
 
 def test_regularity_affine_examples(z4):
@@ -350,18 +345,12 @@ def test_regularity_affine_examples(z4):
     inv_idx = hol.automorphisms.index(bytes((0, 3, 2, 1)))
     # {x, x+2, 3x, 3x+2}: second coordinates repeat
     s1 = subgroup_closure_in(hol.group, (2, inv_idx * 4))
-    assert sorted(hol.second(i) for i in s1) == [0, 0, 2, 2]
-    assert not is_regular_subgroup(hol, s1)
+    assert sorted(i % 4 for i in s1) == [0, 0, 2, 2]
+    assert s1 not in regular_subgroups_by_closure(z4)
     # {x, x+2, 3x+1, 3x+3}: distinct second coordinates
     s2 = subgroup_closure_in(hol.group, (2, inv_idx * 4 + 1))
-    assert sorted(hol.second(i) for i in s2) == [0, 1, 2, 3]
-    assert is_regular_subgroup(hol, s2)
-
-
-def test_not_a_subgroup_raises(z4):
-    hol = build_holomorph(z4)
-    with pytest.raises(NotASubgroup):
-        is_regular_subgroup(hol, (0, 1, 2))
+    assert sorted(i % 4 for i in s2) == [0, 1, 2, 3]
+    assert s2 in regular_subgroups_by_closure(z4)
 
 
 # --- ingestion ------------------------------------------------------------
@@ -397,7 +386,7 @@ def test_group_from_json_generators():
     g = group_from_json({"name": "V", "degree": 4,
                          "generators": ["(1 2)(3 4)", "(1 3)(2 4)"]})
     assert g.order == 4
-    assert g.is_abelian
+    assert g.table == g.columns
     assert all(g.element_order(a) <= 2 for a in range(4))
 
 
@@ -441,7 +430,7 @@ def test_catalog_orders():
 
 def test_subgroup_closure_in_plain_group(s3):
     assert subgroup_closure_in(s3, ()) == (0,)
-    three = structure_subgroups(s3).derived_subgroup
+    three = derived_subgroup(s3)
     assert subgroup_closure_in(s3, three) == three
 
 
@@ -449,6 +438,6 @@ def test_self_map_flags(z4, s3):
     inv = bytes((0, 3, 2, 1))
     assert is_multiplicative(z4, z4.table, inv) and len(set(inv)) == 4    # an automorphism
     assert is_multiplicative(z4, z4.columns, inv)                         # and anti-homomorphic
-    conj_inv = bytes(s3.conj(s3.inverse[1], x) for x in range(6))
+    conj_inv = s3.inner[s3.inverse[1]]
     assert is_multiplicative(s3, s3.table, conj_inv) and len(set(conj_inv)) == 6
     assert not is_multiplicative(z4, z4.table, bytes((0, 1, 1, 1)))        # not an endomorphism

@@ -109,7 +109,6 @@ def test_inner_and_conj_match_the_reference(group):
     for g, images in enumerate(group.inner):
         expected = conjugation_by_index(table, g)
         assert tuple(images) == expected
-        assert tuple(group.conj(g, x) for x in range(group.order)) == expected
 
 
 PERMUTATION_SETS = st.integers(1, 6).flatmap(
@@ -144,7 +143,7 @@ def test_group_from_permutations_refuses_a_degree_bytes_cannot_hold():
 def non_normal_subgroup(group):
     """A cyclic subgroup that some element does not conjugate into itself; <1> if there is none."""
     cyclic = [subgroup_closure_in(group, (g,)) for g in range(1, group.order)] or [(0,)]
-    return next((k for k in cyclic if any(group.conj(g, x) not in k for g in range(group.order)
+    return next((k for k in cyclic if any(group.inner[g][x] not in k for g in range(group.order)
                                           for x in k)), cyclic[0])
 
 
@@ -171,7 +170,7 @@ def test_hom_witness_matches_the_full_scan(group):
     # exact and modulo tests each both pass and fail, where the group allows it
     assert {(True, True), (False, True)} <= found
     assert ((True, False) in found) == (n > 1)
-    if not group.is_abelian:
+    if group.table != group.columns:
         assert (False, False) in found
 
 

@@ -3,11 +3,10 @@ import json
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import lattice_circ, lattice_circ_inverse, lattice_circ_iterated
+from oracles import IDENTITY, lattice_circ, lattice_circ_inverse, lattice_circ_iterated
 
 from skewbrace.config import SampleConfig
 from skewbrace.lattice import (
-    IDENTITY,
     LatticeAuto,
     grading,
     lattice_lambda,

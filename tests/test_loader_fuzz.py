@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import group_to_json
 from skewbrace import braces, groups
 from skewbrace.braces import brace_to_json, op_brace, trivial_brace
 from skewbrace.cli import main
@@ -21,9 +22,9 @@ Z4_INVERSION = braces.construct_from_lambda(
     Z4, [tuple(range(4)) if a % 2 == 0 else Z4.inverse for a in range(4)], "homomorphic")
 
 GROUP_FILES = [
-    groups.group_to_json(groups.cyclic_group(2)),
-    groups.group_to_json(groups.cyclic_group(3)),
-    groups.group_to_json(Z4),
+    group_to_json(groups.cyclic_group(2)),
+    group_to_json(groups.cyclic_group(3)),
+    group_to_json(Z4),
     {"name": "V", "order": 4, "table": [[1, 0, 3, 2], [0, 1, 2, 3], [3, 2, 1, 0], [2, 3, 0, 1]]},
     {"name": "V", "degree": 4, "generators": ["(1 2)(3 4)", "(1 3)(2 4)"]},
 ]

@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from oracles import group_to_json
 from skewbrace import groups
 from skewbrace.braces import brace_to_json, construct_from_lambda, enumerate_circ_ops
 from skewbrace.cli import main
@@ -171,7 +172,7 @@ def _homomorphic_z4xz2xz2():
 
 def _group_file(tmp_path, name):
     path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(groups.group_to_json(TABLE_GROUPS[name]())))
+    path.write_text(json.dumps(group_to_json(TABLE_GROUPS[name]())))
     return str(path)
 
 

@@ -25,6 +25,7 @@ from oracles import (
     left_law_first_witness,
     loop_tables,
     multiplicative_by_full_scan,
+    pushforward,
     right_law_first_witness,
     subgroup_closure_all_pairs,
     switched_cyclic_loop,
@@ -35,7 +36,6 @@ from oracles import (
 from skewbrace.braces import (
     enumerate_circ_ops,
     left_law_witness,
-    pushforward,
     right_law_witness,
     verify_brace,
 )
