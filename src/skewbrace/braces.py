@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
+from functools import lru_cache
 from math import gcd
 
 from .errors import (
@@ -32,6 +33,7 @@ from .groups import (
     _regular_assignments,
     automorphism_orbits,
     compose,
+    conjugation_by,
     coset_labels,
     derived_subgroup,
     hom_witness,
@@ -536,24 +538,46 @@ def link_conditions(lam1: LambdaMap, lam2: LambdaMap) -> tuple:
 # Enumeration via regular subgroups of the holomorph
 
 
+@lru_cache(maxsize=1)
+def _walk_root(base: FiniteGroup, auts: tuple) -> tuple:
+    """(a0, keep): where the census walk starts, and the automorphisms it tries there.
+
+    a0 is a non-identity element of largest order, then of smallest
+    Aut(G)-orbit, then the least; keep holds the least automorphism of each
+    class f -> psi f psi^-1 under Stab(a0) = {psi : psi(a0) = a0}. If a
+    regular subgroup H holds (f, a0), some psi in Stab(a0) conjugates f to
+    the least r of its class, and psi.H holds (r, a0): every Aut(G)-orbit
+    meets the walk. Cached for the last group, as regular_subgroups and
+    assignment_orbits both read it.
+    """
+    a0 = min(range(1, base.order), default=0,
+             key=lambda a: (-base.element_order(a), len({f[a] for f in auts}), a))
+    classes = automorphism_orbits([f for f in auts if f[a0] == a0], conjugation_by, auts,
+                                  "automorphism {} has a conjugate outside Aut(G)")
+    return a0, frozenset(leader for leader, *_ in classes)
+
+
 def regular_subgroups(base: FiniteGroup, automorphisms) -> list:
-    """All regular subgroups of Hol G = Aut G x| G, as sorted lambda assignments.
+    """The regular subgroups of Hol G = Aut G x| G with f_a0 in keep, as sorted lambda assignments.
 
     ``automorphisms`` are indexed as automorphism_group gives them, identity
     first. A regular subgroup holds one pair (f_a, a) over each a in G, so
     it is an assignment a -> f_a, given as the tuple of the f_a: the lambda
     of its brace. groups._regular_assignments walks them with S = Aut G
-    acting by evaluation. An automorphism is fixed by its images of the
-    generators of G, its key, so f g is the automorphism whose key is g's key
-    mapped through f.
+    acting by evaluation, rooted at (a0, keep) of _walk_root, so the walk
+    meets every Aut(G)-orbit; assignment_orbits rebuilds the orbits. An
+    automorphism is fixed by its images of the generators of G, its key, so
+    f g is the automorphism whose key is g's key mapped through f.
     """
     auts = automorphisms
+    a0, keep = _walk_root(base, tuple(auts))
     gens = bytes(base.generators)
     luts = [_lut(f) for f in auts]
     keys = [gens.translate(lut) for lut in luts]
     index = {key: i for i, key in enumerate(keys)}
+    root = a0, {i for i, f in enumerate(auts) if f in keep}
     return sorted(tuple(auts[f] for f in found) for found in
-                  _regular_assignments(base, auts, lambda f, g: index[keys[g].translate(luts[f])]))
+                  _regular_assignments(base, auts, lambda f, g: index[keys[g].translate(luts[f])], root))
 
 
 def brace_from_regular_subgroup(base: FiniteGroup, maps) -> SkewBrace:
@@ -561,22 +585,27 @@ def brace_from_regular_subgroup(base: FiniteGroup, maps) -> SkewBrace:
     return SkewBrace.from_lambda(LambdaMap.of_automorphisms(base, maps))
 
 
-def assignment_orbits(automorphisms, assignments) -> list:
-    """The sorted lambda assignments of ``regular_subgroups`` split into Aut(G)-orbits.
+def assignment_orbits(base: FiniteGroup, automorphisms, assignments) -> list:
+    """The Aut(G)-orbits of all regular subgroups, from the sorted output of ``regular_subgroups``.
 
     psi in Aut G moves an assignment f to psi.f, with (psi.f)_{psi(a)} =
     psi f_a psi^-1: the lambda of f's brace relabeled along psi, so the orbits
     are the isomorphism classes (Guarnieri-Vendramin). groups.automorphism_orbits
-    walks them, each psi conjugating through one memo of |Aut| entries, and
-    its closure invariant holds the walk's output to be Aut(G)-stable.
+    walks them from the walked assignments, each psi conjugating through one
+    memo of |Aut| entries, each orbit led by its least member. Its closure
+    invariant holds the walked assignments to be exactly the orbit members
+    whose f_a0 is in keep, for (a0, keep) of _walk_root.
     """
+    a0, keep = _walk_root(base, tuple(automorphisms))
+
     def action(psi):
         psi_inv = invert_permutation(psi)
-        conj = {f: compose(psi, compose(f, psi_inv)) for f in automorphisms}
-        return lambda maps: tuple(map(conj.__getitem__, map(maps.__getitem__, psi_inv)))
+        conj = dict(zip(automorphisms, map(conjugation_by(psi), automorphisms))).__getitem__
+        return lambda maps: tuple(map(conj, map(maps.__getitem__, psi_inv)))
 
     return automorphism_orbits(automorphisms, action, assignments, "regular subgroup {} has "
-                               "an Aut(G)-conjugate that the walk did not find")
+                               "an Aut(G)-conjugate that the walk did not find",
+                               lambda maps: maps[a0] in keep)
 
 
 def _carried_brace(add: FiniteGroup, pads, maps, flags: Classification) -> SkewBrace:
@@ -593,7 +622,8 @@ def _carried_brace(add: FiniteGroup, pads, maps, flags: Classification) -> SkewB
 def enumerate_circ_ops(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> list:
     """One skew brace per regular subgroup of Hol G, sorted by multiplicative table.
 
-    One brace per Aut(G)-orbit of assignment_orbits, its representative, is
+    regular_subgroups walks part of each Aut(G)-orbit, and assignment_orbits
+    rebuilds the orbits from it. One brace per orbit, its least member, is
     built and checked exactly by brace_from_regular_subgroup and classified.
     The rest of the orbit is carried over by automorphism, under
     assignment_orbits' closure invariant: each other member is that brace
@@ -604,7 +634,7 @@ def enumerate_circ_ops(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> 
     auts = holomorph_automorphisms(group, max_order)
     pads = [_lut(row) for row in group.table]
     braces = []
-    for rep, *others in assignment_orbits(auts, regular_subgroups(group, auts)):
+    for rep, *others in assignment_orbits(group, auts, regular_subgroups(group, auts)):
         brace = brace_from_regular_subgroup(group, rep)
         flags = brace.classification
         braces += [brace] + [_carried_brace(group, pads, maps, flags) for maps in others]

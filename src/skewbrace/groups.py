@@ -176,6 +176,12 @@ def invert_permutation(p) -> bytes:
     return bytes(map(p.index, range(len(p))))
 
 
+def conjugation_by(psi: bytes):
+    """The map f -> psi f psi^-1 of image arrays, for the permutation ``psi``."""
+    psi_inv, lut = invert_permutation(psi), _lut(psi)
+    return lambda f: psi_inv.translate(_lut(f)).translate(lut)
+
+
 def permutation_order(p) -> int:
     n = len(p)
     seen = [False] * n
@@ -420,17 +426,17 @@ def _permutation_closure(identity: bytes, seeds, max_order: float = inf) -> tupl
     return members, gens
 
 
-def automorphism_orbits(automorphisms, action, members, missing: str) -> list:
-    """The sorted list ``members`` split into orbits of the group ``automorphisms``, identity first.
+def automorphism_orbits(automorphisms, action, members, missing: str, must=None) -> list:
+    """The orbits of the group ``automorphisms``, identity first, through the sorted list ``members``.
 
-    ``action(psi)`` is the map x -> psi.x of one automorphism psi on members.
-    Each orbit is a list led by its least member, the first member no
-    earlier orbit holds; the rest follow breadth first under a generating
-    set, the seeds _permutation_closure keeps from the automorphisms by
-    decreasing order. Every image must be one of ``members``, else
-    CriterionMismatch with ``missing`` formatted with the index of the
-    member it came from: the members are then stable, and the orbits
-    partition them.
+    ``action(psi)`` is the map x -> psi.x of one automorphism psi. From the
+    least member no earlier orbit holds, each orbit is walked breadth first
+    under a generating set, the seeds _permutation_closure keeps from the
+    automorphisms by decreasing order. Every image, or each one for which
+    ``must`` holds, must be one of ``members``, else CriterionMismatch with
+    ``missing`` formatted with the index of the member walked from; so is an
+    orbit whose size does not divide |automorphisms|. Each orbit is sorted,
+    and they come in the order of their least members.
     """
     by_order = sorted(automorphisms, key=permutation_order, reverse=True)
     moves = list(map(action, _permutation_closure(automorphisms[0], by_order)[1]))
@@ -443,12 +449,15 @@ def automorphism_orbits(automorphisms, action, members, missing: str) -> list:
         for x in orbit:
             for move in moves:
                 if (image := move(x)) not in seen:
-                    if image not in found:
-                        raise CriterionMismatch(missing.format(members.index(x)))
+                    if image not in found and (must is None or must(image)):
+                        raise CriterionMismatch(missing.format(members.index(rep)))
                     seen.add(image)
                     orbit.append(image)
-        orbits.append(orbit)
-    return orbits
+        if len(automorphisms) % len(orbit):
+            raise CriterionMismatch(f"the orbit of member {members.index(rep)} has {len(orbit)} members, "
+                                    f"but {len(orbit)} does not divide |Aut| = {len(automorphisms)}")
+        orbits.append(sorted(orbit))
+    return sorted(orbits)
 
 
 def group_from_permutations(generators, degree: int, name: str = "",
@@ -622,19 +631,21 @@ def _homomorphisms(src: FiniteGroup, dst: FiniteGroup, bijective: bool,
     return sorted(found)
 
 
-def _regular_assignments(base: FiniteGroup, action, mult) -> list:
-    """All regular subgroups of G x| S, as sorted tuples of S-indices, for G = ``base``.
+def _regular_assignments(base: FiniteGroup, action, mult, root=None) -> list:
+    """Regular subgroups of G x| S, as sorted tuples of S-indices, for G = ``base``.
 
     S is {0, ..., len(action) - 1} with identity 0 and product ``mult(s, u)``.
     It acts on G through ``action[s]``, an image array (``action[0]`` is the
     identity map), and (s, x)(u, y) = (s u, x . action[s](y)). A regular
     subgroup holds one pair (s_a, a) over each a in G, so it is the
-    assignment a -> s_a, given as the tuple of the s_a. The walk takes the
-    least unassigned a and tries each s_a whose pair generates a cyclic
-    subgroup meeting each G-coordinate at most once, of order dividing |G|.
-    It closes the grown subgroup by right multiplication with its generators
-    and backtracks on a repeated coordinate or an order not dividing |G|.
-    Each regular subgroup is reached along exactly one path.
+    assignment a -> s_a, given as the tuple of the s_a. The walk takes a0 =
+    1, or the a0 of ``root`` = (a0, keep), then the least unassigned a, and
+    tries each s_a whose pair generates a cyclic subgroup meeting each
+    G-coordinate at most once, of order dividing |G|, and at a0 only those in
+    ``keep``. It closes the grown subgroup by right multiplication with its
+    generators and backtracks on a repeated coordinate or an order not
+    dividing |G|. It yields each regular subgroup with s_a0 in ``keep``
+    (every one, without ``root``), each along exactly one path.
     """
     n, t = base.order, base.table
 
@@ -649,12 +660,16 @@ def _regular_assignments(base: FiniteGroup, action, mult) -> list:
     def candidates(a):
         return [s for s in range(len(action)) if cyclic_ok(s, a)]
 
+    a0, keep = root or (1, range(len(action)))
+
     def walk(s_of, members, gens):
         if len(members) == n:
             yield tuple(s_of)
             return
-        a = s_of.index(-1)
+        a = s_of.index(-1) if len(members) > 1 else a0
         for sa in candidates(a):
+            if a == a0 and sa not in keep:
+                continue
             grown, new, gens_now = s_of[:], [a], gens + [(sa, a)]
             grown[a] = sa
             queue = [(x, sa, a) for x in members] + [(a, u, y) for u, y in gens_now]

@@ -20,9 +20,9 @@ from .groups import (
     _regular_assignments,
     automorphism_group,
     automorphism_orbits,
+    conjugation_by,
     endomorphisms,
     hom_witness,
-    invert_permutation,
     is_multiplicative,
     is_self_map,
     json_field,
@@ -166,11 +166,7 @@ def rb_orbits(automorphisms, operators) -> list:
     groups.automorphism_orbits walks the orbits, least operator first, and
     its closure invariant holds the search's output to be Aut(G)-stable.
     """
-    def action(psi):
-        psi_inv, lut = invert_permutation(psi), _lut(psi)
-        return lambda b: psi_inv.translate(_lut(b)).translate(lut)
-
-    return automorphism_orbits(automorphisms, action, operators, "Rota-Baxter operator {} has "
+    return automorphism_orbits(automorphisms, conjugation_by, operators, "Rota-Baxter operator {} has "
                                "an Aut(G)-conjugate that the search did not find")
 
 

@@ -41,6 +41,9 @@ MAX_EXPONENT = 3
 MAX_RANK = 1000
 """The largest rank of a ``GeneratorCycle``, whose action builds an image of rank + 1 entries per power."""
 
+MAX_INNER_SYLLABLES = 1000
+"""The most syllables of an ``Inner`` word that ``sampled_brace_check`` takes: it keeps word^k for each k it meets."""
+
 
 def mul_syllables(left: tuple, right: tuple) -> tuple:
     """The product of two reduced syllable tuples: only syllables meeting at the seam cancel or merge."""
@@ -281,6 +284,9 @@ def sampled_brace_check(theta: GeneratorCycle | Inner,
     """
     if not isinstance(theta, (GeneratorCycle, Inner)):
         raise ValueError("sampled check needs a GeneratorCycle or Inner automorphism")
+    if isinstance(theta, Inner) and len(theta.word.syllables) > MAX_INNER_SYLLABLES:
+        raise ValueError(f"inner word of {len(theta.word.syllables)} syllables exceeds "
+                         f"the bound of {MAX_INNER_SYLLABLES}")
     rng = Lcg(sampling.seed)
     rank = theta.rank
     theta_pow = cache(theta.action)     # theta^k on syllable tuples, built once per k in this call

@@ -20,6 +20,7 @@ from oracles import (
 from skewbrace import groups
 from skewbrace.braces import (
     SkewBrace,
+    assignment_orbits,
     classify,
     enumerate_circ_ops,
     left_law_witness,
@@ -322,12 +323,14 @@ def test_criterion_9_sampling_suites_deterministic():
 
 
 def test_census_counts_match_independent_walk():
-    # supporting invariant for criteria 1-3: the library's assignment walk
-    # finds the same regular subgroups as closure inside the holomorph table
-    # on every group of order <= 12, and the count-only walk agrees up to 8
+    # supporting invariant for criteria 1-3: the library's assignment walk,
+    # with the orbits it meets rebuilt, finds the same regular subgroups as
+    # closure inside the holomorph table on every group of order <= 12, and
+    # the count-only walk agrees up to 8
     for g in groups.small_group_catalog(12):
         auts = groups.automorphism_group(g)
-        found = holomorph_members(regular_subgroups(g, auts), auts)
+        orbits = assignment_orbits(g, auts, regular_subgroups(g, auts))
+        found = holomorph_members([maps for orbit in orbits for maps in orbit], auts)
         assert found == list(regular_subgroups_by_closure(g)), g.name
         if g.order <= 8:
             assert len(enumerate_circ_ops(g)) == regular_subgroup_count_by_lambda_walk(g)

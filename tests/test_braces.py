@@ -553,7 +553,8 @@ def test_enumerate_all_verify(s3):
 def test_enumerate_matches_lambda_walk_small():
     for g in groups.small_group_catalog(12):
         auts = groups.automorphism_group(g)
-        found = holomorph_members(braces.regular_subgroups(g, auts), auts)
+        orbits = braces.assignment_orbits(g, auts, braces.regular_subgroups(g, auts))
+        found = holomorph_members([maps for orbit in orbits for maps in orbit], auts)
         assert found == list(regular_subgroups_by_closure(g)), g.name
         if g.order <= 6:
             assert len(enumerate_circ_ops(g)) == regular_subgroup_count_by_lambda_walk(g)
@@ -609,13 +610,31 @@ def test_every_enumerated_brace_equals_its_rebuild_by_the_left_law():
             assert classify(rebuilt) == brace.classification, g.name
 
 
-@pytest.mark.parametrize("group", ORBIT_GROUPS, ids=lambda g: g.name)
-def test_orbits_partition_the_census_as_relabeling_does(group):
+def relabeled_group(group, seed):
+    """``group`` with its non-identity labels shuffled by a seeded permutation, so a0 and Stab(a0) move."""
+    rest = list(range(1, group.order))
+    random.Random(seed).shuffle(rest)
+    return groups.FiniteGroup(groups.relabeled(group.table, bytes([0] + rest)), name=group.name)
+
+
+def walk_root_by_scan(group, auts):
+    """(a0, least): the walk's root by its rule, and f -> the least psi f psi^-1 over psi with psi(a0) = a0."""
+    a0 = min(range(1, group.order), default=0,
+             key=lambda a: (-group.element_order(a), len({f[a] for f in auts}), a))
+    stab = [psi for psi in auts if psi[a0] == a0]
+    return a0, {f: min(compose(psi, compose(f, invert_permutation(psi))) for psi in stab) for f in auts}
+
+
+def check_orbits_against_the_oracles(group):
+    """The census orbits of ``group`` checked against closure in Hol G and relabeling; returns the walked list."""
     n, t = group.order, group.table
     auts = groups.automorphism_group(group)
-    found = braces.regular_subgroups(group, auts)
-    orbits = braces.assignment_orbits(auts, found)
-    assert sorted(m for orbit in orbits for m in orbit) == found
+    walked = braces.regular_subgroups(group, auts)
+    orbits = braces.assignment_orbits(group, auts, walked)
+    found = sorted(m for orbit in orbits for m in orbit)
+    assert holomorph_members(found, auts) == list(regular_subgroups_by_closure(group))
+    a0, least = walk_root_by_scan(group, auts)
+    assert walked == [m for m in found if least[m[a0]] == m[a0]]
     assert all(len(auts) % len(orbit) == 0 for orbit in orbits)     # orbit-stabilizer
     assert [orbit[0] for orbit in orbits] == sorted(min(orbit) for orbit in orbits)
 
@@ -626,6 +645,20 @@ def test_orbits_partition_the_census_as_relabeling_does(group):
     assert {frozenset(map(circ, orbit)) for orbit in orbits} == set(map(frozenset, by_relabeling))
     if n == 16:
         assert len(orbits) == ORDER_16_ORBITS[group.name]
+    return walked
+
+
+@pytest.mark.parametrize("group", ORBIT_GROUPS, ids=lambda g: g.name)
+def test_orbits_partition_the_census_as_relabeling_does(group):
+    check_orbits_against_the_oracles(group)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("group", ORBIT_GROUPS, ids=lambda g: g.name)
+def test_rooted_walk_meets_every_orbit_under_relabeling(group, seed):
+    walked = check_orbits_against_the_oracles(relabeled_group(group, seed))
+    if group.name == "Dic4":        # Q16: 304 labeled regular subgroups, of which the root keeps fewer
+        assert len(walked) < len(regular_subgroups_by_closure(group)) == 304
 
 
 # --- one lambda pass per brace ---------------------------------------------------

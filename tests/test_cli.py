@@ -317,12 +317,13 @@ def test_derived_table_failure_exits_3_not_2(tmp_path, capsys, monkeypatch):
 
 
 def test_census_missing_a_conjugate_exits_3(tmp_path, capsys, monkeypatch):
-    # the walk's output must be Aut(G)-stable: drop one member of an orbit of Q8
+    # the walked assignments must be every orbit member the root keeps: drop one
+    # walked member of an orbit of Q8 that keeps another, from which it is reached
     q8 = groups.dicyclic_group(2)
     auts = groups.automorphism_group(q8)
-    walk = braces.regular_subgroups
-    orbit = next(o for o in braces.assignment_orbits(auts, walk(q8, auts)) if len(o) > 1)
-    kept = [maps for maps in walk(q8, auts) if maps != orbit[1]]
+    walked = braces.regular_subgroups(q8, auts)
+    orbit = next(o for o in braces.assignment_orbits(q8, auts, walked) if len(set(o) & set(walked)) > 1)
+    kept = [maps for maps in walked if maps != max(set(orbit) & set(walked))]
     monkeypatch.setattr(braces, "regular_subgroups", lambda base, automorphisms: kept)
     message = r"regular subgroup (\d+) has an Aut\(G\)-conjugate that the walk did not find"
     with pytest.raises(CriterionMismatch, match=message) as raised:
@@ -347,6 +348,31 @@ def test_rb_search_missing_a_conjugate_exits_3(tmp_path, capsys, monkeypatch):
         rota.rb_search(s3)
     assert kept[int(re.match(message, str(raised.value))[1])] in orbit
     code, out, err = run(capsys, ["rb", "search", "--group", write(tmp_path, "s3.json", group_to_json(s3))])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {"invariant_failure": {
+        "command": "rb", "error": "CriterionMismatch", "message": str(raised.value)}}
+
+
+def test_an_orbit_whose_size_does_not_divide_aut_exits_3(tmp_path, capsys, monkeypatch):
+    # orbit-stabilizer: an action that splits the 6 conjugates of one operator
+    # of Z2xZ2, |Aut| = 6, into the least of them and the other 5 is caught
+    klein = groups.direct_product(groups.cyclic_group(2), groups.cyclic_group(2))
+    auts = groups.automorphism_group(klein)
+    found = rota.rb_self_maps(klein)
+    orbit = next(o for o in rota.rb_orbits(auts, found) if len(o) == len(auts) == 6)
+    conjugation_by = rota.conjugation_by
+
+    def split(psi):         # psi's conjugation, except that nothing moves onto or off orbit[0]
+        move = conjugation_by(psi)
+        return lambda b: b if (b == orbit[0]) != (move(b) == orbit[0]) else move(b)
+
+    monkeypatch.setattr(rota, "conjugation_by", split)
+    message = r"the orbit of member (\d+) has 5 members, but 5 does not divide \|Aut\| = 6"
+    with pytest.raises(CriterionMismatch, match=message) as raised:
+        rota.rb_search(klein)
+    assert found[int(re.match(message, str(raised.value))[1])] in orbit[1:]
+    code, out, err = run(capsys, ["rb", "search", "--group", write(tmp_path, "k.json", group_to_json(klein))])
     assert code == 3
     assert out == ""
     assert json.loads(err) == {"invariant_failure": {
@@ -678,6 +704,16 @@ def test_t4_window_bound_exit_2(capsys):
     code, out, err = run(capsys, argv + [str(bound + 1)])
     assert code == 2 and out == ""
     assert err == f"error: window {bound + 1} exceeds the bound of {bound}\n"
+
+
+def test_inner_word_bound_exit_2(capsys):
+    bound = words.MAX_INNER_SYLLABLES
+    argv = ["--samples", "5", "freegroup", "check", "--theta", "inner", "--rank", "3", "--inner-word"]
+    code, out, _ = run(capsys, argv + [" ".join(["x1", "x2"] * (bound // 2))])
+    assert code == 0 and json.loads(out)["failure_count"] == 0
+    code, out, err = run(capsys, argv + [" ".join(["x1", "x2"] * (bound // 2)) + " x3"])
+    assert code == 2 and out == ""
+    assert err == f"error: inner word of {bound + 1} syllables exceeds the bound of {bound}\n"
 
 
 def test_rb_tower_height_bound_exit_2(tmp_path, capsys):
