@@ -3,9 +3,13 @@
 The grading is the coordinate sum s(a) = a1 + a2; the automorphism attached
 to every basis vector is the unipotent matrix M(p) with (M - I)^2 = 0, so
 powers are exact: M^k = I + k (M - I).  Products use that affine form
-directly, a o_i b = a + b + i s(a) (M - I) b, with no matrix built per
-product.  All arithmetic is exact big-integer arithmetic, so the algebraic
-identities hold on the nose.
+directly, a o_i b = a + b + i s(a) D b with D = M - I, with no matrix built
+per product.  The sampled system check writes its products inline and
+computes the image D v of each vector v that a product takes on the right
+once, for every level and check that uses it; it reads D from the matrix, so
+a matrix off the family gives the same counts as one call per product.  All
+arithmetic is exact big-integer arithmetic, so the algebraic identities hold
+on the nose.
 """
 
 from __future__ import annotations
@@ -26,23 +30,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
         (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
         (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
     )
-
-
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
-
-
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return (u[0] + v[0], u[1] + v[1])
-
-
-def vec_neg(v: Vec) -> Vec:
-    return (-v[0], -v[1])
-
-
-def grading(v: Vec) -> int:
-    """The coordinate-sum homomorphism that powers the automorphism."""
-    return v[0] + v[1]
 
 
 class LatticeAuto(namedtuple("LatticeAuto", "matrix")):
@@ -97,10 +84,6 @@ def lattice_lambda(p: int) -> LatticeAuto:
     return LatticeAuto(m)
 
 
-def sample_vec(rng: Lcg, bound: int = 9) -> Vec:
-    return (rng.next_in(-bound, bound), rng.next_in(-bound, bound))
-
-
 MAX_LATTICE_DEPTH = 8
 """The highest level ``lattice_system_check`` builds: each sample checks every ordered pair of levels."""
 
@@ -120,12 +103,8 @@ def lattice_system_check(p: int, depth: int = 3,
         raise ValueError("depth must not be negative")
     rng = Lcg(sampling.seed)
     auto = lattice_lambda(p)
-    failures = {
-        "associativity": 0, "identity": 0, "inverse": 0, "commutativity": 0,
-        "closed_form": 0, "compatibility": 0, "torsion": 0, "generation": 0,
-        "lambda_homomorphism": 0, "kernel_containment": 0,
-    }
-
+    (m11, m12), (m21, m22) = auto.matrix
+    d11, d22 = m11 - 1, m22 - 1
     circ, circ_inv = auto.circ, auto.circ_inverse
 
     def circ_pow(a, k, i):
@@ -135,60 +114,101 @@ def lattice_system_check(p: int, depth: int = 3,
             out = circ(out, step, i)
         return out
 
-    # (sigma, i) -> x1^{o_i sigma} and its o_i-inverse, each computed by repeated products once
+    # sigma -> x1^{o_i sigma} and its o_i-inverse with the D-images of both, at every level i
     x1_powers = {}
+    levels = range(depth + 1)
+    z1 = z2 = dz1 = dz2 = 0   # the identity (0, 0) and its D-image
+    assoc = ident = inverse = commut = closed = compat = torsion = generation = hom = kernel = 0
 
+    # Every product is a o_i v = a + v + i s(a) D v with D = M - I, and each vector v
+    # that a product takes on the right has its image D v computed once: x1, x2 are
+    # the coordinates of a vector x and dx1, dx2 those of D x.
     for _ in range(sampling.samples):
-        a, b, c = sample_vec(rng), sample_vec(rng), sample_vec(rng)
-        b_c, inv_a = [], []   # b o_j c and the o_j-inverse of a at every level j up to i
-        m_a, b_step = auto.power(grading(a)), b
-        for i in range(depth + 1):
-            a_b = circ(a, b, i)
-            b_c.append(circ(b, c, i))
-            inv_a.append(circ_inv(a, i))
-            if circ(a_b, c, i) != circ(a, b_c[i], i):
-                failures["associativity"] += 1
-            if circ((0, 0), a, i) != a or circ(a, (0, 0), i) != a:
-                failures["identity"] += 1
-            if circ(a, inv_a[i], i) != (0, 0) or circ(inv_a[i], a, i) != (0, 0):
-                failures["inverse"] += 1
-            if a_b != circ(b, a, i):
-                failures["commutativity"] += 1
+        draws, k = rng.take(6)
+        a1, a2, b1, b2, c1, c2 = [x % 19 - 9 for x in draws[k:k + 6]]   # six next_in(-9, 9)
+        sa, sb = a1 + a2, b1 + b2
+        da1, da2 = d11 * a1 + m12 * a2, m21 * a1 + d22 * a2
+        db1, db2 = d11 * b1 + m12 * b2, m21 * b1 + d22 * b2
+        dc1, dc2 = d11 * c1 + m12 * c2, m21 * c1 + d22 * c2
+        m_a = auto.power(sa)
+        (p11, p12), (p21, p22) = m_a
+        step1, step2 = b1, b2
+        below = []   # (j, b o_j c, the o_j-inverse of a), with D-images, for every level j below i
+        for i in levels:
+            ka, kb = i * sa, i * sb
+            ab1, ab2 = a1 + b1 + ka * db1, a2 + b2 + ka * db2
+            sab = ab1 + ab2
+            bc1, bc2 = b1 + c1 + kb * dc1, b2 + c2 + kb * dc2
+            dbc1, dbc2 = d11 * bc1 + m12 * bc2, m21 * bc1 + d22 * bc2
+            ia1, ia2 = -a1 + ka * da1, -a2 + ka * da2
+            dia1, dia2 = d11 * ia1 + m12 * ia2, m21 * ia1 + d22 * ia2
+            kab, kz, ki = i * sab, i * (z1 + z2), i * (ia1 + ia2)
+            # (a o_i b) o_i c = a o_i (b o_i c)
+            if (ab1 + c1 + kab * dc1 != a1 + bc1 + ka * dbc1
+                    or ab2 + c2 + kab * dc2 != a2 + bc2 + ka * dbc2):
+                assoc += 1
+            # 0 o_i a = a = a o_i 0
+            if (z1 + a1 + kz * da1 != a1 or z2 + a2 + kz * da2 != a2
+                    or a1 + z1 + ka * dz1 != a1 or a2 + z2 + ka * dz2 != a2):
+                ident += 1
+            # a o_i a^{-1} = 0 = a^{-1} o_i a
+            if (a1 + ia1 + ka * dia1 or a2 + ia2 + ka * dia2
+                    or ia1 + a1 + ki * da1 or ia2 + a2 + ki * da2):
+                inverse += 1
+            # a o_i b = b o_i a
+            if ab1 != b1 + a1 + kb * da1 or ab2 != b2 + a2 + kb * da2:
+                commut += 1
             if i <= 4:
                 # the recursion o_{i+1}(a, b) = o_i(a, M^{s(a)} b), one step per level
-                if vec_add(a, b_step) != a_b:
-                    failures["closed_form"] += 1
-                b_step = mat_vec(m_a, b_step)
-            a_c = circ(a, c, i)
-            for j in range(i):
-                lhs = circ(a, b_c[j], i)
-                rhs = circ(circ(a_b, inv_a[j], j), a_c, j)
-                if lhs != rhs:
-                    failures["compatibility"] += 1
+                if a1 + step1 != ab1 or a2 + step2 != ab2:
+                    closed += 1
+                step1, step2 = p11 * step1 + p12 * step2, p21 * step1 + p22 * step2
+            if below:
+                ac1, ac2 = a1 + c1 + ka * dc1, a2 + c2 + ka * dc2
+                dac1, dac2 = d11 * ac1 + m12 * ac2, m21 * ac1 + d22 * ac2
+                # a o_i (b o_j c) against ((a o_i b) o_j a^{-1}) o_j (a o_i c), the inverse in o_j
+                for j, x1, x2, dx1, dx2, y1, y2, dy1, dy2 in below:
+                    kj = j * sab
+                    u1, u2 = ab1 + y1 + kj * dy1, ab2 + y2 + kj * dy2
+                    ku = j * (u1 + u2)
+                    if (a1 + x1 + ka * dx1 != u1 + ac1 + ku * dac1
+                            or a2 + x2 + ka * dx2 != u2 + ac2 + ku * dac2):
+                        compat += 1
+            below.append((i, bc1, bc2, dbc1, dbc2, ia1, ia2, dia1, dia2))
         # exactness facts about the grading
-        if mat_mul(m_a, auto.power(grading(b))) != auto.power(grading(a) + grading(b)):
-            failures["lambda_homomorphism"] += 1
-        if grading(vec_add(mat_vec(m_a, b), vec_neg(b))) != 0:
-            failures["kernel_containment"] += 1
+        if mat_mul(m_a, auto.power(sb)) != auto.power(sa + sb):
+            hom += 1
+        if (p11 * b1 + p12 * b2 - b1) + (p21 * b1 + p22 * b2 - b2):   # s(M^{s(a)} b - b)
+            kernel += 1
         # torsion: circle powers of a nonzero vector never vanish
-        if a != (0, 0):
-            for i in range(depth + 1):
-                power = (0, 0)
+        if a1 or a2:
+            for i in levels:
+                x1 = x2 = 0
                 for _ in range(4):   # a^{o_i k} for k = 1..4
-                    power = circ(power, a, i)
-                    if power == (0, 0):
-                        failures["torsion"] += 1
+                    kx = i * (x1 + x2)
+                    x1, x2 = x1 + a1 + kx * da1, x2 + a2 + kx * da2
+                    if not (x1 or x2):
+                        torsion += 1
         # generation: v = (t, -t) o_i x1^{o_i sigma} with sigma = s(v)
-        sigma = grading(a)
-        for i in range(depth + 1):
-            power = x1_powers.get((sigma, i))
-            if power is None:
-                g = circ_pow((1, 0), sigma, i)
-                power = x1_powers[sigma, i] = g, circ_inv(g, i)
-            g, inv_g = power
-            u = circ(a, inv_g, i)
-            if grading(u) != 0 or u[0] != -u[1] or circ(u, g, i) != a:
-                failures["generation"] += 1
+        powers = x1_powers.get(sa)
+        if powers is None:
+            powers = x1_powers[sa] = []
+            for i in levels:
+                g = g1, g2 = circ_pow((1, 0), sa, i)
+                h1, h2 = circ_inv(g, i)
+                powers.append((g1, g2, d11 * g1 + m12 * g2, m21 * g1 + d22 * g2,
+                               h1, h2, d11 * h1 + m12 * h2, m21 * h1 + d22 * h2))
+        for i, (g1, g2, dg1, dg2, h1, h2, dh1, dh2) in zip(levels, powers):
+            ka = i * sa
+            u1, u2 = a1 + h1 + ka * dh1, a2 + h2 + ka * dh2
+            ku = i * (u1 + u2)
+            if u1 + u2 or u1 != -u2 or u1 + g1 + ku * dg1 != a1 or u2 + g2 + ku * dg2 != a2:
+                generation += 1
+    failures = {
+        "associativity": assoc, "identity": ident, "inverse": inverse, "commutativity": commut,
+        "closed_form": closed, "compatibility": compat, "torsion": torsion, "generation": generation,
+        "lambda_homomorphism": hom, "kernel_containment": kernel,
+    }
     return {
         "p": p,
         "depth": depth,

@@ -92,7 +92,3 @@ class Lcg:
             i = 0
         self._pos = i + 1
         return self._draws[i] % bound
-
-    def next_in(self, lo: int, hi: int) -> int:
-        """Integer in the inclusive range [lo, hi]."""
-        return lo + self.next_int(hi - lo + 1)

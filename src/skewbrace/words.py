@@ -263,9 +263,18 @@ def sample_word(rng: Lcg, rank: int, max_syllables: int, max_exp: int) -> tuple:
     count = rng.next_int(max_syllables + 1)
     draws, i = rng.take(3 * count)
     stack = []
+    top = 0   # the generator of the top syllable, 0 on an empty stack
     for j in range(i, i + 3 * count, 3):
-        e = 1 + draws[j + 1] % max_exp
-        _push(stack, 1 + draws[j] % rank, -e if draws[j + 2] & 1 else e)
+        gen, e = 1 + draws[j] % rank, 1 + draws[j + 1] % max_exp
+        if draws[j + 2] & 1:
+            e = -e
+        if gen != top:
+            stack.append((gen, e))
+            top = gen
+        elif merged := stack.pop()[1] + e:
+            stack.append((gen, merged))
+        else:
+            top = stack[-1][0] if stack else 0
     return tuple(stack)
 
 

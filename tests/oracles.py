@@ -14,6 +14,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import permutations, product
 
+from skewbrace import lattice
 from skewbrace.braces import (
     Classification,
     SkewBrace,
@@ -22,6 +23,7 @@ from skewbrace.braces import (
     link_conditions,
     opposite,
 )
+from skewbrace.config import DEFAULT_SAMPLING
 from skewbrace.errors import (
     AlgebraError,
     CriterionMismatch,
@@ -46,7 +48,8 @@ from skewbrace.groups import (
     subgroup_closure_in,
     verify_group,
 )
-from skewbrace.lattice import grading, lattice_lambda, mat_vec, vec_add
+from skewbrace.lattice import lattice_lambda, mat_mul
+from skewbrace.rng import Lcg
 from skewbrace.rota import (
     MAX_SELF_MAP_ORDER,
     is_rb,
@@ -487,6 +490,22 @@ def regular_subgroups_by_closure(group):
                     nxt.append(closure)
         frontier = nxt
     return tuple(sorted(complete))
+
+
+def transported_closure(group, relabel):
+    """``regular_subgroups_by_closure`` of ``group`` relabeled x -> relabel[x], carried over from ``group``'s.
+
+    Relabeling by pi sends the regular subgroup {(f, a)} to {(pi f pi^-1, pi(a))};
+    the automorphisms of the relabeled group are the pi f pi^-1, indexed in
+    lexicographic order as ``holomorph_members`` indexes them.
+    """
+    n = group.order
+    back = invert_permutation(relabel)
+    moved = [tuple(relabel[f[b]] for b in back) for f in tuples(automorphism_group(group))]
+    index = {f: i for i, f in enumerate(sorted(moved))}
+    new = [index[f] * n for f in moved]
+    return tuple(sorted(tuple(sorted(new[x // n] + relabel[x % n] for x in members))
+                        for members in regular_subgroups_by_closure(group)))
 
 
 # --- full scans: references for the checks the library makes on generators only ---
@@ -1071,6 +1090,23 @@ def free_circ_word_expand(op, letters):
 # --- the lattice levels, one formula per call ----------------------------
 
 
+def mat_vec(m, v):
+    return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
+
+
+def vec_add(u, v):
+    return (u[0] + v[0], u[1] + v[1])
+
+
+def vec_neg(v):
+    return (-v[0], -v[1])
+
+
+def grading(v):
+    """The coordinate sum s(v) = v1 + v2, the homomorphism that powers the automorphism."""
+    return v[0] + v[1]
+
+
 def lattice_circ(a, b, p, level=1):
     """a o_i b = a + M^{i s(a)} b, the level-i multiplication."""
     if level < 0:
@@ -1087,6 +1123,101 @@ def lattice_circ_iterated(a, b, auto, level):
     for _ in range(level):
         b = mat_vec(auto.power(grading(a)), b)
     return vec_add(a, b)
+
+
+def next_in(rng, lo, hi):
+    """An integer in the inclusive range [lo, hi], from one ``next_int`` draw."""
+    return lo + rng.next_int(hi - lo + 1)
+
+
+def sample_vec(rng, bound=9):
+    return (next_in(rng, -bound, bound), next_in(rng, -bound, bound))
+
+
+def lattice_system_check_by_products(p, depth=3, sampling=DEFAULT_SAMPLING):
+    """``lattice.lattice_system_check`` with every product a separate ``auto.circ`` call.
+
+    It reads ``lattice.lattice_lambda`` when called, so a test that replaces
+    it replaces it here too; the checks, counters and draws are the library's.
+    """
+    if depth > lattice.MAX_LATTICE_DEPTH:
+        raise ValueError(f"depth is capped at {lattice.MAX_LATTICE_DEPTH}")
+    if depth < 0:
+        raise ValueError("depth must not be negative")
+    rng = Lcg(sampling.seed)
+    auto = lattice.lattice_lambda(p)
+    failures = {
+        "associativity": 0, "identity": 0, "inverse": 0, "commutativity": 0,
+        "closed_form": 0, "compatibility": 0, "torsion": 0, "generation": 0,
+        "lambda_homomorphism": 0, "kernel_containment": 0,
+    }
+
+    circ, circ_inv = auto.circ, auto.circ_inverse
+
+    def circ_pow(a, k, i):
+        out = (0, 0)
+        step = a if k >= 0 else circ_inv(a, i)
+        for _ in range(abs(k)):
+            out = circ(out, step, i)
+        return out
+
+    x1_powers = {}
+
+    for _ in range(sampling.samples):
+        a, b, c = sample_vec(rng), sample_vec(rng), sample_vec(rng)
+        b_c, inv_a = [], []
+        m_a, b_step = auto.power(grading(a)), b
+        for i in range(depth + 1):
+            a_b = circ(a, b, i)
+            b_c.append(circ(b, c, i))
+            inv_a.append(circ_inv(a, i))
+            if circ(a_b, c, i) != circ(a, b_c[i], i):
+                failures["associativity"] += 1
+            if circ((0, 0), a, i) != a or circ(a, (0, 0), i) != a:
+                failures["identity"] += 1
+            if circ(a, inv_a[i], i) != (0, 0) or circ(inv_a[i], a, i) != (0, 0):
+                failures["inverse"] += 1
+            if a_b != circ(b, a, i):
+                failures["commutativity"] += 1
+            if i <= 4:
+                if vec_add(a, b_step) != a_b:
+                    failures["closed_form"] += 1
+                b_step = mat_vec(m_a, b_step)
+            a_c = circ(a, c, i)
+            for j in range(i):
+                lhs = circ(a, b_c[j], i)
+                rhs = circ(circ(a_b, inv_a[j], j), a_c, j)
+                if lhs != rhs:
+                    failures["compatibility"] += 1
+        if mat_mul(m_a, auto.power(grading(b))) != auto.power(grading(a) + grading(b)):
+            failures["lambda_homomorphism"] += 1
+        if grading(vec_add(mat_vec(m_a, b), vec_neg(b))) != 0:
+            failures["kernel_containment"] += 1
+        if a != (0, 0):
+            for i in range(depth + 1):
+                power = (0, 0)
+                for _ in range(4):
+                    power = circ(power, a, i)
+                    if power == (0, 0):
+                        failures["torsion"] += 1
+        sigma = grading(a)
+        for i in range(depth + 1):
+            power = x1_powers.get((sigma, i))
+            if power is None:
+                g = circ_pow((1, 0), sigma, i)
+                power = x1_powers[sigma, i] = g, circ_inv(g, i)
+            g, inv_g = power
+            u = circ(a, inv_g, i)
+            if grading(u) != 0 or u[0] != -u[1] or circ(u, g, i) != a:
+                failures["generation"] += 1
+    return {
+        "p": p,
+        "depth": depth,
+        "samples": sampling.samples,
+        "seed": sampling.seed,
+        "failures": failures,
+        "failure_count": sum(failures.values()),
+    }
 
 
 # --- the paper's lemma checks and the helpers of their tests, which no command runs ---

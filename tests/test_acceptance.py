@@ -13,6 +13,7 @@ from oracles import (
     circ_word_expand,
     holomorph_members,
     inversion_operator,
+    next_in,
     regular_subgroup_count_by_lambda_walk,
     regular_subgroups_by_closure,
     tuples,
@@ -250,7 +251,7 @@ def test_criterion_7_rota_baxter_suite():
         b = inversion_operator(g)
         rng = Lcg(0)
         for _ in range(500):
-            letters = [(rng.next_int(g.order), rng.next_in(-2, 2)) for _ in range(4)]
+            letters = [(rng.next_int(g.order), next_in(rng, -2, 2)) for _ in range(4)]
             circ_word_expand(g, b, letters)  # raises on any fold/formula disagreement
 
     elapsed = time.monotonic() - start

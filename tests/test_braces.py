@@ -20,6 +20,7 @@ from oracles import (
     pushforward,
     regular_subgroup_count_by_lambda_walk,
     regular_subgroups_by_closure,
+    transported_closure,
     tuples,
 )
 from skewbrace import braces, groups, rota, structure, systems
@@ -610,11 +611,11 @@ def test_every_enumerated_brace_equals_its_rebuild_by_the_left_law():
             assert classify(rebuilt) == brace.classification, g.name
 
 
-def relabeled_group(group, seed):
-    """``group`` with its non-identity labels shuffled by a seeded permutation, so a0 and Stab(a0) move."""
+def relabeling(group, seed):
+    """A seeded permutation of the non-identity labels of ``group``, so a0 and Stab(a0) move."""
     rest = list(range(1, group.order))
     random.Random(seed).shuffle(rest)
-    return groups.FiniteGroup(groups.relabeled(group.table, bytes([0] + rest)), name=group.name)
+    return bytes([0] + rest)
 
 
 def walk_root_by_scan(group, auts):
@@ -625,14 +626,17 @@ def walk_root_by_scan(group, auts):
     return a0, {f: min(compose(psi, compose(f, invert_permutation(psi))) for psi in stab) for f in auts}
 
 
-def check_orbits_against_the_oracles(group):
-    """The census orbits of ``group`` checked against closure in Hol G and relabeling; returns the walked list."""
+def check_orbits_against_the_oracles(group, closure):
+    """The census orbits of ``group`` checked against ``closure``, its regular subgroups of Hol G, and relabeling.
+
+    Returns the walked list.
+    """
     n, t = group.order, group.table
     auts = groups.automorphism_group(group)
     walked = braces.regular_subgroups(group, auts)
     orbits = braces.assignment_orbits(group, auts, walked)
     found = sorted(m for orbit in orbits for m in orbit)
-    assert holomorph_members(found, auts) == list(regular_subgroups_by_closure(group))
+    assert holomorph_members(found, auts) == list(closure)
     a0, least = walk_root_by_scan(group, auts)
     assert walked == [m for m in found if least[m[a0]] == m[a0]]
     assert all(len(auts) % len(orbit) == 0 for orbit in orbits)     # orbit-stabilizer
@@ -650,15 +654,20 @@ def check_orbits_against_the_oracles(group):
 
 @pytest.mark.parametrize("group", ORBIT_GROUPS, ids=lambda g: g.name)
 def test_orbits_partition_the_census_as_relabeling_does(group):
-    check_orbits_against_the_oracles(group)
+    check_orbits_against_the_oracles(group, regular_subgroups_by_closure(group))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("group", ORBIT_GROUPS, ids=lambda g: g.name)
 def test_rooted_walk_meets_every_orbit_under_relabeling(group, seed):
-    walked = check_orbits_against_the_oracles(relabeled_group(group, seed))
+    relabel = relabeling(group, seed)
+    moved = groups.FiniteGroup(groups.relabeled(group.table, relabel), name=group.name)
+    closure = transported_closure(group, relabel)
+    if seed == 1:       # the transport checked once per group against a closure grown from scratch
+        assert closure == regular_subgroups_by_closure(moved)
+    walked = check_orbits_against_the_oracles(moved, closure)
     if group.name == "Dic4":        # Q16: 304 labeled regular subgroups, of which the root keeps fewer
-        assert len(walked) < len(regular_subgroups_by_closure(group)) == 304
+        assert len(walked) < len(closure) == 304
 
 
 # --- one lambda pass per brace ---------------------------------------------------

@@ -3,18 +3,26 @@ import json
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import IDENTITY, lattice_circ, lattice_circ_inverse, lattice_circ_iterated
-
-from skewbrace.config import SampleConfig
-from skewbrace.lattice import (
-    LatticeAuto,
+from oracles import (
+    IDENTITY,
     grading,
-    lattice_lambda,
-    lattice_system_check,
-    mat_mul,
+    lattice_circ,
+    lattice_circ_inverse,
+    lattice_circ_iterated,
+    lattice_system_check_by_products,
     mat_vec,
     vec_add,
     vec_neg,
+)
+
+from skewbrace import lattice
+from skewbrace.config import SampleConfig
+from skewbrace.lattice import (
+    MAX_LATTICE_DEPTH,
+    LatticeAuto,
+    lattice_lambda,
+    lattice_system_check,
+    mat_mul,
 )
 
 vecs = st.tuples(st.integers(-20, 20), st.integers(-20, 20))
@@ -162,3 +170,55 @@ def test_depth_cap():
 def test_level_must_be_nonnegative():
     with pytest.raises(ValueError):
         lattice_circ((1, 0), (0, 1), p=1, level=-1)
+
+
+# Matrices with (M - I)^2 != 0, which lattice_lambda never returns: in its place,
+# each check but identity and torsion fails on some samples for one of them at
+# least. The counts are those of lattice_system_check_by_products, one auto.circ
+# call per product, at SampleConfig(samples=100, seed=3), in the report's order.
+COUNTERS = ("associativity", "identity", "inverse", "commutativity", "closed_form", "compatibility",
+            "torsion", "generation", "lambda_homomorphism", "kernel_containment")
+BROKEN_COUNTS = {
+    (((2, 1), (1, 1)), 1): (94, 0, 94, 97, 0, 0, 0, 94, 93, 91),
+    (((2, 1), (1, 1)), 3): (282, 0, 282, 291, 188, 300, 0, 282, 93, 91),
+    (((2, 1), (1, 1)), 5): (470, 0, 470, 485, 282, 1000, 0, 470, 93, 91),
+    (((1, 1), (0, 1)), 1): (87, 0, 88, 97, 0, 0, 0, 0, 0, 90),
+    (((1, 1), (0, 1)), 3): (261, 0, 264, 291, 0, 297, 0, 0, 0, 90),
+    (((1, 1), (0, 1)), 5): (435, 0, 440, 485, 0, 990, 0, 0, 0, 90),
+    (((0, 1), (1, 0)), 1): (87, 0, 89, 97, 0, 0, 0, 87, 93, 0),
+    (((0, 1), (1, 0)), 3): (261, 0, 267, 291, 174, 255, 0, 275, 93, 0),
+    (((0, 1), (1, 0)), 5): (435, 0, 445, 485, 261, 850, 0, 463, 93, 0),
+    (((3, 1), (2, 1)), 1): (94, 0, 94, 97, 0, 0, 0, 94, 93, 94),
+    (((3, 1), (2, 1)), 3): (282, 0, 282, 291, 188, 300, 0, 282, 93, 94),
+    (((3, 1), (2, 1)), 5): (470, 0, 470, 485, 282, 1000, 0, 470, 93, 94),
+}
+BROKEN = sorted({m for m, _ in BROKEN_COUNTS})
+
+
+@pytest.mark.parametrize("matrix,depth", sorted(BROKEN_COUNTS), ids=str)
+def test_a_matrix_off_the_family_fails_the_pinned_checks(monkeypatch, matrix, depth):
+    monkeypatch.setattr(lattice, "lattice_lambda", lambda p: LatticeAuto(matrix))
+    report = lattice_system_check(0, depth=depth, sampling=SampleConfig(samples=100, seed=3))
+    expected = dict(zip(COUNTERS, BROKEN_COUNTS[matrix, depth]))
+    assert report["failures"] == expected
+    assert report["failure_count"] == sum(expected.values())
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, -1, -3, 5])
+def test_system_check_matches_the_product_by_product_oracle(p):
+    for depth in range(MAX_LATTICE_DEPTH + 1):
+        for seed in (0, 3, 11, 90210):
+            sampling = SampleConfig(samples=30, seed=seed)
+            assert lattice_system_check(p, depth, sampling) \
+                == lattice_system_check_by_products(p, depth, sampling), (depth, seed)
+
+
+@pytest.mark.parametrize("matrix", BROKEN, ids=str)
+def test_system_check_matches_the_oracle_off_the_family(monkeypatch, matrix):
+    monkeypatch.setattr(lattice, "lattice_lambda", lambda p: LatticeAuto(matrix))
+    for depth in range(MAX_LATTICE_DEPTH + 1):
+        for seed in (1, 7, 11):
+            sampling = SampleConfig(samples=25, seed=seed)
+            report = lattice_system_check(0, depth, sampling)
+            assert report == lattice_system_check_by_products(0, depth, sampling), (depth, seed)
+            assert report["failure_count"] > 0

@@ -55,6 +55,24 @@ REPORT_SHA256 = [
      "7751bd70d4db2c772af37dc5c7ec55c3254b5cdbf0b47abfa3829016ba9cc934"),
     (("--seed", "90210", "lattice", "--p", "-1"),
      "3dc103474df7b96ae29048d40315d43788260b0481b5a6acadd4b47f198424d5"),
+    # the lattice beyond depth 3: depth 0 has no compatibility pairs, the closed-form
+    # recursion stops after level 4, and depth 8 is the cap
+    (("--seed", "11", "lattice", "--p", "1", "--depth", "0"),
+     "d0f432b17cbb00077bf5661ce5aae396451b8b25885960a7fd4729592dbdde69"),
+    (("--seed", "11", "lattice", "--p", "1", "--depth", "5"),
+     "32161d0e9020366f2ea6a7de799aa5d393fb20c8c11bc0fdd3e428e0e0db5dbc"),
+    (("--seed", "11", "lattice", "--p", "1", "--depth", "8"),
+     "94d23fc0dd255d594207fd79f0a6b69f3a7244b340823efd3606e92740c8804c"),
+    (("--seed", "11", "lattice", "--p", "-3", "--depth", "8"),
+     "f3a8b2c9db566c3ca09860c5608f91772479ef1c72ae08ef896ce1736145dea3"),
+    (("--seed", "90210", "lattice", "--p", "1", "--depth", "0"),
+     "5910c91c3d0bb922dc447e0979ec98ee5dbae66b42c73de2aa63ab4f7545f178"),
+    (("--seed", "90210", "lattice", "--p", "1", "--depth", "5"),
+     "eab1fb470d60cfca51105894ccd776565bbe3b535f14acd8c01150aaca9958c6"),
+    (("--seed", "90210", "lattice", "--p", "1", "--depth", "8"),
+     "52b91859489c6c2dcb44f474448986e9422aa6c8a1f3b28bef113a711e91a56d"),
+    (("--seed", "90210", "lattice", "--p", "-3", "--depth", "8"),
+     "0b7ba8a30839b5cadb93be29e3a78a3952e9358064891099410e3a3aaa3513c6"),
 ]
 
 

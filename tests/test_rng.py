@@ -1,14 +1,14 @@
 """The sampling stream against a generator that steps the LCG once per draw.
 
 ``Lcg`` computes its draws a block at a time; every draw it hands out, by
-``next_int``, ``next_in``, ``take`` or ``sample_word``, and its ``state``
+``next_int`` (also through ``oracles.next_in``), ``take`` or ``sample_word``, and its ``state``
 after each call, must be those of the textbook step in ``oracles``.
 """
 
 import random
 
 import pytest
-from oracles import lcg_draws_by_stepping
+from oracles import lcg_draws_by_stepping, next_in
 
 from skewbrace.rng import _BLOCK, Lcg
 from skewbrace.words import FreeWord, sample_word
@@ -53,7 +53,7 @@ def test_mixed_draws_match_the_stepped_stream(seed):
         elif kind == 1:
             lo = choose.randint(-50, 50)
             hi = lo + choose.randint(0, 100)
-            assert rng.next_in(lo, hi) == lo + ref.draw() % (hi - lo + 1)
+            assert next_in(rng, lo, hi) == lo + ref.draw() % (hi - lo + 1)
             draws += 1
         elif kind == 2:
             count = choose.randint(0, 40)

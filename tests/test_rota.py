@@ -8,6 +8,7 @@ from oracles import (
     free_rb_example,
     free_rb_level_inverse,
     inversion_operator,
+    next_in,
     rb_anti_hom_lemma_check,
     rb_operators_by_graph_subgroups,
     tuples,
@@ -209,7 +210,7 @@ def test_expand_seeded_words(d4):
     b = inversion_operator(d4)
     rng = Lcg(0)
     for _ in range(500):
-        letters = [(rng.next_int(8), rng.next_in(-2, 2)) for _ in range(4)]
+        letters = [(rng.next_int(8), next_in(rng, -2, 2)) for _ in range(4)]
         value = circ_word_expand(d4, b, letters)
         assert 0 <= value < 8
 
@@ -220,7 +221,7 @@ def test_expand_matches_direct_fold(s3):
     op = s3.opposite()
     rng = Lcg(3)
     for _ in range(200):
-        letters = [(rng.next_int(6), rng.next_in(-2, 2)) for _ in range(3)]
+        letters = [(rng.next_int(6), next_in(rng, -2, 2)) for _ in range(3)]
         expected = 0
         for a, k in letters:
             step = a if k >= 0 else op.inverse[a]

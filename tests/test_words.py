@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from oracles import apply_power, circ_eval, exponent_sum, theta_power, word_power, word_product
+from oracles import apply_power, circ_eval, exponent_sum, next_in, theta_power, word_power, word_product
 
 from skewbrace.config import SampleConfig
 from skewbrace.errors import CriterionMismatch, NotInKernel, RankMismatch, WindowTooSmall
@@ -116,7 +116,7 @@ def reference_sample_word(rng, rank, max_syllables, max_exp):
     syllables = []
     for _ in range(count):
         g = 1 + rng.next_int(rank)
-        e = rng.next_in(1, max_exp)
+        e = next_in(rng, 1, max_exp)
         if rng.next_int(2):
             e = -e
         syllables.append((g, e))
