@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from functools import lru_cache
-from math import gcd
+from math import lcm
 
 from .errors import (
     CriterionMismatch,
@@ -110,9 +110,6 @@ class LambdaMap(namedtuple("LambdaMap", "group maps which products kernel image_
         hom = _first_unequal_pair(group.table, which, prod)
         anti = _first_unequal_pair(group.table, which, tuple(map(_index_row, zip(*prod))))
         orders = {permutation_order(img) for img in distinct}
-        exponent = 1
-        for o in orders:
-            exponent = exponent * o // gcd(exponent, o)
         ident = identity_map(n)
         return LambdaMap(
             group=group,
@@ -121,7 +118,7 @@ class LambdaMap(namedtuple("LambdaMap", "group maps which products kernel image_
             products=prod,
             kernel=tuple(a for a in range(n) if arrays[a] == ident),
             image_order=len(distinct),
-            image_exponent=exponent,
+            image_exponent=lcm(*orders),
             hom_witness=hom,
             anti_witness=anti,
             image_abelian=all(composites[i][j] == composites[j][i]

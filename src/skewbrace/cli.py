@@ -218,14 +218,6 @@ def _finite_operator(path: str, group) -> tuple:
     return op
 
 
-def _config_echo(args) -> dict:
-    return {
-        "seed": args.seed,
-        "samples": args.samples,
-        "max_order": args.max_order,
-    }
-
-
 def _parse_elements(text: str | None, flag: str) -> tuple:
     if text is None:
         raise ValueError(f"no {flag} elements given")
@@ -531,7 +523,8 @@ def main(argv=None) -> int:
         if args.format == "dot":      # system returns its graph; main refused dot for the rest
             _write(streams, systems.export_graph(result))
         else:
-            emit({"config": _config_echo(args), "command": args.command, **result}, streams)
+            emit({"config": {"seed": args.seed, "samples": args.samples, "max_order": args.max_order},
+                  "command": args.command, **result}, streams)
     return 0 if ok else 1
 
 

@@ -16,7 +16,7 @@ import json
 import re
 from collections import namedtuple
 from functools import cache
-from math import gcd, inf
+from math import inf, lcm
 
 from .errors import CriterionMismatch, InvalidGroup, OrderCapExceeded
 
@@ -193,7 +193,7 @@ def permutation_order(p) -> int:
                 seen[j] = True
                 j = p[j]
                 length += 1
-            order = order * length // gcd(order, length)
+            order = lcm(order, length)
     return order
 
 
@@ -333,7 +333,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, name: str = "") -> FiniteGrou
 
 
 def dihedral_group(n: int) -> FiniteGroup:
-    """Dihedral group of order 2n; element r^i s^j has index i + n*j."""
+    """Dihedral group D{2n} of order 2n; element r^i s^j has index i + n*j."""
     table = [[0] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         for j in (0, 1):
@@ -341,11 +341,11 @@ def dihedral_group(n: int) -> FiniteGroup:
                 for l in (0, 1):
                     rot = (i + (k if j == 0 else -k)) % n
                     table[i + n * j][k + n * l] = rot + n * ((j + l) % 2)
-    return FiniteGroup(table, name=f"D{n}")
+    return FiniteGroup(table, name=f"D{2 * n}")
 
 
 def dicyclic_group(n: int) -> FiniteGroup:
-    """Dicyclic group of order 4n (n=2 gives the quaternion group Q8)."""
+    """Dicyclic group of order 4n, named Q{4n} when n is a power of 2 (generalized quaternion), else Dic{4n}."""
     m = 2 * n
     table = [[0] * (4 * n) for _ in range(4 * n)]
     for i in range(m):
@@ -359,7 +359,7 @@ def dicyclic_group(n: int) -> FiniteGroup:
                     if flip == 2:
                         rot, flip = (rot + n) % m, 0
                     table[i + m * j][k + m * l] = rot + m * flip
-    return FiniteGroup(table, name="Q8" if n == 2 else f"Dic{n}")
+    return FiniteGroup(table, name=f"Q{4 * n}" if n & (n - 1) == 0 else f"Dic{4 * n}")
 
 
 def _perm_group_from(perms, name: str) -> FiniteGroup:
@@ -717,16 +717,14 @@ def endomorphisms(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> list:
 # Holomorph
 
 
-class Holomorph:
-    """Hol G = Aut G x| G with product (f,a)(g,b) = (fg, a f(b)).
+class Holomorph(namedtuple("Holomorph", "base automorphisms group")):
+    """Hol G = Aut G x| G with product (f,a)(g,b) = (fg, a f(b)), as the ``group`` on pairs over ``base``.
 
-    Pairs (f, a) are indexed as f_index * |G| + a, so the identity pair is 0.
+    Pairs (f, a) are indexed as f_index * |G| + a, so the identity pair is 0;
+    ``automorphisms`` lists Aut G in that index order.
     """
 
-    def __init__(self, base: FiniteGroup, automorphisms, group: FiniteGroup):
-        self.base = base
-        self.automorphisms = automorphisms
-        self.group = group
+    __slots__ = ()
 
 
 MAX_HOLOMORPH_ORDER = 10000

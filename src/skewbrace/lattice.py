@@ -15,13 +15,11 @@ on the nose.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 
 from .config import DEFAULT_SAMPLING, SampleConfig
 from .errors import CriterionMismatch
 from .rng import Lcg
 
-Vec = tuple  # (v1, v2)
 Mat = tuple  # ((m11, m12), (m21, m22)) acting on column vectors
 
 
@@ -33,10 +31,9 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 
 class LatticeAuto(namedtuple("LatticeAuto", "matrix")):
-    """A 2x2 integer ``matrix`` M of determinant +-1 with (M - I)^2 = 0.
+    """A 2x2 integer ``matrix`` M of determinant +-1 with (M - I)^2 = 0."""
 
-    It keeps an instance __dict__, no __slots__, for its cached_property values.
-    """
+    __slots__ = ()
 
     def power(self, k: int) -> Mat:
         m = self.matrix
@@ -45,31 +42,6 @@ class LatticeAuto(namedtuple("LatticeAuto", "matrix")):
             (1 + k * (m[0][0] - 1), k * m[0][1]),
             (k * m[1][0], 1 + k * (m[1][1] - 1)),
         )
-
-    @cached_property
-    def circ(self):
-        """(a, b, level=1) -> a o_level b = a + M^{level s(a)} b = a + b + level s(a) (M - I) b, M read once."""
-        (m11, m12), (m21, m22) = self.matrix
-        d11, d22 = m11 - 1, m22 - 1
-
-        def circ(a: Vec, b: Vec, level: int = 1) -> Vec:
-            a1, a2 = a
-            b1, b2 = b
-            k = level * (a1 + a2)
-            return (a1 + b1 + k * (d11 * b1 + m12 * b2), a2 + b2 + k * (m21 * b1 + d22 * b2))
-        return circ
-
-    @cached_property
-    def circ_inverse(self):
-        """(a, level=1) -> M^{-level s(a)} (-a) = -a + level s(a) (M - I) a, the inverse under o_level, M read once."""
-        (m11, m12), (m21, m22) = self.matrix
-        d11, d22 = m11 - 1, m22 - 1
-
-        def circ_inverse(a: Vec, level: int = 1) -> Vec:
-            a1, a2 = a
-            k = level * (a1 + a2)
-            return (-a1 + k * (d11 * a1 + m12 * a2), -a2 + k * (m21 * a1 + d22 * a2))
-        return circ_inverse
 
 
 def lattice_lambda(p: int) -> LatticeAuto:
@@ -105,14 +77,6 @@ def lattice_system_check(p: int, depth: int = 3,
     auto = lattice_lambda(p)
     (m11, m12), (m21, m22) = auto.matrix
     d11, d22 = m11 - 1, m22 - 1
-    circ, circ_inv = auto.circ, auto.circ_inverse
-
-    def circ_pow(a, k, i):
-        out = (0, 0)
-        step = a if k >= 0 else circ_inv(a, i)
-        for _ in range(abs(k)):
-            out = circ(out, step, i)
-        return out
 
     # sigma -> x1^{o_i sigma} and its o_i-inverse with the D-images of both, at every level i
     x1_powers = {}
@@ -194,8 +158,16 @@ def lattice_system_check(p: int, depth: int = 3,
         if powers is None:
             powers = x1_powers[sa] = []
             for i in levels:
-                g = g1, g2 = circ_pow((1, 0), sa, i)
-                h1, h2 = circ_inv(g, i)
+                # g = x1^{o_i sigma}: sigma o_i-steps of x1, or -sigma of its o_i-inverse
+                # -x1 + i D x1; then h = -g + i s(g) D g, the o_i-inverse of g
+                s1, s2 = (1, 0) if sa >= 0 else (i * d11 - 1, i * m21)
+                ds1, ds2 = d11 * s1 + m12 * s2, m21 * s1 + d22 * s2
+                g1 = g2 = 0
+                for _ in range(abs(sa)):
+                    kg = i * (g1 + g2)
+                    g1, g2 = g1 + s1 + kg * ds1, g2 + s2 + kg * ds2
+                kg = i * (g1 + g2)
+                h1, h2 = -g1 + kg * (d11 * g1 + m12 * g2), -g2 + kg * (m21 * g1 + d22 * g2)
                 powers.append((g1, g2, d11 * g1 + m12 * g2, m21 * g1 + d22 * g2,
                                h1, h2, d11 * h1 + m12 * h2, m21 * h1 + d22 * h2))
         for i, (g1, g2, dg1, dg2, h1, h2, dh1, dh2) in zip(levels, powers):

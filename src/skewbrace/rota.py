@@ -51,19 +51,6 @@ class RbCheck(namedtuple("RbCheck", "ok witness")):
         return self.ok
 
 
-def is_rb(group: FiniteGroup, b_map) -> RbCheck:
-    """Exhaustively check the Rota-Baxter identity; the witness is the first failing pair.
-
-    The identity B(g) B(h) = B(g o h), g o h = g B(g) h B(g)^-1, is hom_witness
-    from the rows of o, built here, to (G, .).
-    """
-    b = bytes(b_map)
-    t, inv, cols = group.table, group.inverse, group.columns
-    derived = [t[row[bg]].translate(_lut(cols[inv[bg]])) for row, bg in zip(t, b)]
-    witness = hom_witness(derived, t, b)
-    return RbCheck(witness is None, witness)
-
-
 def derived_table(group: FiniteGroup, b_map) -> list:
     """The table of g o h = g B(g) h B(g)^-1, as bytes rows."""
     b = bytes(b_map)
@@ -71,20 +58,33 @@ def derived_table(group: FiniteGroup, b_map) -> list:
     return [t[row[bg]].translate(_lut(cols[inv[bg]])) for row, bg in zip(t, b)]
 
 
+def is_rb(group: FiniteGroup, b_map) -> RbCheck:
+    """Exhaustively check the Rota-Baxter identity; the witness is the first failing pair.
+
+    The identity B(g) B(h) = B(g o h) is hom_witness from the rows of
+    derived_table to (G, .).
+    """
+    b = bytes(b_map)
+    witness = hom_witness(derived_table(group, b), group.table, b)
+    return RbCheck(witness is None, witness)
+
+
 def rb_brace(group: FiniteGroup, b_map) -> SkewBrace:
     """The skew brace (G, ., o) of a Rota-Baxter operator, built from lambda_g = conjugation by B(g).
 
     Asserts the facts this operation carries: its table is the closed form
     g o h = g B(g) h B(g)^-1 of derived_table, B is again Rota-Baxter on
-    (G, o), and B is a homomorphism (G, o) -> (G, .).
+    (G, o), and B is a homomorphism (G, o) -> (G, .). The derived table is
+    built once, for is_rb's Rota-Baxter check and the closed form.
     """
-    check = is_rb(group, b_map)
-    if not check.ok:
-        raise NotRotaBaxter(check.witness)
     b = bytes(b_map)
+    derived = derived_table(group, b)
+    witness = hom_witness(derived, group.table, b)
+    if witness is not None:
+        raise NotRotaBaxter(witness)
     conj = list(map(group.inner.__getitem__, b))     # h -> B(g) h B(g)^-1
     brace = SkewBrace.from_lambda(LambdaMap.of_automorphisms(group, conj))
-    if brace.circ.table != tuple(derived_table(group, b)):
+    if brace.circ.table != tuple(derived):
         raise CriterionMismatch("the table built from conjugation by B is not g B(g) h B(g)^-1")
     if not is_rb(brace.circ, b).ok:
         raise CriterionMismatch("operator is not Rota-Baxter on the derived group")
@@ -151,10 +151,8 @@ def rb_self_maps(group: FiniteGroup) -> list:
     return [bytes(b) for b in _regular_assignments(group, group.inner, lambda x, y: t[x][y])]
 
 
-def rb_endomorphisms(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER, endos=None) -> list:
-    """Endomorphisms of the group that satisfy the Rota-Baxter identity, among ``endos`` when given."""
-    if endos is None:
-        endos = endomorphisms(group, max_order)
+def rb_endomorphisms(group: FiniteGroup, endos) -> list:
+    """The endomorphisms among ``endos``, a list of the group's, that satisfy the Rota-Baxter identity."""
     return [e for e in endos if is_rb(group, e).ok]
 
 
@@ -187,7 +185,7 @@ def rb_search(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> dict:
         auts = automorphism_group(group, max(max_order, MAX_GROUP_ORDER))
     else:
         endos = endomorphisms(group, max_order)
-        found, scope = rb_endomorphisms(group, max_order, endos), "endomorphisms"
+        found, scope = rb_endomorphisms(group, endos), "endomorphisms"
         auts = [e for e in endos if len(set(e)) == group.order]
     flags = {}
     for orbit in rb_orbits(auts, found):

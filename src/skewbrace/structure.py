@@ -92,7 +92,7 @@ def kernel_ideal(brace: SkewBrace) -> IdealReport:
     return report
 
 
-def quotient_brace(brace: SkewBrace, ideal) -> SkewBrace:
+def quotient_brace(brace: SkewBrace, ideal: IdealReport) -> SkewBrace:
     """The brace on the cosets of an ideal I, indexed by their least elements in increasing order.
 
     The cosets are those of coset_labels(G, I), with [a] . [b] = [a . b]. For
@@ -101,14 +101,11 @@ def quotient_brace(brace: SkewBrace, ideal) -> SkewBrace:
     lambda_a(I) = I, lambda-bar_[a]([b]) = [lambda_a(b)] is well defined and
     gives [a] o [b] = [a . lambda_a(b)] = [a o b]. As a cross-check the map
     to cosets must be multiplicative for both operations (hom_witness).
-    An IdealReport whose is_ideal holds is taken on trust; other member sets are checked by is_ideal.
+    ``ideal`` is the IdealReport of is_ideal; NotAnIdeal when its is_ideal is false.
     """
-    members = set(ideal.elements if isinstance(ideal, IdealReport) else ideal)
-    if not (isinstance(ideal, IdealReport) and ideal.is_ideal):
-        report = is_ideal(brace, members)
-        if not report.is_ideal:
-            raise NotAnIdeal(f"{sorted(members)} fails {report.witness}")
-    labels = coset_labels(brace.add, members)
+    if not ideal.is_ideal:
+        raise NotAnIdeal(f"{list(ideal.elements)} fails {ideal.witness}")
+    labels = coset_labels(brace.add, ideal.elements)
     reps = sorted(set(labels))
     coset = bytes(map(reps.index, labels))       # coset[x]: the index of the coset of x
     to_cosets = _lut(coset)
@@ -217,18 +214,16 @@ class TrivialityChain(namedtuple("TrivialityChain", "chain step")):
     __slots__ = ()
 
 
-def trivial_quotient(brace: SkewBrace, small, big, labels: bytes | None = None) -> bool:
-    """True iff a . b and a o b agree modulo the ideal ``small`` for all a, b in the ideal ``big``.
+def trivial_quotient(brace: SkewBrace, big, labels: bytes) -> bool:
+    """True iff a . b and a o b agree modulo an ideal I for all a, b in the ideal ``big``.
 
-    (a . b)^-1 (a o b) = b^-1 lambda_a(b). At a fixed a the b where it lies
-    in ``small`` form a subgroup of (big, .), as ``small`` is normal in
-    (G, .); the a where it does for every b are closed under o, as ``big``
-    is lambda-invariant. So a runs over generators of (big, o) and b over
-    generators of (big, .). b^-1 lambda_a(b) is in ``small`` iff lambda_a(b)
-    and b share a label of ``labels``, coset_labels(G, small) if not given.
+    ``labels`` is coset_labels(G, I). (a . b)^-1 (a o b) = b^-1 lambda_a(b).
+    At a fixed a the b where it lies in I form a subgroup of (big, .), as I
+    is normal in (G, .); the a where it does for every b are closed under o,
+    as ``big`` is lambda-invariant. So a runs over generators of (big, o)
+    and b over generators of (big, .). b^-1 lambda_a(b) is in I iff
+    lambda_a(b) and b share a label.
     """
-    if labels is None:
-        labels = coset_labels(brace.add, small)
     add_gens = _right_closure(brace.add.table, 0, big)[1]
     circ_gens = _right_closure(brace.circ.table, 0, big)[1]
     return all(labels[brace.lam.maps[a][b]] == labels[b] for a in circ_gens for b in add_gens)
@@ -257,7 +252,7 @@ def triviality_step(brace: SkewBrace, ideals) -> TrivialityChain | None:
                     continue
                 if candidate in parents:
                     continue
-                if trivial_quotient(brace, cset, candidate, labels):
+                if trivial_quotient(brace, candidate, labels):
                     parents[candidate] = current
                     if candidate == everything:
                         chain = [candidate]

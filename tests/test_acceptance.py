@@ -241,7 +241,7 @@ def test_criterion_7_rota_baxter_suite():
     for g in groups.small_group_catalog(12):
         if g.order < 7:
             continue
-        for b in rb_endomorphisms(g):
+        for b in rb_endomorphisms(g, groups.endomorphisms(g)):
             brace = rb_brace(g, b)
             rb_symmetry_check(brace, b)
             rb_lambda_hom_check(brace, b)

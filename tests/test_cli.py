@@ -4,7 +4,14 @@ import re
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import compose_by_index, group_to_json, invert_by_index, rb_search_rows_by_operator, tuples
+from oracles import (
+    case_key,
+    compose_by_index,
+    group_to_json,
+    invert_by_index,
+    rb_search_rows_by_operator,
+    tuples,
+)
 
 from skewbrace import braces, cli, config, groups, rng, rota, structure, systems, words
 from skewbrace.braces import brace_to_json, op_brace, trivial_brace
@@ -576,6 +583,22 @@ def test_system_linear_dot(tmp_path, capsys):
     assert code == 0
     assert out.startswith("digraph brace_system {")
     assert "v0 -> v1;" in out
+
+
+def test_no_report_carries_the_group_name(tmp_path, capsys):
+    # a group's name reaches no report, so reports are the same under the old and the new name of D8
+    group = group_to_json(groups.dihedral_group(4))
+    assert group["name"] == "D8"
+    paths = [write(tmp_path, f"{name}.json", {**group, "name": name}) for name in ("D8", "D4")]
+    for argv in (["verify-group", "--in"], ["enumerate", "--in"], ["system", "--kind", "rooted", "--group"],
+                 ["rb", "search", "--group"], ["construct", "--kind", "op", "--group"]):
+        outs = []
+        for path in paths:
+            code, out, err = run(capsys, argv + [path])
+            assert (code, err) == (0, ""), argv
+            outs.append(out)
+        assert "D8" not in outs[0] and "D4" not in outs[1], argv
+        assert outs[0] == outs[1], argv
 
 
 def test_system_rooted(tmp_path, capsys):
@@ -1286,7 +1309,7 @@ RB_ORACLE_GROUPS = [g for g in groups.small_group_catalog(12) if g.order >= 6] +
 ]
 
 
-@pytest.mark.parametrize("group", RB_ORACLE_GROUPS, ids=lambda g: g.name or str(g.order))
+@pytest.mark.parametrize("group", RB_ORACLE_GROUPS, ids=case_key)
 def test_rb_search_rows_match_the_search_that_checks_every_operator(tmp_path, capsys, group):
     path = write(tmp_path, "group.json", group_to_json(group))
     code, out, _ = run(capsys, ["rb", "search", "--group", path])

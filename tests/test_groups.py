@@ -2,7 +2,7 @@ from itertools import permutations
 
 import pytest
 
-from oracles import nilpotency_class, regular_subgroups_by_closure
+from oracles import case_key, nilpotency_class, regular_subgroups_by_closure
 from skewbrace import groups
 from skewbrace.errors import InvalidGroup, OrderCapExceeded
 from skewbrace.groups import (
@@ -219,7 +219,7 @@ def test_automorphism_cap():
 
 
 @pytest.mark.parametrize("group", [g for g in groups.small_group_catalog(12) if g.order > 6],
-                         ids=lambda g: g.name)
+                         ids=case_key)
 def test_automorphisms_are_the_bijective_endomorphisms(group):
     # rota.rb_search takes Aut(G) so above the self-map order: same maps, same order, identity first
     endos = groups.endomorphisms(group)

@@ -12,12 +12,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
+    case_key,
     compose_by_index,
     conjugation_by_index,
     derived_table_by_index,
     hom_witness_by_full_scan,
-    invert_by_index,
     inversion_operator,
+    invert_by_index,
     lambda_by_index,
     multiplicative_by_full_scan,
     permutation_closure_all_products,
@@ -70,7 +71,7 @@ assert GROUPS[0].order == 1 and GROUPS[-1].order == MAX_TABLE_ORDER
 
 def random_maps(group, count, seed):
     """``count`` self-maps of the carrier, and as many permutations, as bytes."""
-    rng = random.Random(f"{group.name}:{seed}")
+    rng = random.Random(f"{case_key(group)}:{seed}")
     n = group.order
     maps = [bytes(rng.randrange(n) for _ in range(n)) for _ in range(count)]
     perms = [bytes(rng.sample(range(n), n)) for _ in range(count)]
@@ -84,7 +85,7 @@ def known_homomorphisms(group):
     return [bytes(range(group.order)), bytes(group.order), inversion_operator(group)]
 
 
-@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
+@pytest.mark.parametrize("group", GROUPS, ids=case_key)
 def test_compose_and_inverse_match_the_references(group):
     maps, perms = random_maps(group, 8, "compose")
     for f in maps + perms:
@@ -94,7 +95,7 @@ def test_compose_and_inverse_match_the_references(group):
         assert tuple(invert_permutation(p)) == invert_by_index(tuple(p))
 
 
-@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
+@pytest.mark.parametrize("group", GROUPS, ids=case_key)
 def test_is_multiplicative_matches_the_full_scan(group):
     maps, perms = random_maps(group, 6, "multiplicative")
     for dst in (group.table, group.columns):
@@ -103,7 +104,7 @@ def test_is_multiplicative_matches_the_full_scan(group):
                 multiplicative_by_full_scan(tuples(group.table), tuples(dst), tuple(images))
 
 
-@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
+@pytest.mark.parametrize("group", GROUPS, ids=case_key)
 def test_inner_and_conj_match_the_reference(group):
     table = tuples(group.table)
     for g, images in enumerate(group.inner):
@@ -147,9 +148,9 @@ def non_normal_subgroup(group):
                                           for x in k)), cyclic[0])
 
 
-@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
+@pytest.mark.parametrize("group", GROUPS, ids=case_key)
 def test_hom_witness_matches_the_full_scan(group):
-    rng = random.Random(f"{group.name}:witness")
+    rng = random.Random(f"{case_key(group)}:witness")
     n, t = group.order, group.table
     k = non_normal_subgroup(group)
     maps, perms = random_maps(group, 4, "witness")
@@ -174,7 +175,7 @@ def test_hom_witness_matches_the_full_scan(group):
         assert (False, False) in found
 
 
-@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
+@pytest.mark.parametrize("group", GROUPS, ids=case_key)
 def test_lambda_arrays_match_the_reference(group):
     found = enumerate_circ_ops(group) if group.order <= 8 else [SkewBrace(group, group.opposite())]
     for brace in found:
@@ -190,9 +191,9 @@ def first_law_failure_by_index(table, maps, anti):
                                                             else (maps[a], maps[b])))), None)
 
 
-@pytest.mark.parametrize("group", [g for g in GROUPS if g.order <= 12], ids=lambda g: g.name)
+@pytest.mark.parametrize("group", [g for g in GROUPS if g.order <= 12], ids=case_key)
 def test_lambda_witnesses_match_the_reference(group):
-    rng = random.Random(f"{group.name}:witness")
+    rng = random.Random(f"{case_key(group)}:witness")
     auts = automorphism_group(group)
     table = tuples(group.table)
     assignments = [[rng.choice(auts) for _ in range(group.order)] for _ in range(6)]
@@ -208,7 +209,7 @@ def test_lambda_witnesses_match_the_reference(group):
             assert witness == first_law_failure_by_index(table, tuples(maps), anti)
 
 
-@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
+@pytest.mark.parametrize("group", GROUPS, ids=case_key)
 def test_is_rb_and_derived_table_match_the_references(group):
     maps, perms = random_maps(group, 6, "rota")
     table = tuples(group.table)
@@ -220,7 +221,7 @@ def test_is_rb_and_derived_table_match_the_references(group):
         assert tuple(tuples(derived_table(group, b))) == derived_table_by_index(table, tuple(b))
 
 
-@pytest.mark.parametrize("group", [g for g in GROUPS if g.order <= 6], ids=lambda g: g.name)
+@pytest.mark.parametrize("group", [g for g in GROUPS if g.order <= 6], ids=case_key)
 def test_rb_self_maps_are_every_rota_baxter_self_map(group):
     from itertools import product
 
@@ -237,7 +238,7 @@ CENTRAL_DEFECTS = [(dihedral_group(4), (0, 1, 2, 3, 0, 3, 2, 1)),
 
 
 @pytest.mark.parametrize("group,b_map", CENTRAL_DEFECTS + [
-    (g, b) for g in GROUPS if 6 < g.order <= 12 for b in rb_endomorphisms(g)[:8]])
+    (g, b) for g in GROUPS if 6 < g.order <= 12 for b in rb_endomorphisms(g, endomorphisms(g))[:8]])
 def test_center_conditions_match_the_full_scan(group, b_map):
     brace = rb_brace(group, b_map)
     symmetric, homomorphic = rb_center_conditions_by_scan(tuples(group.table), tuple(b_map))

@@ -55,6 +55,8 @@ RECORDS = {
                   ("code", "witness"), {}, True),
     "GroupCheck": (groups.GroupCheck, lambda: groups.verify_group(_z4().table),
                    ("ok", "group", "relabeling", "violations"), {}, True),
+    "Holomorph": (groups.Holomorph, lambda: groups.build_holomorph(_z4()), ("base", "automorphisms", "group"),
+                  {}, True),
     "LatticeAuto": (lattice.LatticeAuto, lambda: lattice.lattice_lambda(1), ("matrix",), {}, True),
     "RbCheck": (rota.RbCheck, lambda: rota.is_rb(_z4(), [0, 0, 0, 0]), ("ok", "witness"), {}, True),
     "FreeRb": (rota.FreeRb, lambda: rota.FreeRb(2, (_word(2, (1, 1)), _word(2, (1, 1)))),
@@ -106,9 +108,8 @@ def test_record_is_an_immutable_value(name):
             hash(record)
     with pytest.raises(AttributeError):
         setattr(record, fields[0], getattr(record, fields[0]))
-    if name != "LatticeAuto":    # it keeps a __dict__ for its cached_property values
-        with pytest.raises(AttributeError):
-            record.extra = 1
+    with pytest.raises(AttributeError):
+        record.extra = 1
     body = ", ".join(f"{field}={getattr(record, field)!r}" for field in fields)
     assert repr(record) == f"{name}({body})"
 

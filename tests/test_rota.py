@@ -1,5 +1,6 @@
 import pytest
 from oracles import (
+    case_key,
     circ2_expansion_report,
     circ_word_expand,
     constant_operator,
@@ -17,7 +18,7 @@ from oracles import (
 )
 
 from skewbrace import groups, rota
-from skewbrace.braces import classify, op_brace
+from skewbrace.braces import classify, op_brace, trivial_brace
 from skewbrace.config import SampleConfig
 from skewbrace.errors import CriterionMismatch, NotRotaBaxter, PreconditionFails, RankMismatch
 from skewbrace.rng import Lcg
@@ -83,14 +84,14 @@ def test_rb_brace_inversion_equals_op_brace(s3):
 
 
 def test_rb_brace_cross_checks_lambda_against_conjugation(monkeypatch, s3):
-    # with the closed form left undeformed, it is not the table built from conjugation by B
-    monkeypatch.setattr(rota, "derived_table", lambda group, b_map: group.table)
+    # a brace built from lambda that is valid but not the one of conjugation by B fails the closed form
+    monkeypatch.setattr(rota.SkewBrace, "from_lambda", classmethod(lambda cls, lam: trivial_brace(s3)))
     with pytest.raises(CriterionMismatch, match="conjugation by B"):
         rb_brace(s3, inversion_operator(s3))
 
 
 def test_rb_brace_endomorphism_example(d4):
-    # the endomorphism of D4 sending reflections to the central rotation r^2
+    # the endomorphism of D8 sending reflections to the central rotation r^2
     b = tuple(0 if x < 4 else 2 for x in range(8))
     assert all(b[d4.table[x][y]] == d4.table[b[x]][b[y]] for x in range(8) for y in range(8))
     assert is_rb(d4, b).ok  # endomorphisms onto abelian images satisfy the identity
@@ -166,7 +167,7 @@ def test_self_map_search_criteria_agree():
 
 def test_endomorphism_search_order_8(d4, q8):
     for g in (d4, q8):
-        found = rb_endomorphisms(g)
+        found = rb_endomorphisms(g, groups.endomorphisms(g))
         assert constant_operator(g) in found
         for b in found:
             brace = rb_brace(g, b)
@@ -174,7 +175,7 @@ def test_endomorphism_search_order_8(d4, q8):
             rb_lambda_hom_check(brace, b)
 
 
-@pytest.mark.parametrize("group", groups.small_group_catalog(12), ids=lambda g: g.name)
+@pytest.mark.parametrize("group", groups.small_group_catalog(12), ids=case_key)
 def test_walker_finds_every_rota_baxter_operator_past_the_cap(group):
     # the walk rb_self_maps runs, on groups it refuses, against subgroups of G x G
     n, t = group.order, group.table
@@ -182,7 +183,7 @@ def test_walker_finds_every_rota_baxter_operator_past_the_cap(group):
     found = groups._regular_assignments(group, conj, lambda x, y: t[x][y])
     assert found == rb_operators_by_graph_subgroups(group)
     assert all(is_rb(group, b).ok for b in found)
-    assert set(tuples(rb_endomorphisms(group))) <= set(found)
+    assert set(tuples(rb_endomorphisms(group, groups.endomorphisms(group)))) <= set(found)
 
 
 def test_self_map_cap(d4):

@@ -118,28 +118,30 @@ def test_kernel_not_an_ideal_over_dic12():
 
 def test_quotient_by_singleton_is_copy(s3):
     brace = op_brace(s3)
-    q = quotient_brace(brace, (0,))
+    q = quotient_brace(brace, is_ideal(brace, (0,)))
     assert q.add.table == brace.add.table
     assert q.circ.table == brace.circ.table
 
 
 def test_quotient_by_everything(s3):
-    q = quotient_brace(op_brace(s3), tuple(range(6)))
+    brace = op_brace(s3)
+    q = quotient_brace(brace, is_ideal(brace, tuple(range(6))))
     assert q.order == 1
 
 
 def test_quotient_s3_by_a3(s3):
     brace = op_brace(s3)
     a3 = groups.derived_subgroup(s3)
-    q = quotient_brace(brace, a3)
+    q = quotient_brace(brace, is_ideal(brace, a3))
     assert q.order == 2
     assert q.is_trivial
 
 
 def test_quotient_rejects_non_ideal(s3):
     transposition = next(x for x in range(6) if s3.element_order(x) == 2)
+    brace = op_brace(s3)
     with pytest.raises(NotAnIdeal):
-        quotient_brace(op_brace(s3), (0, transposition))
+        quotient_brace(brace, is_ideal(brace, (0, transposition)))
 
 
 def test_sub_brace_restriction(s3):
@@ -210,7 +212,7 @@ def test_chains_recheck(s3, d4):
             assert is_ideal(brace, lower).is_ideal
             part = sub_brace_by_verify_group(brace, upper)
             index = {x: i for i, x in enumerate(upper)}
-            q = quotient_brace(part, tuple(index[x] for x in lower))
+            q = quotient_brace(part, is_ideal(part, tuple(index[x] for x in lower)))
             assert q.is_trivial
 
 
@@ -241,14 +243,14 @@ def test_naturality_report_checks_the_kernel_once(s3, monkeypatch):
     assert calls == [brace.lam.kernel]
 
 
-def test_quotient_checks_a_failing_report_and_raw_members(s3):
+def test_quotient_refuses_a_failing_report(s3):
     brace = op_brace(s3)
     transposition = next(x for x in range(6) if s3.element_order(x) == 2)
     failing = is_ideal(brace, (0, transposition))
     assert not failing.is_ideal
-    for ideal in (failing, (0, transposition)):
-        with pytest.raises(NotAnIdeal):
-            quotient_brace(brace, ideal)
+    with pytest.raises(NotAnIdeal) as caught:
+        quotient_brace(brace, failing)
+    assert str(caught.value) == f"[0, {transposition}] fails {failing.witness}"
 
 
 def test_trivial_abelian_natural(z4):
