@@ -236,12 +236,14 @@ def verify_group(table, name: str = "") -> GroupCheck:
     permutation (old label -> new label) is reported so external labels
     round-trip.  On failure every violated axiom is reported with a witness.
 
-    Entries, rows and columns are checked with whole-row set operations, and
-    only a row that fails them is scanned entry by entry for its witness.
-    Light's test: the g with (x g) y = x (g y) for all x, y are closed under
-    products, so associativity is checked on generators, one row x at a
-    time, and scanned only on failure. A table of more than MAX_TABLE_ORDER
-    rows raises OrderCapExceeded before any of this.
+    Entries are checked with whole-row set operations, and only a row that
+    fails them is scanned entry by entry for its witness. A row or column of
+    n labels in range is Latin iff deleting its bytes from the labels leaves
+    none. Light's test: the g with (x g) y = x (g y) for all x, y are closed
+    under products, so associativity is checked on generators, one row x at
+    a time, and scanned only on failure; a group that keeps its labels keeps
+    those generators. A table of more than MAX_TABLE_ORDER rows raises
+    OrderCapExceeded before any of this.
     """
     if len(table) > MAX_TABLE_ORDER:
         raise OrderCapExceeded(f"table order {len(table)} exceeds the bound of {MAX_TABLE_ORDER}")
@@ -261,9 +263,9 @@ def verify_group(table, name: str = "") -> GroupCheck:
     cols = transpose(rows)
 
     violations = []
-    bad_row = next((a for a, r in enumerate(rows) if len(set(r)) != n), None)
+    bad_row = next((a for a, r in enumerate(rows) if labels.translate(None, r)), None)
     bad_col = None if bad_row is not None else next(
-        (b for b, col in enumerate(cols) if len(set(col)) != n), None)
+        (b for b, col in enumerate(cols) if labels.translate(None, col)), None)
     if bad_row is not None:
         violations.append(Violation("not_latin_square", ("row", bad_row)))
     elif bad_col is not None:
@@ -292,7 +294,7 @@ def verify_group(table, name: str = "") -> GroupCheck:
 
     if identity == 0:
         group = FiniteGroup(rows, name=name)
-        group._columns = cols
+        group._columns, group._generators = cols, tuple(gens)
         return GroupCheck(True, group, tuple(labels), ())
     old_order = bytes([identity]) + labels.replace(bytes([identity]), b"")
     relabel = invert_permutation(old_order)

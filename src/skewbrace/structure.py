@@ -176,6 +176,21 @@ def _ideal_closure(brace: SkewBrace, seed: int) -> tuple:
         members, gens, _ = _right_closure(t, 0, gens + new)
 
 
+def _ideal_seeds(brace: SkewBrace) -> list:
+    """The a > 0 that no move sends below a: one seed at least for each principal ideal.
+
+    The moves are conjugation by each generator of (G, .), the inverse of
+    (G, .), and lambda_c and o-conjugation by c for each generator c of
+    (G, o). Each is a permutation that keeps the ideal an element generates,
+    so by induction on labels the ideal of every a is that of a seed.
+    """
+    add, circ = brace.add, brace.circ
+    moves = [add.inner[g] for g in add.generators] + [add.inverse]
+    moves += [f for c in circ.generators for f in (brace.lam.maps[c], circ.inner[c])]
+    low = bytes(map(min, range(brace.order), *moves))      # low[a]: the least of a and its moves
+    return [a for a in range(1, brace.order) if low[a] == a]
+
+
 MAX_IDEAL_SEARCH_ORDER = 16
 """The largest brace whose ideals ``all_ideals`` lists, and so whose triviality chain is built."""
 
@@ -185,12 +200,13 @@ def all_ideals(brace: SkewBrace) -> list:
 
     A product I J of ideals is an ideal and every ideal is the product of
     the ideals its elements generate (Guarnieri-Vendramin 2017), so {0} is
-    closed under products with the ideal of each element.
+    closed under products with the principal ideals, each closed from one
+    seed of _ideal_seeds.
     """
     if brace.order > MAX_IDEAL_SEARCH_ORDER:
         raise OrderCapExceeded(f"ideal search capped at order {MAX_IDEAL_SEARCH_ORDER}")
     t = brace.add.table
-    principal = sorted(set(_ideal_closure(brace, a) for a in range(1, brace.order)))
+    principal = sorted(set(_ideal_closure(brace, a) for a in _ideal_seeds(brace)))
     seen = {(0,)}
     frontier = [(0,)]
     while frontier:
@@ -214,19 +230,20 @@ class TrivialityChain(namedtuple("TrivialityChain", "chain step")):
     __slots__ = ()
 
 
-def trivial_quotient(brace: SkewBrace, big, labels: bytes) -> bool:
-    """True iff a . b and a o b agree modulo an ideal I for all a, b in the ideal ``big``.
+def trivial_quotient(brace: SkewBrace, gens, labels: bytes) -> bool:
+    """True iff a . b and a o b agree modulo an ideal I for all a, b in an ideal J.
 
-    ``labels`` is coset_labels(G, I). (a . b)^-1 (a o b) = b^-1 lambda_a(b).
-    At a fixed a the b where it lies in I form a subgroup of (big, .), as I
-    is normal in (G, .); the a where it does for every b are closed under o,
-    as ``big`` is lambda-invariant. So a runs over generators of (big, o)
-    and b over generators of (big, .). b^-1 lambda_a(b) is in I iff
-    lambda_a(b) and b share a label.
+    ``gens`` is (generators of (J, .), generators of (J, o)) and ``labels``
+    is coset_labels(G, I). (a . b)^-1 (a o b) = b^-1 lambda_a(b). At a fixed
+    a the b where it lies in I form a subgroup of (J, .), as I is normal in
+    (G, .); the a where it does for every b are closed under o, as J is
+    lambda-invariant. So a runs over generators of (J, o) and b over
+    generators of (J, .). b^-1 lambda_a(b) is in I iff lambda_a(b) and b
+    share a label.
     """
-    add_gens = _right_closure(brace.add.table, 0, big)[1]
-    circ_gens = _right_closure(brace.circ.table, 0, big)[1]
-    return all(labels[brace.lam.maps[a][b]] == labels[b] for a in circ_gens for b in add_gens)
+    add_gens, circ_gens = gens
+    maps = brace.lam.maps
+    return all(labels[maps[a][b]] == labels[b] for a in circ_gens for b in add_gens)
 
 
 def triviality_step(brace: SkewBrace, ideals) -> TrivialityChain | None:
@@ -234,25 +251,30 @@ def triviality_step(brace: SkewBrace, ideals) -> TrivialityChain | None:
 
     ``ideals`` is the list from all_ideals(brace). Breadth-first over ideals:
     a step from I to J > I is allowed when every pair from J multiplies the
-    same way under both operations modulo I (trivial_quotient, on I's coset labels).
+    same way under both operations modulo I (trivial_quotient, on I's coset
+    labels). Each J's generators in both groups are walked once, on its first test.
     """
     everything = tuple(range(brace.order))
     if brace.order == 1:
         return TrivialityChain(((0,),), 0)
+    add, circ = brace.add.table, brace.circ.table
+    sets = {ideal: set(ideal) for ideal in ideals}
+    gens = {}
     start = (0,)
     parents = {start: None}
     layer = [start]
     while layer:
         nxt = []
         for current in layer:
-            cset = set(current)
+            cset = sets[current]
             labels = coset_labels(brace.add, current)
-            for candidate in ideals:
-                if candidate == current or not cset < set(candidate):
+            for candidate, members in sets.items():
+                if candidate in parents or not cset < members:
                     continue
-                if candidate in parents:
-                    continue
-                if trivial_quotient(brace, candidate, labels):
+                if candidate not in gens:
+                    gens[candidate] = (_right_closure(add, 0, candidate)[1],
+                                       _right_closure(circ, 0, candidate)[1])
+                if trivial_quotient(brace, gens[candidate], labels):
                     parents[candidate] = current
                     if candidate == everything:
                         chain = [candidate]

@@ -1232,14 +1232,27 @@ def count_calls(monkeypatch, fn):
     return calls
 
 
-def test_structure_closes_one_ideal_per_element(tmp_path, capsys, monkeypatch):
+def test_structure_closes_one_ideal_per_move_class(tmp_path, capsys, monkeypatch):
+    # D8 labels r^k as k and r^k s as 4 + k; r^3 is the inverse of r, and the reflections
+    # 4, 6 and 5, 7 are conjugate, so the seeds 3, 6 and 7 are skipped
     path = write(tmp_path, "brace.json", brace_to_json(op_brace(groups.dihedral_group(4))))
     subgroups = count_calls(monkeypatch, structure.all_subgroups)
     closures = count_calls(monkeypatch, structure._ideal_closure)
-    code, _, _ = run(capsys, ["structure", "--in", path])
+    code, out, _ = run(capsys, ["structure", "--in", path])
     assert code == 0
     assert subgroups == []
-    assert sorted(seed for _, seed in closures) == list(range(1, 8))
+    assert sorted(seed for _, seed in closures) == [1, 2, 4, 5]
+    assert len(json.loads(out)["ideals"]) == 6
+
+
+def test_structure_walks_each_input_table_once_for_its_generators(tmp_path, capsys, monkeypatch):
+    # verify_group walks each table for Light's test and keeps the generators; the
+    # automorphism search walks (G, .) once more for the steps of the walk
+    path = write(tmp_path, "brace.json", brace_to_json(op_brace(groups.dihedral_group(4))))
+    walks = count_calls(monkeypatch, groups._right_closure)
+    code, _, _ = run(capsys, ["structure", "--in", path])
+    assert code == 0
+    assert sum(seeds == range(8) for _, _, seeds in walks) == 3
 
 
 def test_structure_verifies_only_the_tables_of_its_file(tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ from oracles import case_key, nilpotency_class, regular_subgroups_by_closure
 from skewbrace import groups
 from skewbrace.errors import InvalidGroup, OrderCapExceeded
 from skewbrace.groups import (
+    _right_closure,
     automorphism_group,
     build_holomorph,
     compose,
@@ -43,6 +44,16 @@ def test_z4_table_valid(z4):
     assert check.ok
     assert check.group.table == z4.table
     assert check.relabeling == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("group", small_group_catalog(12), ids=case_key)
+def test_verify_group_generators_equal_a_fresh_walk(group):
+    # the walk of Light's test is kept when the identity is 0; a relabeled group walks its own
+    n = group.order
+    moved = groups.relabeled(group.table, bytes((x + 1) % n for x in range(n)))   # identity 1
+    for table in (group.table, moved):
+        found = verify_group(table).group
+        assert found.generators == tuple(_right_closure(found.table, 0, range(n))[1])
 
 
 def test_corrupt_z4_not_latin(z4):

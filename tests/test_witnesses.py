@@ -42,6 +42,7 @@ from skewbrace.braces import (
 )
 from skewbrace.groups import (
     FiniteGroup,
+    _right_closure,
     automorphism_group,
     coset_labels,
     cyclic_group,
@@ -56,6 +57,7 @@ from skewbrace.groups import (
     verify_group,
 )
 from skewbrace.structure import (
+    _ideal_closure,
     all_ideals,
     all_subgroups,
     brace_automorphisms,
@@ -360,10 +362,11 @@ def assert_structure_matches_oracles(brace):
     assert ideals == [
         s for s in additive_subgroups_by_all_pairs_closure(add)
         if is_ideal_by_full_scan(brace, s).is_ideal]
-    for small in ideals:
-        for big in ideals:
+    for big in ideals:
+        gens = (_right_closure(add.table, 0, big)[1], _right_closure(circ, 0, big)[1])
+        for small in ideals:
             if set(small) < set(big):
-                assert trivial_quotient(brace, big, coset_labels(add, small)) == \
+                assert trivial_quotient(brace, gens, coset_labels(add, small)) == \
                     trivial_quotient_by_all_pairs(brace, set(small), big), (small, big)
 
 
@@ -371,6 +374,41 @@ def assert_structure_matches_oracles(brace):
 def test_brace_automorphisms_and_ideals_match_oracles(i):
     for brace in braces_over(i):
         assert_structure_matches_oracles(brace)
+
+
+def relabeled_braces_over(i):
+    """Every brace over CATALOG[i], pushed forward along its own seeded permutation fixing 0."""
+    rng = random.Random(case_key(CATALOG[i]))
+    n = CATALOG[i].order
+    return [pushforward(brace, sending_zero_to(rng, n, 0)) for brace in braces_over(i)]
+
+
+@pytest.mark.parametrize("i", range(len(CATALOG)), ids=lambda i: case_key(CATALOG[i]))
+def test_brace_automorphisms_and_ideals_match_oracles_after_relabeling(i):
+    # all_ideals skips the elements a move sends to a smaller label, so labels matter
+    for brace in relabeled_braces_over(i):
+        assert_structure_matches_oracles(brace)
+
+
+def ideals_from_every_element(brace):
+    """{0} closed under products with the ideal of every element a > 0: all_ideals without its skips."""
+    add = brace.add.table
+    principal = {_ideal_closure(brace, a) for a in range(1, brace.order)}
+    found, todo = {(0,)}, [(0,)]
+    while todo:
+        ideal = todo.pop()
+        for p in principal:
+            product = tuple(sorted({add[x][y] for x in ideal for y in p}))
+            if product not in found:
+                found.add(product)
+                todo.append(product)
+    return sorted(found, key=lambda s: (len(s), s))
+
+
+@pytest.mark.parametrize("i", range(len(CATALOG)), ids=lambda i: case_key(CATALOG[i]))
+def test_ideals_match_closing_every_element(i):
+    for brace in braces_over(i) + relabeled_braces_over(i):
+        assert all_ideals(brace) == ideals_from_every_element(brace)
 
 
 def test_brace_automorphisms_and_ideals_match_oracles_at_order_16():
