@@ -82,17 +82,17 @@ def _json_lines(texts, indent: str) -> str:
 
 
 class _RowTexts(dict):
-    """The JSON texts of bytes rows of tables at one indent, each written on first use.
+    """The JSON texts of bytes int lists whose bracket is at one indent, each written on first use.
 
-    A row's text is one str.translate of its bytes read as latin-1: each
+    A list's text is one str.translate of its bytes read as latin-1: each
     label x becomes "x," and the newline and indent of the next item.
     """
 
     def __init__(self, indent: str):
         super().__init__()
-        inner = "\n" + indent + "    "
+        inner = "\n" + indent + "  "
         self.labels = tuple(f"{x},{inner}" for x in range(256))
-        self.head, self.tail, self.cut = "[" + inner, "\n" + indent + "  ]", 1 + len(inner)
+        self.head, self.tail, self.cut = "[" + inner, "\n" + indent + "]", 1 + len(inner)
 
     def __missing__(self, row: bytes) -> str:
         text = "[]"
@@ -103,46 +103,62 @@ class _RowTexts(dict):
 
 
 class _RowMemo(dict):
-    """The row texts of one report, by the indent of their table."""
+    """The texts of the bytes lists of one report, table rows and lone maps alike.
+
+    They are kept by the indent of the list's own bracket, so a row and a
+    map at one indent share a text.
+    """
 
     def __missing__(self, indent: str) -> _RowTexts:
         texts = self[indent] = _RowTexts(indent)
         return texts
 
 
-def _json_flat(value, indent: str, rows: _RowMemo) -> str | None:
-    """The text of a scalar, a list of scalars or a table; None otherwise.
+def _json_flat(value, indent: str, rows: _RowMemo, tables: bool = True) -> str | None:
+    """The text of a one-piece value, or of a table when ``tables``; None otherwise.
 
-    A table is a list or tuple of int lists or tuples, or a tuple of bytes
-    rows, which is written as the lists of their bytes through ``rows``.
+    One-piece values are scalars, lists of scalars, bytes (written as the
+    list of their ints through ``rows``) and dicts of one-piece values. A
+    table is a list or tuple of int lists or tuples, or a tuple of bytes
+    rows; it is written whole, but a dict that holds it is not.
     """
-    if type(value) in _ROWS:
-        if all(type(x) in _SCALARS for x in value):
-            return _json_lines(map(_json_scalar, value), indent)
-        if type(value) is tuple and all(type(row) is bytes for row in value):
-            return _json_lines(map(rows[indent].__getitem__, value), indent)
-        if (all(type(row) in _ROWS for row in value)
-                and all(type(x) is int for row in value for x in row)):
-            inner = indent + "  "
-            texts = [_json_lines(map(int.__repr__, row), inner) for row in value]
-            return _json_lines(texts, indent)
+    kind = type(value)
+    if kind is bytes:
+        return rows[indent][value]
+    if kind in _ROWS:
+        first = type(value[0]) if value else int
+        if first in _SCALARS:
+            if all(type(x) is int for x in value):
+                return _json_lines(map(int.__repr__, value), indent)
+            if all(type(x) in _SCALARS for x in value):
+                return _json_lines(map(_json_scalar, value), indent)
+        elif tables and first is bytes:
+            if kind is tuple and all(type(row) is bytes for row in value):
+                return _json_lines(map(rows[indent + "  "].__getitem__, value), indent)
+        elif tables and first in _ROWS:
+            if (all(type(row) in _ROWS for row in value)
+                    and all(type(x) is int for row in value for x in row)):
+                inner = indent + "  "
+                return _json_lines([_json_lines(map(int.__repr__, row), inner) for row in value], indent)
         return None
     if isinstance(value, dict):
-        return None if value else "{}"
+        inner, texts = indent + "  ", []
+        for key, item in sorted(value.items()):
+            text = _json_flat(item, inner, rows, False)
+            if text is None:
+                return None
+            texts.append(_json_key(key) + ": " + text)
+        return "{\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "}" if texts else "{}"
     return _json_scalar(value)
 
 
 def _json_chunks(value, indent: str, rows: _RowMemo):
-    """json.dumps(value, indent=2, sort_keys=True) in chunks; ``value`` starts a line at ``indent``.
+    """json.dumps(value, indent=2, sort_keys=True) in chunks, for a dict or list _json_flat does not write.
 
-    A scalar, a list of scalars and a table are one chunk each; dicts and
-    other lists recurse, one chunk per item at least. ``rows`` holds the
-    texts of the bytes rows written so far.
+    ``value`` starts a line at ``indent``. Each item is one chunk when
+    _json_flat writes it, and recurses otherwise. ``rows`` holds the texts
+    of the bytes lists written so far.
     """
-    text = _json_flat(value, indent, rows)
-    if text is not None:
-        yield text
-        return
     inner = indent + "  "
     if isinstance(value, dict):
         items = ((_json_key(key) + ": ", item) for key, item in sorted(value.items()))
@@ -165,11 +181,14 @@ def _json_chunks(value, indent: str, rows: _RowMemo):
 def _emit_json(report: dict, streams) -> int:
     """Write json.dumps(report, indent=2, sort_keys=True) and a newline, ~_BATCH chars a write.
 
-    A tuple of bytes rows is written as the table of their bytes. The texts
-    of its rows are kept for this report only.
+    A bytes value is written as the list of its ints, and a tuple of bytes
+    rows as the table of their ints. The texts of bytes lists are kept for
+    this report only.
     """
+    rows = _RowMemo()
+    text = _json_flat(report, "", rows)
     written, batch, size = 0, [], 0
-    for chunk in _json_chunks(report, "", _RowMemo()):
+    for chunk in _json_chunks(report, "", rows) if text is None else (text,):
         batch.append(chunk)
         size += len(chunk)
         if size >= _BATCH:
@@ -329,10 +348,10 @@ def _cmd_structure(args):
     ideals = structure.all_ideals(brace)
     chain = structure.triviality_step(brace, ideals)
     report = {
-        "ideals": [list(i) for i in ideals],
-        "kernel": list(brace.lam.kernel),
+        "ideals": ideals,
+        "kernel": brace.lam.kernel,
         "st": chain.step if chain else None,
-        "chain": [list(part) for part in chain.chain] if chain else None,
+        "chain": chain.chain if chain else None,
         "automorphism_count": len(structure.brace_automorphisms(brace, args.max_order)),
     }
     if brace.lam.anti_homomorphic_on_add:

@@ -47,7 +47,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("order", "table", "identity", "inverse", "name",
-                 "_columns", "_generators", "_center", "_center_labels", "_inner")
+                 "_columns", "_walk", "_center", "_center_labels", "_inner")
 
     def __init__(self, table, name: str = ""):
         self.table = tuple(map(bytes, table))
@@ -56,7 +56,7 @@ class FiniteGroup:
         self.identity = e = self.table[0].index(0)    # 0 e = 0
         self.inverse = bytes(row.index(e) for row in self.table)
         self._columns = None
-        self._generators = None
+        self._walk = None
         self._center = None
         self._center_labels = None
         self._inner = None
@@ -89,15 +89,23 @@ class FiniteGroup:
         return self._inner
 
     @property
+    def walk(self) -> tuple:
+        """(members, generators, steps) of _right_closure from the identity over all elements, as tuples.
+
+        The table is walked once, on first use, and the walk is kept.
+        """
+        if self._walk is None:
+            self._walk = tuple(map(tuple, _right_closure(self.table, self.identity, range(self.order))))
+        return self._walk
+
+    @property
     def generators(self) -> tuple:
         """The seeds kept by the greedy right-product walk over all elements: at most log2(order).
 
         Every element is a left-normed product of them, so a law that holds
         against each generator holds everywhere.
         """
-        if self._generators is None:
-            self._generators = tuple(_right_closure(self.table, self.identity, range(self.order))[1])
-        return self._generators
+        return self.walk[1]
 
     @property
     def center(self) -> tuple:
@@ -242,8 +250,8 @@ def verify_group(table, name: str = "") -> GroupCheck:
     none. Light's test: the g with (x g) y = x (g y) for all x, y are closed
     under products, so associativity is checked on generators, one row x at
     a time, and scanned only on failure; a group that keeps its labels keeps
-    those generators. A table of more than MAX_TABLE_ORDER rows raises
-    OrderCapExceeded before any of this.
+    that walk as FiniteGroup.walk. A table of more than MAX_TABLE_ORDER rows
+    raises OrderCapExceeded before any of this.
     """
     if len(table) > MAX_TABLE_ORDER:
         raise OrderCapExceeded(f"table order {len(table)} exceeds the bound of {MAX_TABLE_ORDER}")
@@ -279,7 +287,8 @@ def verify_group(table, name: str = "") -> GroupCheck:
         if no_inverse is not None:
             violations.append(Violation("no_inverse", (no_inverse,)))
 
-    gens = () if violations else _right_closure(rows, identity, range(n))[1]
+    walk = None if violations else _right_closure(rows, identity, range(n))
+    gens = walk[1] if walk else ()
     light = not violations and all(
         rows[row[g]] == rows[g].translate(lut)
         for row, lut in zip(rows, map(_lut, rows)) for g in gens)
@@ -294,7 +303,7 @@ def verify_group(table, name: str = "") -> GroupCheck:
 
     if identity == 0:
         group = FiniteGroup(rows, name=name)
-        group._columns, group._generators = cols, tuple(gens)
+        group._columns, group._walk = cols, tuple(map(tuple, walk))
         return GroupCheck(True, group, tuple(labels), ())
     old_order = bytes([identity]) + labels.replace(bytes([identity]), b"")
     relabel = invert_permutation(old_order)
@@ -302,10 +311,14 @@ def verify_group(table, name: str = "") -> GroupCheck:
 
 
 def relabeled(table, relabel: bytes) -> list:
-    """The table with every label x renamed relabel[x], as bytes rows."""
+    """The table with every label x renamed relabel[x], as bytes rows.
+
+    Row relabel[a] is two bytes.translate calls: a gather of row a at the old
+    labels in their new order, then the renaming of its entries.
+    """
     old = invert_permutation(relabel)      # old[new label] = old label
     lut = _lut(relabel)
-    return [bytes(map(table[a].__getitem__, old)).translate(lut) for a in old]
+    return [old.translate(_lut(table[a])).translate(lut) for a in old]
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +586,8 @@ def _homomorphisms(src: FiniteGroup, dst: FiniteGroup, bijective: bool,
                    circ: FiniteGroup | None = None, limit: float = inf) -> list:
     """Homomorphisms src -> dst (only the bijective ones if asked), as sorted image arrays.
 
-    Backtracks over images of the generators of src, in the order of the
-    generator walk. An image must have the generator's order (for
+    Backtracks over images of the generators of src, in the order of its
+    generator walk, src.walk. An image must have the generator's order (for
     bijections) or an order dividing it. Choosing the image of the k-th
     generator fixes the map on the subgroup H_k the walk has closed by then,
     along the walk's steps, the only possible extension. The choice is
@@ -589,7 +602,7 @@ def _homomorphisms(src: FiniteGroup, dst: FiniteGroup, bijective: bool,
     every image keeps its o-order, checked at each level, and a full map is
     kept iff it is multiplicative for circ. The search stops at ``limit`` maps.
     """
-    members, gens, steps = _right_closure(src.table, 0, range(src.order))
+    members, gens, steps = src.walk
     n, st, dt = src.order, src.table, dst.table
     dst_orders = [dst.element_order(x) for x in range(dst.order)]
     circ_orders = [circ.element_order(x) for x in range(n)] if circ else None

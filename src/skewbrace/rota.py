@@ -194,7 +194,7 @@ def rb_search(group: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> dict:
                "lambda_homomorphic": rb_lambda_hom_check(brace, orbit[0])["lambda_homomorphic"]}
         flags.update(dict.fromkeys(orbit, row))
     return {"order": group.order, "scope": scope, "count": len(found),
-            "operators": [{"map": list(op), **flags[op]} for op in found]}
+            "operators": [{"map": op, **flags[op]} for op in found]}
 
 
 # ---------------------------------------------------------------------------

@@ -148,8 +148,19 @@ def all_subgroups(group: FiniteGroup) -> list:
     return sorted(seen, key=lambda s: (len(s), s))
 
 
-def _ideal_closure(brace: SkewBrace, seed: int) -> tuple:
-    """The ideal generated by ``seed``, as a sorted tuple.
+def _ideal_moves(brace: SkewBrace) -> tuple:
+    """(automorphisms of (G, .), o-conjugations) that _ideal_closure applies, as image arrays.
+
+    The automorphisms are conjugation by each generator of (G, .) and
+    lambda_c for each generator c of (G, o); the o-conjugations are by each c.
+    """
+    circ_gens = brace.circ.generators
+    return ([brace.add.inner[g] for g in brace.add.generators] + [brace.lam.maps[c] for c in circ_gens],
+            [brace.circ.inner[c] for c in circ_gens])
+
+
+def _ideal_closure(brace: SkewBrace, seed: int, moves: tuple) -> tuple:
+    """The ideal generated by ``seed``, as a sorted tuple; ``moves`` is _ideal_moves(brace).
 
     The fixpoint of three closures: the subgroup of (G, .) by the generator
     walk, conjugation by the generators of (G, .), and lambda_a and
@@ -161,9 +172,7 @@ def _ideal_closure(brace: SkewBrace, seed: int) -> tuple:
     and lambda_a are automorphisms of (G, .), so they are applied to the
     walk's generators only; o-conjugation once to each member.
     """
-    t, circ_gens = brace.add.table, brace.circ.generators
-    add_autos = [brace.add.inner[g] for g in brace.add.generators] + [brace.lam.maps[a] for a in circ_gens]
-    circ_inner = [brace.circ.inner[a] for a in circ_gens]
+    t, (add_autos, circ_inner) = brace.add.table, moves
     members, gens, _ = _right_closure(t, 0, (seed,))
     done_gens = done = 0
     while True:
@@ -176,18 +185,17 @@ def _ideal_closure(brace: SkewBrace, seed: int) -> tuple:
         members, gens, _ = _right_closure(t, 0, gens + new)
 
 
-def _ideal_seeds(brace: SkewBrace) -> list:
+def _ideal_seeds(brace: SkewBrace, moves: tuple) -> list:
     """The a > 0 that no move sends below a: one seed at least for each principal ideal.
 
-    The moves are conjugation by each generator of (G, .), the inverse of
-    (G, .), and lambda_c and o-conjugation by c for each generator c of
-    (G, o). Each is a permutation that keeps the ideal an element generates,
-    so by induction on labels the ideal of every a is that of a seed.
+    The moves are those of ``moves`` = _ideal_moves(brace) and the inverse
+    of (G, .). Each is a permutation that keeps the ideal an element
+    generates, so by induction on labels the ideal of every a is that of a
+    seed. A seed may share its move class with a smaller one; walking the
+    classes to keep only their least elements costs more than the
+    closures it saves.
     """
-    add, circ = brace.add, brace.circ
-    moves = [add.inner[g] for g in add.generators] + [add.inverse]
-    moves += [f for c in circ.generators for f in (brace.lam.maps[c], circ.inner[c])]
-    low = bytes(map(min, range(brace.order), *moves))      # low[a]: the least of a and its moves
+    low = bytes(map(min, range(brace.order), *moves[0], *moves[1], brace.add.inverse))   # a and its moves
     return [a for a in range(1, brace.order) if low[a] == a]
 
 
@@ -206,7 +214,8 @@ def all_ideals(brace: SkewBrace) -> list:
     if brace.order > MAX_IDEAL_SEARCH_ORDER:
         raise OrderCapExceeded(f"ideal search capped at order {MAX_IDEAL_SEARCH_ORDER}")
     t = brace.add.table
-    principal = sorted(set(_ideal_closure(brace, a) for a in _ideal_seeds(brace)))
+    moves = _ideal_moves(brace)
+    principal = sorted(set(_ideal_closure(brace, a, moves) for a in _ideal_seeds(brace, moves)))
     seen = {(0,)}
     frontier = [(0,)]
     while frontier:

@@ -296,6 +296,6 @@ def system_to_json(system: BraceSystemGraph) -> dict:
         "carrier_order": system.carrier_order,
         "kind": system.kind,
         "labels": list(system.labels),
-        "vertices": [[list(row) for row in g.table] for g in system.vertices],
+        "vertices": [g.table for g in system.vertices],
         "edges": [[u, v, system.edges[(u, v)]] for (u, v) in sorted(system.edges)],
     }

@@ -604,11 +604,20 @@ def verify_group_by_full_scan(table):
     relabel = [0] * n
     for new, old in enumerate(order):
         relabel[old] = new
+    return GroupCheck(True, FiniteGroup(relabeled_by_entries(rows, relabel)), tuple(relabel), ())
+
+
+def relabeled_by_entries(table, relabel):
+    """The table with every label x renamed relabel[x], one entry at a time, as int tuples.
+
+    out[relabel[a]][relabel[b]] = relabel[table[a][b]]: the reference for groups.relabeled.
+    """
+    n = len(table)
     out = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            out[relabel[a]][relabel[b]] = relabel[rows[a][b]]
-    return GroupCheck(True, FiniteGroup(out), tuple(relabel), ())
+            out[relabel[a]][relabel[b]] = relabel[table[a][b]]
+    return tuple(map(tuple, out))
 
 
 def _normal_by_full_scan(table, members):

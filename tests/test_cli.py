@@ -952,20 +952,24 @@ def test_emit_writes_what_json_dumps_writes(value):
     assert_same_text(second.getvalue(), expected)
 
 
-def _rows_as_lists(value):
-    """The value with each tuple of bytes rows turned into a list of int lists, for json.dumps."""
+def listified(value):
+    """The value with every bytes turned into the list of its ints, for json.dumps."""
+    if type(value) is bytes:
+        return list(value)
     if isinstance(value, dict):
-        return {key: _rows_as_lists(item) for key, item in value.items()}
+        return {key: listified(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        if type(value) is tuple and value and all(type(row) is bytes for row in value):
-            return [list(row) for row in value]
-        return [_rows_as_lists(item) for item in value]
+        return [listified(item) for item in value]
     return value
 
 
 _BYTES_TABLES = st.lists(st.binary(max_size=6), max_size=5).map(tuple)   # the empty table and empty rows too
+_MAPS = st.binary(max_size=6)                                             # lone operator maps, b"" too
+_INT_LISTS = st.lists(st.integers(-3, 300) | st.booleans(), max_size=6)   # bools stay true and false
+_RECORDS = st.recursive(_JSON_SCALARS | _MAPS | _INT_LISTS,               # each written as one piece
+                        lambda inner: st.dictionaries(st.text(), inner, max_size=4), max_leaves=12)
 _MIXED_VALUES = st.recursive(
-    _JSON_SCALARS | _INT_TABLES | _BYTES_TABLES,
+    _JSON_SCALARS | _INT_TABLES | _BYTES_TABLES | _RECORDS,
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
                    | st.dictionaries(st.text(), inner, max_size=4)),
     max_leaves=20)
@@ -987,12 +991,17 @@ def _bytes_table_at(depth):
 @example((b"",))
 @example((b"\x00\xff", b"", b"\xff\x00"))
 @example({"a": [(b"\x00",), 1], "b": {"c": [[(b"\xff", b"\xff")]]}})
+@example(b"")
+@example([b"", b"\x01", (b"\x00\x02",)])
+@example([True, 0, 1, False, 2])
+@example({"map": b"\x00\x02\x01", "symmetric": True, "flags": {"a": [1, True], "b": b""}})
+@example({"operators": [{"map": b"\x00\x01", "s": False}, {"map": b"\x00\x01", "s": None}]})
 def test_emit_writes_bytes_tables_as_json_dumps_writes_their_lists(value):
     import io
 
     from skewbrace.cli import emit
 
-    expected = json.dumps(_rows_as_lists(value), indent=2, sort_keys=True) + "\n"
+    expected = json.dumps(listified(value), indent=2, sort_keys=True) + "\n"
     assert_same_text(emit(value), expected)
     first, second = io.StringIO(), io.StringIO()
     assert len(emit(value, [first, second])) == len(expected)
@@ -1010,8 +1019,9 @@ def test_emit_writes_each_distinct_row_once_per_report(monkeypatch):
 
     monkeypatch.setattr(cli._RowTexts, "__missing__", counted)
     rows = [bytes((a + k) % 5 for k in range(5)) for a in range(5)]
-    report = {"tables": [tuple(rows[(a + i) % 5] for a in range(5)) for i in range(7)]}
-    expected = json.dumps(_rows_as_lists(report), indent=2, sort_keys=True) + "\n"
+    # the lone maps of the last item open at the indent of the tables' rows, so they share their texts
+    report = {"tables": [tuple(rows[(a + i) % 5] for a in range(5)) for i in range(7)] + [rows]}
+    expected = json.dumps(listified(report), indent=2, sort_keys=True) + "\n"
     for _ in range(2):   # a second report starts with no rows written
         written.clear()
         assert_same_text(cli.emit(report), expected)
@@ -1028,7 +1038,7 @@ def test_emit_streams_bytes_tables_without_holding_them():
     pool = [bytes((v + u * x) % 16 for x in range(16)) for u in range(1, 16, 2) for v in range(16)]
     report = {"braces": [{"circ": tuple(pool[(i * 7 + a * (i % 5 + 1)) % 128] for a in range(16)), "i": i}
                          for i in range(600)]}
-    expected = json.dumps(_rows_as_lists(report), indent=2, sort_keys=True) + "\n"
+    expected = json.dumps(listified(report), indent=2, sort_keys=True) + "\n"
     assert_same_text(emit(report), expected)
     first, second = io.StringIO(), io.StringIO()
     assert len(emit(report, [first, second])) == len(expected)
@@ -1241,18 +1251,18 @@ def test_structure_closes_one_ideal_per_move_class(tmp_path, capsys, monkeypatch
     code, out, _ = run(capsys, ["structure", "--in", path])
     assert code == 0
     assert subgroups == []
-    assert sorted(seed for _, seed in closures) == [1, 2, 4, 5]
+    assert sorted(seed for _, seed, _ in closures) == [1, 2, 4, 5]
     assert len(json.loads(out)["ideals"]) == 6
 
 
 def test_structure_walks_each_input_table_once_for_its_generators(tmp_path, capsys, monkeypatch):
-    # verify_group walks each table for Light's test and keeps the generators; the
-    # automorphism search walks (G, .) once more for the steps of the walk
+    # verify_group walks each table for Light's test and keeps the walk, which the
+    # automorphism search reads for its steps
     path = write(tmp_path, "brace.json", brace_to_json(op_brace(groups.dihedral_group(4))))
     walks = count_calls(monkeypatch, groups._right_closure)
     code, _, _ = run(capsys, ["structure", "--in", path])
     assert code == 0
-    assert sum(seeds == range(8) for _, _, seeds in walks) == 3
+    assert sum(seeds == range(8) for _, _, seeds in walks) == 2
 
 
 def test_structure_verifies_only_the_tables_of_its_file(tmp_path, capsys, monkeypatch):

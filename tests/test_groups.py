@@ -1,8 +1,16 @@
+import random
 from itertools import permutations
 
 import pytest
 
-from oracles import case_key, nilpotency_class, regular_subgroups_by_closure
+from oracles import (
+    case_key,
+    invert_by_index,
+    nilpotency_class,
+    regular_subgroups_by_closure,
+    relabeled_by_entries,
+    tuples,
+)
 from skewbrace import groups
 from skewbrace.errors import InvalidGroup, OrderCapExceeded
 from skewbrace.groups import (
@@ -53,7 +61,32 @@ def test_verify_group_generators_equal_a_fresh_walk(group):
     moved = groups.relabeled(group.table, bytes((x + 1) % n for x in range(n)))   # identity 1
     for table in (group.table, moved):
         found = verify_group(table).group
-        assert found.generators == tuple(_right_closure(found.table, 0, range(n))[1])
+        walk = _right_closure(found.table, 0, range(n))
+        assert found.generators == tuple(walk[1])
+        assert found.walk == tuple(map(tuple, walk))
+
+
+_z, _dp = groups.cyclic_group, groups.direct_product
+RELABEL_CASES = small_group_catalog(12)[1:] + [
+    _z(16), groups.dihedral_group(8), groups.dicyclic_group(4), _dp(_z(4), _z(4)),
+    groups.symmetric_group(4), _dp(_z(5), _z(5)), groups.dicyclic_group(8),
+    _dp(_z(2), groups.dihedral_group(8)), _z(49), _dp(_z(8), _z(8)), groups.dihedral_group(32)]
+
+
+@pytest.mark.parametrize("group", RELABEL_CASES, ids=case_key)
+def test_relabeled_equals_the_entrywise_relabeling(group):
+    # a seeded permutation that moves the identity; verify_group must take the table back to identity 0
+    n = group.order
+    rng = random.Random(case_key(group))
+    relabel = list(range(n))
+    while relabel[0] == 0:
+        rng.shuffle(relabel)
+    moved = groups.relabeled(group.table, bytes(relabel))
+    assert tuple(tuples(moved)) == relabeled_by_entries(group.table, relabel)
+    check = verify_group(moved)
+    assert check.ok and check.relabeling[relabel[0]] == 0
+    assert tuple(tuples(check.group.table)) == relabeled_by_entries(moved, check.relabeling)
+    assert relabeled_by_entries(check.group.table, invert_by_index(check.relabeling)) == tuple(tuples(moved))
 
 
 def test_corrupt_z4_not_latin(z4):

@@ -207,7 +207,8 @@ def test_importing_the_cli_loads_no_dataclasses():
 def test_a_record_in_a_report_is_not_json():
     # a record is one value, not a list of its fields: emit refuses it as json.dumps refused a dataclass
     flags = braces.classify(braces.trivial_brace(_z2()))
-    for report in ({"flags": flags}, {"rows": [flags]}, flags):
+    for report in ({"flags": flags}, {"rows": [flags]}, flags, {"map": b"\x00\x01", "flags": flags},
+                   {"rows": [1, 2, flags]}, {"table": (b"\x00",), "record": {"inner": flags}}):
         with pytest.raises(TypeError, match="Object of type Classification is not JSON serializable"):
             cli.emit(report)
 

@@ -107,3 +107,35 @@ def test_no_unread_names(trees):
             bad += [f"{path}:{line}: {name}" for line, name in names
                     if not name.startswith("__") and name not in read and name not in ALLOWED]
     assert bad == []
+
+
+def _copies_rows_into_lists(node) -> bool:
+    """True for [list(x) for x in ...] and map(list, ...): a table copied row by row into lists."""
+    if isinstance(node, ast.ListComp) and len(node.generators) == 1:
+        target, elt = node.generators[0].target, node.elt
+        return (isinstance(elt, ast.Call) and isinstance(elt.func, ast.Name) and elt.func.id == "list"
+                and len(elt.args) == 1 and isinstance(elt.args[0], ast.Name)
+                and isinstance(target, ast.Name) and elt.args[0].id == target.id)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "map"
+            and bool(node.args) and isinstance(node.args[0], ast.Name) and node.args[0].id == "list")
+
+
+# The functions whose reports may copy tables into lists: the brace-file writer, whose output goes to json.dump.
+ROW_COPIES_ALLOWED = {("src/skewbrace/braces.py", "brace_to_json")}
+
+
+def test_no_report_copies_a_table_row_by_row_into_lists(trees):
+    # cli.emit writes bytes rows and bytes maps as int lists itself, so a report field (a value of a
+    # dict display or an item assigned into a dict) holds the library's tables and maps as they are
+    bad = set()
+    for path, tree in trees.items():
+        allowed = {id(node) for func in ast.walk(tree)
+                   if isinstance(func, ast.FunctionDef) and (path.as_posix(), func.name) in ROW_COPIES_ALLOWED
+                   for node in ast.walk(func)}
+        fields = [value for node in ast.walk(tree) if id(node) not in allowed
+                  for value in (node.values if isinstance(node, ast.Dict)
+                                else [node.value] if isinstance(node, ast.Assign)
+                                and any(isinstance(t, ast.Subscript) for t in node.targets) else [])]
+        bad |= {f"{path}:{node.lineno}" for field in fields for node in ast.walk(field)
+                if _copies_rows_into_lists(node)}
+    assert sorted(bad) == []

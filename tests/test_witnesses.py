@@ -58,6 +58,7 @@ from skewbrace.groups import (
 )
 from skewbrace.structure import (
     _ideal_closure,
+    _ideal_moves,
     all_ideals,
     all_subgroups,
     brace_automorphisms,
@@ -393,7 +394,8 @@ def test_brace_automorphisms_and_ideals_match_oracles_after_relabeling(i):
 def ideals_from_every_element(brace):
     """{0} closed under products with the ideal of every element a > 0: all_ideals without its skips."""
     add = brace.add.table
-    principal = {_ideal_closure(brace, a) for a in range(1, brace.order)}
+    moves = _ideal_moves(brace)
+    principal = {_ideal_closure(brace, a, moves) for a in range(1, brace.order)}
     found, todo = {(0,)}, [(0,)]
     while todo:
         ideal = todo.pop()
